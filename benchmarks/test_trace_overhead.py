@@ -12,9 +12,8 @@ records the deltas (with the raw per-repeat samples) into
 (``benchmarks/check_speedup_trajectory.py --max-trace-overhead``) fails the
 trajectory check when either recorded overhead fraction exceeds 3%.
 
-The in-test assertion is deliberately looser (10%) than the recorded 3%
-claim: a loaded container can add noise past any tight threshold, and the
-trajectory check is where the gate belongs.
+The test itself asserts no timing: wall-clock belongs in the gate, not in a
+test body that a loaded container can fail at random.
 """
 
 import time
@@ -113,8 +112,6 @@ def test_trace_overhead(benchmark):
         },
     )
 
-    # tracing recorded exactly one span per executed task
+    # tracing recorded exactly one span per executed task; the overhead
+    # fractions are gated by check_speedup_trajectory.py, not here
     assert num_spans == num_tasks > 0
-    # loose in-test bounds; the 3% gate lives in check_speedup_trajectory.py
-    assert overhead_fraction < 0.10
-    assert metered_overhead_fraction < 0.10

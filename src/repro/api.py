@@ -67,6 +67,7 @@ from repro.distribution.strategies import DistributionStrategy
 from repro.geometry.points import PointCloud, uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
+from repro.pipeline.plans import SolvePlans
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import get_format
 
@@ -112,6 +113,9 @@ class StructuredSolver:
         self.factorize_runtime: Any = None
         #: DTD runtime of the most recent task-graph solve (or None).
         self.solve_runtime: Any = None
+        #: Recorded solve graphs of :attr:`factor`, replayed by later solves
+        #: of the same right-hand-side width and execution policy.
+        self._plans = SolvePlans()
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -337,6 +341,7 @@ class StructuredSolver:
         )
         if force:
             self.factor = None
+            self._plans = SolvePlans()
         if self.factor is None:
             spec = get_format(self.format)
             if policy.uses_runtime:
@@ -367,6 +372,15 @@ class StructuredSolver:
 
         ``b`` may be a vector of length ``n`` or a matrix of shape ``(n, k)``
         holding ``k`` right-hand sides; the solution has the same shape.
+
+        On the task-graph paths the first solve of a right-hand-side width
+        under a given execution policy records the graph; later solves of that
+        width and policy rebind the recorded graph to the new ``b`` and run it
+        again (``solve_runtime`` is then the same object).  ``trace`` and
+        ``metrics`` are switches of one execution and not part of that key;
+        ``immediate`` runs its bodies while recording, so it records every
+        time.  Recorded graphs are dropped by ``factorize(force=True)`` and by
+        any solve that raises.
 
         Parameters
         ----------
@@ -434,7 +448,8 @@ class StructuredSolver:
             return x
         spec = get_format(self.format)
         x, self.solve_runtime = spec.solve_dtd(
-            factor, b, policy=policy, refine=refine, matvec=self.kernel_matrix.matvec
+            factor, b, policy=policy, refine=refine, matvec=self.kernel_matrix.matvec,
+            plans=self._plans,
         )
         return x
 

@@ -11,6 +11,7 @@ the notation ``A_{level; i, j}`` of Sec. 2.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
 
@@ -40,7 +41,11 @@ class ClusterNode:
     children:
         Either an empty list (leaf) or exactly two child nodes.
     parent:
-        The parent node (None for the root).
+        The parent node (None for the root).  Held weakly: a strong
+        back-pointer would make every tree a reference cycle that only the
+        cycle collector can reclaim, keeping a dropped solver's blocks alive
+        until it runs.  The :class:`ClusterTree` (or any ancestor) keeps the
+        parent alive for as long as the link is meaningful.
     """
 
     level: int
@@ -49,7 +54,29 @@ class ClusterNode:
     stop: int
     box: Optional[BoundingBox] = None
     children: List["ClusterNode"] = field(default_factory=list)
-    parent: Optional["ClusterNode"] = field(default=None, repr=False)
+    _parent_ref: Optional["weakref.ref[ClusterNode]"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def parent(self) -> Optional["ClusterNode"]:
+        return self._parent_ref() if self._parent_ref is not None else None
+
+    @parent.setter
+    def parent(self, node: Optional["ClusterNode"]) -> None:
+        self._parent_ref = weakref.ref(node) if node is not None else None
+
+    # Weak references do not pickle (cache snapshots, deep copies): drop the
+    # link on the way out and let each unpickled parent re-adopt its children.
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_parent_ref"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for child in self.children:
+            child.parent = self
 
     @property
     def size(self) -> int:

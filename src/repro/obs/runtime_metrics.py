@@ -6,7 +6,11 @@ One vocabulary of runtime metrics, recorded identically by every backend so
 Counters
     ``repro_executions_total{backend}``, ``repro_execution_timeouts_total``,
     ``repro_tasks_executed_total``, ``repro_tasks_failed_total``,
-    ``repro_tasks_cancelled_total``, ``repro_comm_messages_total``,
+    ``repro_tasks_cancelled_total``,
+    ``repro_solve_plan_records_total{backend}`` /
+    ``repro_solve_plan_replays_total{backend}`` (task-graph solves that
+    recorded a new graph / replayed a recorded one -- their ratio is the
+    replay hit rate), ``repro_comm_messages_total``,
     ``repro_comm_logical_bytes_total`` (the comm *model*: declared
     ``handle.nbytes``, what :class:`~repro.runtime.distributed.comm.CommLedger`
     calls ``total_bytes``), ``repro_comm_physical_bytes_total`` (measured
@@ -58,6 +62,7 @@ __all__ = [
     "record_execution_metrics",
     "record_rank_execution",
     "record_sequential_run",
+    "record_solve_plan",
     "record_http_request",
     "record_http_rejection",
     "record_http_inflight",
@@ -79,6 +84,8 @@ _H = {
     "comm_mapped": ("repro_comm_mapped_bytes_total", "Bytes moved through shared-memory segments (zero-copy data plane)"),
     "comm_seconds": ("repro_comm_seconds", "Seconds spent in communication actions"),
     "comm_transfer": ("repro_comm_transfer_bytes", "Physical bytes per message by directed process pair"),
+    "plan_records": ("repro_solve_plan_records_total", "Task-graph solves that recorded a new graph"),
+    "plan_replays": ("repro_solve_plan_replays_total", "Task-graph solves that replayed an already recorded graph"),
     "queue_depth": ("repro_queue_depth", "Ready-queue high-water mark"),
     "peak_rss": ("repro_peak_rss_bytes", "Peak resident-set bytes per process"),
     "handle_bytes": ("repro_handle_bytes", "Handle-table bytes (view=logical: declared sizes; view=measured: bound values)"),
@@ -290,6 +297,11 @@ def record_sequential_run(
     memory = handle_table_bytes(graph)
     record_memory(registry, backend, memory)
     return memory
+
+
+def record_solve_plan(registry: MetricsRegistry, backend: str, *, replayed: bool) -> None:
+    """Count one task-graph solve as a replay of a recorded graph or a new recording."""
+    registry.counter(*_H["plan_replays" if replayed else "plan_records"], backend=backend).inc()
 
 
 def record_http_request(

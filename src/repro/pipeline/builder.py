@@ -183,8 +183,14 @@ class SolveGraphBuilder(GraphBuilder):
     forward/root/backward task chain), per-recording handle namespacing, and
     the scatter of the solved leaf blocks back into a dense ``(n, k)`` block.
 
-    Subclasses store solved blocks into :attr:`sol` and implement
-    :meth:`gather` plus the usual recording hooks.
+    Subclasses keep every mutable block store in a :meth:`store` dict (solved
+    blocks go into :attr:`sol`) and implement :meth:`gather` plus the usual
+    recording hooks.
+
+    A recorded builder is a reusable *plan*: :meth:`rebind` points it at a
+    new right-hand side of the recorded width and :meth:`execute` then runs
+    the existing graph again -- discovery (handles, dependencies, fusion,
+    priorities) is paid once per plan, not once per solve.
     """
 
     def __init__(
@@ -195,23 +201,72 @@ class SolveGraphBuilder(GraphBuilder):
         policy: Optional[ExecutionPolicy] = None,
         runtime: Optional[DTDRuntime] = None,
     ) -> None:
+        super().__init__(policy=policy, runtime=runtime)
+        #: Only a graph alone in a deferred runtime of its own can be rewound
+        #: and run again (immediate bodies ran at insertion; a caller's
+        #: runtime may hold other recordings).
+        self.replayable = runtime is None and self.runtime.execution == "deferred"
+        self.factor = factor
+        self._stores: list = []
+        self._set_rhs(b)
+        self.panels = column_panels(self.bm.shape[1], self.policy.panel_size)
+        #: Unique suffix so repeated solves can record into one shared runtime.
+        self.ns = handle_namespace(self.runtime)
+        #: Mutable store of solved blocks, filled by the backward tasks.
+        self.sol: dict = self.store()
+
+    def _set_rhs(self, b: np.ndarray) -> None:
         # Imported here: repro.core's package __init__ pulls in the *_dtd
         # wrappers, which import this module -- a top-level import would cycle.
         from repro.core.rhs import check_rhs_shape
 
-        super().__init__(policy=policy, runtime=runtime)
-        self.factor = factor
         # Normalize without copying: builders only read bm (the leaf seeds are
         # slice copies), so a validate_rhs working copy would be pure overhead.
         check_rhs_shape(b, self.n)
         arr = np.asarray(b, dtype=np.float64)
         self.single = arr.ndim == 1
         self.bm = arr.reshape(self.n, -1)
-        self.panels = column_panels(self.bm.shape[1], self.policy.panel_size)
-        #: Unique suffix so repeated solves can record into one shared runtime.
-        self.ns = handle_namespace(self.runtime)
-        #: Mutable store of solved blocks, filled by the backward tasks.
-        self.sol: dict = {}
+
+    def store(self) -> dict:
+        """A new mutable block store the task bodies operate on (emptied by :meth:`rebind`)."""
+        self._stores.append({})
+        return self._stores[-1]
+
+    def rebind(self, b: np.ndarray, policy: Optional[ExecutionPolicy] = None) -> None:
+        """Point the recorded graph at a new right-hand side and make it runnable again.
+
+        ``b`` must have the recorded number of columns.  Empties every block
+        store, re-seeds the leaf blocks from ``b`` and rewinds the runtime;
+        the graph, its handles and its owners are reused as recorded.
+        ``policy`` (default: unchanged) must equal the recording policy up to
+        ``trace`` / ``metrics``, which are switches of one execution, not
+        part of the plan: both are set from it, on or off.
+        """
+        if not self._recorded or not self.replayable:
+            raise RuntimeError("only a recorded graph in a deferred runtime of its own can be rebound")
+        width = self.panels[-1].stop
+        self.release()
+        self._set_rhs(b)
+        if self.bm.shape[1] != width:
+            raise ValueError(
+                f"plan was recorded for {width} right-hand-side column(s), got {self.bm.shape[1]}"
+            )
+        if policy is not None:
+            self.policy = policy
+            self.runtime.trace = policy.trace
+            self.runtime.metrics = policy.metrics
+        self.runtime.rewind()
+        self.seed()
+
+    def release(self) -> None:
+        """Let go of the last solve's blocks and of the caller's right-hand side.
+
+        A parked plan keeps its graph, not RHS-sized data; :meth:`rebind`
+        starts from here.
+        """
+        for store in self._stores:
+            store.clear()
+        self.bm = None
 
     @property
     def n(self) -> int:

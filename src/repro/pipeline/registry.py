@@ -49,8 +49,10 @@ class FormatSpec:
         task-graph factorization under an
         :class:`~repro.pipeline.policy.ExecutionPolicy`.
     solve_dtd:
-        ``solve_dtd(factor, b, *, policy, refine=False, matvec=None)
-        -> (x, runtime)`` -- the task-graph solve under a policy.
+        ``solve_dtd(factor, b, *, policy, refine=False, matvec=None,
+        plans=None) -> (x, runtime)`` -- the task-graph solve under a policy.
+        ``plans`` is the caller's :class:`~repro.pipeline.plans.SolvePlans`
+        (recorded graphs to replay); without one every call records.
     compress_graph:
         ``compress_graph(kernel_matrix, *, leaf_size, max_rank, tol=None,
         method=None, seed=0, policy) -> (matrix, runtime)`` -- the task-graph
@@ -149,12 +151,12 @@ def _hss_factorize_dtd(matrix, *, policy):
     return builder.result(), builder.runtime
 
 
-def _hss_solve_dtd(factor, b, *, policy, refine=False, matvec=None):
+def _hss_solve_dtd(factor, b, *, policy, refine=False, matvec=None, plans=None):
     from repro.pipeline.solve import HSSULVSolveBuilder, solve_through_builder
 
     return solve_through_builder(
         HSSULVSolveBuilder, factor, b,
-        policy=policy, refine=refine, matvec=matvec, default_op=factor.hss,
+        policy=policy, refine=refine, matvec=matvec, default_op=factor.hss, plans=plans,
     )
 
 
@@ -202,12 +204,12 @@ def _leaf_factorize_dtd(matrix_to_factor):
     return factorize_dtd
 
 
-def _leaf_solve_dtd(factor, b, *, policy, refine=False, matvec=None):
+def _leaf_solve_dtd(factor, b, *, policy, refine=False, matvec=None, plans=None):
     from repro.pipeline.solve import LeafULVSolveBuilder, solve_through_builder
 
     return solve_through_builder(
         LeafULVSolveBuilder, factor, b,
-        policy=policy, refine=refine, matvec=matvec, default_op=factor.system,
+        policy=policy, refine=refine, matvec=matvec, default_op=factor.system, plans=plans,
     )
 
 

@@ -33,6 +33,7 @@ import scipy.linalg
 from repro.pipeline.builder import SolveGraphBuilder
 from repro.pipeline.factorize import leaf_virtual_level
 from repro.pipeline.panels import refine_once
+from repro.pipeline.plans import SolvePlans
 from repro.pipeline.policy import ExecutionPolicy, resolve_policy
 from repro.runtime.dtd import DTDRuntime
 from repro.runtime.flops import (
@@ -64,13 +65,17 @@ def solve_through_builder(
     matvec=None,
     default_op=None,
     policy: Optional[ExecutionPolicy] = None,
+    plans: Optional[SolvePlans] = None,
 ) -> Tuple[np.ndarray, DTDRuntime]:
-    """Record, execute and post-process one task-graph solve.
+    """Record (or replay), execute and post-process one task-graph solve.
 
-    Returns ``(x, runtime)`` with ``x`` shaped like ``b``.  ``refine=True``
-    solves the residual against ``matvec`` (default: ``default_op``, the
-    factorized operator) through a second recorded graph on the same backend
-    and adds the correction.
+    Returns ``(x, runtime)`` with ``x`` shaped like ``b``.  With ``plans``
+    (the caller's :class:`~repro.pipeline.plans.SolvePlans`) a graph already
+    recorded for this right-hand-side width and policy is rebound to ``b``
+    and run again instead of being re-recorded; without, every call records.
+    ``refine=True`` solves the residual against ``matvec`` (default:
+    ``default_op``, the factorized operator) on the same backend -- through
+    the same graph where it can be replayed -- and adds the correction.
     """
     if policy is None:
         policy, runtime = resolve_policy(
@@ -81,24 +86,30 @@ def solve_through_builder(
             n_workers=n_workers,
             panel_size=panel_size,
         )
-    builder = builder_cls(factor, b, policy=policy, runtime=runtime)
-    builder.execute()
-    x = builder.result()
-    if refine:
-        op = matvec if matvec is not None else default_op
+    if plans is None:
+        plans = SolvePlans()  # nobody to keep the recording for: record, run, drop
+    with plans.checkout(builder_cls, factor, b, policy, runtime=runtime) as builder:
+        x = builder.run()
+        single = builder.single
+        if refine:
+            op = matvec if matvec is not None else default_op
 
-        def solve_residual(r: np.ndarray) -> np.ndarray:
-            # A fresh recording per refinement step; with a caller-supplied
-            # runtime the fresh one copies its recording mode.
-            fresh = (
-                DTDRuntime(execution=builder.runtime.execution)
-                if runtime is not None
-                else None
-            )
-            return builder_cls(factor, r, policy=policy, runtime=fresh).run()
+            def solve_residual(r: np.ndarray) -> np.ndarray:
+                if builder.replayable:
+                    builder.rebind(r)
+                    return builder.run()
+                # Immediate bodies already ran, and a caller-supplied runtime
+                # holds other recordings: record the residual solve afresh,
+                # in the recording mode of the caller's runtime.
+                fresh = (
+                    DTDRuntime(execution=builder.runtime.execution)
+                    if runtime is not None
+                    else None
+                )
+                return builder_cls(factor, r, policy=policy, runtime=fresh).run()
 
-        x = refine_once(solve_residual, op, builder.bm, x)
-    return (x[:, 0] if builder.single else x), builder.runtime
+            x = refine_once(solve_residual, op, builder.bm, x)
+    return (x[:, 0] if single else x), builder.runtime
 
 
 class HSSULVSolveBuilder(SolveGraphBuilder):
@@ -108,9 +119,9 @@ class HSSULVSolveBuilder(SolveGraphBuilder):
         super().__init__(factor, b, policy=policy, runtime=runtime)
         self.max_level = factor.hss.max_level
         # Mutable per-panel stores the task bodies operate on.
-        self._work: Dict[Tuple[int, int, int], np.ndarray] = {}
-        self._zs: Dict[Tuple[int, int, int], np.ndarray] = {}
-        self._bs: Dict[Tuple[int, int, int], np.ndarray] = {}
+        self._work: Dict[Tuple[int, int, int], np.ndarray] = self.store()
+        self._zs: Dict[Tuple[int, int, int], np.ndarray] = self.store()
+        self._bs: Dict[Tuple[int, int, int], np.ndarray] = self.store()
         # Handles.
         self._fac: Dict[Tuple[int, int], object] = {}
         self._root = None
@@ -317,10 +328,10 @@ class LeafULVSolveBuilder(SolveGraphBuilder):
         self.max_level = leaf_virtual_level(factor.system.nblocks)
         self._offsets = factor._skeleton_offsets()
         # Mutable per-panel stores the task bodies operate on.
-        self._bin: Dict[Tuple[int, int], np.ndarray] = {}
-        self._zs: Dict[Tuple[int, int], np.ndarray] = {}
-        self._bs: Dict[Tuple[int, int], np.ndarray] = {}
-        self._ys: Dict[int, np.ndarray] = {}
+        self._bin: Dict[Tuple[int, int], np.ndarray] = self.store()
+        self._zs: Dict[Tuple[int, int], np.ndarray] = self.store()
+        self._bs: Dict[Tuple[int, int], np.ndarray] = self.store()
+        self._ys: Dict[int, np.ndarray] = self.store()
         # Handles.
         self._fac: Dict[int, object] = {}
         self._root = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.runtime.data import DataHandle
 from repro.runtime.task import Task
@@ -39,6 +39,11 @@ class TaskGraph:
 
     def __post_init__(self) -> None:
         self._by_tid: Dict[int, Task] = {t.tid: t for t in self.tasks}
+        # Derived structure (adjacency, priorities, the drainability verdict)
+        # memoised until the graph grows, so re-executing a recorded graph
+        # recomputes none of it.
+        self._memo: Dict[str, Any] = {}
+        self._memo_stamp: Tuple[int, int] = (-1, -1)
 
     # -- construction -------------------------------------------------------
     def add_task(self, task: Task) -> None:
@@ -72,14 +77,32 @@ class TaskGraph:
     def successors(self, tid: int) -> List[int]:
         return [d for (s, d) in self.edges if s == tid]
 
+    def _memoised(self, name: str, compute: Callable[[], Any]) -> Any:
+        """``compute()`` once per graph state (tasks and edges are append-only)."""
+        stamp = (len(self.tasks), len(self.edges))
+        if stamp != self._memo_stamp:
+            self._memo = {}
+            self._memo_stamp = stamp
+        if name not in self._memo:
+            self._memo[name] = compute()
+        return self._memo[name]
+
     def adjacency(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        """Return ``(successors, predecessors)`` adjacency maps (rebuilt on each call)."""
+        """Return ``(successors, predecessors)`` adjacency maps.
+
+        Memoised until a task or an edge is added; callers must treat the
+        maps as read-only (tasks without successors/predecessors are absent,
+        so look up with ``.get(tid, [])``).
+        """
+        return self._memoised("adjacency", self._build_adjacency)
+
+    def _build_adjacency(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
         succ: Dict[int, List[int]] = defaultdict(list)
         pred: Dict[int, List[int]] = defaultdict(list)
         for s, d in self.edges:
             succ[s].append(d)
             pred[d].append(s)
-        return succ, pred
+        return dict(succ), dict(pred)
 
     def _drained_count(self) -> int:
         """Number of tasks reachable by Kahn's algorithm (== num_tasks iff acyclic)."""
@@ -118,8 +141,12 @@ class TaskGraph:
         Raises :class:`ValueError` when an edge references a task id that is
         not in the graph, or when the graph has a cycle -- either would leave
         an executor's workers blocked forever.  Shared by the thread-pool and
-        the distributed executors.
+        the distributed executors; a passing verdict is memoised until the
+        graph grows.
         """
+        self._memoised("drainable", self._check_drainable)
+
+    def _check_drainable(self) -> bool:
         known = {t.tid for t in self.tasks}
         for s, d in self.edges:
             if s not in known or d not in known:
@@ -129,6 +156,7 @@ class TaskGraph:
             raise ValueError(
                 f"task graph has a cycle ({self.num_tasks - drained} task(s) unreachable)"
             )
+        return True
 
     # -- metrics ------------------------------------------------------------
     def total_flops(self) -> float:
@@ -171,11 +199,15 @@ class TaskGraph:
         critical path first, which minimises end-of-graph starvation -- this is
         the classic HLF/CP list-scheduling heuristic.
 
-        ``succ`` may be a precomputed successors map (from :meth:`adjacency`)
-        to avoid rebuilding it.
+        ``succ`` may be a precomputed successors map; without one the result
+        is memoised (with :meth:`adjacency`) until the graph grows, so treat
+        it as read-only.
         """
         if succ is None:
-            succ, _ = self.adjacency()
+            return self._memoised("priorities", lambda: self._priorities(self.adjacency()[0]))
+        return self._priorities(succ)
+
+    def _priorities(self, succ: Dict[int, List[int]]) -> Dict[int, float]:
         priority: Dict[int, float] = {}
         # Reverse insertion order is reverse topological for runtime-built
         # graphs; .get() keeps hand-built graphs with out-of-order edges from

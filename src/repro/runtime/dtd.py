@@ -244,6 +244,31 @@ class DTDRuntime:
         return stats
 
     # -- execution --------------------------------------------------------------
+    def rewind(self) -> None:
+        """Forget the last execution so the recorded graph can run again.
+
+        Clears the executed set, the span log and the per-execution reports
+        and trace; the graph itself (tasks, edges, fusion map) is untouched,
+        so the next ``run*`` call re-executes every task body.  The caller is
+        responsible for re-seeding whatever state the bodies read.  Refused on
+        an ``immediate`` runtime (its bodies ran at insertion and cannot run
+        again) and on a poisoned one (a failed body may have left state
+        half-written; rebuild the graph instead).
+        """
+        if self.execution == "immediate":
+            raise RuntimeError("cannot rewind an immediate-mode graph; its bodies ran at insertion")
+        if self._failed is not None:
+            raise RuntimeError(
+                "runtime has a failed execution; rebuild the task graph"
+            ) from self._failed
+        self._executed.clear()
+        self._span_log.clear()
+        self._metrics_upto = 0
+        self.last_distributed_report = None
+        self.last_parallel_report = None
+        self.last_process_report = None
+        self.last_trace = None
+
     def run(self) -> None:
         """Execute all not-yet-executed task bodies in insertion (topological) order."""
         if self.execution == "symbolic":

@@ -1,7 +1,8 @@
 """Shared-memory parallel execution of a recorded task graph.
 
-This is the "real execution" counterpart of the simulator: a pool of worker
-threads executes the task bodies respecting the DAG dependencies.  NumPy/BLAS
+This is the "real execution" counterpart of the simulator: ``n_workers``
+workers -- the calling thread plus ``n_workers - 1`` threads -- execute the
+task bodies respecting the DAG dependencies.  NumPy/BLAS
 releases the GIL inside the dense kernels, so genuinely concurrent execution
 of independent tasks is possible.  Used by the ``"parallel"`` execution mode
 of the DTD factorizations (:func:`repro.core.hss_ulv_dtd.hss_ulv_factorize_dtd`
@@ -46,9 +47,9 @@ class ExecutionReport:
     Attributes
     ----------
     num_workers:
-        Workers actually spawned: ``max(1, min(requested, num_tasks))`` (0
-        for an empty graph) -- the executor never starts more workers than
-        there are tasks.
+        Workers that actually ran: ``max(1, min(requested, num_tasks))`` (0
+        for an empty graph) -- the executor never uses more workers than
+        there are tasks.  The thread executor counts the calling thread.
     requested_workers:
         The ``n_workers`` the caller asked for.
     executed:
@@ -121,12 +122,15 @@ def execute_graph(
     trace: bool = False,
     metrics=None,
 ) -> ExecutionReport:
-    """Execute all task bodies of ``graph`` with ``n_workers`` threads.
+    """Execute all task bodies of ``graph`` on ``n_workers`` workers.
 
-    A task becomes *ready* when all of its predecessors have completed; ready
-    tasks are dispatched highest-priority-first.  Tasks with ``func is None``
-    (symbolic tasks) are treated as instantaneous no-ops but still participate
-    in the dependency bookkeeping.
+    The calling thread is worker 0 and runs the same loop as the
+    ``n_workers - 1`` threads started beside it, so ``n_workers=1`` executes
+    the whole graph inline.  A task becomes *ready* when all of its
+    predecessors have completed; ready tasks are dispatched
+    highest-priority-first.  Tasks with ``func is None`` (symbolic tasks) are
+    treated as instantaneous no-ops but still participate in the dependency
+    bookkeeping.
 
     Parameters
     ----------
@@ -134,10 +138,12 @@ def execute_graph(
         The recorded task graph (insertion order must be a topological order,
         which :class:`~repro.runtime.dtd.DTDRuntime` guarantees).
     n_workers:
-        Number of worker threads.
+        Number of workers, the calling thread included.
     timeout:
-        Overall wall-clock limit in seconds; on expiry no further tasks are
-        started and not-yet-started tasks are cancelled.
+        Overall wall-clock limit in seconds, kept as a deadline every worker
+        checks before it dispatches or waits: once it has passed no further
+        task starts and not-yet-started tasks are cancelled (tasks in flight
+        finish; a graph that drains before any worker looks is not late).
     priorities:
         Optional ``tid -> priority`` map (higher runs first among ready
         tasks).  Defaults to the flops-weighted critical-path depth.
@@ -146,7 +152,8 @@ def execute_graph(
         raised after dispatch has stopped; the partial report is attached to
         the exception as ``exc.execution_report``.  Pass False to inspect the
         partial :class:`ExecutionReport` (``errors`` / ``cancelled`` /
-        ``timed_out``) instead.
+        ``timed_out``) instead -- except for a ``KeyboardInterrupt`` /
+        ``SystemExit`` raised inside a task body, which is always re-raised.
     trace:
         Record a measured :class:`~repro.runtime.tracing.ExecutionTrace`
         (per-task spans, per-worker dispatch overhead and wait time) onto
@@ -168,12 +175,13 @@ def execute_graph(
         ``report.ok`` is True when every task ran without raising.
     """
     t0 = time.perf_counter()
+    deadline = None if timeout is None else t0 + timeout
     # Metrics ride on the same stamps tracing uses: enabling either turns
     # stamping on, and the histograms are derived from the built spans.
     stamp = trace or metrics is not None
     succ, pred = graph.adjacency()
     remaining = {t.tid: len(pred.get(t.tid, [])) for t in graph.tasks}
-    # Report the worker count that will actually be spawned, not the request.
+    # Report the worker count that will actually run, not the request.
     actual_workers = max(1, min(n_workers, graph.num_tasks)) if graph.num_tasks else 0
     report = ExecutionReport(
         num_tasks=graph.num_tasks,
@@ -190,12 +198,12 @@ def execute_graph(
             )
         return report
 
-    # Fail fast on graphs the scheduler could never drain -- otherwise the
-    # workers and the main thread would all block on the condition forever.
+    # Fail fast on graphs the scheduler could never drain -- otherwise every
+    # worker would block on the condition forever.
     graph.validate_drainable()
 
     if priorities is None:
-        priorities = graph.critical_path_priorities(succ)
+        priorities = graph.critical_path_priorities()
 
     cond = threading.Condition()
     # Min-heap on (-priority, tid): highest priority first, insertion order as
@@ -229,6 +237,15 @@ def execute_graph(
         state["stop"] = True
         cond.notify_all()
 
+    def _expired() -> bool:  # caller holds cond
+        # The timeout is a deadline looked at whenever a worker is about to
+        # dispatch or wait: tasks in flight finish, nothing new starts.
+        if deadline is None or time.perf_counter() < deadline:
+            return False
+        state["timed_out"] = True
+        _cancel_unstarted()
+        return True
+
     def worker(widx: int) -> None:
         spans = span_logs[widx]
         overhead = 0.0
@@ -240,13 +257,10 @@ def execute_graph(
             tb0 = time.perf_counter() if stamp else 0.0
             idle_round = 0.0
             with cond:
-                while not ready and not state["stop"]:
-                    if stamp:
-                        tw0 = time.perf_counter()
-                        cond.wait()
-                        idle_round += time.perf_counter() - tw0
-                    else:
-                        cond.wait()
+                while not state["stop"] and not _expired() and not ready:
+                    tw0 = time.perf_counter()
+                    cond.wait(None if deadline is None else max(0.0, deadline - tw0))
+                    idle_round += time.perf_counter() - tw0
                 if state["stop"]:
                     overhead_log[widx] = overhead
                     return
@@ -294,23 +308,23 @@ def execute_graph(
             if stamp:
                 overhead += time.perf_counter() - t_end
 
+    # Caller-runs: the calling thread is worker 0 and only the other
+    # n_workers - 1 are threads, so a one-worker execution starts no thread
+    # at all (no GIL hand-off per task, no second malloc arena).
     threads = [
         threading.Thread(target=worker, args=(i,), name=f"executor-{i}", daemon=True)
-        for i in range(actual_workers)
+        for i in range(1, actual_workers)
     ]
     for thread in threads:
         thread.start()
 
     try:
-        with cond:
-            finished = cond.wait_for(lambda: state["stop"], timeout=timeout)
-            if not finished:
-                state["timed_out"] = True
-                _cancel_unstarted()
+        worker(0)
     finally:
-        # Also reached on KeyboardInterrupt: stop dispatch and wait for
-        # in-flight tasks, so no worker keeps mutating shared state after
-        # execute_graph has returned or raised.
+        # Also reached when worker 0 is interrupted between tasks
+        # (KeyboardInterrupt): stop dispatch and wait for in-flight tasks, so
+        # no worker keeps mutating shared state after execute_graph has
+        # returned or raised.
         with cond:
             if not state["stop"]:
                 _cancel_unstarted()
@@ -344,6 +358,14 @@ def execute_graph(
                     queue_high_water=state["ready_hw"],
                 )
 
+    # An interrupt that landed inside a task body on worker 0 was recorded
+    # like any task error; it is never the caller's to swallow.
+    interrupt = next(
+        (exc for exc in report.errors.values() if not isinstance(exc, Exception)), None
+    )
+    if interrupt is not None:
+        interrupt.execution_report = report
+        raise interrupt
     if raise_on_error:
         # A task error outranks a concurrent timeout: TimeoutError means
         # "every started task completed", which a failed body violates.

@@ -32,6 +32,7 @@ from repro.api import StructuredSolver
 from repro.core.rhs import validate_rhs
 from repro.distribution.strategies import DistributionStrategy
 from repro.obs.metrics import COUNT_BUCKETS, Histogram, MetricsRegistry
+from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import get_format
 
 __all__ = [
@@ -760,7 +761,10 @@ class SolverService:
         ``cache_hits`` / ``cache_misses`` / ``evictions``), request counters
         (``requests`` / ``solves`` / ``batches`` / ``solves_per_sec``), the
         stage timers (``compress_seconds`` / ``factorize_seconds`` /
-        ``factor_seconds`` / ``solve_seconds``), per-key batch latency
+        ``factor_seconds`` / ``solve_seconds``), how many batched solves
+        recorded a new task graph versus replayed a recorded one
+        (``solve_plan_records`` / ``solve_plan_replays``: the replay hit rate
+        is what explains a change in batch latency), per-key batch latency
         histogram summaries under ``latency``, and -- when the service was
         created with ``trace=True`` -- the most recent solve trace's
         breakdown summary under ``last_solve_trace``.
@@ -770,6 +774,7 @@ class SolverService:
         no parallel bookkeeping path.
         """
         stats = self.stats
+        solve_backend = ExecutionPolicy.resolve(_BACKEND_TO_RUNTIME[self.backend]).backend
         snapshot: Dict[str, Any] = {
             "backend": self.backend,
             "n_workers": self.n_workers,
@@ -793,6 +798,10 @@ class SolverService:
             "solves_per_sec": stats.solves_per_sec,
             "compress_tasks": stats.compress_tasks,
             "factor_tasks": stats.factor_tasks,
+            "solve_plan_records": int(self.registry.value(
+                "repro_solve_plan_records_total", backend=solve_backend)),
+            "solve_plan_replays": int(self.registry.value(
+                "repro_solve_plan_replays_total", backend=solve_backend)),
             "latency": {label: hist.summary() for label, hist in stats.latency.items()},
         }
         if self.last_solve_trace is not None:

@@ -26,10 +26,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api import StructuredSolver
 from repro.compress.verify import assert_compressed_identical
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
+from repro.pipeline.panels import column_panels
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import available_formats, get_format
 from repro.runtime.distributed import measured_vs_planned_comm
@@ -47,6 +49,7 @@ __all__ = [
     "assert_comm_matches_plan",
     "run_pipeline",
     "sequential_pipeline",
+    "assert_replay_bit_identical",
 ]
 
 #: Seed of the case generator; override with REPRO_HARNESS_SEED to explore
@@ -236,3 +239,42 @@ def sequential_pipeline(case: CompressCase, k: int = 3) -> np.ndarray:
     spec = get_format(case.format)
     factor = spec.factorize(reference_build(case))
     return factor.solve(_case_rhs(case, k))
+
+
+def assert_replay_bit_identical(
+    solver: StructuredSolver,
+    backend: str,
+    *,
+    k: int,
+    panel_size: Optional[int] = None,
+    nodes: int = 1,
+    n_workers: int = 2,
+    solves: int = 3,
+) -> None:
+    """``solves`` different RHS through one solver: bit-identical, one recording.
+
+    Every solution must equal the sequential ``factor.solve`` (panel by panel
+    when ``panel_size`` splits the block -- the panel width is what BLAS
+    sees); the first solve records the graph and every later one must run
+    that same runtime object again with an unchanged task count.
+    """
+    factor = solver.factorize()
+    rng = np.random.default_rng(HARNESS_SEED + 17 * k + nodes)
+    recorded = None
+    for _ in range(solves):
+        b = rng.standard_normal(solver.n if k == 1 else (solver.n, k))
+        x = solver.solve(
+            b, use_runtime=backend, nodes=nodes, n_workers=n_workers, panel_size=panel_size
+        )
+        if k == 1:
+            ref = factor.solve(b)
+        else:
+            ref = np.hstack([factor.solve(b[:, cols]) for cols in column_panels(k, panel_size)])
+        assert x.shape == b.shape
+        assert np.array_equal(x, ref)
+        runtime = solver.solve_runtime
+        if recorded is None:
+            recorded = (runtime, runtime.num_tasks)
+        else:
+            assert runtime is recorded[0], "a later solve re-recorded instead of replaying"
+            assert runtime.num_tasks == recorded[1]

@@ -147,6 +147,11 @@ class TestEndpoints:
         assert "repro_service_solves_total" in families
         assert "repro_http_requests_total" in families
         assert "repro_http_request_seconds" in families
+        # the replay hit rate an operator needs: one recording, then replays
+        _request(base, "/v1/solve", _solve_doc())
+        families = parse_prometheus(_request(base, "/metrics")[1])
+        assert "repro_solve_plan_records_total" in families
+        assert "repro_solve_plan_replays_total" in families
 
 
 class TestAdmissionControl:

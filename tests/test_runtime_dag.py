@@ -132,3 +132,46 @@ class TestMetrics:
         g.add_edge(0, 1, h)
         g.add_edge(0, 1, h)
         assert len(g.edge_data[(0, 1)]) == 1
+
+
+class TestMemoisedStructure:
+    """Adjacency, priorities and the drainability verdict are computed once
+    per graph state, so re-executing a recorded graph recomputes none."""
+
+    def test_repeated_queries_return_the_same_objects(self):
+        g = make_graph([(0, 1), (1, 2)])
+        assert g.adjacency() is g.adjacency()
+        assert g.critical_path_priorities() is g.critical_path_priorities()
+
+    def test_drainability_is_checked_once(self, monkeypatch):
+        g = make_graph([(0, 1), (1, 2)])
+        calls = []
+        real = g._drained_count
+        monkeypatch.setattr(g, "_drained_count", lambda: calls.append(1) or real())
+        g.validate_drainable()
+        g.validate_drainable()
+        assert len(calls) == 1
+
+    def test_growth_invalidates(self):
+        g = make_graph([(0, 1)])
+        succ, _ = g.adjacency()
+        prio = g.critical_path_priorities()
+        g.validate_drainable()
+        g.add_task(Task(tid=2, name="t2", kind="X", flops=5.0))
+        g.add_edge(1, 2)
+        assert g.adjacency()[0] == {0: [1], 1: [2]} and succ == {0: [1]}
+        assert g.critical_path_priorities()[0] == prio[0] + 6.0
+        g.edges.add((2, 0))  # even a cycle added behind the graph's back is seen
+        with pytest.raises(ValueError, match="cycle"):
+            g.validate_drainable()
+
+    def test_a_failed_verdict_is_not_remembered_as_passing(self):
+        g = make_graph([(0, 1), (1, 0)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cycle"):
+                g.validate_drainable()
+
+    def test_explicit_successor_map_is_honoured(self):
+        g = make_graph([(0, 1), (1, 2)])
+        assert g.critical_path_priorities({})[0] == 2.0  # no successors known
+        assert g.critical_path_priorities()[0] == 6.0

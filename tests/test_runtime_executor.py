@@ -367,3 +367,132 @@ class TestPriorities:
         report = execute_graph(rt.graph, n_workers=1, priorities=prio)
         assert report.ok
         assert order == ["z", "y", "x"]
+
+
+class TestCallerRuns:
+    """The calling thread is worker 0; only n_workers - 1 threads are started."""
+
+    def test_single_worker_runs_inline(self):
+        rt = DTDRuntime(execution="deferred")
+        h = rt.new_handle("h")
+        seen = []
+
+        def body():
+            seen.append((threading.current_thread(), threading.active_count()))
+
+        for _ in range(5):
+            rt.insert_task(body, [(h, AccessMode.RW)])
+        before = threading.active_count()
+        report = execute_graph(rt.graph, n_workers=1, trace=True)
+        assert report.ok
+        assert threading.active_count() == before
+        assert seen == [(threading.current_thread(), before)] * 5
+        assert {span.worker for span in report.trace.spans} == {0}
+
+    def test_caller_is_one_of_n_workers(self):
+        n_workers = 3
+        rt = DTDRuntime(execution="deferred")
+        barrier = threading.Barrier(n_workers, timeout=30)
+        ran_on = []
+        counts = []
+
+        def body():
+            barrier.wait()  # every worker, the caller included, holds one task
+            ran_on.append(threading.current_thread())
+            counts.append(threading.active_count())
+
+        for i in range(n_workers):
+            rt.insert_task(body, [(rt.new_handle(f"h{i}"), AccessMode.RW)])
+        before = threading.active_count()
+        report = execute_graph(rt.graph, n_workers=n_workers, trace=True)
+        assert report.ok
+        assert threading.current_thread() in ran_on
+        assert counts == [before + n_workers - 1] * n_workers
+        assert threading.active_count() == before
+        assert {span.worker for span in report.trace.spans} == set(range(n_workers))
+        assert sorted(report.trace.worker_overhead) == list(range(n_workers))
+
+    def test_deadline_is_checked_at_dispatch(self):
+        """One worker, so nobody waits: the deadline is seen before the next task."""
+        import time
+
+        rt = DTDRuntime(execution="deferred")
+        h = rt.new_handle("h")
+
+        def never():
+            raise AssertionError("must not run")
+
+        rt.insert_task(lambda: time.sleep(0.1), [(h, AccessMode.RW)])
+        rt.insert_task(never, [(h, AccessMode.RW)])
+        report = execute_graph(rt.graph, n_workers=1, timeout=0.02, raise_on_error=False)
+        assert report.timed_out and report.executed == [0] and report.cancelled == [1]
+        with pytest.raises(TimeoutError) as excinfo:
+            execute_graph(rt.graph, n_workers=1, timeout=0.0)
+        assert excinfo.value.execution_report.executed == []
+
+    def test_drained_graph_is_not_late(self):
+        import time
+
+        rt = DTDRuntime(execution="deferred")
+        rt.insert_task(lambda: time.sleep(0.05), [(rt.new_handle("h"), AccessMode.RW)])
+        assert execute_graph(rt.graph, n_workers=1, timeout=0.01).ok
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_first_error_on_the_caller_cancels_and_raises(self, n_workers):
+        rt = DTDRuntime(execution="deferred")
+        h = rt.new_handle("h")
+
+        def boom():
+            raise RuntimeError("fail on worker 0")
+
+        rt.insert_task(boom, [(h, AccessMode.RW)])
+        rt.insert_task(lambda: None, [(h, AccessMode.RW)])
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker 0") as excinfo:
+            execute_graph(rt.graph, n_workers=n_workers)
+        assert excinfo.value.execution_report.cancelled == [1]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("raise_on_error", [True, False])
+    def test_keyboard_interrupt_in_a_body_always_propagates(self, raise_on_error):
+        rt = DTDRuntime(execution="deferred")
+        h = rt.new_handle("h")
+        log = []
+
+        def interrupted():
+            raise KeyboardInterrupt
+
+        rt.insert_task(lambda: log.append("first"), [(h, AccessMode.RW)])
+        rt.insert_task(interrupted, [(h, AccessMode.RW)])
+        rt.insert_task(lambda: log.append("never"), [(h, AccessMode.RW)])
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            execute_graph(rt.graph, n_workers=2, raise_on_error=raise_on_error)
+        report = excinfo.value.execution_report
+        assert log == ["first"]
+        assert report.executed == [0] and set(report.errors) == {1} and report.cancelled == [2]
+        assert threading.active_count() == before  # workers were joined
+
+    def test_interrupt_between_tasks_stops_the_other_workers(self, monkeypatch):
+        """An exception out of worker 0's own loop still cancels and joins."""
+        rt = DTDRuntime(execution="deferred")
+        released = threading.Event()
+        for i in range(2):
+            # Whichever task the thread takes blocks until worker 0 has
+            # dispatched the other one, so worker 0 always gets that far.
+            rt.insert_task(
+                lambda: released.wait(30), [(rt.new_handle(f"h{i}"), AccessMode.RW)]
+            )
+        real_task = rt.graph.task
+
+        def task(tid):
+            if threading.current_thread() is threading.main_thread():
+                released.set()
+                raise KeyboardInterrupt
+            return real_task(tid)
+
+        monkeypatch.setattr(rt.graph, "task", task)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            execute_graph(rt.graph, n_workers=2)
+        assert threading.active_count() == before

@@ -12,16 +12,26 @@ transfer plan.
 
 from __future__ import annotations
 
+import gc
 import os
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
+from harness import assert_replay_bit_identical
 
+from repro.api import StructuredSolver
 from repro.core.blr2_ulv import blr2_ulv_factorize
 from repro.core.hss_ulv import hss_ulv_factorize
 from repro.core.rhs import validate_rhs
 from repro.formats.blr2 import build_blr2
 from repro.formats.hss import build_hss
+from repro.obs import MetricsRegistry
+from repro.pipeline.plans import SolvePlans
+from repro.pipeline.policy import ExecutionPolicy
+from repro.pipeline.solve import HSSULVSolveBuilder
 from repro.runtime.distributed import expected_comm, resolve_owners
 from repro.runtime.dtd import DTDRuntime
 from repro.solve import blr2_ulv_solve_dtd, column_panels, hss_ulv_solve_dtd
@@ -294,3 +304,204 @@ class TestSharedRuntime:
         x2, _ = blr2_ulv_solve_dtd(blr2_factor, b2, runtime=rt)
         assert np.array_equal(x1, blr2_factor.solve(b1))
         assert np.array_equal(x2, blr2_factor.solve(b2))
+
+
+FORMATS = ("hss", "blr2", "hodlr")
+
+
+@pytest.fixture(scope="module")
+def solvers(points_small):
+    """One factorized solver per format; every replay case solves through it."""
+    out = {}
+    for fmt in FORMATS:
+        out[fmt] = StructuredSolver.from_points(
+            "yukawa", points_small, format=fmt, leaf_size=32, max_rank=20
+        )
+        out[fmt].factorize()
+    return out
+
+
+class TestReplay:
+    """The first solve of a (width, policy) records; later ones replay the graph."""
+
+    @pytest.mark.parametrize("panel_size", [None, 4])
+    @pytest.mark.parametrize("k", RHS_WIDTHS)
+    @pytest.mark.parametrize("backend", ["deferred", "parallel"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_shared_memory(self, solvers, fmt, backend, k, panel_size):
+        assert_replay_bit_identical(solvers[fmt], backend, k=k, panel_size=panel_size)
+
+    @needs_fork
+    @pytest.mark.parametrize("panel_size", [None, 4])
+    @pytest.mark.parametrize("k", RHS_WIDTHS)
+    @pytest.mark.parametrize("backend,nodes", [("process", 1), ("distributed", 1), ("distributed", 2)])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_forked(self, solvers, fmt, backend, nodes, k, panel_size):
+        assert_replay_bit_identical(
+            solvers[fmt], backend, k=k, panel_size=panel_size, nodes=nodes
+        )
+
+    def test_immediate_records_every_time(self, solvers):
+        solver = solvers["hss"]
+        b = _rhs(solver.n, 1)
+        x1 = solver.solve(b, use_runtime="immediate")
+        rt1 = solver.solve_runtime
+        x2 = solver.solve(b, use_runtime="immediate")
+        assert solver.solve_runtime is not rt1
+        assert np.array_equal(x1, x2) and np.array_equal(x1, solver.factor.solve(b))
+
+    def test_width_and_policy_key_the_plan(self, solvers):
+        solver = solvers["blr2"]
+        solver.solve(_rhs(solver.n, 1), use_runtime="parallel", n_workers=2)
+        rt = solver.solve_runtime
+        solver.solve(_rhs(solver.n, 4), use_runtime="parallel", n_workers=2)
+        assert solver.solve_runtime is not rt  # other width
+        solver.solve(_rhs(solver.n, 1), use_runtime="parallel", n_workers=3)
+        assert solver.solve_runtime is not rt  # other policy
+        solver.solve(_rhs(solver.n, 1, seed=5).reshape(-1, 1), use_runtime="parallel", n_workers=2)
+        assert solver.solve_runtime is rt  # (n,) and (n, 1) are one width
+
+    def test_failing_task_discards_the_plan(self, points_small):
+        solver = StructuredSolver.from_points(
+            "yukawa", points_small, leaf_size=32, max_rank=20
+        )
+        b = _rhs(solver.n, 1)
+        kw = {"use_runtime": "parallel", "n_workers": 2}
+        solver.solve(b, **kw)
+        poisoned = solver.solve_runtime
+
+        def boom():
+            raise RuntimeError("injected task failure")
+
+        poisoned.graph.tasks[3].func = boom
+        with pytest.raises(RuntimeError, match="injected"):
+            solver.solve(b, **kw)
+        assert len(solver._plans) == 0
+        x = solver.solve(b, **kw)
+        assert solver.solve_runtime is not poisoned
+        assert np.array_equal(x, solver.factor.solve(b))
+
+    def test_timeout_discards_the_plan(self, hss_factor):
+        plans = SolvePlans()
+        policy = ExecutionPolicy(backend="parallel", n_workers=2)
+        b = _rhs(hss_factor.hss.n, 1)
+        with plans.checkout(HSSULVSolveBuilder, hss_factor, b, policy) as plan:
+            plan.run()
+        assert len(plans) == 1
+        with pytest.raises(TimeoutError):
+            with plans.checkout(HSSULVSolveBuilder, hss_factor, b, policy) as replay:
+                assert replay is plan
+                replay.execute(timeout=0.0)
+        assert len(plans) == 0
+        with plans.checkout(HSSULVSolveBuilder, hss_factor, b, policy) as fresh:
+            assert fresh is not plan
+            assert np.array_equal(fresh.run()[:, 0], hss_factor.solve(b))
+
+    def test_force_refactorize_drops_plans(self, points_small):
+        solver = StructuredSolver.from_points(
+            "yukawa", points_small, leaf_size=32, max_rank=20
+        )
+        b = _rhs(solver.n, 1)
+        solver.solve(b, use_runtime="deferred")
+        rt = solver.solve_runtime
+        assert len(solver._plans) == 1
+        solver.factorize(force=True)
+        assert len(solver._plans) == 0
+        x = solver.solve(b, use_runtime="deferred")
+        assert solver.solve_runtime is not rt
+        assert np.array_equal(x, solver.factor.solve(b))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_refine_replays_and_matches_sequential(self, solvers, k):
+        solver = solvers["hss"]
+        for seed in (1, 2):
+            b = _rhs(solver.n, k, seed=seed)
+            x = solver.solve(b, use_runtime="parallel", n_workers=2, refine=True)
+            assert np.array_equal(x, solver.solve(b, refine=True))
+
+    def test_concurrent_solves_on_one_solver(self, solvers):
+        """A plan is checked out while it runs: racing solves never share stores."""
+        solver = solvers["hodlr"]
+        rhs = [_rhs(solver.n, 1, seed=s) for s in range(24)]
+        out = [None] * len(rhs)
+        n_threads = 4  # more than this box has cores
+
+        def work(lo):
+            for j in range(lo, len(rhs), n_threads):
+                out[j] = solver.solve(rhs[j], use_runtime="parallel", n_workers=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(lo,)) for lo in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for b, x in zip(rhs, out):
+            assert np.array_equal(x, solver.factor.solve(b))
+
+    def test_trace_is_a_switch_of_one_execution(self, solvers):
+        solver = solvers["hss"]
+        kw = {"use_runtime": "parallel", "n_workers": 2}
+        solver.solve(_rhs(solver.n, 1, seed=1), trace=True, **kw)
+        rt = solver.solve_runtime
+        assert rt.last_trace is not None and len(rt.last_trace.spans) == rt.num_tasks
+        solver.solve(_rhs(solver.n, 1, seed=2), **kw)
+        assert solver.solve_runtime is rt
+        assert rt.last_trace is None and "solve" not in solver.last_traces()
+        solver.solve(_rhs(solver.n, 1, seed=3), trace=True, **kw)
+        assert len(rt.last_trace.spans) == rt.num_tasks
+
+    def test_plan_counters(self, solvers):
+        solver = solvers["blr2"]
+        registry = MetricsRegistry()
+        kw = {"use_runtime": "deferred", "panel_size": 2, "metrics": registry}
+        for seed in (1, 2, 3):
+            solver.solve(_rhs(solver.n, 4, seed=seed), **kw)
+        assert registry.value("repro_solve_plan_records_total", backend="deferred") == 1
+        assert registry.value("repro_solve_plan_replays_total", backend="deferred") == 2
+        # metrics are per execution too: every solve counted its own tasks
+        assert registry.value(
+            "repro_tasks_executed_total", backend="deferred"
+        ) == 3 * solver.solve_runtime.num_tasks
+
+
+class TestPlanMemory:
+    """Plans hang off the solver, never the factor: no cycle keeps blocks alive."""
+
+    def test_parked_plan_keeps_no_rhs_sized_data(self, solvers):
+        solver = solvers["hss"]
+        b = _rhs(solver.n, 4, seed=3)
+        held = weakref.ref(b)
+        solver.solve(b, use_runtime="deferred")
+        (plan,) = [p for p in solver._plans._plans.values() if p.runtime is solver.solve_runtime]
+        assert plan.bm is None and not any(plan._stores)
+        del b
+        assert held() is None, "a parked plan kept the caller's right-hand side alive"
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_dropped_solver_is_reclaimed_by_refcount(self, points_small, fmt):
+        solver = StructuredSolver.from_points(
+            "yukawa", points_small, format=fmt, leaf_size=32, max_rank=20
+        )
+        b = _rhs(solver.n, 1)
+        for _ in range(2):
+            solver.solve(b, use_runtime="parallel", n_workers=2)
+        gc.collect()
+        gc.disable()
+        try:
+            factor = weakref.ref(solver.factor)
+            del solver
+            assert factor() is None, "the factor outlived its solver without a gc pass"
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            arrays = [obj for obj in gc.garbage if isinstance(obj, np.ndarray)]
+            assert not arrays, f"{len(arrays)} ndarray(s) were only reclaimable by the cycle collector"
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()

@@ -55,6 +55,16 @@ class TestCaching:
         assert service.stats.cache_hits == 1
         assert service.cached_keys == [FactorKey.make(**KEY)]
 
+    def test_cache_hits_replay_the_recorded_solve_graph(self, service):
+        """flush() goes through solver.solve, so later batches of a width replay."""
+        solver = _reference_solver()
+        for seed in range(3):
+            b = _rhs(1, seed=seed)
+            assert np.array_equal(service.solve(b, **KEY), solver.solve(b))
+        metrics = service.metrics()
+        assert (metrics["solve_plan_records"], metrics["solve_plan_replays"]) == (1, 2)
+        assert "repro_solve_plan_replays_total" in service.render_prometheus()
+
     def test_distinct_keys_get_distinct_factorizations(self, service):
         service.solve(_rhs(1), **KEY)
         service.solve(_rhs(1, n=128), kernel="yukawa", n=128, leaf_size=32, max_rank=16)
