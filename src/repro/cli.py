@@ -81,7 +81,7 @@ per-row timing sparklines and regression deltas against a baseline artifact.
 
 ``serve`` runs the always-on HTTP front end
 (:class:`~repro.service.http_server.SolverHTTPServer`): ``POST /v1/solve``
-(blocking, batched), ``POST /v1/submit`` + ``GET /v1/tickets/<id>`` (async),
+(blocking; flushed on arrival, batched under load), ``POST /v1/submit`` + ``GET /v1/tickets/<id>`` (async),
 ``GET /metrics`` (Prometheus), ``GET /healthz`` and ``GET /v1/stats`` -- with
 per-tenant API keys and token-bucket rate limits (``--auth-file`` /
 ``--rate-limit``), queue-depth backpressure (``--max-pending``) and a
@@ -507,6 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve",
         help="run the always-on HTTP solver server (see README 'Serving')",
+        description="Run the always-on HTTP solver server.  A request is flushed "
+        "to the solver as soon as it is idle (there is no batching window to "
+        "tune); requests arriving while a solve runs are batched into the next "
+        "one, and --max-pending bounds how many may queue behind it.",
     )
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=8080, help="bind port (0: pick a free one)")
@@ -547,17 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="factorization time-to-live (idle entries expire; default: never)",
     )
     p.add_argument(
-        "--flush-interval",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="batching window of the background flush loop",
-    )
-    p.add_argument(
         "--max-pending",
         type=_positive_int,
         default=256,
-        help="queued tickets before solve/submit get 503 backpressure",
+        help="tickets queued behind the running flush before solve/submit "
+        "get 503 backpressure",
     )
     p.add_argument(
         "--request-timeout",
@@ -878,7 +876,6 @@ def _run_serve(args: argparse.Namespace) -> str:
         service,
         host=args.host,
         port=args.port,
-        flush_interval=args.flush_interval,
         max_pending=args.max_pending,
         request_timeout=args.request_timeout,
         ticket_ttl=args.ticket_ttl,

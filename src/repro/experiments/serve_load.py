@@ -3,7 +3,7 @@
 The end-to-end counterpart of :mod:`repro.experiments.solve_throughput`: that
 driver measures the :class:`~repro.service.SolverService` in-process, this one
 measures the whole serving stack -- HTTP parse, auth, ticket queue, the
-background batching flush loop, JSON marshalling -- by booting a
+flush-on-arrival loop, JSON marshalling -- by booting a
 :class:`~repro.service.http_server.SolverHTTPServer` and driving it with
 ``clients`` concurrent keep-alive connections issuing blocking
 ``POST /v1/solve`` requests.
@@ -30,11 +30,12 @@ import http.client
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.kernels.greens import kernel_by_name
 from repro.service import FactorKey, SolverService
 from repro.service.http_server import SolverHTTPServer
 
@@ -189,7 +190,6 @@ def run_serve_load(
     clients: int = 4,
     requests_per_client: int = 4,
     n_workers: int = 4,
-    flush_interval: float = 0.01,
     seed: int = 0,
 ) -> Dict[str, Any]:
     """Boot a server per backend, drive it concurrently, verify bit-identity.
@@ -226,8 +226,7 @@ def run_serve_load(
         )
         service.solver_for(key)  # warm: measure serving, not factorization
         server = SolverHTTPServer(
-            service, flush_interval=flush_interval, max_pending=4 * total,
-            request_timeout=120.0,
+            service, max_pending=4 * total, request_timeout=120.0,
         )
         host, port = server.start_in_thread()
         try:
@@ -308,11 +307,20 @@ def _probe_admission_control(
 
     Against a server configured with a small rate limit and ``max_pending``,
     the burst must surface both admission-control rejections: 503 once the
-    queue is full (backpressure) and 429 once the token bucket drains.
-    Accepted tickets are polled to completion afterwards so the probe leaves
-    no dangling work.
+    queue is full (backpressure) and 429 once the token bucket drains.  The
+    server flushes on arrival, so a queue only builds behind a flush that is
+    still running: the burst goes to a *cold* key (the kernel's first
+    parameter nudged by a fraction drawn afresh, so no earlier probe
+    factorized it either), and the first submit's compress + factorize is
+    the flush the rest pile up behind.  Accepted tickets are polled to
+    completion afterwards so the probe leaves no dangling work.
     """
     rng = np.random.default_rng(1)
+    default = kernel_by_name(kernel)
+    cold_name = fields(default)[0].name
+    cold_value = getattr(default, cold_name) * (
+        1.0 + float(np.random.default_rng().uniform(0.01, 0.1))
+    )
     headers = {"x-api-key": api_key} if api_key else {}
     conn = http.client.HTTPConnection(host, port, timeout=30.0)
     counts: Dict[str, int] = {}
@@ -325,6 +333,7 @@ def _probe_admission_control(
                 "n": n,
                 "leaf_size": leaf_size,
                 "max_rank": max_rank,
+                "params": {cold_name: cold_value},
             }
             status, payload = _post_json(conn, "/v1/submit", doc, headers)
             counts[str(status)] = counts.get(str(status), 0) + 1

@@ -24,7 +24,10 @@ Histograms
     ``repro_scheduler_overhead_seconds{backend}``,
     ``repro_comm_seconds{backend,action}``,
     ``repro_comm_transfer_bytes{backend,src,dst}`` (physical bytes per
-    message, per directed process pair).
+    message, per directed process pair),
+    ``repro_service_queue_wait_seconds`` (a ticket's wait from
+    ``SolverService.submit`` to the start of the flush that takes it; beside
+    ``repro_service_batch_rhs`` it tells full batches from slow flushes).
 Gauges (merge mode ``max``)
     ``repro_queue_depth{backend}`` (ready-queue high water),
     ``repro_peak_rss_bytes{backend,rank}``,
@@ -48,6 +51,7 @@ from repro.obs.metrics import (
     BYTES_BUCKETS,
     COUNT_BUCKETS,
     LATENCY_BUCKETS,
+    Histogram,
     MetricsRegistry,
 )
 
@@ -63,6 +67,7 @@ __all__ = [
     "record_rank_execution",
     "record_sequential_run",
     "record_solve_plan",
+    "service_queue_wait",
     "record_http_request",
     "record_http_rejection",
     "record_http_inflight",
@@ -86,12 +91,13 @@ _H = {
     "comm_transfer": ("repro_comm_transfer_bytes", "Physical bytes per message by directed process pair"),
     "plan_records": ("repro_solve_plan_records_total", "Task-graph solves that recorded a new graph"),
     "plan_replays": ("repro_solve_plan_replays_total", "Task-graph solves that replayed an already recorded graph"),
+    "service_queue_wait": ("repro_service_queue_wait_seconds", "Seconds a ticket waited between submit and the start of the flush that took it"),
     "queue_depth": ("repro_queue_depth", "Ready-queue high-water mark"),
     "peak_rss": ("repro_peak_rss_bytes", "Peak resident-set bytes per process"),
     "handle_bytes": ("repro_handle_bytes", "Handle-table bytes (view=logical: declared sizes; view=measured: bound values)"),
     "http_requests": ("repro_http_requests_total", "HTTP requests served by route, method and status"),
     "http_seconds": ("repro_http_request_seconds", "HTTP request handling seconds by route"),
-    "http_rejected": ("repro_http_rejected_total", "HTTP requests rejected before solving (unauthorized, rate_limited, backpressure)"),
+    "http_rejected": ("repro_http_rejected_total", "HTTP requests rejected before solving (unauthorized, rate_limited, backpressure, shutdown)"),
     "http_inflight": ("repro_http_inflight_requests", "Concurrent in-flight HTTP requests (high-water mark)"),
 }
 
@@ -304,6 +310,16 @@ def record_solve_plan(registry: MetricsRegistry, backend: str, *, replayed: bool
     registry.counter(*_H["plan_replays" if replayed else "plan_records"], backend=backend).inc()
 
 
+def service_queue_wait(registry: MetricsRegistry) -> Histogram:
+    """The queue-wait histogram of a solver service (created empty on first use).
+
+    One observation per ticket: the seconds between ``submit`` and the start
+    of the flush that took it.  On a server that flushes on arrival this is
+    the part of the serving latency that is neither HTTP plumbing nor solve.
+    """
+    return registry.histogram(*_H["service_queue_wait"], buckets=LATENCY_BUCKETS)
+
+
 def record_http_request(
     registry: MetricsRegistry,
     *,
@@ -331,9 +347,10 @@ def record_http_rejection(
 ) -> None:
     """Count one request rejected before reaching the solver.
 
-    ``reason`` is one of ``unauthorized`` (401), ``rate_limited`` (429) or
-    ``backpressure`` (503) -- the admission-control outcomes a capacity
-    alert wants to distinguish.
+    ``reason`` is one of ``unauthorized`` (401), ``rate_limited`` (429),
+    ``backpressure`` (503, queue full) or ``shutdown`` (503, the server is
+    stopping) -- the admission-control outcomes a capacity alert wants to
+    distinguish.
     """
     registry.counter(*_H["http_rejected"], reason=reason, tenant=tenant).inc()
 

@@ -2,16 +2,28 @@
 
 The always-on serving layer of ROADMAP item 3: the paper's economics are
 factorize-once/solve-many, and this server keeps the factorization cache hot
-across requests, batching concurrent right-hand sides into single task-graph
-solves through the service's flush loop.  Stdlib-only (``asyncio`` +
-hand-rolled HTTP/1.1), so serving adds zero dependencies.
+across requests.  Stdlib-only (``asyncio`` + hand-rolled HTTP/1.1), so
+serving adds zero dependencies.
+
+Flush on arrival
+----------------
+There is no batching window.  A submitted ticket signals the flush loop,
+which flushes as soon as the solver is idle and keeps flushing until the
+queue is empty: a lone caller of an idle server waits for parse + solve +
+serialise and nothing else.  Requests that arrive *while* a flush is running
+queue up and go out together in the next one, as one batched task-graph
+solve per factorization -- batching comes from load, not from a timer every
+request pays for.  ``repro_service_queue_wait_seconds`` (submit to the start
+of the flush that takes the ticket) and ``repro_service_batch_rhs`` on
+``GET /metrics`` show which of the two a latency change comes from.
 
 Endpoints
 ---------
 ``POST /v1/solve``
-    Submit one right-hand side and block until the batching flush loop
-    resolves it (or ``request_timeout`` elapses -> 504).  Concurrent solves
-    against the same problem are batched into one graph solve.
+    Submit one right-hand side and block until the flush loop resolves it
+    (or ``request_timeout`` elapses -> 504; the ticket stays claimable via
+    the ticket route).  Flushed immediately when the solver is idle; solves
+    that arrive during a running flush are batched into one graph solve.
 ``POST /v1/submit`` / ``GET /v1/tickets/<id>``
     The asynchronous path: submit returns ``202`` with a ticket id
     immediately; poll the ticket for ``pending`` / ``done`` (solution
@@ -30,9 +42,10 @@ Requests authenticate via ``x-api-key`` (or ``Authorization: Bearer``)
 against an :class:`~repro.service.auth.Authenticator`; unknown keys get 401.
 Per-tenant token buckets return 429 with ``Retry-After`` when a tenant
 out-runs its budget, and queue-depth backpressure returns 503 with
-``Retry-After`` once ``max_pending`` tickets are queued -- load is shed
-*before* it costs a factorization.  ``/healthz`` and ``/metrics`` stay open
-so probes and scrapes never need credentials.
+``Retry-After`` (the measured mean batch-solve time) once ``max_pending``
+tickets are queued behind the running flush -- load is shed *before* it costs
+a factorization.  ``/healthz`` and ``/metrics`` stay open so probes and
+scrapes never need credentials.
 
 Request body (solve/submit), JSON::
 
@@ -49,9 +62,10 @@ import asyncio
 import json
 import threading
 import time
+import traceback
 import uuid
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -67,6 +81,9 @@ __all__ = ["SolverHTTPServer", "HTTPError"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024  # one (n, k) float64 block tops out well below
 _SERVER_NAME = "repro-solver"
+#: Pause after a flush that raised instead of resolving its tickets, so a
+#: persistent fault retries once a second instead of spinning.
+_FLUSH_ERROR_BACKOFF = 1.0
 
 
 class HTTPError(Exception):
@@ -120,22 +137,21 @@ class SolverHTTPServer:
     ----------
     service:
         The (thread-safe) solver service to front.  Handlers submit tickets
-        on the event loop; a background flush loop drains the queue in an
-        executor thread, so batching happens exactly as it does offline.
+        on the event loop and signal the flush loop, which drains the queue
+        in an executor thread whenever the solver is idle and anything is
+        pending (no batching window: see "Flush on arrival" above).
     host / port:
         Bind address.  ``port=0`` picks a free port (see :attr:`port` after
         :meth:`start`).
-    flush_interval:
-        Seconds between background flushes -- the batching window.  Longer
-        windows batch more aggressively at higher latency.
     max_pending:
         Queue-depth backpressure threshold: a solve/submit arriving with
-        this many tickets already queued is rejected with 503 and
-        ``Retry-After`` of one flush interval.
+        this many tickets already queued (behind the running flush) is
+        rejected with 503 and ``Retry-After`` of one mean batch solve.
     request_timeout:
         Seconds a blocking ``/v1/solve`` waits for its ticket before 504.
         The ticket still resolves in the background; the work is not lost,
-        only the response.
+        only the response.  Also how long :meth:`stop` waits for responses
+        still being written.
     ticket_ttl:
         Seconds a *resolved* ticket record stays claimable via
         ``GET /v1/tickets/<id>`` before the sweeper drops it.
@@ -154,31 +170,37 @@ class SolverHTTPServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        flush_interval: float = 0.05,
         max_pending: int = 256,
         request_timeout: float = 30.0,
         ticket_ttl: float = 300.0,
         auth: Optional[Authenticator] = None,
         cache_path: Optional[Union[str, Path]] = None,
     ) -> None:
-        if flush_interval <= 0:
-            raise ValueError("flush_interval must be positive")
         if max_pending <= 0:
             raise ValueError("max_pending must be positive")
         self.service = service
         self.host = host
         self.port = port
-        self.flush_interval = flush_interval
         self.max_pending = max_pending
         self.request_timeout = request_timeout
         self.ticket_ttl = ticket_ttl
         self.auth = auth if auth is not None else Authenticator()
         self.cache_path = Path(cache_path) if cache_path is not None else None
+        #: Ticket id -> record, in submission order (which is also the order
+        #: flushes resolve them in: see :meth:`_sweep_tickets`).
         self._tickets: Dict[str, _TicketRecord] = {}
+        #: Records whose ticket no flush has returned yet.
+        self._unresolved: Dict[SolveTicket, _TicketRecord] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._flush_task: Optional[asyncio.Task] = None
+        self._stop_task: Optional[asyncio.Future] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._wake = asyncio.Event()
         self._stopped = asyncio.Event()
+        self._closing = False
+        self._handlers: Set[asyncio.Task] = set()
+        #: Writers of connections parked between requests (closed by stop()).
+        self._idle: Set[asyncio.StreamWriter] = set()
         self._inflight = 0
         self._thread: Optional[threading.Thread] = None
 
@@ -194,26 +216,43 @@ class SolverHTTPServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._wake = asyncio.Event()
         self._stopped = asyncio.Event()
+        self._closing = False
         self._flush_task = asyncio.create_task(self._flush_loop())
 
     async def stop(self) -> None:
-        """Flush outstanding tickets, snapshot the cache, close the socket."""
+        """Stop accepting, answer everything accepted, snapshot the cache.
+
+        No ticket the server took is abandoned: new connections and new
+        solves are refused from here on, the flush loop finishes the flush
+        it is running and drains what is still queued (waking every waiter),
+        and the responses being written are let out before the connections
+        close.  Idempotent; a second caller waits for the first.
+        """
+        if self._closing:
+            await self._stopped.wait()
+            return
+        self._closing = True
         if self._server is not None:
             self._server.close()
+        if self._flush_task is not None:
+            self._wake.set()
+            await self._flush_task
+            self._flush_task = None
+        for writer in list(self._idle):
+            writer.close()
+        if self._handlers:
+            # A handler ends after its response; one whose client stopped
+            # reading is abandoned like any other over-long request.
+            _done, stuck = await asyncio.wait(
+                list(self._handlers), timeout=self.request_timeout
+            )
+            for handler in stuck:
+                handler.cancel()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
-            self._flush_task = None
-        # Final drain so submitted-but-unflushed tickets are not abandoned.
-        if self.service.pending:
-            await asyncio.get_running_loop().run_in_executor(None, self.service.flush)
-            self._resolve_ready()
         if self.cache_path is not None:
             self.service.save_cache(self.cache_path)
         self._stopped.set()
@@ -224,24 +263,18 @@ class SolverHTTPServer:
         try:
             await self._stopped.wait()
         finally:
-            if self._server is not None:
-                await self.stop()
+            await self.stop()
 
     def shutdown(self) -> None:
-        """Request a clean stop; safe to call from any thread."""
+        """Request a clean stop (see :meth:`stop`); safe to call from any thread."""
         loop = self._loop
         if loop is None:
             return
 
         def _stop() -> None:
-            asyncio.ensure_future(self._shutdown_async())
+            self._stop_task = asyncio.ensure_future(self.stop())
 
         loop.call_soon_threadsafe(_stop)
-
-    async def _shutdown_async(self) -> None:
-        if self._server is not None:
-            await self.stop()
-        self._stopped.set()
 
     def start_in_thread(self) -> Tuple[str, int]:
         """Run the server on a daemon thread; returns ``(host, port)`` once bound.
@@ -279,55 +312,78 @@ class SolverHTTPServer:
 
     # -- flush loop ----------------------------------------------------------
     async def _flush_loop(self) -> None:
-        """Drain the service queue every ``flush_interval`` seconds.
+        """Flush while anything is queued; sleep only when nothing is.
 
         The flush itself runs in an executor thread (solves hold the CPU),
-        so the event loop keeps accepting requests mid-batch; that is the
-        whole point of the thread-safe service.
+        so the event loop keeps accepting requests mid-batch: whatever
+        arrives meanwhile is the next flush's batch.  Ends once :meth:`stop`
+        has been called and the queue is empty.
         """
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.flush_interval)
-            try:
-                if self.service.pending:
-                    await loop.run_in_executor(None, self.service.flush)
-                self._resolve_ready()
+            # Cleared *before* the queue is looked at: a submit landing after
+            # the look sets the event again and the wait below returns at
+            # once, so no ticket can fall between "empty" and "wait".
+            self._wake.clear()
+            if self.service.pending:
+                try:
+                    flushed = await loop.run_in_executor(None, self.service.flush)
+                except Exception:  # pragma: no cover - defensive
+                    # flush() resolves per-key errors onto tickets; anything
+                    # that still escapes must not kill the loop, nor strand
+                    # the tickets resolved before it was raised.
+                    traceback.print_exc()
+                    self._resolve([t for t in self._unresolved if t.done])
+                    await asyncio.sleep(_FLUSH_ERROR_BACKOFF)
+                    continue
+                self._resolve(flushed)
                 self._sweep_tickets()
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # pragma: no cover - defensive
-                # flush() resolves per-key errors onto tickets; anything that
-                # still escapes must not kill the loop.
-                print(f"flush loop error: {exc!r}", flush=True)
+            elif self._closing:
+                return
+            else:
+                try:
+                    await asyncio.wait_for(self._wake.wait(), self._sweep_tickets())
+                except asyncio.TimeoutError:
+                    pass
 
-    def _resolve_ready(self) -> None:
-        """Wake every waiter whose ticket the last flush resolved."""
+    def _resolve(self, flushed: List[SolveTicket]) -> None:
+        """Wake the waiters of exactly the tickets a flush returned."""
         now = time.monotonic()
-        for record in self._tickets.values():
-            if record.ticket.done and not record.event.is_set():
+        for ticket in flushed:
+            record = self._unresolved.pop(ticket, None)
+            if record is not None:
                 record.resolved_at = now
                 record.event.set()
 
-    def _sweep_tickets(self) -> None:
-        """Drop resolved ticket records nobody claimed within ``ticket_ttl``."""
+    def _sweep_tickets(self) -> Optional[float]:
+        """Drop resolved ticket records nobody claimed within ``ticket_ttl``.
+
+        Returns the seconds until the oldest remaining one falls due (``None``
+        when there is none), which is how long an idle flush loop may sleep.
+        Records sit in submission order and flushes resolve in that order, so
+        the stale ones are a prefix: a sweep never walks the live records.
+        """
         now = time.monotonic()
-        stale = [
-            tid
-            for tid, record in self._tickets.items()
-            if record.resolved_at is not None
-            and now - record.resolved_at > self.ticket_ttl
-        ]
-        for tid in stale:
-            del self._tickets[tid]
+        while self._tickets:
+            ticket_id, record = next(iter(self._tickets.items()))
+            if record.resolved_at is None:
+                return None
+            due = record.resolved_at + self.ticket_ttl - now
+            if due > 0:
+                return due
+            del self._tickets[ticket_id]
+        return None
 
     # -- HTTP plumbing -------------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
-            while True:
+            while not self._closing:
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._next_request(reader, writer)
                 except HTTPError as err:
                     payload = json.dumps({"error": err.message}).encode()
                     await self._write_response(
@@ -338,7 +394,6 @@ class SolverHTTPServer:
                 if request is None:
                     break
                 method, path, headers, body = request
-                keep_alive = headers.get("connection", "keep-alive") != "close"
                 t0 = time.perf_counter()
                 self._inflight += 1
                 record_http_inflight(self.service.registry, self._inflight)
@@ -366,6 +421,10 @@ class SolverHTTPServer:
                     status=status,
                     seconds=time.perf_counter() - t0,
                 )
+                keep_alive = (
+                    headers.get("connection", "keep-alive") != "close"
+                    and not self._closing
+                )
                 await self._write_response(
                     writer, status, payload, extra, keep_alive=keep_alive
                 )
@@ -374,16 +433,34 @@ class SolverHTTPServer:
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._handlers.discard(handler)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
 
+    async def _next_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """Read one request; meanwhile the connection is idle, so :meth:`stop` may close it."""
+        self._idle.add(writer)
+        try:
+            return await self._read_request(reader)
+        finally:
+            self._idle.discard(writer)
+
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # no newline within the stream limit
+            raise HTTPError(400, "request or header line too long") from None
+
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        request_line = await reader.readline()
+        request_line = await self._read_line(reader)
         if not request_line:
             return None
         try:
@@ -392,12 +469,15 @@ class SolverHTTPServer:
             raise HTTPError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not declared.isdecimal():  # "abc", "-5", "1e3": never reach int()/readexactly()
+            raise HTTPError(400, f"invalid Content-Length {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
             raise HTTPError(413, f"body exceeds {_MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -500,16 +580,29 @@ class SolverHTTPServer:
                 429, str(exc),
                 headers={"Retry-After": f"{max(exc.retry_after, 0.001):.3f}"},
             ) from None
+        if self._closing:
+            raise self._unavailable("shutdown", tenant, "server is shutting down")
         if self.service.pending >= self.max_pending:
-            record_http_rejection(
-                self.service.registry, reason="backpressure", tenant=tenant.name
-            )
-            raise HTTPError(
-                503,
+            raise self._unavailable(
+                "backpressure", tenant,
                 f"solve queue full ({self.service.pending} pending); retry shortly",
-                headers={"Retry-After": f"{self.flush_interval:.3f}"},
             )
         return tenant
+
+    def _unavailable(self, reason: str, tenant: Any, message: str) -> HTTPError:
+        """A counted 503 whose ``Retry-After`` is the measured mean batch solve.
+
+        The queue empties one flush at a time, so one batch's worth of
+        seconds (floored at 1 ms, and before the first batch) is when
+        retrying can first succeed.
+        """
+        record_http_rejection(self.service.registry, reason=reason, tenant=tenant.name)
+        stats = self.service.stats
+        batches = stats.batches
+        mean_batch = stats.solve_seconds / batches if batches else 0.0
+        return HTTPError(
+            503, message, headers={"Retry-After": f"{max(mean_batch, 0.001):.3f}"}
+        )
 
     # -- handlers ------------------------------------------------------------
     def _parse_solve_body(self, body: bytes) -> Tuple[np.ndarray, Dict[str, Any]]:
@@ -548,6 +641,8 @@ class SolverHTTPServer:
         record = _TicketRecord(ticket, tenant.name)
         ticket_id = uuid.uuid4().hex
         self._tickets[ticket_id] = record
+        self._unresolved[ticket] = record
+        self._wake.set()
         return ticket_id, record
 
     async def _handle_solve(
@@ -564,7 +659,7 @@ class SolverHTTPServer:
                 f"solve did not complete within {self.request_timeout}s; "
                 f"poll /v1/tickets/{ticket_id}",
             ) from None
-        del self._tickets[ticket_id]
+        self._tickets.pop(ticket_id, None)
         ticket = record.ticket
         if ticket.error is not None:
             raise HTTPError(400, f"solve failed: {ticket.error}")

@@ -32,6 +32,7 @@ from repro.api import StructuredSolver
 from repro.core.rhs import validate_rhs
 from repro.distribution.strategies import DistributionStrategy
 from repro.obs.metrics import COUNT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs.runtime_metrics import service_queue_wait
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import get_format
 
@@ -100,7 +101,7 @@ class SolveTicket:
     reports its error instead of retrying forever at the head of the queue.
     """
 
-    __slots__ = ("key", "_b", "_single", "_result", "nrhs", "done", "error")
+    __slots__ = ("key", "_b", "_single", "_result", "nrhs", "done", "error", "submitted_at")
 
     def __init__(self, key: FactorKey, b: np.ndarray, single: bool) -> None:
         self.key = key
@@ -111,6 +112,9 @@ class SolveTicket:
         self.done = False
         #: The exception that failed this ticket's batch (None on success).
         self.error: Optional[BaseException] = None
+        #: ``perf_counter`` stamp of creation; :meth:`SolverService.flush`
+        #: measures the ticket's queue wait from it.
+        self.submitted_at = time.perf_counter()
 
     @property
     def result(self) -> np.ndarray:
@@ -374,9 +378,9 @@ class SolverService:
     ttl_seconds:
         Optional factorization time-to-live: entries idle for longer than
         this are dropped by :meth:`purge_expired` (called at the start of
-        every :meth:`flush`; the HTTP server also calls it from its flush
-        loop).  Pinned keys never expire.  ``None`` (default) disables TTL
-        eviction.
+        every :meth:`flush`, so a server that flushes on arrival purges on
+        arrival).  Pinned keys never expire.  ``None`` (default) disables
+        TTL eviction.
     compress_runtime:
         Execution path of the *construction* phase on cache misses, as
         ``StructuredSolver.from_kernel(compress_runtime=...)`` accepts it
@@ -452,15 +456,21 @@ class SolverService:
         #: The service's metrics registry (service-level + runtime-level series).
         self.registry = metrics if metrics is not None else MetricsRegistry()
         self.stats = ServiceStats(self.registry)
+        self._queue_wait = service_queue_wait(self.registry)
         self._cache: "OrderedDict[FactorKey, StructuredSolver]" = OrderedDict()
         self._queue: List[SolveTicket] = []
-        # One re-entrant lock guards every shared mutable structure (the LRU
-        # OrderedDict, the ticket queue, the eviction pins and the stats
-        # read-modify-write property views): submit()/flush()/solver_for()
-        # are safe to call from concurrent threads, which is exactly what the
-        # HTTP server does (event-loop handlers submit while an executor
-        # thread flushes).  Solves themselves run outside the lock.
+        # submit()/flush()/solver_for() are safe to call from concurrent
+        # threads, which is exactly what the HTTP server does (event-loop
+        # handlers submit while an executor thread flushes).  ``_lock``
+        # (re-entrant) guards the LRU OrderedDict, the eviction pins and the
+        # stats read-modify-write property views, and is held across a whole
+        # cache-miss build; solves run outside it.  ``_queue_lock`` guards
+        # only the ticket queue and the request counter, so submit() and
+        # ``pending`` never wait for a factorization -- an event loop calling
+        # them keeps answering (and shedding load) while one is built.
+        # Order: ``_lock`` before ``_queue_lock``, never the reverse.
         self._lock = threading.RLock()
+        self._queue_lock = threading.Lock()
         #: Keys currently being served by an in-flight flush batch
         #: (key -> ticket count); pinned against eviction with the queue.
         self._inflight: Dict[FactorKey, int] = {}
@@ -475,7 +485,8 @@ class SolverService:
 
         Caller holds :attr:`_lock`.
         """
-        pinned = {ticket.key for ticket in self._queue}
+        with self._queue_lock:
+            pinned = {ticket.key for ticket in self._queue}
         pinned.update(key for key, count in self._inflight.items() if count > 0)
         return pinned
 
@@ -616,16 +627,17 @@ class SolverService:
         )
         bm, single = validate_rhs(b, key.n)
         ticket = SolveTicket(key, bm, single)
-        with self._lock:
+        with self._queue_lock:
             self._queue.append(ticket)
             self.stats.requests += 1
-            self.registry.gauge(*_QUEUE_DEPTH, mode="max").set_max(len(self._queue))
+            depth = len(self._queue)
+        self.registry.gauge(*_QUEUE_DEPTH, mode="max").set_max(depth)
         return ticket
 
     @property
     def pending(self) -> int:
         """Queued tickets not yet flushed."""
-        with self._lock:
+        with self._queue_lock:
             return len(self._queue)
 
     def _revalidate(self, key: FactorKey, solver: StructuredSolver) -> StructuredSolver:
@@ -665,11 +677,15 @@ class SolverService:
         """
         self.purge_expired()
         with self._lock:
-            queue, self._queue = self._queue, []
+            with self._queue_lock:
+                queue, self._queue = self._queue, []
             # Pin the keys being served: eviction must not drop a
             # factorization mid-batch (see _evict_over_capacity).
             for ticket in queue:
                 self._inflight[ticket.key] = self._inflight.get(ticket.key, 0) + 1
+        taken_at = time.perf_counter()
+        for ticket in queue:
+            self._queue_wait.observe(taken_at - ticket.submitted_at)
         by_key: "OrderedDict[FactorKey, List[SolveTicket]]" = OrderedDict()
         for ticket in queue:
             by_key.setdefault(ticket.key, []).append(ticket)
@@ -729,7 +745,8 @@ class SolverService:
                 # so a later flush can still serve them.
                 unresolved = [t for t in queue if not t.done]
                 if unresolved:
-                    self._queue = unresolved + self._queue
+                    with self._queue_lock:
+                        self._queue = unresolved + self._queue
                 # Pins may have held the cache over capacity; restore it now.
                 self._evict_over_capacity()
         return queue
@@ -764,8 +781,11 @@ class SolverService:
         ``factor_seconds`` / ``solve_seconds``), how many batched solves
         recorded a new task graph versus replayed a recorded one
         (``solve_plan_records`` / ``solve_plan_replays``: the replay hit rate
-        is what explains a change in batch latency), per-key batch latency
-        histogram summaries under ``latency``, and -- when the service was
+        is what explains a change in batch latency), the submit-to-flush
+        wait of every ticket under ``queue_wait`` (a histogram summary: high
+        with full batches means load, high with small batches means slow
+        flushes), per-key batch latency histogram summaries under
+        ``latency``, and -- when the service was
         created with ``trace=True`` -- the most recent solve trace's
         breakdown summary under ``last_solve_trace``.
 
@@ -802,6 +822,7 @@ class SolverService:
                 "repro_solve_plan_records_total", backend=solve_backend)),
             "solve_plan_replays": int(self.registry.value(
                 "repro_solve_plan_replays_total", backend=solve_backend)),
+            "queue_wait": self._queue_wait.summary(),
             "latency": {label: hist.summary() for label, hist in stats.latency.items()},
         }
         if self.last_solve_trace is not None:

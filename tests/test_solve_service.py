@@ -232,6 +232,18 @@ class TestStats:
         assert stats.factor_seconds > 0
         assert stats.solves_per_sec > 0
 
+    def test_queue_wait_observed_once_per_ticket(self, service):
+        assert service.metrics()["queue_wait"]["count"] == 0
+        assert "repro_service_queue_wait_seconds_count 0" in service.render_prometheus()
+        tickets = [service.submit(_rhs(1, seed=s), **KEY) for s in range(3)]
+        assert all(t.submitted_at <= tickets[-1].submitted_at for t in tickets)
+        service.flush()
+        service.flush()  # an empty flush takes no ticket and observes nothing
+        summary = service.metrics()["queue_wait"]
+        assert summary["count"] == 3
+        assert summary["min"] >= 0.0
+        assert "repro_service_queue_wait_seconds_count 3" in service.render_prometheus()
+
     def test_repr(self, service):
         assert "SolverService" in repr(service)
         service.submit(_rhs(1), **KEY)
@@ -300,6 +312,44 @@ class TestCompressCaching:
 
 class TestConcurrency:
     """submit()/flush() from many threads: no lost or duplicate resolutions."""
+
+    def test_submit_and_pending_do_not_wait_for_a_cold_build(self):
+        # The HTTP event loop calls both while an executor thread builds a
+        # factorization under the service lock; if they waited for it, the
+        # server could neither answer nor shed load for the whole build.
+        entered, gate = threading.Event(), threading.Event()
+
+        class HeldBuild(SolverService):
+            def _build_and_cache(self, key):
+                entered.set()
+                assert gate.wait(60), "the test never opened the gate"
+                return super()._build_and_cache(key)
+
+        service = HeldBuild(backend="sequential")
+        builder = threading.Thread(
+            target=service.solver_for, args=(FactorKey.make(**KEY),)
+        )
+        seen = []
+
+        def submit_and_count():
+            service.submit(_rhs(1), **KEY)
+            seen.append(service.pending)
+
+        caller = threading.Thread(target=submit_and_count)
+        builder.start()
+        try:
+            assert entered.wait(30)
+            caller.start()
+            caller.join(10)
+            assert not caller.is_alive(), "submit()/pending blocked on the build"
+            assert seen == [1]
+        finally:
+            gate.set()
+            builder.join(60)
+            caller.join(60)
+        assert not builder.is_alive()
+        service.flush()
+        assert service.stats.cache_misses == 1
 
     def test_concurrent_submit_flush_hammer(self):
         service = SolverService(backend="sequential", max_cached=2)
