@@ -17,9 +17,9 @@ Two ablations called out in DESIGN.md:
 
 from bench_utils import print_table
 
-from repro.core.hss_ulv_dtd import build_hss_ulv_taskgraph
 from repro.distribution.strategies import BlockCyclicDistribution, RowCyclicDistribution
 from repro.formats.hss import HSSStructure
+from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.runtime.machine import fugaku_like
 from repro.runtime.simulator import simulate
 

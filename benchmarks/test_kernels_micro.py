@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from repro.core.hss_ulv import hss_ulv_factorize
-from repro.core.hss_ulv_dtd import hss_ulv_factorize_dtd
 from repro.formats.blr import build_blr
 from repro.formats.hss import build_hss
 from repro.baselines.lorapo_like import blr_cholesky_factorize
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import Yukawa
+from repro.pipeline.policy import ExecutionPolicy
+from repro.pipeline.registry import get_format
 
 N = 2048
 LEAF = 256
@@ -44,7 +45,10 @@ def test_bench_hss_ulv_factorization(benchmark, hss):
 
 
 def test_bench_hss_ulv_factorization_dtd(benchmark, hss):
-    factor, rt = benchmark.pedantic(lambda: hss_ulv_factorize_dtd(hss, nodes=4), rounds=3, iterations=1)
+    policy = ExecutionPolicy(backend="immediate", nodes=4)
+    factor, rt = benchmark.pedantic(
+        lambda: get_format("hss").factorize_dtd(hss, policy=policy), rounds=3, iterations=1
+    )
     assert rt.num_tasks > 0
 
 

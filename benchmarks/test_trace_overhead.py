@@ -20,12 +20,13 @@ import time
 
 from bench_utils import bench_repeats, full_scale, print_table, record_bench
 
-from repro.core.hss_ulv_dtd import hss_ulv_factorize_dtd
 from repro.formats.hss import build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
 from repro.obs import MetricsRegistry
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
 
 N = 4096 if full_scale() else 2048
 WORKERS = 4
@@ -38,7 +39,8 @@ def _measure():
 
     def record(trace, metrics=None):
         # Fresh graph per run: an executed graph cannot run again.
-        _, rt = hss_ulv_factorize_dtd(matrix, execution="deferred", execute=False)
+        builder = HSSULVFactorizeBuilder(matrix, policy=ExecutionPolicy(backend="deferred"))
+        rt = builder.record().runtime
         rt.trace = trace
         rt.metrics = metrics
         return rt

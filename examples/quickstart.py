@@ -7,7 +7,7 @@ contribution) and solves a linear system -- then reports the construction and
 solve errors of Eq. 18/19.
 
 The factorization can also run through the DTD task runtime: pass
-``use_runtime="parallel"`` to :meth:`HSSSolver.factorize` (or ``--runtime
+``use_runtime="parallel"`` to :meth:`StructuredSolver.factorize` (or ``--runtime
 parallel`` on the ``python -m repro solve`` CLI) to execute the recorded task
 graph out-of-order on a thread pool -- the factors are bit-identical.
 
@@ -19,17 +19,17 @@ import time
 
 import numpy as np
 
-from repro.api import HSSSolver
+from repro.api import StructuredSolver
 
 
 def main(n: int = 4096) -> None:
     print(f"Building Yukawa kernel problem with N={n} (uniform 2D grid)...")
     t0 = time.perf_counter()
-    solver = HSSSolver.from_kernel("yukawa", n=n, leaf_size=256, max_rank=64)
+    solver = StructuredSolver.from_kernel("yukawa", n=n, leaf_size=256, max_rank=64)
     t_build = time.perf_counter() - t0
     print(f"  HSS construction: {t_build:.3f}s   "
-          f"(levels={solver.hss.max_level}, max rank={solver.hss.max_rank()}, "
-          f"memory={solver.hss.memory_bytes() / 1e6:.1f} MB)")
+          f"(levels={solver.matrix.max_level}, max rank={solver.matrix.max_rank()}, "
+          f"memory={solver.matrix.memory_bytes() / 1e6:.1f} MB)")
 
     t0 = time.perf_counter()
     factor = solver.factorize()

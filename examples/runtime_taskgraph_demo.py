@@ -13,12 +13,14 @@ Run:  python examples/runtime_taskgraph_demo.py
 import numpy as np
 
 from repro.baselines.dense_cholesky import tile_cholesky_dtd
-from repro.core.hss_ulv_dtd import hss_ulv_factorize_dtd
 from repro.formats.block_dense import BlockDenseMatrix
 from repro.formats.hss import build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import Yukawa
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
+from repro.pipeline.registry import get_format
 from repro.runtime.executor import execute_graph
 from repro.runtime.machine import fugaku_like
 from repro.runtime.simulator import simulate
@@ -45,7 +47,9 @@ def hss_ulv_tasks() -> None:
     points = uniform_grid_2d(1024)
     kmat = KernelMatrix(Yukawa(), points)
     hss = build_hss(kmat, leaf_size=128, max_rank=40)
-    factor, runtime = hss_ulv_factorize_dtd(hss, nodes=4)
+    factor, runtime = get_format("hss").factorize_dtd(
+        hss, policy=ExecutionPolicy(backend="immediate", nodes=4)
+    )
     graph = runtime.graph
     print(f"tasks: {graph.num_tasks}, edges: {graph.num_edges}, "
           f"total flops: {graph.total_flops() / 1e9:.2f} GFlop")
@@ -70,11 +74,11 @@ def threaded_execution() -> None:
     kmat = KernelMatrix(Yukawa(), points)
     hss = build_hss(kmat, leaf_size=64, max_rank=24)
     # Record the graph with deferred execution, then run it with 4 threads.
-    from repro.runtime.dtd import DTDRuntime
-
-    runtime = DTDRuntime(execution="deferred")
-    factor, _ = hss_ulv_factorize_dtd(hss, runtime=runtime, nodes=2, execute=False)
-    report = execute_graph(runtime.graph, n_workers=4)
+    builder = HSSULVFactorizeBuilder(
+        hss, policy=ExecutionPolicy(backend="deferred", nodes=2)
+    ).record()
+    report = execute_graph(builder.runtime.graph, n_workers=4)
+    factor = builder.result()
     print(f"executed {len(report.executed)} / {report.num_tasks} tasks "
           f"on {report.num_workers} threads in {report.wall_time * 1e3:.1f} ms, "
           f"ok={report.ok}")
@@ -84,25 +88,19 @@ def threaded_execution() -> None:
 
 
 def parallel_execution_modes() -> None:
-    print("\n=== One-call parallel execution (HSS-ULV and BLR2-ULV) ===")
-    from repro.core.blr2_ulv_dtd import blr2_ulv_factorize_dtd
-    from repro.formats.blr2 import build_blr2
-
+    print("\n=== One-call parallel execution (every registered format) ===")
     points = uniform_grid_2d(1024)
     kmat = KernelMatrix(Yukawa(), points)
     b = np.random.default_rng(3).standard_normal(1024)
+    policy = ExecutionPolicy(backend="parallel", n_workers=4)
 
-    hss = build_hss(kmat, leaf_size=128, max_rank=40)
-    factor, rt = hss_ulv_factorize_dtd(hss, execution="parallel", n_workers=4)
-    x = factor.solve(hss.matvec(b))
-    print(f"HSS-ULV  parallel: {rt.num_tasks} tasks, "
-          f"solve error {np.linalg.norm(x - b) / np.linalg.norm(b):.2e}")
-
-    blr2 = build_blr2(kmat, leaf_size=128, max_rank=40)
-    factor2, rt2 = blr2_ulv_factorize_dtd(blr2, execution="parallel", n_workers=4)
-    x2 = factor2.solve(blr2.matvec(b))
-    print(f"BLR2-ULV parallel: {rt2.num_tasks} tasks, "
-          f"solve error {np.linalg.norm(x2 - b) / np.linalg.norm(b):.2e}")
+    for name in ("hss", "blr2", "hodlr"):
+        spec = get_format(name)
+        matrix = spec.build(kmat, leaf_size=128, max_rank=40)
+        factor, rt = spec.factorize_dtd(matrix, policy=policy)
+        x, _ = spec.solve_dtd(factor, matrix.matvec(b), policy=policy)
+        print(f"{spec.title + '-ULV':<9} parallel: {rt.num_tasks} factorize tasks, "
+              f"solve error {np.linalg.norm(x - b) / np.linalg.norm(b):.2e}")
 
 
 if __name__ == "__main__":

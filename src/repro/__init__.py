@@ -7,24 +7,24 @@ Subpackages
 ``repro.kernels``       Green's-function kernels and kernel-matrix assembly
 ``repro.lowrank``       SVD / QR / ACA / RSVD / ID compression primitives
 ``repro.formats``       BlockDense, BLR, BLR2, HSS and HODLR matrix formats
-``repro.pipeline``      format-agnostic pipeline: ExecutionPolicy, graph
-                        builders, format registry
-``repro.core``          BLR2-ULV, HSS-ULV and HODLR-ULV factorizations (the
-                        contribution)
-``repro.solve``         task-graph ULV solves (multi-RHS panels, refinement)
+``repro.pipeline``      format-agnostic pipeline: ExecutionPolicy, the
+                        factorize/solve graph builders (multi-RHS panels,
+                        refinement, replay), format registry
+``repro.core``          BLR2-ULV, HSS-ULV and HODLR-ULV sequential
+                        references (the contribution)
+``repro.compress``      task-graph construction of every format
 ``repro.service``       SolverService: cached factorizations, batched solves
 ``repro.runtime``       DTD task runtime, DAG, machine model, simulator
 ``repro.distribution``  row-cyclic / block-cyclic process distributions
 ``repro.baselines``     dense Cholesky, LORAPO-like BLR Cholesky, STRUMPACK-like
 ``repro.analysis``      error metrics, complexity fits, scaling analysis
 ``repro.experiments``   one driver per paper table/figure
-``repro.api``           high-level ``StructuredSolver`` facade (``HSSSolver``
-                        is kept as an alias)
+``repro.api``           high-level ``StructuredSolver`` facade
 """
 
-from repro.api import HSSSolver, StructuredSolver
+from repro.api import StructuredSolver
 from repro.service import SolverService
 
 __version__ = "1.0.0"
 
-__all__ = ["HSSSolver", "StructuredSolver", "SolverService", "__version__"]
+__all__ = ["StructuredSolver", "SolverService", "__version__"]

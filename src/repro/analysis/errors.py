@@ -24,9 +24,9 @@ MatvecLike = Union[np.ndarray, _SupportsMatvec, Callable[[np.ndarray], np.ndarra
 
 
 def _apply(op: MatvecLike, x: np.ndarray) -> np.ndarray:
-    # Single operator-dispatch point, shared with the solve subsystem (it
+    # Single operator-dispatch point, shared with the solve builders (it
     # additionally applies vector-only operators columnwise to RHS blocks).
-    from repro.solve.common import apply_operator
+    from repro.pipeline.panels import apply_operator
 
     return apply_operator(op, x)
 

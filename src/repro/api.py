@@ -11,8 +11,7 @@ The quickstart workflow of the README:
 ``StructuredSolver`` is format-agnostic: ``format="hss"`` (default),
 ``"blr2"`` or ``"hodlr"`` selects the compressed representation from the
 pipeline's :mod:`format registry <repro.pipeline.registry>`, and every format
-reaches every execution backend through the same machinery.  ``HSSSolver`` is
-kept as an alias of the old name.
+reaches every execution backend through the same machinery.
 
 Execution modes, shared by the factorization (:meth:`StructuredSolver.factorize`)
 and the solve (:meth:`StructuredSolver.solve`):
@@ -71,7 +70,7 @@ from repro.pipeline.plans import SolvePlans
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import get_format
 
-__all__ = ["StructuredSolver", "HSSSolver"]
+__all__ = ["StructuredSolver"]
 
 
 class StructuredSolver:
@@ -81,27 +80,15 @@ class StructuredSolver:
     HODLR -- any format in the pipeline registry) and the corresponding ULV
     factorization behind a single object.  Use :meth:`from_kernel` or
     :meth:`from_points` to build one.
-
-    ``hss`` is accepted as a constructor alias of ``matrix`` (and stays
-    readable/assignable as an attribute) for code written against the
-    HSS-only ``HSSSolver``.
     """
 
     def __init__(
         self,
         kernel_matrix: KernelMatrix,
-        matrix: Any = None,
+        matrix: Any,
         format: str = "hss",
         factor: Optional[Any] = None,
-        *,
-        hss: Any = None,
     ) -> None:
-        if hss is not None:
-            if matrix is not None and matrix is not hss:
-                raise ValueError("pass either `matrix` or the legacy `hss`, not both")
-            matrix = hss
-        if matrix is None:
-            raise TypeError("StructuredSolver requires a compressed matrix (matrix=...)")
         self.kernel_matrix = kernel_matrix
         self.matrix = matrix
         self.format = format
@@ -256,15 +243,6 @@ class StructuredSolver:
     def n(self) -> int:
         """Matrix dimension."""
         return self.matrix.n
-
-    @property
-    def hss(self) -> Any:
-        """Legacy alias for :attr:`matrix` (from the HSS-only HSSSolver days)."""
-        return self.matrix
-
-    @hss.setter
-    def hss(self, value: Any) -> None:
-        self.matrix = value
 
     # -- factorization / solve ----------------------------------------------
     def factorize(
@@ -510,8 +488,3 @@ class StructuredSolver:
             f"StructuredSolver(format={self.format!r}, n={self.n}{rank_part}, "
             f"factorized={self.factor is not None})"
         )
-
-
-#: Backward-compatible alias from the HSS-only era; ``format="hss"`` is the
-#: default, so existing code keeps working unchanged.
-HSSSolver = StructuredSolver

@@ -10,13 +10,11 @@ the runtime-system effect, exactly as the paper's comparison does.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.hss_ulv import HSSULVFactor, hss_ulv_factorize
-from repro.core.hss_ulv_dtd import build_hss_ulv_taskgraph
 from repro.distribution.strategies import BlockCyclicDistribution
 from repro.formats.hss import HSSMatrix, HSSStructure, build_hss
 from repro.kernels.assembly import KernelMatrix
+from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.runtime.dtd import DTDRuntime
 
 __all__ = ["build_strumpack_hss", "strumpack_factorize", "build_strumpack_taskgraph"]
@@ -62,7 +60,6 @@ def build_strumpack_taskgraph(
     structure: HSSStructure,
     *,
     nodes: int = 1,
-    runtime: Optional[DTDRuntime] = None,
 ) -> DTDRuntime:
     """Symbolic STRUMPACK task graph: HSS-ULV tasks with block-cyclic distribution.
 
@@ -70,8 +67,5 @@ def build_strumpack_taskgraph(
     barriers and collective communication of the bulk-synchronous execution.
     """
     return build_hss_ulv_taskgraph(
-        structure,
-        nodes=nodes,
-        distribution=BlockCyclicDistribution(nodes),
-        runtime=runtime,
+        structure, nodes=nodes, distribution=BlockCyclicDistribution(nodes)
     )

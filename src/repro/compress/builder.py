@@ -37,7 +37,6 @@ from repro.geometry.cluster_tree import ClusterTree, build_cluster_tree
 from repro.kernels.assembly import KernelMatrix
 from repro.pipeline.builder import GraphBuilder
 from repro.pipeline.policy import ExecutionPolicy
-from repro.runtime.dtd import DTDRuntime
 
 __all__ = ["CompressGraphBuilder", "compress_through_builder"]
 
@@ -66,7 +65,7 @@ class CompressGraphBuilder(GraphBuilder):
         backend-independent.
     tree:
         Reuse an existing cluster tree instead of building one.
-    policy / runtime:
+    policy:
         As for :class:`~repro.pipeline.builder.GraphBuilder`.
     """
 
@@ -85,9 +84,8 @@ class CompressGraphBuilder(GraphBuilder):
         seed: int = 0,
         tree: Optional[ClusterTree] = None,
         policy: Optional[ExecutionPolicy] = None,
-        runtime: Optional[DTDRuntime] = None,
     ) -> None:
-        super().__init__(policy=policy, runtime=runtime)
+        super().__init__(policy=policy)
         self.kernel_matrix = kernel_matrix
         self.leaf_size = int(leaf_size)
         self.max_rank = max_rank

@@ -62,7 +62,6 @@ class HSSCompressBuilder(CompressGraphBuilder):
         seed: int = 0,
         tree=None,
         policy=None,
-        runtime=None,
     ) -> None:
         super().__init__(
             kernel_matrix,
@@ -73,7 +72,6 @@ class HSSCompressBuilder(CompressGraphBuilder):
             seed=seed,
             tree=tree,
             policy=policy,
-            runtime=runtime,
         )
         if self.tree.max_level < 1:
             raise ValueError(

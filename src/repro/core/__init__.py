@@ -10,25 +10,19 @@
   leaf view of a symmetric HODLR matrix.
 * :mod:`repro.core.hss_ulv` -- multi-level HSS-ULV (Alg. 2), the sequential
   reference implementation.
-* :mod:`repro.core.hss_ulv_dtd` / :mod:`repro.core.blr2_ulv_dtd` /
-  :mod:`repro.core.hodlr_ulv_dtd` -- the same factorizations expressed as
-  tasks of the DTD runtime (HATRIX-DTD, Sec. 4.2), recorded on the shared
-  pipeline scaffold (:mod:`repro.pipeline`).
 
-Every DTD entry point accepts ``execution="immediate" | "deferred" |
-"parallel" | "distributed"``; backend dispatch is the single implementation
-in :meth:`repro.pipeline.policy.ExecutionPolicy.execute`, and every backend
-produces bit-identical factors to the sequential references.
+These are the sequential references.  The same factorizations and solves as
+tasks of the DTD runtime (HATRIX-DTD, Sec. 4.2) are the graph builders of
+:mod:`repro.pipeline`, reached through
+``get_format(name).factorize_dtd / solve_dtd(..., policy=ExecutionPolicy(...))``;
+every backend produces bit-identical results to these references.
 """
 
 from repro.core.partial_cholesky import partial_cholesky
 from repro.core.leaf_ulv import LeafULVSolveMixin, leaf_ulv_factorize_into
 from repro.core.blr2_ulv import BLR2ULVFactor, blr2_ulv_factorize
-from repro.core.blr2_ulv_dtd import blr2_ulv_factorize_dtd
 from repro.core.hodlr_ulv import HODLRLeafSystem, HODLRULVFactor, hodlr_ulv_factorize
-from repro.core.hodlr_ulv_dtd import hodlr_ulv_factorize_dtd
 from repro.core.hss_ulv import HSSULVFactor, hss_ulv_factorize
-from repro.core.hss_ulv_dtd import hss_ulv_factorize_dtd, build_hss_ulv_taskgraph
 
 __all__ = [
     "partial_cholesky",
@@ -36,13 +30,9 @@ __all__ = [
     "leaf_ulv_factorize_into",
     "BLR2ULVFactor",
     "blr2_ulv_factorize",
-    "blr2_ulv_factorize_dtd",
     "HODLRLeafSystem",
     "HODLRULVFactor",
     "hodlr_ulv_factorize",
-    "hodlr_ulv_factorize_dtd",
     "HSSULVFactor",
     "hss_ulv_factorize",
-    "hss_ulv_factorize_dtd",
-    "build_hss_ulv_taskgraph",
 ]

@@ -1,7 +1,7 @@
 """Right-hand-side validation shared by the ULV solvers.
 
 Every solve entry point (the sequential ``*ULVFactor.solve`` references, the
-task-graph drivers in :mod:`repro.solve` and the
+task-graph solve builders in :mod:`repro.pipeline.solve` and the
 :class:`~repro.api.StructuredSolver` facade) accepts either a vector of
 length ``n`` or a matrix of shape ``(n, k)`` holding ``k`` right-hand sides.
 These helpers normalize both forms to a float64, C-contiguous ``(n, k)``

@@ -27,12 +27,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.hss_ulv_dtd import hss_ulv_factorize_dtd
 from repro.distribution.strategies import strategy_by_name
 from repro.formats.hss import build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
+from repro.pipeline.policy import ExecutionPolicy
+from repro.pipeline.registry import get_format
 from repro.runtime.machine import MachineConfig, laptop_like
 from repro.runtime.simulator import simulate
 
@@ -101,10 +102,11 @@ def run_distributed_weak_scaling(
 
             for plane in data_planes:
                 t0 = time.perf_counter()
-                _, rt = hss_ulv_factorize_dtd(
-                    hss, execution="distributed", nodes=nodes,
+                policy = ExecutionPolicy(
+                    backend="distributed", nodes=nodes,
                     distribution=strategy, data_plane=plane,
                 )
+                _, rt = get_format("hss").factorize_dtd(hss, policy=policy)
                 measured = time.perf_counter() - t0
                 report = rt.last_distributed_report
 

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.lorapo_like import build_blr_cholesky_taskgraph
 from repro.baselines.strumpack_like import build_strumpack_taskgraph
-from repro.core.hss_ulv_dtd import build_hss_ulv_taskgraph
 from repro.experiments.workloads import (
     KERNEL_RANKS,
     WeakScalingPoint,
@@ -23,6 +22,7 @@ from repro.experiments.workloads import (
     lorapo_weak_scaling_schedule,
 )
 from repro.formats.hss import HSSStructure
+from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.runtime.machine import MachineConfig, fugaku_like
 from repro.runtime.simulator import simulate
 from repro.runtime.trace import SimulationResult

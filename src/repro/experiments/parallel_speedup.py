@@ -43,9 +43,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.blr2_ulv_dtd import blr2_ulv_factorize_dtd
-from repro.core.hodlr_ulv_dtd import hodlr_ulv_factorize_dtd
-from repro.core.hss_ulv_dtd import hss_ulv_factorize_dtd
+from repro.core.blr2_ulv import BLR2ULVFactor
+from repro.core.hodlr_ulv import HODLRLeafSystem, HODLRULVFactor
 from repro.experiments.timing import best_of
 from repro.formats.blr2 import build_blr2
 from repro.formats.hodlr import build_hodlr
@@ -53,10 +52,28 @@ from repro.formats.hss import build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
+from repro.pipeline.factorize import HSSULVFactorizeBuilder, LeafULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
+from repro.pipeline.registry import get_format
 
 __all__ = ["SpeedupRow", "run_parallel_speedup", "format_parallel_speedup"]
 
 _BACKENDS = ("thread", "process", "distributed")
+
+
+def _hss_builder(hss, policy):
+    return HSSULVFactorizeBuilder(hss, policy=policy)
+
+
+def _blr2_builder(blr2, policy):
+    return LeafULVFactorizeBuilder(blr2, BLR2ULVFactor(blr2=blr2), policy=policy)
+
+
+def _hodlr_builder(hodlr, policy):
+    system = HODLRLeafSystem(hodlr)
+    return LeafULVFactorizeBuilder(
+        system, HODLRULVFactor(hodlr=hodlr, system=system), policy=policy
+    )
 
 
 @dataclass
@@ -123,12 +140,13 @@ def run_parallel_speedup(
     b = np.random.default_rng(seed).standard_normal(n)
 
     algorithms = (
-        ("HSS-ULV", "hss", build_hss, hss_ulv_factorize_dtd),
-        ("BLR2-ULV", "blr2", build_blr2, blr2_ulv_factorize_dtd),
-        ("HODLR-ULV", "hodlr", build_hodlr, hodlr_ulv_factorize_dtd),
+        ("HSS-ULV", "hss", build_hss, _hss_builder),
+        ("BLR2-ULV", "blr2", build_blr2, _blr2_builder),
+        ("HODLR-ULV", "hodlr", build_hodlr, _hodlr_builder),
     )
+    deferred = ExecutionPolicy(backend="deferred")
     rows: List[SpeedupRow] = []
-    for name, fmt, build, factorize_dtd in algorithms:
+    for name, fmt, build, factorize_builder in algorithms:
         matrix = build(kmat, leaf_size=leaf_size, max_rank=max_rank)
         comm_bytes = 0
         nodes = 1
@@ -138,10 +156,10 @@ def run_parallel_speedup(
             # execution (recording cost is identical on both sides); every
             # repeat records afresh because an executed graph cannot run again.
             def record(*, fuse: bool):
-                factor, rt = factorize_dtd(matrix, execution="deferred", execute=False)
+                builder = factorize_builder(matrix, deferred).record()
                 if fuse:
-                    rt.fuse(slots=slots)
-                return factor, rt
+                    builder.runtime.fuse(slots=slots)
+                return builder.result(), builder.runtime
 
             seq_timing = best_of(
                 lambda state: (state[1].run(), state)[1],
@@ -161,11 +179,8 @@ def run_parallel_speedup(
             # closures, so recording cannot be hoisted out of the timed
             # region; both sides time the full record+execute path to
             # compare like with like.
-            from repro.pipeline.policy import ExecutionPolicy
-            from repro.pipeline.registry import get_format
-
             def seq_full():
-                factor, _ = factorize_dtd(matrix, execution="deferred")
+                factor, _ = get_format(fmt).factorize_dtd(matrix, policy=deferred)
                 return factor
 
             def par_full():

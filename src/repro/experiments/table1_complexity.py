@@ -17,8 +17,8 @@ from repro.analysis.complexity import fit_power_law
 from repro.baselines.dense_cholesky import build_dense_cholesky_taskgraph
 from repro.baselines.lorapo_like import build_blr_cholesky_taskgraph
 from repro.baselines.strumpack_like import build_strumpack_taskgraph
-from repro.core.hss_ulv_dtd import build_hss_ulv_taskgraph
 from repro.formats.hss import HSSStructure
+from repro.pipeline.factorize import build_hss_ulv_taskgraph
 
 __all__ = ["Table1Row", "run_table1", "format_table1"]
 

@@ -444,12 +444,18 @@ class HSSStructure:
         Depth of the leaf level.
     ranks:
         Mapping ``(level, index) -> skeleton rank``.
+    leaf_sizes:
+        Mapping ``leaf index -> rows`` of a structure taken from a matrix
+        (the cluster tree splits at index midpoints, so leaves of a ragged
+        ``n`` differ in size); empty for a uniform structure, whose leaves
+        all have ``n // 2**max_level`` rows.
     """
 
     n: int
     leaf_size: int
     max_level: int
     ranks: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    leaf_sizes: Dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def from_matrix(cls, hss: HSSMatrix) -> "HSSStructure":
@@ -457,8 +463,12 @@ class HSSStructure:
         ranks = {
             key: node.rank for key, node in hss.nodes.items() if key[0] > 0
         }
+        leaf_sizes = {
+            i: hss.block_size(hss.max_level, i) for i in range(2**hss.max_level)
+        }
         return cls(
-            n=hss.n, leaf_size=hss.leaf_size, max_level=hss.max_level, ranks=ranks
+            n=hss.n, leaf_size=hss.leaf_size, max_level=hss.max_level, ranks=ranks,
+            leaf_sizes=leaf_sizes,
         )
 
     @classmethod
@@ -496,8 +506,7 @@ class HSSStructure:
     def block_size(self, level: int, index: int) -> int:
         """ULV working-block size of node ``(level, index)`` (see HSSMatrix.block_size)."""
         if level == self.max_level:
-            base = self.n // (2**self.max_level)
-            return base
+            return self.leaf_sizes.get(index, self.n // 2**self.max_level)
         return self.rank(level + 1, 2 * index) + self.rank(level + 1, 2 * index + 1)
 
     def num_blocks(self, level: int) -> int:

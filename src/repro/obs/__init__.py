@@ -1,15 +1,13 @@
-"""Process-wide observability: metrics registry, exposition, events, memory.
+"""Process-wide observability: metrics registry, exposition, memory.
 
 The aggregating counterpart of :mod:`repro.runtime.tracing` (which records
 per-run timelines): a mergeable :class:`MetricsRegistry` threaded through the
 four execution backends and the :class:`~repro.service.SolverService`,
-Prometheus text exposition, a structured :class:`EventLog`, memory/byte
-accounting, the benchmark trajectory gate, and the ``repro benchreport``
-renderer.  See README "Observability" for the metric names and label
-conventions.
+Prometheus text exposition, memory/byte accounting, the benchmark trajectory
+gate, and the ``repro benchreport`` renderer.  See README "Observability" for
+the metric names and label conventions.
 """
 
-from repro.obs.events import Event, EventLog
 from repro.obs.exposition import ExpositionError, parse_prometheus, render_prometheus
 from repro.obs.memory import (
     MemoryStats,
@@ -42,8 +40,6 @@ __all__ = [
     "render_prometheus",
     "parse_prometheus",
     "ExpositionError",
-    "Event",
-    "EventLog",
     "MemoryStats",
     "peak_rss_bytes",
     "estimate_nbytes",

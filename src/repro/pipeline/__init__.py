@@ -20,23 +20,17 @@ where that promise is kept:
   the format every backend, the CLI ``--format`` flag and service caching
   for free.
 
-``repro.pipeline.factorize`` / ``repro.pipeline.solve`` are imported lazily
-by their consumers (the ``repro.core`` / ``repro.solve`` driver wrappers) to
-keep the import graph acyclic.
+This is the one front door to the task graphs: a format's
+``get_format(name).factorize_dtd / solve_dtd / compress_graph(...,
+policy=ExecutionPolicy(...))``, or a builder constructed directly under a
+policy (``Builder(..., policy=ExecutionPolicy(backend="deferred")).record()``
+gives a recorded graph that has not run yet).  Every builder records into the
+runtime its policy makes.  The registry imports ``repro.pipeline.factorize``
+/ ``repro.pipeline.solve`` on first use.
 """
 
-from repro.pipeline.panels import (
-    apply_operator,
-    column_panels,
-    handle_namespace,
-    refine_once,
-)
-from repro.pipeline.policy import (
-    BACKENDS,
-    RUNTIME_BACKENDS,
-    ExecutionPolicy,
-    resolve_policy,
-)
+from repro.pipeline.panels import apply_operator, column_panels, refine_once
+from repro.pipeline.policy import BACKENDS, RUNTIME_BACKENDS, ExecutionPolicy
 from repro.pipeline.builder import GraphBuilder, SolveGraphBuilder
 from repro.pipeline.registry import (
     FormatSpec,
@@ -50,7 +44,6 @@ __all__ = [
     "BACKENDS",
     "RUNTIME_BACKENDS",
     "ExecutionPolicy",
-    "resolve_policy",
     "GraphBuilder",
     "SolveGraphBuilder",
     "FormatSpec",
@@ -60,6 +53,5 @@ __all__ = [
     "format_titles",
     "apply_operator",
     "column_panels",
-    "handle_namespace",
     "refine_once",
 ]

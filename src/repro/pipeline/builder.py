@@ -24,9 +24,9 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.pipeline.panels import column_panels, handle_namespace
+from repro.core.rhs import check_rhs_shape
+from repro.pipeline.panels import column_panels
 from repro.pipeline.policy import ExecutionPolicy
-from repro.runtime.dtd import DTDRuntime
 
 __all__ = ["GraphBuilder", "SolveGraphBuilder"]
 
@@ -38,12 +38,8 @@ class GraphBuilder:
     ----------
     policy:
         The execution policy (must use a runtime backend).  Defaults to
-        ``immediate`` execution.
-    runtime:
-        Record into an existing runtime instead of a fresh one.  Execution
-        then stays sequential (:meth:`DTDRuntime.run`) unless the policy says
-        otherwise -- this is how the legacy ``runtime=`` / ``execute=False``
-        driver arguments are honoured.
+        ``immediate`` execution.  The builder records into the fresh runtime
+        the policy makes (:meth:`ExecutionPolicy.make_runtime`).
     """
 
     #: Structural depth handed to the distribution strategy; subclasses set
@@ -51,19 +47,14 @@ class GraphBuilder:
     #: flat block row set is mapped onto).
     max_level: int = 0
 
-    def __init__(
-        self,
-        *,
-        policy: Optional[ExecutionPolicy] = None,
-        runtime: Optional[DTDRuntime] = None,
-    ) -> None:
+    def __init__(self, *, policy: Optional[ExecutionPolicy] = None) -> None:
         self.policy = policy if policy is not None else ExecutionPolicy(backend="immediate")
         if not self.policy.uses_runtime:
             raise ValueError(
                 "graph builders require a runtime backend; "
                 "backend 'off' is the sequential reference path"
             )
-        self.runtime = runtime if runtime is not None else self.policy.make_runtime()
+        self.runtime = self.policy.make_runtime()
         self.strategy = None
         self._phase = 0
         self._recorded = False
@@ -178,10 +169,10 @@ class SolveGraphBuilder(GraphBuilder):
     """Scaffold shared by the task-graph solve builders.
 
     Adds to :class:`GraphBuilder` the right-hand-side handling every solve
-    driver used to duplicate: shape validation, 2-D normalization, the split
-    into independent RHS column panels (each panel carries its own
-    forward/root/backward task chain), per-recording handle namespacing, and
-    the scatter of the solved leaf blocks back into a dense ``(n, k)`` block.
+    graph needs: shape validation, 2-D normalization, the split into
+    independent RHS column panels (each panel carries its own
+    forward/root/backward task chain), and the scatter of the solved leaf
+    blocks back into a dense ``(n, k)`` block.
 
     Subclasses keep every mutable block store in a :meth:`store` dict (solved
     blocks go into :attr:`sol`) and implement :meth:`gather` plus the usual
@@ -199,27 +190,19 @@ class SolveGraphBuilder(GraphBuilder):
         b: np.ndarray,
         *,
         policy: Optional[ExecutionPolicy] = None,
-        runtime: Optional[DTDRuntime] = None,
     ) -> None:
-        super().__init__(policy=policy, runtime=runtime)
-        #: Only a graph alone in a deferred runtime of its own can be rewound
-        #: and run again (immediate bodies ran at insertion; a caller's
-        #: runtime may hold other recordings).
-        self.replayable = runtime is None and self.runtime.execution == "deferred"
+        super().__init__(policy=policy)
+        #: Only a deferred graph can be rewound and run again (immediate
+        #: bodies ran at insertion).
+        self.replayable = self.runtime.execution == "deferred"
         self.factor = factor
         self._stores: list = []
         self._set_rhs(b)
         self.panels = column_panels(self.bm.shape[1], self.policy.panel_size)
-        #: Unique suffix so repeated solves can record into one shared runtime.
-        self.ns = handle_namespace(self.runtime)
         #: Mutable store of solved blocks, filled by the backward tasks.
         self.sol: dict = self.store()
 
     def _set_rhs(self, b: np.ndarray) -> None:
-        # Imported here: repro.core's package __init__ pulls in the *_dtd
-        # wrappers, which import this module -- a top-level import would cycle.
-        from repro.core.rhs import check_rhs_shape
-
         # Normalize without copying: builders only read bm (the leaf seeds are
         # slice copies), so a validate_rhs working copy would be pure overhead.
         check_rhs_shape(b, self.n)
@@ -243,7 +226,7 @@ class SolveGraphBuilder(GraphBuilder):
         part of the plan: both are set from it, on or off.
         """
         if not self._recorded or not self.replayable:
-            raise RuntimeError("only a recorded graph in a deferred runtime of its own can be rebound")
+            raise RuntimeError("only a recorded graph in a deferred runtime can be rebound")
         width = self.panels[-1].stop
         self.release()
         self._set_rhs(b)

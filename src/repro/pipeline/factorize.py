@@ -6,6 +6,9 @@ Two builders cover every format:
     The multi-level HSS-ULV graph (Fig. 8): per-node diagonal-product and
     partial-factorization tasks walking the tree from the leaves to the root,
     sibling Schur complements merged into the parent, one final root POTRF.
+    :func:`build_hss_ulv_taskgraph` records the same graph *symbolically*
+    from an :class:`~repro.formats.hss.HSSStructure` (sizes and ranks only)
+    for the distributed-machine simulator.
 
 :class:`LeafULVFactorizeBuilder`
     The single-level leaf-ULV graph (Alg. 1) over any *leaf system*
@@ -22,14 +25,17 @@ tasks and define the distributed result fragments.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.hss_ulv import HSSNodeFactor, HSSULVFactor
 from repro.core.partial_cholesky import partial_cholesky
+from repro.distribution.strategies import DistributionStrategy, RowCyclicDistribution
+from repro.formats.hss import HSSStructure
 from repro.lowrank.qr import full_orthogonal_basis
 from repro.pipeline.builder import GraphBuilder
+from repro.runtime.dtd import DTDRuntime
 from repro.runtime.flops import (
     flops_diag_product,
     flops_partial_factor,
@@ -37,7 +43,12 @@ from repro.runtime.flops import (
 )
 from repro.runtime.task import AccessMode
 
-__all__ = ["HSSULVFactorizeBuilder", "LeafULVFactorizeBuilder", "leaf_virtual_level"]
+__all__ = [
+    "HSSULVFactorizeBuilder",
+    "build_hss_ulv_taskgraph",
+    "LeafULVFactorizeBuilder",
+    "leaf_virtual_level",
+]
 
 
 def leaf_virtual_level(nblocks: int) -> int:
@@ -53,8 +64,8 @@ def leaf_virtual_level(nblocks: int) -> int:
 class HSSULVFactorizeBuilder(GraphBuilder):
     """Record (and execute) the HSS-ULV factorization task graph."""
 
-    def __init__(self, hss, *, policy=None, runtime=None) -> None:
-        super().__init__(policy=policy, runtime=runtime)
+    def __init__(self, hss, *, policy=None) -> None:
+        super().__init__(policy=policy)
         self.hss = hss
         self.max_level = hss.max_level
         self.factor = HSSULVFactor(hss=hss)
@@ -197,6 +208,112 @@ class HSSULVFactorizeBuilder(GraphBuilder):
         return self.factor
 
 
+def build_hss_ulv_taskgraph(
+    structure: HSSStructure,
+    *,
+    nodes: int = 1,
+    distribution: Optional[DistributionStrategy] = None,
+) -> DTDRuntime:
+    """Build the HSS-ULV task graph symbolically from a structural description.
+
+    The graph has exactly the same tasks, dependencies, flop counts, handle
+    sizes and owners as :class:`HSSULVFactorizeBuilder` records for the
+    matrix the structure describes, but no numerical payloads -- so the
+    distributed-machine simulator can replay paper-scale problems (N up to
+    262,144) without any numerical work.
+    """
+    rt = DTDRuntime(execution="symbolic")
+    max_level = structure.max_level
+
+    d_handle: Dict[Tuple[int, int], object] = {}
+    s_handle: Dict[Tuple[int, int], object] = {}
+    schur_handle: Dict[Tuple[int, int], object] = {}
+    u_handle: Dict[Tuple[int, int], object] = {}
+
+    for level in range(max_level, -1, -1):
+        for i in range(structure.num_blocks(level)):
+            m = structure.block_size(level, i)
+            d_handle[(level, i)] = rt.new_handle(
+                f"D[{level};{i}]", nbytes=8 * m * m, level=level, row=i, max_level=max_level
+            )
+            if level > 0:
+                r = structure.rank(level, i)
+                u_handle[(level, i)] = rt.new_handle(
+                    f"U[{level};{i}]", nbytes=8 * m * r, level=level, row=i, max_level=max_level
+                )
+                schur_handle[(level, i)] = rt.new_handle(
+                    f"SCHUR[{level};{i}]", nbytes=8 * r * r, level=level, row=i, max_level=max_level
+                )
+    for level in range(1, max_level + 1):
+        for k in range(2 ** (level - 1)):
+            ri = structure.rank(level, 2 * k + 1)
+            rj = structure.rank(level, 2 * k)
+            s_handle[(level, k)] = rt.new_handle(
+                f"S[{level};{2 * k + 1},{2 * k}]",
+                nbytes=8 * ri * rj,
+                level=level,
+                row=2 * k + 1,
+                col=2 * k,
+                max_level=max_level,
+            )
+
+    strategy = distribution if distribution is not None else RowCyclicDistribution(nodes, max_level=max_level)
+    strategy.assign(rt.handles)
+
+    for level in range(max_level, 0, -1):
+        phase = max_level - level
+        for i in range(structure.num_blocks(level)):
+            m = structure.block_size(level, i)
+            r = structure.rank(level, i)
+            rt.insert_task(
+                None,
+                [
+                    (u_handle[(level, i)], AccessMode.READ),
+                    (d_handle[(level, i)], AccessMode.RW),
+                ],
+                name=f"DIAG_PRODUCT[{level};{i}]",
+                kind="DIAG_PRODUCT",
+                flops=flops_diag_product(m),
+                phase=phase,
+            )
+            rt.insert_task(
+                None,
+                [
+                    (d_handle[(level, i)], AccessMode.RW),
+                    (schur_handle[(level, i)], AccessMode.WRITE),
+                ],
+                name=f"PARTIAL_FACTOR[{level};{i}]",
+                kind="PARTIAL_FACTOR",
+                flops=flops_partial_factor(m, r),
+                phase=phase,
+            )
+        for k in range(2 ** (level - 1)):
+            rt.insert_task(
+                None,
+                [
+                    (schur_handle[(level, 2 * k)], AccessMode.READ),
+                    (schur_handle[(level, 2 * k + 1)], AccessMode.READ),
+                    (s_handle[(level, k)], AccessMode.READ),
+                    (d_handle[(level - 1, k)], AccessMode.WRITE),
+                ],
+                name=f"MERGE[{level - 1};{k}]",
+                kind="MERGE",
+                flops=0.0,
+                phase=phase,
+            )
+
+    m0 = structure.block_size(0, 0)
+    rt.insert_task(
+        None,
+        [(d_handle[(0, 0)], AccessMode.RW)],
+        name="ROOT_POTRF",
+        kind="POTRF",
+        flops=flops_potrf(m0),
+        phase=max_level,
+    )
+    return rt
+
+
 class LeafULVFactorizeBuilder(GraphBuilder):
     """Record (and execute) the leaf-ULV factorization graph over a leaf system.
 
@@ -207,8 +324,8 @@ class LeafULVFactorizeBuilder(GraphBuilder):
     bit-identical to that sequential reference.
     """
 
-    def __init__(self, system, factor, *, policy=None, runtime=None) -> None:
-        super().__init__(policy=policy, runtime=runtime)
+    def __init__(self, system, factor, *, policy=None) -> None:
+        super().__init__(policy=policy)
         self.system = system
         self.factor = factor
         # The flat block rows are mapped onto a virtual tree level deep

@@ -1,11 +1,8 @@
 """RHS-panel plumbing shared by every task-graph solve builder.
 
-Panel decomposition of a multi-RHS block, per-recording handle namespacing,
-one-step iterative refinement, and a columnwise-safe operator application
-(some operators -- ``BLR2Matrix.matvec`` among them -- only accept vectors).
-Lifted out of ``repro.solve.common`` so the pipeline scaffold can use it
-without importing the solve drivers (which are built *on* the scaffold);
-``repro.solve.common`` re-exports everything for backward compatibility.
+Panel decomposition of a multi-RHS block, one-step iterative refinement, and
+a columnwise-safe operator application (some operators --
+``BLR2Matrix.matvec`` among them -- only accept vectors).
 """
 
 from __future__ import annotations
@@ -14,18 +11,7 @@ from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-__all__ = ["column_panels", "apply_operator", "handle_namespace", "refine_once"]
-
-
-def handle_namespace(rt: Any) -> str:
-    """Unique per-recording suffix for a solve's handle names.
-
-    Handle names must be unique within a runtime; suffixing them with the
-    current handle count lets repeated solves share one runtime (the
-    ``runtime=`` parameter of the drivers) without colliding.  The first
-    recording into a fresh runtime keeps the pretty unsuffixed names.
-    """
-    return f"@{len(rt.handles)}" if rt.handles else ""
+__all__ = ["column_panels", "apply_operator", "refine_once"]
 
 
 def refine_once(

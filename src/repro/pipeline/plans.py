@@ -20,13 +20,12 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Any, Iterator, Optional, Type
+from typing import Any, Iterator, Type
 
 import numpy as np
 
 from repro.pipeline.builder import SolveGraphBuilder
 from repro.pipeline.policy import ExecutionPolicy
-from repro.runtime.dtd import DTDRuntime
 
 __all__ = ["SolvePlans"]
 
@@ -62,16 +61,13 @@ class SolvePlans:
         factor: Any,
         b: np.ndarray,
         policy: ExecutionPolicy,
-        *,
-        runtime: Optional[DTDRuntime] = None,
     ) -> Iterator[SolveGraphBuilder]:
         """The builder to solve ``b`` with: a rebound plan, or a fresh recording.
 
         Counts the choice on ``policy.metrics``
         (``repro_solve_plan_replays_total`` / ``..._records_total``).  The
         ``immediate`` backend runs its bodies at insertion by contract, so it
-        records every time and is never kept; nor is a recording into a
-        caller's ``runtime``, which may hold other graphs.
+        records every time and is never kept.
         """
         shape = np.shape(b)
         key = (shape[1] if len(shape) == 2 else 1, replace(policy, trace=False, metrics=None))
@@ -81,7 +77,7 @@ class SolvePlans:
         if replayed:
             plan.rebind(b, policy)
         else:
-            plan = builder_cls(factor, b, policy=policy, runtime=runtime)
+            plan = builder_cls(factor, b, policy=policy)
         if policy.metrics is not None:
             from repro.obs.runtime_metrics import record_solve_plan
 

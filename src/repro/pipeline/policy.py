@@ -1,13 +1,12 @@
 """The single execution-backend description and dispatch point.
 
-Before this layer existed, every entry point (the :class:`~repro.api.StructuredSolver`
-facade, the CLI, the :class:`~repro.service.SolverService`) re-implemented the
-``use_runtime`` normalization, and every ``*_dtd`` graph builder carried its own
-``if distributed / elif parallel / else`` execution branch.  One
-:class:`ExecutionPolicy` now captures the full backend selection -- backend
-name, worker threads, worker processes, distribution strategy and RHS panel
-width -- and :meth:`ExecutionPolicy.execute` is the only place in the codebase
-that dispatches a recorded task graph onto a backend.
+One :class:`ExecutionPolicy` captures the full backend selection of the
+facade, the CLI, the :class:`~repro.service.SolverService` and every graph
+builder -- backend name, worker threads, worker processes, distribution
+strategy and RHS panel width -- and :meth:`ExecutionPolicy.execute` is the
+only place in the codebase that dispatches a recorded task graph onto a
+backend.  A builder records into the runtime its policy makes
+(:meth:`ExecutionPolicy.make_runtime`).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from repro.distribution.strategies import (
 )
 from repro.runtime.dtd import DTDRuntime
 
-__all__ = ["BACKENDS", "RUNTIME_BACKENDS", "ExecutionPolicy", "resolve_policy"]
+__all__ = ["BACKENDS", "RUNTIME_BACKENDS", "ExecutionPolicy"]
 
 #: Every execution backend, in the order the docs present them.  ``"off"`` is
 #: the sequential reference implementation (no task graph); the rest record a
@@ -242,13 +241,6 @@ class ExecutionPolicy:
           order (a no-op for ``immediate`` bodies that already ran), returning
           None.
         """
-        if self.trace and not runtime.trace:
-            # A caller-supplied runtime may predate the policy; deferred
-            # bodies have not run yet, so turning tracing on here still
-            # captures every span (immediate bodies recorded their own).
-            runtime.trace = True
-        if self.metrics is not None and runtime.metrics is None:
-            runtime.metrics = self.metrics
         if self.backend == "distributed":
             if runtime.num_tasks == 0:
                 return None
@@ -275,42 +267,3 @@ class ExecutionPolicy:
         runtime.run()
         return None
 
-
-def resolve_policy(
-    runtime: Optional[DTDRuntime],
-    execution: Optional[str],
-    *,
-    nodes: int = 1,
-    distribution: Optional[Union[str, DistributionStrategy]] = None,
-    n_workers: int = 4,
-    panel_size: Optional[int] = None,
-    data_plane: Optional[str] = None,
-) -> tuple:
-    """Resolve the legacy ``runtime`` / ``execution`` driver arguments.
-
-    Mirrors the contract of the pre-pipeline ``*_dtd`` drivers: ``execution``
-    names the backend (mutually exclusive with ``runtime``); an explicit
-    ``runtime`` records into the caller's runtime and executes sequentially.
-    Returns ``(policy, runtime)`` for a :class:`~repro.pipeline.builder.GraphBuilder`.
-    """
-    if execution is not None:
-        if runtime is not None:
-            raise ValueError("pass either `runtime` or `execution`, not both")
-        if execution not in RUNTIME_BACKENDS:
-            raise ValueError(
-                f"unknown execution mode {execution!r}; "
-                "expected 'immediate', 'deferred', 'parallel', 'process' or "
-                "'distributed'"
-            )
-        backend = execution
-    else:
-        backend = "immediate"
-    policy = ExecutionPolicy(
-        backend=backend,
-        nodes=nodes,
-        n_workers=n_workers,
-        distribution=distribution,
-        panel_size=panel_size,
-        data_plane=data_plane,
-    )
-    return policy, runtime

@@ -105,8 +105,8 @@ def format_titles() -> Dict[str, str]:
 
 # ---------------------------------------------------------------------------
 # Built-in formats.  The wrappers normalize the per-format build signatures
-# (compression method names differ) and adapt the legacy driver interfaces to
-# the policy-driven one.
+# (compression method names differ) and bind each format to its graph
+# builders.
 # ---------------------------------------------------------------------------
 
 

@@ -18,8 +18,8 @@ Multi-RHS blocks are split into independent column panels, each carrying its
 own forward/root/backward task chain (scaffolded by
 :class:`~repro.pipeline.builder.SolveGraphBuilder`); every backend produces
 solutions bit-identical to the sequential reference solves.
-:func:`solve_through_builder` is the shared driver handling the legacy
-``runtime``/``execution`` arguments and the optional one-step iterative
+:func:`solve_through_builder` is the shared entry point behind every
+format's ``solve_dtd``: plan replay and the optional one-step iterative
 refinement.
 """
 
@@ -34,7 +34,7 @@ from repro.pipeline.builder import SolveGraphBuilder
 from repro.pipeline.factorize import leaf_virtual_level
 from repro.pipeline.panels import refine_once
 from repro.pipeline.plans import SolvePlans
-from repro.pipeline.policy import ExecutionPolicy, resolve_policy
+from repro.pipeline.policy import ExecutionPolicy
 from repro.runtime.dtd import DTDRuntime
 from repro.runtime.flops import (
     flops_solve_backward,
@@ -55,16 +55,10 @@ def solve_through_builder(
     factor,
     b: np.ndarray,
     *,
-    runtime: Optional[DTDRuntime] = None,
-    execution: Optional[str] = None,
-    nodes: int = 1,
-    distribution=None,
-    n_workers: int = 4,
-    panel_size: Optional[int] = None,
+    policy: ExecutionPolicy,
     refine: bool = False,
     matvec=None,
     default_op=None,
-    policy: Optional[ExecutionPolicy] = None,
     plans: Optional[SolvePlans] = None,
 ) -> Tuple[np.ndarray, DTDRuntime]:
     """Record (or replay), execute and post-process one task-graph solve.
@@ -77,18 +71,9 @@ def solve_through_builder(
     ``default_op``, the factorized operator) on the same backend -- through
     the same graph where it can be replayed -- and adds the correction.
     """
-    if policy is None:
-        policy, runtime = resolve_policy(
-            runtime,
-            execution,
-            nodes=nodes,
-            distribution=distribution,
-            n_workers=n_workers,
-            panel_size=panel_size,
-        )
     if plans is None:
         plans = SolvePlans()  # nobody to keep the recording for: record, run, drop
-    with plans.checkout(builder_cls, factor, b, policy, runtime=runtime) as builder:
+    with plans.checkout(builder_cls, factor, b, policy) as builder:
         x = builder.run()
         single = builder.single
         if refine:
@@ -98,15 +83,8 @@ def solve_through_builder(
                 if builder.replayable:
                     builder.rebind(r)
                     return builder.run()
-                # Immediate bodies already ran, and a caller-supplied runtime
-                # holds other recordings: record the residual solve afresh,
-                # in the recording mode of the caller's runtime.
-                fresh = (
-                    DTDRuntime(execution=builder.runtime.execution)
-                    if runtime is not None
-                    else None
-                )
-                return builder_cls(factor, r, policy=policy, runtime=fresh).run()
+                # Immediate bodies already ran: record the residual solve afresh.
+                return builder_cls(factor, r, policy=policy).run()
 
             x = refine_once(solve_residual, op, builder.bm, x)
     return (x[:, 0] if single else x), builder.runtime
@@ -115,8 +93,8 @@ def solve_through_builder(
 class HSSULVSolveBuilder(SolveGraphBuilder):
     """The forward/root/backward HSS-ULV solve graph for one RHS block."""
 
-    def __init__(self, factor, b, *, policy=None, runtime=None) -> None:
-        super().__init__(factor, b, policy=policy, runtime=runtime)
+    def __init__(self, factor, b, *, policy=None) -> None:
+        super().__init__(factor, b, policy=policy)
         self.max_level = factor.hss.max_level
         # Mutable per-panel stores the task bodies operate on.
         self._work: Dict[Tuple[int, int, int], np.ndarray] = self.store()
@@ -135,20 +113,20 @@ class HSSULVSolveBuilder(SolveGraphBuilder):
         return self.factor.hss.n
 
     def declare_handles(self) -> None:
-        factor, ns, max_level = self.factor, self.ns, self.max_level
+        factor, max_level = self.factor, self.max_level
         # Immutable factor handles: read-only inputs of every solve task.
         # They have no writer, so they never cross a process boundary (forked
         # workers inherit the factors), but declaring them keeps the recorded
         # graph an honest description of the data each task touches.
         for (level, i), nf in sorted(factor.node_factors.items()):
             self._fac[(level, i)] = self.handle(
-                f"ULV[{level};{i}]{ns}",
+                f"ULV[{level};{i}]",
                 nf.U.nbytes + nf.partial.L_rr.nbytes + nf.partial.L_sr.nbytes,
                 level=level,
                 row=i,
             )
         self._root = self.handle(
-            f"ULV_ROOT{ns}", factor.root_chol.nbytes, level=0, row=0
+            "ULV_ROOT", factor.root_chol.nbytes, level=0, row=0
         )
         # Per-panel RHS/solution handles, bound to the stores so the
         # distributed backend can move their values between processes.
@@ -162,20 +140,20 @@ class HSSULVSolveBuilder(SolveGraphBuilder):
                     else:
                         m = r = factor.root_chol.shape[0]
                     self._work_h[(p, level, i)] = self.handle(
-                        f"B[{level};{i};p{p}]{ns}", 8 * m * pw,
+                        f"B[{level};{i};p{p}]", 8 * m * pw,
                         level=level, row=i, panel=p,
                     ).bind_item(self._work, (p, level, i))
                     self._sol_h[(p, level, i)] = self.handle(
-                        f"X[{level};{i};p{p}]{ns}", 8 * m * pw,
+                        f"X[{level};{i};p{p}]", 8 * m * pw,
                         level=level, row=i, panel=p,
                     ).bind_item(self.sol, (p, level, i))
                     if level > 0:
                         self._z_h[(p, level, i)] = self.handle(
-                            f"Z[{level};{i};p{p}]{ns}", 8 * (m - r) * pw,
+                            f"Z[{level};{i};p{p}]", 8 * (m - r) * pw,
                             level=level, row=i, panel=p,
                         ).bind_item(self._zs, (p, level, i))
                         self._s_h[(p, level, i)] = self.handle(
-                            f"BS[{level};{i};p{p}]{ns}", 8 * r * pw,
+                            f"BS[{level};{i};p{p}]", 8 * r * pw,
                             level=level, row=i, panel=p,
                         ).bind_item(self._bs, (p, level, i))
 
@@ -321,8 +299,8 @@ class LeafULVSolveBuilder(SolveGraphBuilder):
     back-substitution task.
     """
 
-    def __init__(self, factor, b, *, policy=None, runtime=None) -> None:
-        super().__init__(factor, b, policy=policy, runtime=runtime)
+    def __init__(self, factor, b, *, policy=None) -> None:
+        super().__init__(factor, b, policy=policy)
         # Same virtual tree level as the factorization graph, so the
         # row-cyclic strategy spreads the flat block rows identically.
         self.max_level = leaf_virtual_level(factor.system.nblocks)
@@ -346,20 +324,20 @@ class LeafULVSolveBuilder(SolveGraphBuilder):
         return self.factor.system.n
 
     def declare_handles(self) -> None:
-        factor, ns, level = self.factor, self.ns, self.max_level
+        factor, level = self.factor, self.max_level
         system = factor.system
         nb = system.nblocks
         # Immutable factor handles (no writers: inherited by forked workers).
         for i in range(nb):
             part = factor.partials[i]
             self._fac[i] = self.handle(
-                f"ULV[{i}]{ns}",
+                f"ULV[{i}]",
                 factor.bases[i].nbytes + part.L_rr.nbytes + part.L_sr.nbytes,
                 level=level,
                 row=i,
             )
         self._root = self.handle(
-            f"ULV_ROOT{ns}", factor.merged_chol.nbytes, level=0, row=0
+            "ULV_ROOT", factor.merged_chol.nbytes, level=0, row=0
         )
         for p, cols in enumerate(self.panels):
             pw = cols.stop - cols.start
@@ -368,19 +346,19 @@ class LeafULVSolveBuilder(SolveGraphBuilder):
                 m = rng.stop - rng.start
                 r = system.rank(i)
                 self._bin_h[(p, i)] = self.handle(
-                    f"B[{i};p{p}]{ns}", 8 * m * pw, level=level, row=i, panel=p
+                    f"B[{i};p{p}]", 8 * m * pw, level=level, row=i, panel=p
                 ).bind_item(self._bin, (p, i))
                 self._z_h[(p, i)] = self.handle(
-                    f"Z[{i};p{p}]{ns}", 8 * (m - r) * pw, level=level, row=i, panel=p
+                    f"Z[{i};p{p}]", 8 * (m - r) * pw, level=level, row=i, panel=p
                 ).bind_item(self._zs, (p, i))
                 self._s_h[(p, i)] = self.handle(
-                    f"BS[{i};p{p}]{ns}", 8 * r * pw, level=level, row=i, panel=p
+                    f"BS[{i};p{p}]", 8 * r * pw, level=level, row=i, panel=p
                 ).bind_item(self._bs, (p, i))
                 self._sol_h[(p, i)] = self.handle(
-                    f"X[{i};p{p}]{ns}", 8 * m * pw, level=level, row=i, panel=p
+                    f"X[{i};p{p}]", 8 * m * pw, level=level, row=i, panel=p
                 ).bind_item(self.sol, (p, i))
             self._y_h[p] = self.handle(
-                f"Y[p{p}]{ns}", 8 * self._offsets[-1] * pw, level=0, row=0, panel=p
+                f"Y[p{p}]", 8 * self._offsets[-1] * pw, level=0, row=0, panel=p
             ).bind_item(self._ys, p)
 
     def seed(self) -> None:

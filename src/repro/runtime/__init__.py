@@ -46,11 +46,12 @@ modes, all producing bit-identical results:
     Bodies are never run; only the graph (block sizes, flops, bytes) is
     recorded.  Used to generate paper-scale DAGs for the machine simulator.
 
-The factorization drivers (:func:`repro.core.hss_ulv_dtd.hss_ulv_factorize_dtd`,
-:func:`repro.core.blr2_ulv_dtd.blr2_ulv_factorize_dtd`) and the
-:class:`~repro.api.HSSSolver` facade expose these as
-``execution="immediate" | "deferred" | "parallel" | "distributed"`` /
-``use_runtime="off" | "immediate" | "parallel" | "distributed"``.
+The graph builders of :mod:`repro.pipeline` select among these through an
+:class:`~repro.pipeline.policy.ExecutionPolicy` backend
+(``"immediate" | "deferred" | "parallel" | "process" | "distributed"``), and
+the :class:`~repro.api.StructuredSolver` facade as
+``use_runtime="off" | "immediate" | "deferred" | "parallel" | "process" |
+"distributed"``.
 """
 
 from repro.runtime.data import DataHandle

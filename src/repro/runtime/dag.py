@@ -228,16 +228,5 @@ class TaskGraph:
             total += float(sum(h.nbytes for h in handles))
         return total
 
-    def to_networkx(self):
-        """Export to a :class:`networkx.DiGraph` (node attributes: kind, flops, phase)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for t in self.tasks:
-            g.add_node(t.tid, name=t.name, kind=t.kind, flops=t.flops, phase=t.phase)
-        for s, d in self.edges:
-            g.add_edge(s, d)
-        return g
-
     def __repr__(self) -> str:
         return f"TaskGraph(tasks={self.num_tasks}, edges={self.num_edges}, flops={self.total_flops():.3g})"

@@ -22,8 +22,8 @@ Modules
     The queue message types exchanged between workers and the parent.
 
 Entry points: :meth:`repro.runtime.dtd.DTDRuntime.run_distributed`,
-``execution="distributed"`` on the ULV factorization drivers,
-``HSSSolver.factorize(use_runtime="distributed")`` and
+``ExecutionPolicy(backend="distributed", nodes=N)`` on any graph builder,
+``StructuredSolver.factorize(use_runtime="distributed")`` and
 ``python -m repro solve --runtime distributed --nodes N``.
 """
 

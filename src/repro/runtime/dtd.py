@@ -39,7 +39,7 @@ from repro.runtime.dag import TaskGraph
 from repro.runtime.data import DataHandle
 from repro.runtime.task import AccessMode, Task, TaskAccess, normalize_accesses
 
-__all__ = ["DTDRuntime", "resolve_execution"]
+__all__ = ["DTDRuntime"]
 
 
 class DTDRuntime:
@@ -522,29 +522,3 @@ class DTDRuntime:
     def __repr__(self) -> str:
         return f"DTDRuntime(execution={self.execution!r}, tasks={self.num_tasks})"
 
-
-def resolve_execution(
-    runtime: Optional[DTDRuntime], execution: Optional[str]
-) -> Tuple[DTDRuntime, str]:
-    """Resolve the ``runtime`` / ``execution`` arguments of a DTD factorization driver.
-
-    Returns ``(runtime, mode)`` where ``mode`` tells the caller how to execute
-    the recorded graph: ``"sequential"`` (:meth:`DTDRuntime.run`),
-    ``"parallel"`` (:meth:`DTDRuntime.run_parallel`) or ``"distributed"``
-    (:meth:`DTDRuntime.run_distributed`).  ``execution`` must be one of
-    ``"immediate"``, ``"deferred"``, ``"parallel"`` or ``"distributed"`` and
-    is mutually exclusive with passing an existing ``runtime``.
-    """
-    if execution is not None:
-        if runtime is not None:
-            raise ValueError("pass either `runtime` or `execution`, not both")
-        if execution in ("parallel", "process", "distributed"):
-            return DTDRuntime(execution="deferred"), execution
-        if execution in ("immediate", "deferred"):
-            return DTDRuntime(execution=execution), "sequential"
-        raise ValueError(
-            f"unknown execution mode {execution!r}; "
-            "expected 'immediate', 'deferred', 'parallel', 'process' or "
-            "'distributed'"
-        )
-    return (runtime if runtime is not None else DTDRuntime(execution="immediate")), "sequential"

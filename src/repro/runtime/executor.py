@@ -4,10 +4,9 @@ This is the "real execution" counterpart of the simulator: ``n_workers``
 workers -- the calling thread plus ``n_workers - 1`` threads -- execute the
 task bodies respecting the DAG dependencies.  NumPy/BLAS
 releases the GIL inside the dense kernels, so genuinely concurrent execution
-of independent tasks is possible.  Used by the ``"parallel"`` execution mode
-of the DTD factorizations (:func:`repro.core.hss_ulv_dtd.hss_ulv_factorize_dtd`
-and :func:`repro.core.blr2_ulv_dtd.blr2_ulv_factorize_dtd`) and by examples,
-benchmarks and tests to demonstrate that the task-based factorization produces
+of independent tasks is possible.  Used by the ``"parallel"`` backend of
+:class:`~repro.pipeline.policy.ExecutionPolicy` (every compress, factorize
+and solve graph builder) and by examples, benchmarks and tests to demonstrate that the task-based factorization produces
 the same numbers as the sequential reference regardless of execution order.
 
 Scheduling is entirely event-driven (no polling): workers sleep on a condition

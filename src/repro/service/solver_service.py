@@ -433,7 +433,7 @@ class SolverService:
                 f"{sorted(_BACKEND_TO_RUNTIME)}"
             )
         if backend == "reference" and (panel_size is not None or distribution is not None):
-            # Mirror HSSSolver.solve: never silently drop task-graph-only knobs.
+            # Mirror StructuredSolver.solve: never silently drop task-graph-only knobs.
             raise ValueError(
                 "panel_size and distribution only apply to the task-graph "
                 "backends; backend='reference' would ignore them"

@@ -50,6 +50,8 @@ __all__ = [
     "run_pipeline",
     "sequential_pipeline",
     "assert_replay_bit_identical",
+    "factorize_graph",
+    "solve_graph",
 ]
 
 #: Seed of the case generator; override with REPRO_HARNESS_SEED to explore
@@ -278,3 +280,27 @@ def assert_replay_bit_identical(
         else:
             assert runtime is recorded[0], "a later solve re-recorded instead of replaying"
             assert runtime.num_tasks == recorded[1]
+
+
+def factorize_graph(fmt: str, matrix, backend: str = "immediate", **policy):
+    """``get_format(fmt).factorize_dtd`` under ``ExecutionPolicy(backend, **policy)``.
+
+    Returns ``(factor, runtime)``.
+    """
+    return get_format(fmt).factorize_dtd(
+        matrix, policy=ExecutionPolicy(backend=backend, **policy)
+    )
+
+
+def solve_graph(
+    fmt: str, factor, b, backend: str = "immediate", *, refine: bool = False,
+    matvec=None, **policy,
+):
+    """``get_format(fmt).solve_dtd`` under ``ExecutionPolicy(backend, **policy)``.
+
+    Returns ``(x, runtime)``; every call records (no plan cache).
+    """
+    return get_format(fmt).solve_dtd(
+        factor, b, policy=ExecutionPolicy(backend=backend, **policy),
+        refine=refine, matvec=matvec,
+    )

@@ -1,21 +1,21 @@
-"""Tests for the high-level HSSSolver facade."""
+"""Tests for the high-level StructuredSolver facade."""
 
 import numpy as np
 import pytest
 
-from repro.api import HSSSolver
+from repro.api import StructuredSolver
 from repro.geometry.points import random_uniform
 
 
 @pytest.fixture(scope="module")
 def solver():
-    return HSSSolver.from_kernel("yukawa", n=512, leaf_size=64, max_rank=24)
+    return StructuredSolver.from_kernel("yukawa", n=512, leaf_size=64, max_rank=24)
 
 
-class TestHSSSolver:
+class TestStructuredSolver:
     def test_construction(self, solver):
         assert solver.n == 512
-        assert solver.hss.leaf_size == 64
+        assert solver.matrix.leaf_size == 64
         assert solver.factor is None
 
     def test_solve_and_errors(self, solver, rng):
@@ -42,17 +42,17 @@ class TestHSSSolver:
 
     def test_from_points(self, rng):
         pts = random_uniform(256, dim=2, seed=3)
-        solver = HSSSolver.from_points("matern", pts, leaf_size=64, max_rank=20)
+        solver = StructuredSolver.from_points("matern", pts, leaf_size=64, max_rank=20)
         b = rng.standard_normal(256)
         x = solver.solve(solver.matvec(b))
         assert np.linalg.norm(x - b) / np.linalg.norm(b) < 1e-8
 
     def test_kernel_params_forwarded(self):
-        solver = HSSSolver.from_kernel("matern", n=256, leaf_size=64, max_rank=16, sigma=2.0)
+        solver = StructuredSolver.from_kernel("matern", n=256, leaf_size=64, max_rank=16, sigma=2.0)
         assert solver.kernel_matrix.kernel.sigma == 2.0
 
     def test_factorize_with_runtime(self, rng):
-        solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
+        solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
         factor = solver.factorize(use_runtime=True, nodes=4)
         b = rng.standard_normal(256)
         x = factor.solve(solver.matvec(b))
@@ -61,8 +61,8 @@ class TestHSSSolver:
     def test_factorize_parallel_runtime(self, rng):
         """use_runtime="parallel" goes through the thread-pool executor and
         matches the sequential reference factor exactly."""
-        seq = HSSSolver.from_kernel("yukawa", n=512, leaf_size=64, max_rank=24)
-        par = HSSSolver.from_kernel("yukawa", n=512, leaf_size=64, max_rank=24)
+        seq = StructuredSolver.from_kernel("yukawa", n=512, leaf_size=64, max_rank=24)
+        par = StructuredSolver.from_kernel("yukawa", n=512, leaf_size=64, max_rank=24)
         b = rng.standard_normal(512)
         x_seq = seq.factorize().solve(b)
         x_par = par.factorize(use_runtime="parallel", n_workers=4).solve(b)
@@ -71,23 +71,23 @@ class TestHSSSolver:
 
     def test_factorize_mode_aliases(self):
         for mode in (False, True, "off", "immediate", "deferred", "parallel"):
-            solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
+            solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
             factor = solver.factorize(use_runtime=mode, n_workers=2)
             assert factor is solver.factor
 
     def test_factorize_rejects_unknown_mode(self):
-        solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
+        solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
         with pytest.raises(ValueError, match="use_runtime"):
             solver.factorize(use_runtime="turbo")
 
     def test_factorize_rejects_unknown_mode_even_when_cached(self):
-        solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
+        solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
         solver.factorize()
         with pytest.raises(ValueError, match="use_runtime"):
             solver.factorize(use_runtime="turbo")
 
     def test_factorize_force_refactorizes(self, rng):
-        solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
+        solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
         cached = solver.factorize()
         assert solver.factorize(use_runtime="parallel") is cached  # cache wins
         fresh = solver.factorize(use_runtime="parallel", n_workers=2, force=True)
@@ -118,7 +118,7 @@ class TestHSSSolver:
         np.testing.assert_allclose(x, solver.solve(B), rtol=1e-11, atol=1e-13)
 
     def test_solve_refine_improves_residual(self, rng):
-        loose = HSSSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=10)
+        loose = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=10)
         b = rng.standard_normal(256)
         x_plain = loose.solve(b)
         x_refined = loose.solve(b, refine=True)
@@ -151,5 +151,5 @@ class TestHSSSolver:
     def test_package_exports(self):
         import repro
 
-        assert repro.HSSSolver is HSSSolver
+        assert repro.StructuredSolver is StructuredSolver
         assert isinstance(repro.__version__, str)

@@ -87,7 +87,7 @@ class TestTaskGraph:
 
     def test_more_flops_than_hss(self):
         """The BLR tile Cholesky does asymptotically more work than HSS-ULV (Table 1)."""
-        from repro.core.hss_ulv_dtd import build_hss_ulv_taskgraph
+        from repro.pipeline.factorize import build_hss_ulv_taskgraph
         from repro.formats.hss import HSSStructure
 
         n = 32768

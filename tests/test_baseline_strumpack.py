@@ -8,8 +8,8 @@ from repro.baselines.strumpack_like import (
     build_strumpack_taskgraph,
     strumpack_factorize,
 )
-from repro.core.hss_ulv_dtd import build_hss_ulv_taskgraph
 from repro.formats.hss import HSSStructure
+from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.runtime.machine import fugaku_like
 from repro.runtime.simulator import simulate
 

@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 import pytest
+from harness import solve_graph
 
 from repro.core.blr2_ulv import blr2_ulv_factorize
 from repro.core.hss_ulv import hss_ulv_factorize
@@ -20,7 +21,6 @@ from repro.formats.blr import build_blr
 from repro.formats.blr2 import build_blr2
 from repro.formats.hodlr import build_hodlr
 from repro.formats.hss import build_hss
-from repro.solve import blr2_ulv_solve_dtd, hss_ulv_solve_dtd
 
 LEAF_SIZES = (32, 64)
 MAX_RANK = 40
@@ -170,7 +170,7 @@ class TestMultiRHSSolveAcrossBackends:
     def test_hss_taskgraph_multi_rhs(self, factors, dense_small, execution, nodes, nrhs):
         hss_factor, _ = factors
         b = np.random.default_rng(nrhs).standard_normal((dense_small.shape[0], nrhs))
-        x, _ = hss_ulv_solve_dtd(hss_factor, b, execution=execution, nodes=nodes)
+        x, _ = solve_graph("hss", hss_factor, b, execution, nodes=nodes)
         x_ref = np.linalg.solve(dense_small, b)
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < SOLVE_TOL
         assert np.array_equal(x, hss_factor.solve(b))
@@ -180,7 +180,7 @@ class TestMultiRHSSolveAcrossBackends:
     def test_blr2_taskgraph_multi_rhs(self, factors, dense_small, execution, nodes, nrhs):
         _, blr2_factor = factors
         b = np.random.default_rng(nrhs).standard_normal((dense_small.shape[0], nrhs))
-        x, _ = blr2_ulv_solve_dtd(blr2_factor, b, execution=execution, nodes=nodes)
+        x, _ = solve_graph("blr2", blr2_factor, b, execution, nodes=nodes)
         x_ref = np.linalg.solve(dense_small, b)
         assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < SOLVE_TOL
         assert np.array_equal(x, blr2_factor.solve(b))

@@ -6,13 +6,12 @@ import os
 
 import numpy as np
 import pytest
+from harness import factorize_graph, solve_graph
 
 from repro.core.hodlr_ulv import HODLRLeafSystem, hodlr_ulv_factorize
-from repro.core.hodlr_ulv_dtd import hodlr_ulv_factorize_dtd
 from repro.formats.hodlr import build_hodlr
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import Yukawa
-from repro.solve.hodlr_solve_dtd import hodlr_ulv_solve_dtd
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="distributed backend requires fork (POSIX)"
@@ -93,31 +92,29 @@ class TestBitIdentityAcrossBackends:
     @pytest.mark.parametrize("k", (1, 4))
     @pytest.mark.parametrize("execution", ("immediate", "deferred", "parallel"))
     def test_factorize_and_solve(self, hodlr, hodlr_factor, execution, k):
-        factor, rt = hodlr_ulv_factorize_dtd(hodlr, execution=execution, n_workers=4)
+        factor, rt = factorize_graph("hodlr", hodlr, execution, n_workers=4)
         assert rt.num_tasks > 0
         b = _rhs(hodlr.n, k)
         np.testing.assert_array_equal(factor.solve(b), hodlr_factor.solve(b))
-        x, _ = hodlr_ulv_solve_dtd(hodlr_factor, b, execution=execution, n_workers=4)
+        x, _ = solve_graph("hodlr", hodlr_factor, b, execution, n_workers=4)
         np.testing.assert_array_equal(x, hodlr_factor.solve(b))
 
     @needs_fork
     @pytest.mark.parametrize("k", (1, 4))
     @pytest.mark.parametrize("nodes", (2, 4))
     def test_distributed(self, hodlr, hodlr_factor, nodes, k):
-        factor, rt = hodlr_ulv_factorize_dtd(hodlr, execution="distributed", nodes=nodes)
+        factor, rt = factorize_graph("hodlr", hodlr, "distributed", nodes=nodes)
         assert rt.last_distributed_report is not None
         b = _rhs(hodlr.n, k)
         np.testing.assert_array_equal(factor.solve(b), hodlr_factor.solve(b))
-        x, _ = hodlr_ulv_solve_dtd(
-            hodlr_factor, b, execution="distributed", nodes=nodes
-        )
+        x, _ = solve_graph("hodlr", hodlr_factor, b, "distributed", nodes=nodes)
         np.testing.assert_array_equal(x, hodlr_factor.solve(b))
 
     def test_panels_and_refine(self, hodlr, hodlr_factor):
         b = _rhs(hodlr.n, 8)
         ref = hodlr_factor.solve(b)
-        x, _ = hodlr_ulv_solve_dtd(hodlr_factor, b, execution="parallel", panel_size=3)
+        x, _ = solve_graph("hodlr", hodlr_factor, b, "parallel", panel_size=3)
         np.testing.assert_allclose(x, ref, atol=1e-10)
-        xr, _ = hodlr_ulv_solve_dtd(hodlr_factor, b, execution="deferred", refine=True)
+        xr, _ = solve_graph("hodlr", hodlr_factor, b, "deferred", refine=True)
         resid = np.linalg.norm(hodlr.matvec(xr) - b) / np.linalg.norm(b)
         assert resid < 1e-10

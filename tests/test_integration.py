@@ -9,17 +9,18 @@ Fig. 9-12).
 
 import numpy as np
 import pytest
+from harness import factorize_graph
 
 from repro.analysis.errors import construction_error, solve_error
 from repro.baselines.lorapo_like import blr_cholesky_factorize
 from repro.baselines.strumpack_like import build_strumpack_hss, strumpack_factorize
 from repro.core.hss_ulv import hss_ulv_factorize
-from repro.core.hss_ulv_dtd import build_hss_ulv_taskgraph, hss_ulv_factorize_dtd
 from repro.formats.blr import build_blr
 from repro.formats.hss import HSSStructure, build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import PAPER_KERNELS
+from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.runtime.machine import fugaku_like
 from repro.runtime.simulator import simulate
 
@@ -57,7 +58,7 @@ class TestAccuracyPipeline:
         points = uniform_grid_2d(n)
         kmat = KernelMatrix(PAPER_KERNELS["yukawa"], points)
         hss = build_hss(kmat, leaf_size=128, max_rank=50)
-        factor, runtime = hss_ulv_factorize_dtd(hss, nodes=8)
+        factor, runtime = factorize_graph("hss", hss, nodes=8)
         runtime.validate()
 
         b = rng.standard_normal(n)
@@ -93,7 +94,7 @@ class TestPerformancePipeline:
     def test_recorded_graph_can_be_simulated(self, kmat_small):
         """The graph recorded during a real factorization feeds the simulator."""
         hss = build_hss(kmat_small, leaf_size=32, max_rank=16)
-        _, runtime = hss_ulv_factorize_dtd(hss, nodes=4)
+        _, runtime = factorize_graph("hss", hss, nodes=4)
         res = simulate(runtime.graph, fugaku_like(4), policy="async")
         assert res.makespan > 0
         assert res.num_tasks == runtime.num_tasks

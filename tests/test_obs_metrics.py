@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.hss_ulv_dtd import hss_ulv_factorize_dtd
 from repro.formats.hss import build_hss
 from repro.obs import (
     ExpositionError,
@@ -30,6 +29,8 @@ from repro.obs import (
 )
 from repro.obs.benchreport import render_html, render_markdown, sparkline
 from repro.obs.trajectory import check_refresh, check_trajectory, sample_spreads
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
 from repro.runtime.dtd import DTDRuntime
 from repro.runtime.executor import execute_graph
 from repro.runtime.task import AccessMode
@@ -109,6 +110,12 @@ class TestRegistryBasics:
 # ---------------------------------------------------------------------------
 # merge semantics
 # ---------------------------------------------------------------------------
+def _recorded(hss, backend: str = "deferred", **policy) -> DTDRuntime:
+    """The runtime of a recorded, not yet executed, HSS factorization graph."""
+    builder = HSSULVFactorizeBuilder(hss, policy=ExecutionPolicy(backend=backend, **policy))
+    return builder.record().runtime
+
+
 def _populated(seed: int) -> MetricsRegistry:
     """A registry with deterministic, seed-dependent content of every kind."""
     reg = MetricsRegistry()
@@ -218,7 +225,7 @@ class TestMergeSemantics:
 # ---------------------------------------------------------------------------
 class TestTraceReconciliation:
     def test_thread_histograms_match_spans(self, hss):
-        _, rt = hss_ulv_factorize_dtd(hss, execution="deferred", execute=False)
+        rt = _recorded(hss)
         rt.trace = True
         rt.metrics = MetricsRegistry()
         rt.run_parallel(n_workers=2)
@@ -245,7 +252,7 @@ class TestTraceReconciliation:
         assert reg.value("repro_queue_depth", backend="parallel") >= 1
 
     def test_metrics_without_trace_leaves_trace_unattached(self, hss):
-        _, rt = hss_ulv_factorize_dtd(hss, execution="deferred", execute=False)
+        rt = _recorded(hss)
         rt.metrics = MetricsRegistry()
         rt.run_parallel(n_workers=2)
         assert rt.last_trace is None
@@ -254,7 +261,7 @@ class TestTraceReconciliation:
         ) == rt.num_tasks
 
     def test_sequential_run_records(self, hss):
-        _, rt = hss_ulv_factorize_dtd(hss, execution="deferred", execute=False)
+        rt = _recorded(hss)
         rt.metrics = MetricsRegistry()
         rt.run()
         reg = rt.metrics
@@ -269,7 +276,7 @@ class TestTraceReconciliation:
 
     def test_repeated_runs_do_not_double_count(self, hss):
         """Calling run() again must not re-record already-recorded spans."""
-        _, rt = hss_ulv_factorize_dtd(hss, execution="deferred", execute=False)
+        rt = _recorded(hss)
         rt.metrics = MetricsRegistry()
         rt.run()
         first = rt.metrics.value("repro_tasks_executed_total", backend="deferred")
@@ -339,9 +346,7 @@ class TestErrorPaths:
 @needs_fork
 class TestDistributedReconciliation:
     def test_comm_bytes_reconcile_with_ledger(self, hss):
-        _, rt = hss_ulv_factorize_dtd(
-            hss, execution="distributed", nodes=2, execute=False
-        )
+        rt = _recorded(hss, "distributed", nodes=2)
         rt.metrics = MetricsRegistry()
         rt.run_distributed(nodes=2, timeout=120.0)
         ledger = rt.last_distributed_report.ledger
@@ -374,9 +379,7 @@ class TestDistributedReconciliation:
             assert h is not None and h.count == messages
 
     def test_rank_rss_and_executed_merge_from_workers(self, hss):
-        _, rt = hss_ulv_factorize_dtd(
-            hss, execution="distributed", nodes=2, execute=False
-        )
+        rt = _recorded(hss, "distributed", nodes=2)
         rt.metrics = MetricsRegistry()
         rt.run_distributed(nodes=2, timeout=120.0)
         reg = rt.metrics

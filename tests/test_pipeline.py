@@ -6,15 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import HSSSolver, StructuredSolver
+from repro.api import StructuredSolver
 from repro.distribution.strategies import (
     BlockCyclicDistribution,
     RowCyclicDistribution,
     available_distributions,
 )
-from repro.pipeline.policy import BACKENDS, RUNTIME_BACKENDS, ExecutionPolicy, resolve_policy
+from repro.pipeline.policy import BACKENDS, RUNTIME_BACKENDS, ExecutionPolicy
 from repro.pipeline.registry import available_formats, format_titles, get_format
-from repro.runtime.dtd import DTDRuntime
 from repro.runtime.task import AccessMode
 
 needs_fork = pytest.mark.skipif(
@@ -70,14 +69,6 @@ class TestExecutionPolicy:
         assert ran == []
         policy.execute(rt)
         assert ran == [1]
-
-    def test_resolve_policy_legacy_contract(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_policy(DTDRuntime(execution="deferred"), "parallel")
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            resolve_policy(None, "warp")
-        policy, rt = resolve_policy(None, None)
-        assert policy.backend == "immediate" and rt is None
 
 
 class TestRegistry:
@@ -180,19 +171,9 @@ class TestStructuredSolverFormats:
             par.solve(b, use_runtime="parallel", n_workers=2), seq.solve(b)
         )
 
-    def test_hss_alias_and_legacy_attribute(self):
-        solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=24)
-        assert isinstance(solver, StructuredSolver)
-        assert solver.hss is solver.matrix
-
-    def test_legacy_hss_constructor_and_setter(self):
-        solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=24)
-        legacy = HSSSolver(kernel_matrix=solver.kernel_matrix, hss=solver.matrix)
-        assert legacy.hss is solver.matrix
-        rebuilt = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
-        legacy.hss = rebuilt.matrix  # assignment through the legacy name
-        assert legacy.matrix is rebuilt.matrix
-        with pytest.raises(TypeError, match="compressed matrix"):
+    def test_compressed_matrix_is_required(self):
+        solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=24)
+        with pytest.raises(TypeError, match="matrix"):
             StructuredSolver(kernel_matrix=solver.kernel_matrix)
 
     def test_unknown_format_rejected(self):

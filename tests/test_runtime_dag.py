@@ -120,12 +120,6 @@ class TestMetrics:
         g.add_edge(0, 1, h_local)
         assert g.communication_bytes() == 100.0
 
-    def test_to_networkx(self):
-        g = make_graph([(0, 1), (1, 2)])
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 3
-        assert nxg.number_of_edges() == 2
-
     def test_edge_data_deduplicated(self):
         g = make_graph([], n=2)
         h = DataHandle("h", nbytes=8)

@@ -11,11 +11,10 @@ import os
 
 import numpy as np
 import pytest
+from harness import factorize_graph
 
 from repro.core.blr2_ulv import blr2_ulv_factorize
-from repro.core.blr2_ulv_dtd import blr2_ulv_factorize_dtd
 from repro.core.hss_ulv import hss_ulv_factorize
-from repro.core.hss_ulv_dtd import hss_ulv_factorize_dtd
 from repro.distribution.strategies import (
     BlockCyclicDistribution,
     RowCyclicDistribution,
@@ -55,7 +54,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("nodes", [1, 2, 4])
     def test_hss_matches_sequential_bitwise(self, hss, rng, nodes):
         seq = hss_ulv_factorize(hss)
-        dist, rt = hss_ulv_factorize_dtd(hss, execution="distributed", nodes=nodes)
+        dist, rt = factorize_graph("hss", hss, "distributed", nodes=nodes)
         assert rt.last_distributed_report.ok
         # factor pieces, not just solves: every array must be bit-identical
         assert np.array_equal(dist.root_chol, seq.root_chol)
@@ -72,7 +71,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("nodes", [1, 2, 4])
     def test_blr2_matches_sequential_bitwise(self, blr2, rng, nodes):
         seq = blr2_ulv_factorize(blr2)
-        dist, rt = blr2_ulv_factorize_dtd(blr2, execution="distributed", nodes=nodes)
+        dist, rt = factorize_graph("blr2", blr2, "distributed", nodes=nodes)
         assert rt.last_distributed_report.ok
         assert np.array_equal(dist.merged_chol, seq.merged_chol)
         assert set(dist.bases) == set(seq.bases)
@@ -84,11 +83,8 @@ class TestBitIdentity:
 
     def test_block_cyclic_distribution_same_factors(self, hss, rng):
         seq = hss_ulv_factorize(hss)
-        dist, rt = hss_ulv_factorize_dtd(
-            hss,
-            execution="distributed",
-            nodes=4,
-            distribution=BlockCyclicDistribution(4),
+        dist, rt = factorize_graph(
+            "hss", hss, "distributed", nodes=4, distribution=BlockCyclicDistribution(4)
         )
         assert rt.last_distributed_report.ok
         b = rng.standard_normal(hss.n)
@@ -100,8 +96,8 @@ class TestCommunicationAccounting:
     @pytest.mark.parametrize("nodes", [2, 4])
     def test_measured_matches_analytic(self, hss, strategy_name, nodes):
         strategy = strategy_by_name(strategy_name, nodes, max_level=hss.max_level)
-        _, rt = hss_ulv_factorize_dtd(
-            hss, execution="distributed", nodes=nodes, distribution=strategy
+        _, rt = factorize_graph(
+            "hss", hss, "distributed", nodes=nodes, distribution=strategy
         )
         report = rt.last_distributed_report
         proc_of = resolve_owners(rt.graph, nodes)
@@ -116,22 +112,20 @@ class TestCommunicationAccounting:
         volumes = {}
         for name in ("row", "block"):
             strategy = strategy_by_name(name, 4, max_level=hss.max_level)
-            _, rt = hss_ulv_factorize_dtd(
-                hss, execution="distributed", nodes=4, distribution=strategy
+            _, rt = factorize_graph(
+                "hss", hss, "distributed", nodes=4, distribution=strategy
             )
             volumes[name] = rt.last_distributed_report.ledger.total_bytes
         assert volumes["row"] != volumes["block"]
 
     def test_single_node_is_communication_free(self, hss):
-        _, rt = hss_ulv_factorize_dtd(hss, execution="distributed", nodes=1)
+        _, rt = factorize_graph("hss", hss, "distributed", nodes=1)
         ledger = rt.last_distributed_report.ledger
         assert ledger.num_messages == 0
         assert ledger.total_bytes == 0
 
     def test_actual_payload_bytes_recorded_pickle_plane(self, hss):
-        _, rt = hss_ulv_factorize_dtd(
-            hss, execution="distributed", nodes=2, data_plane="pickle"
-        )
+        _, rt = factorize_graph("hss", hss, "distributed", nodes=2, data_plane="pickle")
         ledger = rt.last_distributed_report.ledger
         # real numerical payloads were serialized, so wire bytes are nonzero
         # and within a small factor of the model (pickle adds framing)
@@ -141,9 +135,7 @@ class TestCommunicationAccounting:
         assert ledger.total_mapped_bytes == 0
 
     def test_shm_plane_moves_bytes_out_of_the_wire(self, hss):
-        _, rt = hss_ulv_factorize_dtd(
-            hss, execution="distributed", nodes=2, data_plane="shm"
-        )
+        _, rt = factorize_graph("hss", hss, "distributed", nodes=2, data_plane="shm")
         report = rt.last_distributed_report
         assert report.data_plane == "shm"
         ledger = report.ledger
@@ -157,7 +149,7 @@ class TestCommunicationAccounting:
         assert report.segments_swept == 0
 
     def test_ledger_by_pair_totals(self, hss):
-        _, rt = hss_ulv_factorize_dtd(hss, execution="distributed", nodes=4)
+        _, rt = factorize_graph("hss", hss, "distributed", nodes=4)
         ledger = rt.last_distributed_report.ledger
         pair_totals = ledger.by_pair()
         assert sum(m for m, _ in pair_totals.values()) == ledger.num_messages
@@ -300,18 +292,18 @@ class TestDataHandleBinding:
 
 class TestSolverFacade:
     def test_distributed_factorize_matches_sequential(self, rng):
-        from repro.api import HSSSolver
+        from repro.api import StructuredSolver
 
-        solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=20)
-        ref = HSSSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=20)
+        solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=20)
+        ref = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=20)
         solver.factorize(use_runtime="distributed", nodes=2, distribution="row")
         ref.factorize()
         b = rng.standard_normal(256)
         assert np.array_equal(solver.solve(b), ref.solve(b))
 
     def test_unknown_distribution_rejected(self):
-        from repro.api import HSSSolver
+        from repro.api import StructuredSolver
 
-        solver = HSSSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=20)
+        solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=20)
         with pytest.raises(ValueError, match="unknown distribution"):
             solver.factorize(use_runtime="distributed", nodes=2, distribution="spiral")

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.hss_ulv_dtd import build_hss_ulv_taskgraph
 from repro.baselines.strumpack_like import build_strumpack_taskgraph
 from repro.baselines.lorapo_like import build_blr_cholesky_taskgraph
 from repro.formats.hss import HSSStructure
+from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.runtime.dtd import DTDRuntime
 from repro.runtime.machine import MachineConfig, fugaku_like, laptop_like
 from repro.runtime.simulator import simulate

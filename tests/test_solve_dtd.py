@@ -1,4 +1,4 @@
-"""Tests for the task-graph ULV solve subsystem (repro.solve).
+"""Tests for the task-graph ULV solves (repro.pipeline.solve).
 
 Acceptance criteria of the solve subsystem: task-graph solves are
 bit-identical to the sequential reference for HSS and BLR2 on all three
@@ -20,7 +20,7 @@ import weakref
 
 import numpy as np
 import pytest
-from harness import assert_replay_bit_identical
+from harness import assert_replay_bit_identical, solve_graph
 
 from repro.api import StructuredSolver
 from repro.core.blr2_ulv import blr2_ulv_factorize
@@ -29,12 +29,11 @@ from repro.core.rhs import validate_rhs
 from repro.formats.blr2 import build_blr2
 from repro.formats.hss import build_hss
 from repro.obs import MetricsRegistry
+from repro.pipeline.panels import column_panels
 from repro.pipeline.plans import SolvePlans
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.solve import HSSULVSolveBuilder
 from repro.runtime.distributed import expected_comm, resolve_owners
-from repro.runtime.dtd import DTDRuntime
-from repro.solve import blr2_ulv_solve_dtd, column_panels, hss_ulv_solve_dtd
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="distributed backend requires fork (POSIX)"
@@ -65,7 +64,7 @@ class TestBitIdentitySharedMemory:
     @pytest.mark.parametrize("execution", ["immediate", "deferred", "parallel"])
     def test_hss(self, hss_factor, execution, k):
         b = _rhs(hss_factor.hss.n, k)
-        x, rt = hss_ulv_solve_dtd(hss_factor, b, execution=execution)
+        x, rt = solve_graph("hss", hss_factor, b, execution)
         assert x.shape == b.shape
         assert np.array_equal(x, hss_factor.solve(b))
         assert rt.num_tasks > 0
@@ -74,7 +73,7 @@ class TestBitIdentitySharedMemory:
     @pytest.mark.parametrize("execution", ["immediate", "deferred", "parallel"])
     def test_blr2(self, blr2_factor, execution, k):
         b = _rhs(blr2_factor.blr2.n, k)
-        x, rt = blr2_ulv_solve_dtd(blr2_factor, b, execution=execution)
+        x, rt = solve_graph("blr2", blr2_factor, b, execution)
         assert x.shape == b.shape
         assert np.array_equal(x, blr2_factor.solve(b))
         assert rt.num_tasks > 0
@@ -86,7 +85,7 @@ class TestBitIdentityDistributed:
     @pytest.mark.parametrize("nodes", [1, 2, 4])
     def test_hss(self, hss_factor, nodes, k):
         b = _rhs(hss_factor.hss.n, k)
-        x, rt = hss_ulv_solve_dtd(hss_factor, b, execution="distributed", nodes=nodes)
+        x, rt = solve_graph("hss", hss_factor, b, "distributed", nodes=nodes)
         assert rt.last_distributed_report.ok
         assert np.array_equal(x, hss_factor.solve(b))
 
@@ -94,7 +93,7 @@ class TestBitIdentityDistributed:
     @pytest.mark.parametrize("nodes", [1, 2, 4])
     def test_blr2(self, blr2_factor, nodes, k):
         b = _rhs(blr2_factor.blr2.n, k)
-        x, rt = blr2_ulv_solve_dtd(blr2_factor, b, execution="distributed", nodes=nodes)
+        x, rt = solve_graph("blr2", blr2_factor, b, "distributed", nodes=nodes)
         assert rt.last_distributed_report.ok
         assert np.array_equal(x, blr2_factor.solve(b))
 
@@ -106,7 +105,7 @@ class TestCommAccounting:
     @pytest.mark.parametrize("nodes", [2, 4])
     def test_hss_ledger_matches_plan(self, hss_factor, nodes):
         b = _rhs(hss_factor.hss.n, 4)
-        _, rt = hss_ulv_solve_dtd(hss_factor, b, execution="distributed", nodes=nodes)
+        _, rt = solve_graph("hss", hss_factor, b, "distributed", nodes=nodes)
         report = rt.last_distributed_report
         proc_of = resolve_owners(rt.graph, nodes)
         exp_messages, exp_bytes = expected_comm(rt.graph, proc_of)
@@ -117,7 +116,7 @@ class TestCommAccounting:
     @pytest.mark.parametrize("nodes", [2, 4])
     def test_blr2_ledger_matches_plan(self, blr2_factor, nodes):
         b = _rhs(blr2_factor.blr2.n, 4)
-        _, rt = blr2_ulv_solve_dtd(blr2_factor, b, execution="distributed", nodes=nodes)
+        _, rt = solve_graph("blr2", blr2_factor, b, "distributed", nodes=nodes)
         report = rt.last_distributed_report
         proc_of = resolve_owners(rt.graph, nodes)
         assert (report.ledger.num_messages, report.ledger.total_bytes) == expected_comm(
@@ -126,7 +125,7 @@ class TestCommAccounting:
 
     def test_single_node_is_communication_free(self, hss_factor):
         b = _rhs(hss_factor.hss.n, 4)
-        _, rt = hss_ulv_solve_dtd(hss_factor, b, execution="distributed", nodes=1)
+        _, rt = solve_graph("hss", hss_factor, b, "distributed", nodes=1)
         assert rt.last_distributed_report.ledger.num_messages == 0
 
 
@@ -144,7 +143,7 @@ class TestPanels:
     def test_hss_panels_match_per_panel_reference(self, hss_factor, execution):
         n = hss_factor.hss.n
         B = _rhs(n, 16)
-        x, rt = hss_ulv_solve_dtd(hss_factor, B, execution=execution, panel_size=4)
+        x, rt = solve_graph("hss", hss_factor, B, execution, panel_size=4)
         per_panel = np.hstack([hss_factor.solve(B[:, s]) for s in column_panels(16, 4)])
         assert np.array_equal(x, per_panel)
         np.testing.assert_allclose(x, hss_factor.solve(B), rtol=1e-12, atol=1e-13)
@@ -155,7 +154,7 @@ class TestPanels:
     def test_blr2_panels_match_per_panel_reference(self, blr2_factor):
         n = blr2_factor.blr2.n
         B = _rhs(n, 16)
-        x, rt = blr2_ulv_solve_dtd(blr2_factor, B, execution="parallel", panel_size=8)
+        x, rt = solve_graph("blr2", blr2_factor, B, "parallel", panel_size=8)
         per_panel = np.hstack([blr2_factor.solve(B[:, s]) for s in column_panels(16, 8)])
         assert np.array_equal(x, per_panel)
         roots = [t for t in rt.graph.tasks if t.kind == "SOLVE_ROOT"]
@@ -164,7 +163,7 @@ class TestPanels:
     def test_panel_chains_are_independent(self, hss_factor):
         """No dependency edge may connect tasks of different panels."""
         B = _rhs(hss_factor.hss.n, 8)
-        _, rt = hss_ulv_solve_dtd(hss_factor, B, execution="deferred", panel_size=2)
+        _, rt = solve_graph("hss", hss_factor, B, "deferred", panel_size=2)
         # every task name ends in "...p<panel>]" (e.g. FWD[3;1;p2], ROOT_SOLVE[p2])
         panel_of = {t.tid: t.name.rsplit("p", 1)[1].rstrip("]") for t in rt.graph.tasks}
         for src, dst in rt.graph.edges:
@@ -174,7 +173,7 @@ class TestPanels:
 class TestGraphShape:
     def test_hss_task_census(self, hss_factor):
         b = _rhs(hss_factor.hss.n, 1)
-        _, rt = hss_ulv_solve_dtd(hss_factor, b, execution="deferred")
+        _, rt = solve_graph("hss", hss_factor, b, "deferred")
         max_level = hss_factor.hss.max_level
         nodes = sum(2**level for level in range(1, max_level + 1))
         internal = sum(2 ** (level - 1) for level in range(1, max_level + 1))
@@ -191,7 +190,7 @@ class TestGraphShape:
 
     def test_blr2_task_census(self, blr2_factor):
         b = _rhs(blr2_factor.blr2.n, 1)
-        _, rt = blr2_ulv_solve_dtd(blr2_factor, b, execution="deferred")
+        _, rt = solve_graph("blr2", blr2_factor, b, "deferred")
         nb = blr2_factor.blr2.nblocks
         kinds = {}
         for t in rt.graph.tasks:
@@ -199,7 +198,7 @@ class TestGraphShape:
         assert kinds == {"SOLVE_FWD": nb, "SOLVE_ROOT": 1, "SOLVE_BWD": nb}
 
     def test_graph_is_valid(self, hss_factor):
-        _, rt = hss_ulv_solve_dtd(hss_factor, _rhs(hss_factor.hss.n, 4), execution="deferred")
+        _, rt = solve_graph("hss", hss_factor, _rhs(hss_factor.hss.n, 4), "deferred")
         rt.validate()
 
 
@@ -215,20 +214,18 @@ class TestRefinement:
         factor, dense = loose
         b = _rhs(dense.shape[0], k, seed=7)
         x_ref = np.linalg.solve(dense, b)
-        x_plain, _ = hss_ulv_solve_dtd(factor, b, execution="deferred")
+        x_plain, _ = solve_graph("hss", factor, b, "deferred")
         x_ref_norm = np.linalg.norm(x_ref)
         err_plain = np.linalg.norm(x_plain - x_ref) / x_ref_norm
         # a bare dense array is accepted as the refinement operator
-        x_refined, _ = hss_ulv_solve_dtd(
-            factor, b, execution="deferred", refine=True, matvec=dense
-        )
+        x_refined, _ = solve_graph("hss", factor, b, "deferred", refine=True, matvec=dense)
         err_refined = np.linalg.norm(x_refined - x_ref) / x_ref_norm
         assert err_refined < err_plain
 
     def test_refine_default_operator_matches_reference_iteration(self, hss_factor):
         """refine=True with the default (HSS) operator equals the hand-rolled step."""
         b = _rhs(hss_factor.hss.n, 2, seed=9)
-        x_refined, _ = hss_ulv_solve_dtd(hss_factor, b, execution="deferred", refine=True)
+        x_refined, _ = solve_graph("hss", hss_factor, b, "deferred", refine=True)
         x0 = hss_factor.solve(b)
         expected = x0 + hss_factor.solve(b - hss_factor.hss.matvec(x0))
         assert np.array_equal(x_refined, expected)
@@ -237,9 +234,9 @@ class TestRefinement:
         factor = blr2_ulv_factorize(build_blr2(kmat_small, leaf_size=32, max_rank=10))
         b = _rhs(dense_small.shape[0], 1, seed=11)
         x_ref = np.linalg.solve(dense_small, b)
-        x_plain, _ = blr2_ulv_solve_dtd(factor, b, execution="deferred")
-        x_refined, _ = blr2_ulv_solve_dtd(
-            factor, b, execution="deferred", refine=True, matvec=lambda v: dense_small @ v
+        x_plain, _ = solve_graph("blr2", factor, b, "deferred")
+        x_refined, _ = solve_graph(
+            "blr2", factor, b, "deferred", refine=True, matvec=lambda v: dense_small @ v
         )
         err = lambda x: np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref)  # noqa: E731
         assert err(x_refined) < err(x_plain)
@@ -267,43 +264,13 @@ class TestValidation:
 
     def test_dtd_solvers_reject_bad_shapes(self, hss_factor, blr2_factor):
         with pytest.raises(ValueError, match="rows"):
-            hss_ulv_solve_dtd(hss_factor, np.ones(5))
+            solve_graph("hss", hss_factor, np.ones(5))
         with pytest.raises(ValueError, match="rows"):
-            blr2_ulv_solve_dtd(blr2_factor, np.ones((5, 2)))
-
-    def test_runtime_and_execution_mutually_exclusive(self, hss_factor):
-        with pytest.raises(ValueError, match="not both"):
-            hss_ulv_solve_dtd(
-                hss_factor,
-                np.ones(hss_factor.hss.n),
-                runtime=DTDRuntime(execution="deferred"),
-                execution="parallel",
-            )
+            solve_graph("blr2", blr2_factor, np.ones((5, 2)))
 
     def test_empty_rhs_block_rejected(self, hss_factor):
         with pytest.raises(ValueError, match="0 columns"):
-            hss_ulv_solve_dtd(hss_factor, np.empty((hss_factor.hss.n, 0)))
-
-
-class TestSharedRuntime:
-    """Repeated solves may record into one shared runtime (factorize once, solve many)."""
-
-    def test_hss_two_solves_one_runtime(self, hss_factor):
-        rt = DTDRuntime(execution="immediate")
-        b1, b2 = _rhs(hss_factor.hss.n, 1, seed=1), _rhs(hss_factor.hss.n, 4, seed=2)
-        x1, rt1 = hss_ulv_solve_dtd(hss_factor, b1, runtime=rt)
-        x2, rt2 = hss_ulv_solve_dtd(hss_factor, b2, runtime=rt)
-        assert rt1 is rt and rt2 is rt
-        assert np.array_equal(x1, hss_factor.solve(b1))
-        assert np.array_equal(x2, hss_factor.solve(b2))
-
-    def test_blr2_two_solves_one_runtime(self, blr2_factor):
-        rt = DTDRuntime(execution="immediate")
-        b1, b2 = _rhs(blr2_factor.blr2.n, 2, seed=3), _rhs(blr2_factor.blr2.n, 2, seed=4)
-        x1, _ = blr2_ulv_solve_dtd(blr2_factor, b1, runtime=rt)
-        x2, _ = blr2_ulv_solve_dtd(blr2_factor, b2, runtime=rt)
-        assert np.array_equal(x1, blr2_factor.solve(b1))
-        assert np.array_equal(x2, blr2_factor.solve(b2))
+            solve_graph("hss", hss_factor, np.empty((hss_factor.hss.n, 0)))
 
 
 FORMATS = ("hss", "blr2", "hodlr")

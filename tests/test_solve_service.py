@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api import HSSSolver
+from repro.api import StructuredSolver
 from repro.service import FactorKey, SolverService
 
 needs_fork = pytest.mark.skipif(
@@ -28,8 +28,8 @@ def _rhs(k: int, seed: int = 0, n: int = 256) -> np.ndarray:
     return rng.standard_normal(n if k == 1 else (n, k))
 
 
-def _reference_solver() -> HSSSolver:
-    return HSSSolver.from_kernel(
+def _reference_solver() -> StructuredSolver:
+    return StructuredSolver.from_kernel(
         KEY["kernel"], n=KEY["n"], leaf_size=KEY["leaf_size"], max_rank=KEY["max_rank"]
     )
 
