@@ -16,12 +16,10 @@ natively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
-
 import numpy as np
 
 from repro.core.leaf_ulv import LeafULVSolveMixin, leaf_ulv_factorize_into
-from repro.core.partial_cholesky import PartialCholeskyResult
+from repro.core.level_ulv import LevelFactors
 from repro.formats.blr2 import BLR2Matrix
 
 __all__ = ["BLR2ULVFactor", "blr2_ulv_factorize"]
@@ -35,18 +33,16 @@ class BLR2ULVFactor(LeafULVSolveMixin):
     ----------
     blr2:
         The factorized BLR2 matrix.
-    bases:
-        Square orthogonal ``[U^R U^S]`` per block row.
-    partials:
-        Partial Cholesky factors per block row.
+    level:
+        The per-row factors stacked per block shape (allocated from
+        ``blr2``); ``bases`` / ``partials`` are views into it.
     merged_chol:
         Lower-triangular Cholesky factor of the permuted skeleton system
         (line 3 of Alg. 1).
     """
 
     blr2: BLR2Matrix
-    bases: Dict[int, np.ndarray] = field(default_factory=dict)
-    partials: Dict[int, PartialCholeskyResult] = field(default_factory=dict)
+    level: LevelFactors = None  # type: ignore[assignment]
     merged_chol: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     @property

@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.leaf_ulv import LeafULVSolveMixin, leaf_ulv_factorize_into
-from repro.core.partial_cholesky import PartialCholeskyResult
+from repro.core.level_ulv import LevelFactors
 from repro.formats.hodlr import HODLRMatrix, HODLRNode
 
 __all__ = ["HODLRLeafSystem", "HODLRULVFactor", "hodlr_ulv_factorize"]
@@ -145,15 +145,14 @@ class HODLRULVFactor(LeafULVSolveMixin):
         The factorized HODLR matrix.
     system:
         The exact leaf view the factorization ran on.
-    bases / partials / merged_chol:
+    level / merged_chol:
         The leaf-ULV factor stores, as in
         :class:`~repro.core.blr2_ulv.BLR2ULVFactor`.
     """
 
     hodlr: HODLRMatrix
     system: HODLRLeafSystem
-    bases: Dict[int, np.ndarray] = field(default_factory=dict)
-    partials: Dict[int, PartialCholeskyResult] = field(default_factory=dict)
+    level: LevelFactors = None  # type: ignore[assignment]
     merged_chol: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
 

@@ -8,8 +8,9 @@ of two sibling nodes are *merged* (together with their coupling block) into
 the parent's diagonal block at level ``l - 1``.  The final ``A_0`` block is
 factorized with a dense Cholesky (line 6 of Alg. 2).
 
-The factor object supports forward/backward substitution (Eq. 17), determinant
-evaluation and reconstruction of the factorized matrix for validation.
+The factor object stores each level's node factors stacked per node shape
+and runs the forward/backward substitution (Eq. 17) one level kernel at a
+time (:mod:`repro.core.level_ulv`); it also evaluates the determinant.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
-import scipy.linalg
 
+from repro.core.level_ulv import LevelFactors, check_finite, ulv_solve
 from repro.core.partial_cholesky import PartialCholeskyResult, partial_cholesky
 from repro.core.rhs import validate_rhs
 from repro.formats.hss import HSSMatrix
-from repro.lowrank.qr import full_orthogonal_basis
 
 __all__ = ["HSSNodeFactor", "HSSULVFactor", "hss_ulv_factorize"]
 
@@ -31,6 +31,9 @@ __all__ = ["HSSNodeFactor", "HSSULVFactor", "hss_ulv_factorize"]
 @dataclass
 class HSSNodeFactor:
     """Per-node factors produced by the HSS-ULV factorization.
+
+    Read through :attr:`HSSULVFactor.node_factors`: the arrays are views into
+    the level stacks, not copies.
 
     Attributes
     ----------
@@ -61,83 +64,63 @@ class HSSNodeFactor:
 class HSSULVFactor:
     """The complete HSS-ULV factorization of an :class:`HSSMatrix`.
 
+    The node factors of each level are stored stacked per node shape
+    (:class:`~repro.core.level_ulv.LevelFactors`: ``U`` as ``(nodes, m, m)``,
+    ``L_rr`` as ``(nodes, m - r, m - r)``, ``L_sr`` as ``(nodes, r, m - r)``),
+    so the solve runs each level as one batched kernel
+    (:mod:`repro.core.level_ulv`).  The stacks are allocated empty from the
+    HSS structure and filled in place by the factorization.
+
     Attributes
     ----------
     hss:
         The factorized HSS matrix (kept for structure and couplings; its
         numerical content is not modified).
-    node_factors:
-        Mapping ``(level, index) -> HSSNodeFactor`` for levels
-        ``max_level .. 1``.
+    levels:
+        Mapping ``level -> LevelFactors`` for levels ``max_level .. 1``.
     root_chol:
         Lower-triangular Cholesky factor of the final merged block ``A_0``.
     """
 
     hss: HSSMatrix
-    node_factors: Dict[Tuple[int, int], HSSNodeFactor] = field(default_factory=dict)
+    levels: Dict[int, LevelFactors] = None  # type: ignore[assignment]
     root_chol: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+
+    def __post_init__(self) -> None:
+        if self.levels is None:
+            hss = self.hss
+            self.levels = {
+                level: LevelFactors(
+                    [hss.block_size(level, i) for i in range(2**level)],
+                    hss.level_ranks(level),
+                )
+                for level in range(hss.max_level, 0, -1)
+            }
+
+    @property
+    def node_factors(self) -> Dict[Tuple[int, int], HSSNodeFactor]:
+        """``(level, index) -> HSSNodeFactor`` views into the level stacks."""
+        return {
+            (level, i): HSSNodeFactor(U=u, rank=int(lf.ranks[i]), partial=part)
+            for level, lf in sorted(self.levels.items())
+            for i, (u, part) in enumerate(lf.node_views())
+        }
+
+    def check_finite(self) -> None:
+        """Raise :class:`numpy.linalg.LinAlgError` if any factor entry is NaN/Inf."""
+        check_finite(self.levels.values(), self.root_chol)
 
     # ------------------------------------------------------------------ solve
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` using the ULV factors (Eq. 17).
 
         ``b`` may be a vector of length ``n`` or a matrix of shape ``(n, k)``.
+        Each level is one forward and one backward kernel call
+        (:func:`repro.core.level_ulv.ulv_solve`).
         """
         bm, single = validate_rhs(b, self.hss.n)
-        max_level = self.hss.max_level
-
-        # Forward pass: rotate, eliminate redundant unknowns, merge upward.
-        work: Dict[Tuple[int, int], np.ndarray] = {}
-        for i in range(2**max_level):
-            node = self.hss.node(max_level, i)
-            work[(max_level, i)] = bm[node.start : node.stop]
-
-        z_store: Dict[Tuple[int, int], np.ndarray] = {}
-        s_store: Dict[Tuple[int, int], np.ndarray] = {}
-        for level in range(max_level, 0, -1):
-            for i in range(2**level):
-                fac = self.node_factors[(level, i)]
-                bhat = fac.U.T @ work[(level, i)]
-                nr = fac.redundant_size
-                br, bs = bhat[:nr], bhat[nr:]
-                if nr > 0:
-                    z = scipy.linalg.solve_triangular(fac.partial.L_rr, br, lower=True)
-                    bs = bs - fac.partial.L_sr @ z
-                else:
-                    z = br
-                z_store[(level, i)] = z
-                s_store[(level, i)] = bs
-            for k in range(2 ** (level - 1)):
-                work[(level - 1, k)] = np.vstack(
-                    [s_store[(level, 2 * k)], s_store[(level, 2 * k + 1)]]
-                )
-
-        # Root dense solve.
-        y0 = scipy.linalg.solve_triangular(self.root_chol, work[(0, 0)], lower=True)
-        y0 = scipy.linalg.solve_triangular(self.root_chol.T, y0, lower=False)
-
-        # Backward pass: un-merge, back-substitute, rotate back.
-        sol: Dict[Tuple[int, int], np.ndarray] = {(0, 0): y0}
-        for level in range(1, max_level + 1):
-            for i in range(2**level):
-                fac = self.node_factors[(level, i)]
-                parent = sol[(level - 1, i // 2)]
-                r_left = self.node_factors[(level, 2 * (i // 2))].rank
-                ys = parent[:r_left] if i % 2 == 0 else parent[r_left:]
-                nr = fac.redundant_size
-                if nr > 0:
-                    rhs = z_store[(level, i)] - fac.partial.L_sr.T @ ys
-                    yr = scipy.linalg.solve_triangular(
-                        fac.partial.L_rr.T, rhs, lower=False
-                    )
-                else:
-                    yr = z_store[(level, i)][:0]
-                sol[(level, i)] = fac.U @ np.vstack([yr, ys])
-
-        x = np.empty_like(bm)
-        for i in range(2**max_level):
-            node = self.hss.node(max_level, i)
-            x[node.start : node.stop] = sol[(max_level, i)]
+        levels = [self.levels[level] for level in range(self.hss.max_level, 0, -1)]
+        x = ulv_solve(levels, self.root_chol, bm)
         return x[:, 0] if single else x
 
     # -------------------------------------------------------------- logdet
@@ -192,7 +175,8 @@ def hss_ulv_factorize(hss: HSSMatrix) -> HSSULVFactor:
     numpy.linalg.LinAlgError
         If a redundant diagonal block is not positive definite (the HSS
         approximation of an SPD matrix can lose definiteness when the
-        compression error exceeds the smallest eigenvalue).
+        compression error exceeds the smallest eigenvalue), or if the
+        factors come out non-finite (checked once, at the end).
     """
     max_level = hss.max_level
     factor = HSSULVFactor(hss=hss)
@@ -203,16 +187,13 @@ def hss_ulv_factorize(hss: HSSMatrix) -> HSSULVFactor:
         diag[(max_level, i)] = hss.node(max_level, i).D.copy()
 
     for level in range(max_level, 0, -1):
+        lf = factor.levels[level]
         schur: Dict[int, np.ndarray] = {}
         for i in range(2**level):
             node = hss.node(level, i)
-            u_full, _, _ = full_orthogonal_basis(node.U)
-            a_hat = u_full.T @ diag[(level, i)] @ u_full
-            part = partial_cholesky(a_hat, node.rank)
-            factor.node_factors[(level, i)] = HSSNodeFactor(
-                U=u_full, rank=node.rank, partial=part
-            )
-            schur[i] = part.schur_ss
+            u = lf.set_basis(i, node.U)
+            part = partial_cholesky(u.T @ diag[(level, i)] @ u, node.rank)
+            schur[i] = lf.set_partial(i, part)
         # Merge step (line 4 of Alg. 2): two sibling Schur complements plus
         # their coupling become the parent's diagonal block.
         for k in range(2 ** (level - 1)):
@@ -222,4 +203,5 @@ def hss_ulv_factorize(hss: HSSMatrix) -> HSSULVFactor:
             diag[(level - 1, k)] = np.vstack([top, bot])
 
     factor.root_chol = np.linalg.cholesky(diag[(0, 0)])
+    factor.check_finite()
     return factor

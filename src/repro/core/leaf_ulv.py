@@ -24,30 +24,57 @@ from __future__ import annotations
 from typing import Dict, List
 
 import numpy as np
-import scipy.linalg
 
-from repro.core.partial_cholesky import partial_cholesky
+from repro.core.level_ulv import LevelFactors, check_finite, ulv_solve
+from repro.core.partial_cholesky import PartialCholeskyResult, partial_cholesky
 from repro.core.rhs import validate_rhs
-from repro.lowrank.qr import full_orthogonal_basis
 
 __all__ = ["LeafULVSolveMixin", "leaf_ulv_factorize_into"]
 
 
 class LeafULVSolveMixin:
-    """Solve/logdet shared by every leaf-level ULV factor object.
+    """Storage, solve and logdet shared by every leaf-level ULV factor object.
 
-    Concrete factor classes provide a ``system`` attribute (the leaf system
-    that was factorized) plus the factor stores ``bases`` (square orthogonal
-    ``[U^R U^S]`` per block row), ``partials`` (partial Cholesky factors per
-    block row) and ``merged_chol`` (Cholesky factor of the permuted skeleton
-    system).
+    A leaf factor is a one-level tree: its per-row factors live stacked per
+    block shape in one :class:`~repro.core.level_ulv.LevelFactors`
+    (``level``), allocated empty from the leaf system and filled in place by
+    the factorization, and the solve is one forward kernel, the merged root
+    solve and one backward kernel (:mod:`repro.core.level_ulv`).  Concrete
+    factor classes are dataclasses providing a ``system`` (the leaf system
+    that was factorized), a ``level`` field (None until
+    :meth:`__post_init__` allocates it) and ``merged_chol`` (Cholesky factor
+    of the permuted skeleton system).  ``bases`` (square orthogonal
+    ``[U^R U^S]`` per block row) and ``partials`` (partial Cholesky factors
+    per block row) are views into the stacks.
     """
 
+    def __post_init__(self) -> None:
+        if self.level is None:
+            system = self.system
+            ranges = [system.block_range(i) for i in range(system.nblocks)]
+            if [r.start for r in ranges] != [0] + [r.stop for r in ranges[:-1]]:
+                raise ValueError("leaf block rows must tile 0..n in order")
+            self.level = LevelFactors(
+                [r.stop - r.start for r in ranges],
+                [system.rank(i) for i in range(system.nblocks)],
+            )
+
+    @property
+    def bases(self) -> Dict[int, np.ndarray]:
+        """Square orthogonal ``[U^R U^S]`` per block row (views into the stacks)."""
+        return {i: u for i, (u, _) in enumerate(self.level.node_views())}
+
+    @property
+    def partials(self) -> Dict[int, PartialCholeskyResult]:
+        """Partial Cholesky factors per block row (views into the stacks)."""
+        return {i: part for i, (_, part) in enumerate(self.level.node_views())}
+
     def _skeleton_offsets(self) -> List[int]:
-        offsets = [0]
-        for i in range(self.system.nblocks):
-            offsets.append(offsets[-1] + self.system.rank(i))
-        return offsets
+        return self.level.skeleton_offsets.tolist()
+
+    def check_finite(self) -> None:
+        """Raise :class:`numpy.linalg.LinAlgError` if any factor entry is NaN/Inf."""
+        check_finite([self.level], self.merged_chol)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` through the ULV factors (Eq. 15).
@@ -55,38 +82,7 @@ class LeafULVSolveMixin:
         ``b`` may be a vector of length ``n`` or a matrix of shape ``(n, k)``.
         """
         bm, single = validate_rhs(b, self.system.n)
-        nb = self.system.nblocks
-        offsets = self._skeleton_offsets()
-
-        z_store: Dict[int, np.ndarray] = {}
-        merged_rhs = np.zeros((offsets[-1], bm.shape[1]))
-        for i in range(nb):
-            rng = self.system.block_range(i)
-            bhat = self.bases[i].T @ bm[rng]
-            nr = self.partials[i].redundant_size
-            br, bs = bhat[:nr], bhat[nr:]
-            if nr > 0:
-                z = scipy.linalg.solve_triangular(self.partials[i].L_rr, br, lower=True)
-                bs = bs - self.partials[i].L_sr @ z
-            else:
-                z = br
-            z_store[i] = z
-            merged_rhs[offsets[i] : offsets[i + 1]] = bs
-
-        y = scipy.linalg.solve_triangular(self.merged_chol, merged_rhs, lower=True)
-        y = scipy.linalg.solve_triangular(self.merged_chol.T, y, lower=False)
-
-        x = np.empty_like(bm)
-        for i in range(nb):
-            rng = self.system.block_range(i)
-            ys = y[offsets[i] : offsets[i + 1]]
-            nr = self.partials[i].redundant_size
-            if nr > 0:
-                rhs = z_store[i] - self.partials[i].L_sr.T @ ys
-                yr = scipy.linalg.solve_triangular(self.partials[i].L_rr.T, rhs, lower=False)
-            else:
-                yr = z_store[i][:0]
-            x[rng] = self.bases[i] @ np.vstack([yr, ys])
+        x = ulv_solve([self.level], self.merged_chol, bm)
         return x[:, 0] if single else x
 
     def logdet(self) -> float:
@@ -101,21 +97,19 @@ class LeafULVSolveMixin:
 def leaf_ulv_factorize_into(factor, system):
     """Run the sequential leaf-level ULV (Alg. 1) and populate ``factor``.
 
-    ``factor`` is a fresh :class:`LeafULVSolveMixin` object whose ``bases`` /
-    ``partials`` dicts and ``merged_chol`` are filled in-place; it is also
-    returned.  This is the reference implementation every task-graph backend
-    is validated against, bit for bit.
+    ``factor`` is a fresh :class:`LeafULVSolveMixin` object whose level
+    stacks and ``merged_chol`` are filled in-place; it is also returned.
+    This is the reference implementation every task-graph backend is
+    validated against, bit for bit.
     """
     nb = system.nblocks
+    level = factor.level
 
     schur: Dict[int, np.ndarray] = {}
     for i in range(nb):
-        u_full, _, _ = full_orthogonal_basis(system.bases[i])
-        a_hat = u_full.T @ system.diag[i] @ u_full
-        part = partial_cholesky(a_hat, system.rank(i))
-        factor.bases[i] = u_full
-        factor.partials[i] = part
-        schur[i] = part.schur_ss
+        u = level.set_basis(i, system.bases[i])
+        part = partial_cholesky(u.T @ system.diag[i] @ u, system.rank(i))
+        schur[i] = level.set_partial(i, part)
 
     offsets = factor._skeleton_offsets()
     merged = np.zeros((offsets[-1], offsets[-1]))
@@ -127,4 +121,5 @@ def leaf_ulv_factorize_into(factor, system):
             merged[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = system.coupling(i, j)
 
     factor.merged_chol = np.linalg.cholesky(merged)
+    factor.check_finite()
     return factor

@@ -8,8 +8,9 @@ These helpers normalize both forms to a float64, C-contiguous ``(n, k)``
 working copy -- accepting Fortran-ordered and non-contiguous views, and
 copying only when the input does not already require a conversion -- and
 raise a clear error for anything else (wrong dimensionality, wrong leading
-dimension, or an empty 0-column block), instead of letting a mis-shaped array
-surface as a cryptic reshape/broadcast failure deep inside the leaf kernels.
+dimension, an empty 0-column block, or a NaN/Inf entry), instead of letting a
+bad array surface as a cryptic failure -- or a silently non-finite solution --
+deep inside the leaf kernels, which skip per-call finiteness checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["check_rhs_shape", "validate_rhs"]
+__all__ = ["check_rhs_shape", "check_rhs_finite", "validate_rhs"]
 
 
 def check_rhs_shape(b: np.ndarray, n: int, *, name: str = "b") -> None:
@@ -44,6 +45,12 @@ def check_rhs_shape(b: np.ndarray, n: int, *, name: str = "b") -> None:
             f"{name} has 0 columns (shape {shape}); a solve needs at least "
             "one right-hand side"
         )
+
+
+def check_rhs_finite(arr: np.ndarray, *, name: str = "b") -> None:
+    """Raise :class:`ValueError` if ``arr`` holds a NaN or an infinity (one O(n) scan)."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite; it contains NaN or Inf entries")
 
 
 def validate_rhs(b: np.ndarray, n: int, *, name: str = "b") -> Tuple[np.ndarray, bool]:
@@ -73,11 +80,12 @@ def validate_rhs(b: np.ndarray, n: int, *, name: str = "b") -> Tuple[np.ndarray,
     Raises
     ------
     ValueError
-        If ``b`` is not 1-D or 2-D, its leading dimension is not ``n``, or it
-        has 0 columns.
+        If ``b`` is not 1-D or 2-D, its leading dimension is not ``n``, it
+        has 0 columns, or it contains a NaN or an infinity.
     """
     check_rhs_shape(b, n, name=name)
     arr = np.asarray(b, dtype=np.float64)
+    check_rhs_finite(arr, name=name)
     single = arr.ndim == 1
     # ascontiguousarray copies exactly when the layout (or the dtype
     # conversion above) demands it; the explicit copy below only triggers

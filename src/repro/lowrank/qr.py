@@ -78,14 +78,10 @@ def orthogonal_complement(basis: np.ndarray) -> np.ndarray:
         return np.eye(m)
     if r >= m:
         return np.zeros((m, 0))
+    # One complete QR: the trailing m - r columns of q are orthonormal and
+    # orthogonal to span(basis) to working precision.
     q, _ = np.linalg.qr(basis, mode="complete")
-    # The first r columns of q span span(basis); the remainder is the complement.
-    # Re-project to be safe against sign/ordering conventions:
-    comp = q[:, r:]
-    # Orthogonalise the complement against the basis explicitly (numerical hygiene).
-    comp = comp - basis @ (basis.T @ comp)
-    comp, _ = np.linalg.qr(comp)
-    return comp
+    return q[:, r:]
 
 
 def full_orthogonal_basis(skeleton: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

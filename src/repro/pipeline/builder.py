@@ -24,7 +24,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.rhs import check_rhs_shape
+from repro.core.rhs import check_rhs_finite, check_rhs_shape
 from repro.pipeline.panels import column_panels
 from repro.pipeline.policy import ExecutionPolicy
 
@@ -207,6 +207,7 @@ class SolveGraphBuilder(GraphBuilder):
         # slice copies), so a validate_rhs working copy would be pure overhead.
         check_rhs_shape(b, self.n)
         arr = np.asarray(b, dtype=np.float64)
+        check_rhs_finite(arr)
         self.single = arr.ndim == 1
         self.bm = arr.reshape(self.n, -1)
 

@@ -29,11 +29,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.hss_ulv import HSSNodeFactor, HSSULVFactor
+from repro.core.hss_ulv import HSSULVFactor
 from repro.core.partial_cholesky import partial_cholesky
 from repro.distribution.strategies import DistributionStrategy, RowCyclicDistribution
 from repro.formats.hss import HSSStructure
-from repro.lowrank.qr import full_orthogonal_basis
 from repro.pipeline.builder import GraphBuilder
 from repro.runtime.dtd import DTDRuntime
 from repro.runtime.flops import (
@@ -72,6 +71,8 @@ class HSSULVFactorizeBuilder(GraphBuilder):
         # Mutable stores the task bodies operate on.
         self._diag: Dict[Tuple[int, int], np.ndarray] = {}
         self._schur: Dict[Tuple[int, int], np.ndarray] = {}
+        # Nodes whose factors this process has written (shipped by collect_local).
+        self._done: set = set()
         # Data handles.
         self._d: Dict[Tuple[int, int], object] = {}
         self._s: Dict[Tuple[int, int], object] = {}
@@ -114,7 +115,7 @@ class HSSULVFactorizeBuilder(GraphBuilder):
 
     def record_tasks(self) -> None:
         hss, max_level = self.hss, self.max_level
-        factor, diag, schur = self.factor, self._diag, self._schur
+        factor, diag, schur, done = self.factor, self._diag, self._schur, self._done
         for level in range(max_level, 0, -1):
             # Phases increase as the factorization walks leaves -> root.
             self.set_phase(max_level - level)
@@ -123,11 +124,8 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                 m = hss.block_size(level, i)
 
                 def diag_product(level=level, i=i, node=node) -> None:
-                    u_full, _, _ = full_orthogonal_basis(node.U)
-                    factor.node_factors[(level, i)] = HSSNodeFactor(
-                        U=u_full, rank=node.rank, partial=None  # type: ignore[arg-type]
-                    )
-                    diag[(level, i)] = u_full.T @ diag[(level, i)] @ u_full
+                    u = factor.levels[level].set_basis(i, node.U)
+                    diag[(level, i)] = u.T @ diag[(level, i)] @ u
 
                 self.insert(
                     diag_product,
@@ -142,8 +140,8 @@ class HSSULVFactorizeBuilder(GraphBuilder):
 
                 def partial_factor(level=level, i=i, node=node) -> None:
                     part = partial_cholesky(diag[(level, i)], node.rank)
-                    factor.node_factors[(level, i)].partial = part
-                    schur[(level, i)] = part.schur_ss
+                    schur[(level, i)] = factor.levels[level].set_partial(i, part)
+                    done.add((level, i))
 
                 self.insert(
                     partial_factor,
@@ -189,20 +187,25 @@ class HSSULVFactorizeBuilder(GraphBuilder):
         )
 
     # Runs inside each worker: ship back the factor pieces its local tasks
-    # produced (an entry is complete once its PARTIAL_FACTOR has run, which
+    # produced (a node is complete once its PARTIAL_FACTOR has run, which
     # happens on the D-block owner).
     def collect_local(self):
+        levels = self.factor.levels
         return {
-            "node_factors": {
-                k: v for k, v in self.factor.node_factors.items() if v.partial is not None
-            },
+            "nodes": {(l, i): levels[l].node_arrays(i) for l, i in self._done},
             "root_chol": self.factor.root_chol if self.factor.root_chol.size else None,
         }
 
     def merge_fragment(self, fragment) -> None:
-        self.factor.node_factors.update(fragment["node_factors"])
+        for (level, i), arrays in fragment["nodes"].items():
+            self.factor.levels[level].store(i, arrays)
         if fragment["root_chol"] is not None:
             self.factor.root_chol = fragment["root_chol"]
+
+    def execute(self, *, timeout: Optional[float] = None):
+        report = super().execute(timeout=timeout)
+        self.factor.check_finite()
+        return report
 
     def result(self) -> HSSULVFactor:
         return self.factor
@@ -317,8 +320,9 @@ def build_hss_ulv_taskgraph(
 class LeafULVFactorizeBuilder(GraphBuilder):
     """Record (and execute) the leaf-ULV factorization graph over a leaf system.
 
-    ``factor`` is the format's factor object (``bases`` / ``partials`` /
-    ``merged_chol`` stores); ``system`` is the leaf system being factorized.
+    ``factor`` is the format's factor object (the ``level`` stacks and
+    ``merged_chol``, filled in place); ``system`` is the leaf system being
+    factorized.
     The recorded tasks are exactly the operations of
     :func:`repro.core.leaf_ulv.leaf_ulv_factorize_into`, so every backend is
     bit-identical to that sequential reference.
@@ -336,6 +340,8 @@ class LeafULVFactorizeBuilder(GraphBuilder):
         # Mutable stores the task bodies operate on.
         self._diag: Dict[int, np.ndarray] = {}
         self._schur: Dict[int, np.ndarray] = {}
+        # Rows whose factors this process has written (shipped by collect_local).
+        self._done: set = set()
         # Data handles.
         self._d: Dict[int, object] = {}
         self._u: Dict[int, object] = {}
@@ -388,15 +394,15 @@ class LeafULVFactorizeBuilder(GraphBuilder):
     def record_tasks(self) -> None:
         system, factor = self.system, self.factor
         diag, schur, merged, offsets = self._diag, self._schur, self._merged, self._offsets
+        done = self._done
         nb = system.nblocks
 
         self.set_phase(0)
         for i in range(nb):
 
             def diag_product(i=i) -> None:
-                u_full, _, _ = full_orthogonal_basis(system.bases[i])
-                factor.bases[i] = u_full
-                diag[i] = u_full.T @ diag[i] @ u_full
+                u = factor.level.set_basis(i, system.bases[i])
+                diag[i] = u.T @ diag[i] @ u
 
             rng = system.block_range(i)
             m = rng.stop - rng.start
@@ -410,8 +416,8 @@ class LeafULVFactorizeBuilder(GraphBuilder):
 
             def partial_factor(i=i) -> None:
                 part = partial_cholesky(diag[i], system.rank(i))
-                factor.partials[i] = part
-                schur[i] = part.schur_ss
+                schur[i] = factor.level.set_partial(i, part)
+                done.add(i)
 
             self.insert(
                 partial_factor,
@@ -464,16 +470,20 @@ class LeafULVFactorizeBuilder(GraphBuilder):
     # locally plus the root Cholesky if this worker ran it.
     def collect_local(self):
         return {
-            "bases": dict(self.factor.bases),
-            "partials": dict(self.factor.partials),
+            "rows": {i: self.factor.level.node_arrays(i) for i in self._done},
             "merged_chol": self.factor.merged_chol if self.factor.merged_chol.size else None,
         }
 
     def merge_fragment(self, fragment) -> None:
-        self.factor.bases.update(fragment["bases"])
-        self.factor.partials.update(fragment["partials"])
+        for i, arrays in fragment["rows"].items():
+            self.factor.level.store(i, arrays)
         if fragment["merged_chol"] is not None:
             self.factor.merged_chol = fragment["merged_chol"]
+
+    def execute(self, *, timeout: Optional[float] = None):
+        report = super().execute(timeout=timeout)
+        self.factor.check_finite()
+        return report
 
     def result(self):
         return self.factor

@@ -3,7 +3,10 @@
 The three ULV solve phases -- forward elimination of the redundant unknowns,
 the small dense root solve, and back-substitution -- recorded as
 ``insert_task`` graphs that *read* the immutable factor pieces and read/write
-per-panel right-hand-side blocks:
+per-panel right-hand-side blocks.  :class:`LevelULVSolveBuilder` records one
+task per tree level (per owner chunk of a level when the policy has several
+nodes or workers) running the level kernels of :mod:`repro.core.level_ulv`,
+the same code the sequential references run:
 
 :class:`HSSULVSolveBuilder`
     The multi-level graph (Eq. 17) over an
@@ -25,11 +28,11 @@ refinement.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
-import scipy.linalg
 
+from repro.core.level_ulv import LevelFactors, backward_level, forward_level, root_solve
 from repro.pipeline.builder import SolveGraphBuilder
 from repro.pipeline.factorize import leaf_virtual_level
 from repro.pipeline.panels import refine_once
@@ -44,6 +47,7 @@ from repro.runtime.flops import (
 from repro.runtime.task import AccessMode
 
 __all__ = [
+    "LevelULVSolveBuilder",
     "HSSULVSolveBuilder",
     "LeafULVSolveBuilder",
     "solve_through_builder",
@@ -90,370 +94,270 @@ def solve_through_builder(
     return (x[:, 0] if single else x), builder.runtime
 
 
-class HSSULVSolveBuilder(SolveGraphBuilder):
-    """The forward/root/backward HSS-ULV solve graph for one RHS block."""
+def _chunks(nodes: int, parts: int) -> List[Tuple[int, int]]:
+    """Split ``nodes`` consecutive nodes into ``min(parts, nodes)`` contiguous chunks."""
+    count = min(parts, nodes)
+    return [(c * nodes // count, (c + 1) * nodes // count) for c in range(count)]
+
+
+def _bounds(offsets: np.ndarray, chunks: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Row range ``(offsets[lo], offsets[hi])`` of every chunk."""
+    return [(int(offsets[lo]), int(offsets[hi])) for lo, hi in chunks]
+
+
+def _chunk_flops(flops, level: LevelFactors, lo: int, hi: int, k: int) -> float:
+    """The per-node flop model ``flops(m, r, k)`` summed over nodes ``lo..hi-1``."""
+    return sum(
+        flops(int(m), int(r), k) for m, r in zip(level.sizes[lo:hi], level.ranks[lo:hi])
+    )
+
+
+def _overlapping(bounds: Sequence[Tuple[int, int]], lo: int, hi: int) -> List[int]:
+    """Indices of the row ranges in ``bounds`` that overlap rows ``lo..hi-1``."""
+    return [c for c, (a, b) in enumerate(bounds) if a < hi and b > lo]
+
+
+def _take_rows(pieces: Sequence[np.ndarray], start: int, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo..hi-1`` of the stacked ``pieces``, the first piece starting at row ``start``.
+
+    A consumer covered by exactly one producer chunk gets that chunk's block
+    itself (the zero-copy merge of a uniform level).
+    """
+    block = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    if start == lo and block.shape[0] == hi - lo:
+        return block
+    return block[lo - start : hi - start]
+
+
+class LevelULVSolveBuilder(SolveGraphBuilder):
+    """The forward/root/backward ULV solve graph over a stack of levels.
+
+    Per RHS panel: one forward task per level chunk (leaves first), one root
+    solve, one backward task per level chunk, each running the level kernel
+    of :mod:`repro.core.level_ulv` on its chunk.  A level is split into
+    contiguous owner chunks only when the policy has more than one node or
+    worker; a chunk's flat skeleton output is read directly by the parent
+    level's chunks covering the same rows, so there are no merge tasks.
+
+    Subclasses set ``levels`` (leaves first), ``tags`` (the tree level each
+    stacked level is recorded at: names and distribution metadata),
+    ``root_chol`` and ``max_level`` before calling this constructor.
+    """
+
+    levels: List[LevelFactors]
+    tags: List[int]
+    root_chol: np.ndarray
 
     def __init__(self, factor, b, *, policy=None) -> None:
         super().__init__(factor, b, policy=policy)
-        self.max_level = factor.hss.max_level
-        # Mutable per-panel stores the task bodies operate on.
-        self._work: Dict[Tuple[int, int, int], np.ndarray] = self.store()
-        self._zs: Dict[Tuple[int, int, int], np.ndarray] = self.store()
-        self._bs: Dict[Tuple[int, int, int], np.ndarray] = self.store()
+        policy = self.policy
+        workers = policy.n_workers if policy.backend in ("parallel", "process") else 1
+        parts = max(1, policy.nodes, workers)
+        self._chunks = [_chunks(level.num_nodes, parts) for level in self.levels]
+        # Row ranges per chunk: rows[t] in level t's flat block (its input
+        # and its solution), skeleton[t] in level t + 1's.  The root is one
+        # more "level" of one chunk.
+        self._rows = [
+            _bounds(level.offsets, chunks) for level, chunks in zip(self.levels, self._chunks)
+        ] + [[(0, self.root_chol.shape[0])]]
+        self._skeleton = [
+            _bounds(level.skeleton_offsets, chunks)
+            for level, chunks in zip(self.levels, self._chunks)
+        ]
+        # Mutable per-panel stores the task bodies operate on: leaf RHS
+        # chunks, redundant and skeleton forward outputs, interior
+        # solutions (the leaf-level solution chunks go into self.sol).
+        self._b: Dict[Tuple[int, int], np.ndarray] = self.store()
+        self._z: Dict[Tuple[int, int, int], list] = self.store()
+        self._s: Dict[Tuple[int, int, int], np.ndarray] = self.store()
+        self._x: Dict[Tuple[int, int, int], np.ndarray] = self.store()
         # Handles.
         self._fac: Dict[Tuple[int, int], object] = {}
         self._root = None
-        self._work_h: Dict[Tuple[int, int, int], object] = {}
+        self._b_h: Dict[Tuple[int, int], object] = {}
         self._z_h: Dict[Tuple[int, int, int], object] = {}
         self._s_h: Dict[Tuple[int, int, int], object] = {}
-        self._sol_h: Dict[Tuple[int, int, int], object] = {}
+        self._x_h: Dict[Tuple[int, int, int], object] = {}
+
+    def declare_handles(self) -> None:
+        top = len(self.levels)
+        # Immutable factor handles: read-only inputs of every solve task.
+        # They have no writer, so they never cross a process boundary (forked
+        # workers inherit the factors), but declaring them keeps the recorded
+        # graph an honest description of the data each task touches.
+        for t, (level, tag) in enumerate(zip(self.levels, self.tags)):
+            for c, (lo, hi) in enumerate(self._chunks[t]):
+                nbytes = sum(
+                    g.U[a:b].nbytes + g.L_rr[a:b].nbytes + g.L_sr[a:b].nbytes
+                    for g, a, b in level.chunk_groups(lo, hi)
+                )
+                self._fac[(t, c)] = self.handle(f"ULV[{tag};{c}]", nbytes, level=tag, row=c)
+        self._root = self.handle("ULV_ROOT", self.root_chol.nbytes, level=0, row=0)
+        # Per-panel RHS/solution handles, bound to the stores so the
+        # distributed backend can move their values between processes.
+        for p, cols in enumerate(self.panels):
+            pw = cols.stop - cols.start
+            for c, (lo, hi) in enumerate(self._rows[0]):
+                self._b_h[(c, p)] = self.handle(
+                    f"B[{c};p{p}]", 8 * (hi - lo) * pw, level=self.tags[0], row=c, panel=p
+                ).bind_item(self._b, (c, p))
+            for t, tag in enumerate(self.tags):
+                xs = self.sol if t == 0 else self._x
+                for c, ((lo, hi), (slo, shi)) in enumerate(zip(self._rows[t], self._skeleton[t])):
+                    meta = dict(level=tag, row=c, panel=p)
+                    self._z_h[(t, c, p)] = self.handle(
+                        f"Z[{tag};{c};p{p}]", 8 * (hi - lo - shi + slo) * pw, **meta
+                    ).bind_item(self._z, (t, c, p))
+                    self._s_h[(t, c, p)] = self.handle(
+                        f"BS[{tag};{c};p{p}]", 8 * (shi - slo) * pw, **meta
+                    ).bind_item(self._s, (t, c, p))
+                    self._x_h[(t, c, p)] = self.handle(
+                        f"X[{tag};{c};p{p}]", 8 * (hi - lo) * pw, **meta
+                    ).bind_item(xs, (t, c, p))
+            self._x_h[(top, 0, p)] = self.handle(
+                f"Y[p{p}]", 8 * self.root_chol.shape[0] * pw, level=0, row=0, panel=p
+            ).bind_item(self._x, (top, 0, p))
+
+    def seed(self) -> None:
+        # Leaf RHS chunks (inherited by forked workers); C order is the
+        # layout the kernels and the sequential reference both see.
+        for p, cols in enumerate(self.panels):
+            for c, (lo, hi) in enumerate(self._rows[0]):
+                self._b[(c, p)] = np.ascontiguousarray(self.bm[lo:hi, cols])
+
+    def record_tasks(self) -> None:
+        # Task bodies close over these locals, never over self: a
+        # builder -> runtime -> task -> builder cycle would keep a dropped
+        # plan (and its factor) alive until a gc pass.
+        levels, tags, chol = self.levels, self.tags, self.root_chol
+        rows, skeleton, top = self._rows, self._skeleton, len(self.levels)
+        bstore, zs, ss, xs = self._b, self._z, self._s, self._x
+        for p, cols in enumerate(self.panels):
+            pw = cols.stop - cols.start
+
+            # Forward pass, leaves first, then the root: each chunk reads
+            # the skeleton blocks of the child chunks covering its rows.
+            for t in range(top + 1):
+                self.set_phase(t)
+                for c, (rlo, rhi) in enumerate(rows[t]):
+                    if t == 0:
+                        inputs, start = [(bstore, (c, p))], rlo
+                        reads = [self._b_h[(c, p)]]
+                    else:
+                        kids = _overlapping(skeleton[t - 1], rlo, rhi)
+                        inputs = [(ss, (t - 1, k, p)) for k in kids]
+                        start = skeleton[t - 1][kids[0]][0]
+                        reads = [self._s_h[(t - 1, k, p)] for k in kids]
+
+                    if t == top:
+
+                        def root(p=p, inputs=inputs, start=start, m0=rhi) -> None:
+                            w = _take_rows([store[key] for store, key in inputs], start, 0, m0)
+                            xs[(top, 0, p)] = root_solve(chol, w)
+
+                        self.insert(
+                            root,
+                            [(self._root, AccessMode.READ)]
+                            + [(h, AccessMode.READ) for h in reads]
+                            + [(self._x_h[(top, 0, p)], AccessMode.WRITE)],
+                            name=f"ROOT_SOLVE[p{p}]",
+                            kind="SOLVE_ROOT",
+                            flops=flops_solve_root(rhi, pw),
+                        )
+                    else:
+                        lo, hi = self._chunks[t][c]
+
+                        def forward(t=t, p=p, c=c, lo=lo, hi=hi, inputs=inputs,
+                                    start=start, rlo=rlo, rhi=rhi) -> None:
+                            w = _take_rows([store[key] for store, key in inputs], start, rlo, rhi)
+                            zs[(t, c, p)], ss[(t, c, p)] = forward_level(levels[t], w, lo, hi)
+
+                        self.insert(
+                            forward,
+                            [(self._fac[(t, c)], AccessMode.READ)]
+                            + [(h, AccessMode.READ) for h in reads]
+                            + [
+                                (self._z_h[(t, c, p)], AccessMode.WRITE),
+                                (self._s_h[(t, c, p)], AccessMode.WRITE),
+                            ],
+                            name=f"FWD[{tags[t]};{c};p{p}]",
+                            kind="SOLVE_FWD",
+                            flops=_chunk_flops(flops_solve_forward, levels[t], lo, hi, pw),
+                        )
+
+            # Backward pass, root first: each chunk reads the parent chunks
+            # holding its skeleton rows.
+            for t in range(top - 1, -1, -1):
+                self.set_phase(2 * top - t)
+                out = self.sol if t == 0 else xs
+                for c, (slo, shi) in enumerate(skeleton[t]):
+                    parents = _overlapping(rows[t + 1], slo, shi)
+                    start = rows[t + 1][parents[0]][0]
+                    lo, hi = self._chunks[t][c]
+
+                    def backward(t=t, p=p, c=c, lo=lo, hi=hi, parents=parents,
+                                 start=start, slo=slo, shi=shi, out=out) -> None:
+                        y = _take_rows([xs[(t + 1, k, p)] for k in parents], start, slo, shi)
+                        out[(t, c, p)] = backward_level(levels[t], zs[(t, c, p)], y, lo, hi)
+
+                    self.insert(
+                        backward,
+                        [(self._fac[(t, c)], AccessMode.READ)]
+                        + [(self._x_h[(t + 1, k, p)], AccessMode.READ) for k in parents]
+                        + [
+                            (self._z_h[(t, c, p)], AccessMode.READ),
+                            (self._x_h[(t, c, p)], AccessMode.WRITE),
+                        ],
+                        name=f"BWD[{tags[t]};{c};p{p}]",
+                        kind="SOLVE_BWD",
+                        flops=_chunk_flops(flops_solve_backward, levels[t], lo, hi, pw),
+                    )
+
+    def gather(self) -> np.ndarray:
+        x = np.empty_like(self.bm)
+        for p, cols in enumerate(self.panels):
+            for c, (lo, hi) in enumerate(self._rows[0]):
+                x[lo:hi, cols] = self.sol[(0, c, p)]
+        return x
+
+
+class HSSULVSolveBuilder(LevelULVSolveBuilder):
+    """The forward/root/backward HSS-ULV solve graph (Eq. 17) for one RHS block.
+
+    One forward and one backward task per tree level and panel (more only
+    when the policy splits levels into owner chunks).
+    """
+
+    def __init__(self, factor, b, *, policy=None) -> None:
+        self.max_level = factor.hss.max_level
+        self.tags = list(range(self.max_level, 0, -1))
+        self.levels = [factor.levels[level] for level in self.tags]
+        self.root_chol = factor.root_chol
+        super().__init__(factor, b, policy=policy)
 
     @property
     def n(self) -> int:
         return self.factor.hss.n
 
-    def declare_handles(self) -> None:
-        factor, max_level = self.factor, self.max_level
-        # Immutable factor handles: read-only inputs of every solve task.
-        # They have no writer, so they never cross a process boundary (forked
-        # workers inherit the factors), but declaring them keeps the recorded
-        # graph an honest description of the data each task touches.
-        for (level, i), nf in sorted(factor.node_factors.items()):
-            self._fac[(level, i)] = self.handle(
-                f"ULV[{level};{i}]",
-                nf.U.nbytes + nf.partial.L_rr.nbytes + nf.partial.L_sr.nbytes,
-                level=level,
-                row=i,
-            )
-        self._root = self.handle(
-            "ULV_ROOT", factor.root_chol.nbytes, level=0, row=0
-        )
-        # Per-panel RHS/solution handles, bound to the stores so the
-        # distributed backend can move their values between processes.
-        for p, cols in enumerate(self.panels):
-            pw = cols.stop - cols.start
-            for level in range(max_level, -1, -1):
-                for i in range(2**level):
-                    if level > 0:
-                        nf = factor.node_factors[(level, i)]
-                        m, r = nf.block_size, nf.rank
-                    else:
-                        m = r = factor.root_chol.shape[0]
-                    self._work_h[(p, level, i)] = self.handle(
-                        f"B[{level};{i};p{p}]", 8 * m * pw,
-                        level=level, row=i, panel=p,
-                    ).bind_item(self._work, (p, level, i))
-                    self._sol_h[(p, level, i)] = self.handle(
-                        f"X[{level};{i};p{p}]", 8 * m * pw,
-                        level=level, row=i, panel=p,
-                    ).bind_item(self.sol, (p, level, i))
-                    if level > 0:
-                        self._z_h[(p, level, i)] = self.handle(
-                            f"Z[{level};{i};p{p}]", 8 * (m - r) * pw,
-                            level=level, row=i, panel=p,
-                        ).bind_item(self._zs, (p, level, i))
-                        self._s_h[(p, level, i)] = self.handle(
-                            f"BS[{level};{i};p{p}]", 8 * r * pw,
-                            level=level, row=i, panel=p,
-                        ).bind_item(self._bs, (p, level, i))
 
-    def seed(self) -> None:
-        # Leaf RHS blocks (inherited by forked workers).
-        hss = self.factor.hss
-        for p, cols in enumerate(self.panels):
-            for i in range(2**self.max_level):
-                node = hss.node(self.max_level, i)
-                self._work[(p, self.max_level, i)] = self.bm[node.start : node.stop, cols].copy()
+class LeafULVSolveBuilder(LevelULVSolveBuilder):
+    """The forward/root/backward leaf-ULV solve graph (Eq. 15) for one RHS block.
 
-    def record_tasks(self) -> None:
-        factor, max_level = self.factor, self.max_level
-        work, zs, bs, sol = self._work, self._zs, self._bs, self.sol
-        for p, cols in enumerate(self.panels):
-            pw = cols.stop - cols.start
-
-            # Forward pass: rotate, eliminate redundant unknowns, merge upward.
-            for level in range(max_level, 0, -1):
-                self.set_phase(max_level - level)
-                for i in range(2**level):
-                    nf = factor.node_factors[(level, i)]
-
-                    def forward(p=p, level=level, i=i, nf=nf) -> None:
-                        bhat = nf.U.T @ work[(p, level, i)]
-                        nr = nf.redundant_size
-                        br, bsi = bhat[:nr], bhat[nr:]
-                        if nr > 0:
-                            z = scipy.linalg.solve_triangular(nf.partial.L_rr, br, lower=True)
-                            bsi = bsi - nf.partial.L_sr @ z
-                        else:
-                            z = br
-                        zs[(p, level, i)] = z
-                        bs[(p, level, i)] = bsi
-
-                    self.insert(
-                        forward,
-                        [
-                            (self._fac[(level, i)], AccessMode.READ),
-                            (self._work_h[(p, level, i)], AccessMode.READ),
-                            (self._z_h[(p, level, i)], AccessMode.WRITE),
-                            (self._s_h[(p, level, i)], AccessMode.WRITE),
-                        ],
-                        name=f"FWD[{level};{i};p{p}]",
-                        kind="SOLVE_FWD",
-                        flops=flops_solve_forward(nf.block_size, nf.rank, pw),
-                    )
-                for k in range(2 ** (level - 1)):
-
-                    def merge_rhs(p=p, level=level, k=k) -> None:
-                        work[(p, level - 1, k)] = np.vstack(
-                            [bs[(p, level, 2 * k)], bs[(p, level, 2 * k + 1)]]
-                        )
-
-                    self.insert(
-                        merge_rhs,
-                        [
-                            (self._s_h[(p, level, 2 * k)], AccessMode.READ),
-                            (self._s_h[(p, level, 2 * k + 1)], AccessMode.READ),
-                            (self._work_h[(p, level - 1, k)], AccessMode.WRITE),
-                        ],
-                        name=f"MERGE_RHS[{level - 1};{k};p{p}]",
-                        kind="MERGE_RHS",
-                    )
-
-            # Root dense solve.
-            def root_solve(p=p) -> None:
-                y0 = scipy.linalg.solve_triangular(factor.root_chol, work[(p, 0, 0)], lower=True)
-                sol[(p, 0, 0)] = scipy.linalg.solve_triangular(
-                    factor.root_chol.T, y0, lower=False
-                )
-
-            self.set_phase(max_level)
-            self.insert(
-                root_solve,
-                [
-                    (self._root, AccessMode.READ),
-                    (self._work_h[(p, 0, 0)], AccessMode.READ),
-                    (self._sol_h[(p, 0, 0)], AccessMode.WRITE),
-                ],
-                name=f"ROOT_SOLVE[p{p}]",
-                kind="SOLVE_ROOT",
-                flops=flops_solve_root(factor.root_chol.shape[0], pw),
-            )
-
-            # Backward pass: un-merge, back-substitute, rotate back.
-            for level in range(1, max_level + 1):
-                self.set_phase(max_level + level)
-                for i in range(2**level):
-                    nf = factor.node_factors[(level, i)]
-                    r_left = factor.node_factors[(level, 2 * (i // 2))].rank
-
-                    def backward(p=p, level=level, i=i, nf=nf, r_left=r_left) -> None:
-                        parent = sol[(p, level - 1, i // 2)]
-                        ys = parent[:r_left] if i % 2 == 0 else parent[r_left:]
-                        nr = nf.redundant_size
-                        if nr > 0:
-                            rhs = zs[(p, level, i)] - nf.partial.L_sr.T @ ys
-                            yr = scipy.linalg.solve_triangular(nf.partial.L_rr.T, rhs, lower=False)
-                        else:
-                            yr = zs[(p, level, i)][:0]
-                        sol[(p, level, i)] = nf.U @ np.vstack([yr, ys])
-
-                    self.insert(
-                        backward,
-                        [
-                            (self._fac[(level, i)], AccessMode.READ),
-                            (self._sol_h[(p, level - 1, i // 2)], AccessMode.READ),
-                            (self._z_h[(p, level, i)], AccessMode.READ),
-                            (self._sol_h[(p, level, i)], AccessMode.WRITE),
-                        ],
-                        name=f"BWD[{level};{i};p{p}]",
-                        kind="SOLVE_BWD",
-                        flops=flops_solve_backward(nf.block_size, nf.rank, pw),
-                    )
-
-    # Ship only the leaf solution blocks (the ones gather() reads); the
-    # interior sol entries are per-worker scratch.
-    def collect_local(self):
-        leaf_keys = [
-            (p, self.max_level, i)
-            for p in range(len(self.panels))
-            for i in range(2**self.max_level)
-        ]
-        return {key: self.sol[key] for key in leaf_keys if key in self.sol}
-
-    def gather(self) -> np.ndarray:
-        hss = self.factor.hss
-        x = np.empty_like(self.bm)
-        for p, cols in enumerate(self.panels):
-            for i in range(2**self.max_level):
-                node = hss.node(self.max_level, i)
-                x[node.start : node.stop, cols] = self.sol[(p, self.max_level, i)]
-        return x
-
-
-class LeafULVSolveBuilder(SolveGraphBuilder):
-    """The forward/root/backward leaf-ULV solve graph for one RHS block.
-
-    Works for any leaf-ULV factor (``system`` / ``bases`` / ``partials`` /
-    ``merged_chol``): per block row one forward task, one root task against
-    the merged Cholesky factor per panel, and per block row one
-    back-substitution task.
+    Works for any leaf-ULV factor (``system`` / ``level`` / ``merged_chol``):
+    the leaf factor is a one-level tree, so per panel one forward task, one
+    root task against the merged Cholesky factor and one backward task (more
+    only when the policy splits the block rows into owner chunks).
     """
 
     def __init__(self, factor, b, *, policy=None) -> None:
-        super().__init__(factor, b, policy=policy)
         # Same virtual tree level as the factorization graph, so the
         # row-cyclic strategy spreads the flat block rows identically.
         self.max_level = leaf_virtual_level(factor.system.nblocks)
-        self._offsets = factor._skeleton_offsets()
-        # Mutable per-panel stores the task bodies operate on.
-        self._bin: Dict[Tuple[int, int], np.ndarray] = self.store()
-        self._zs: Dict[Tuple[int, int], np.ndarray] = self.store()
-        self._bs: Dict[Tuple[int, int], np.ndarray] = self.store()
-        self._ys: Dict[int, np.ndarray] = self.store()
-        # Handles.
-        self._fac: Dict[int, object] = {}
-        self._root = None
-        self._bin_h: Dict[Tuple[int, int], object] = {}
-        self._z_h: Dict[Tuple[int, int], object] = {}
-        self._s_h: Dict[Tuple[int, int], object] = {}
-        self._y_h: Dict[int, object] = {}
-        self._sol_h: Dict[Tuple[int, int], object] = {}
+        self.tags = [self.max_level]
+        self.levels = [factor.level]
+        self.root_chol = factor.merged_chol
+        super().__init__(factor, b, policy=policy)
 
     @property
     def n(self) -> int:
         return self.factor.system.n
-
-    def declare_handles(self) -> None:
-        factor, level = self.factor, self.max_level
-        system = factor.system
-        nb = system.nblocks
-        # Immutable factor handles (no writers: inherited by forked workers).
-        for i in range(nb):
-            part = factor.partials[i]
-            self._fac[i] = self.handle(
-                f"ULV[{i}]",
-                factor.bases[i].nbytes + part.L_rr.nbytes + part.L_sr.nbytes,
-                level=level,
-                row=i,
-            )
-        self._root = self.handle(
-            "ULV_ROOT", factor.merged_chol.nbytes, level=0, row=0
-        )
-        for p, cols in enumerate(self.panels):
-            pw = cols.stop - cols.start
-            for i in range(nb):
-                rng = system.block_range(i)
-                m = rng.stop - rng.start
-                r = system.rank(i)
-                self._bin_h[(p, i)] = self.handle(
-                    f"B[{i};p{p}]", 8 * m * pw, level=level, row=i, panel=p
-                ).bind_item(self._bin, (p, i))
-                self._z_h[(p, i)] = self.handle(
-                    f"Z[{i};p{p}]", 8 * (m - r) * pw, level=level, row=i, panel=p
-                ).bind_item(self._zs, (p, i))
-                self._s_h[(p, i)] = self.handle(
-                    f"BS[{i};p{p}]", 8 * r * pw, level=level, row=i, panel=p
-                ).bind_item(self._bs, (p, i))
-                self._sol_h[(p, i)] = self.handle(
-                    f"X[{i};p{p}]", 8 * m * pw, level=level, row=i, panel=p
-                ).bind_item(self.sol, (p, i))
-            self._y_h[p] = self.handle(
-                f"Y[p{p}]", 8 * self._offsets[-1] * pw, level=0, row=0, panel=p
-            ).bind_item(self._ys, p)
-
-    def seed(self) -> None:
-        system = self.factor.system
-        for p, cols in enumerate(self.panels):
-            for i in range(system.nblocks):
-                self._bin[(p, i)] = self.bm[system.block_range(i), cols].copy()
-
-    def record_tasks(self) -> None:
-        factor, offsets = self.factor, self._offsets
-        system = factor.system
-        nb = system.nblocks
-        bin_store, zs, bs, ys, sol = self._bin, self._zs, self._bs, self._ys, self.sol
-        for p, cols in enumerate(self.panels):
-            pw = cols.stop - cols.start
-
-            self.set_phase(0)
-            for i in range(nb):
-
-                def forward(p=p, i=i) -> None:
-                    bhat = factor.bases[i].T @ bin_store[(p, i)]
-                    nr = factor.partials[i].redundant_size
-                    br, bsi = bhat[:nr], bhat[nr:]
-                    if nr > 0:
-                        z = scipy.linalg.solve_triangular(factor.partials[i].L_rr, br, lower=True)
-                        bsi = bsi - factor.partials[i].L_sr @ z
-                    else:
-                        z = br
-                    zs[(p, i)] = z
-                    bs[(p, i)] = bsi
-
-                rng = system.block_range(i)
-                m = rng.stop - rng.start
-                self.insert(
-                    forward,
-                    [
-                        (self._fac[i], AccessMode.READ),
-                        (self._bin_h[(p, i)], AccessMode.READ),
-                        (self._z_h[(p, i)], AccessMode.WRITE),
-                        (self._s_h[(p, i)], AccessMode.WRITE),
-                    ],
-                    name=f"FWD[{i};p{p}]",
-                    kind="SOLVE_FWD",
-                    flops=flops_solve_forward(m, system.rank(i), pw),
-                )
-
-            def root_solve(p=p) -> None:
-                # Stacking the skeleton blocks in row order yields exactly the
-                # merged_rhs array of the sequential reference.
-                merged_rhs = np.vstack([bs[(p, i)] for i in range(nb)])
-                y = scipy.linalg.solve_triangular(factor.merged_chol, merged_rhs, lower=True)
-                ys[p] = scipy.linalg.solve_triangular(factor.merged_chol.T, y, lower=False)
-
-            self.set_phase(1)
-            self.insert(
-                root_solve,
-                [(self._s_h[(p, i)], AccessMode.READ) for i in range(nb)]
-                + [(self._root, AccessMode.READ), (self._y_h[p], AccessMode.WRITE)],
-                name=f"ROOT_SOLVE[p{p}]",
-                kind="SOLVE_ROOT",
-                flops=flops_solve_root(offsets[-1], pw),
-            )
-
-            self.set_phase(2)
-            for i in range(nb):
-
-                def backward(p=p, i=i) -> None:
-                    ysi = ys[p][offsets[i] : offsets[i + 1]]
-                    nr = factor.partials[i].redundant_size
-                    if nr > 0:
-                        rhs = zs[(p, i)] - factor.partials[i].L_sr.T @ ysi
-                        yr = scipy.linalg.solve_triangular(factor.partials[i].L_rr.T, rhs, lower=False)
-                    else:
-                        yr = zs[(p, i)][:0]
-                    sol[(p, i)] = factor.bases[i] @ np.vstack([yr, ysi])
-
-                rng = system.block_range(i)
-                m = rng.stop - rng.start
-                self.insert(
-                    backward,
-                    [
-                        (self._fac[i], AccessMode.READ),
-                        (self._y_h[p], AccessMode.READ),
-                        (self._z_h[(p, i)], AccessMode.READ),
-                        (self._sol_h[(p, i)], AccessMode.WRITE),
-                    ],
-                    name=f"BWD[{i};p{p}]",
-                    kind="SOLVE_BWD",
-                    flops=flops_solve_backward(m, system.rank(i), pw),
-                )
-
-    def gather(self) -> np.ndarray:
-        system = self.factor.system
-        x = np.empty_like(self.bm)
-        for p, cols in enumerate(self.panels):
-            for i in range(system.nblocks):
-                x[system.block_range(i), cols] = self.sol[(p, i)]
-        return x

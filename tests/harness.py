@@ -50,6 +50,9 @@ __all__ = [
     "run_pipeline",
     "sequential_pipeline",
     "assert_replay_bit_identical",
+    "SolveCase",
+    "SOLVE_CASES",
+    "solve_case_solver",
     "factorize_graph",
     "solve_graph",
 ]
@@ -280,6 +283,52 @@ def assert_replay_bit_identical(
         else:
             assert runtime is recorded[0], "a later solve re-recorded instead of replaying"
             assert runtime.num_tasks == recorded[1]
+
+
+@dataclass(frozen=True)
+class SolveCase:
+    """One problem of the solve sweep (hashable, so its solver caches per case).
+
+    The sweep's point is the shapes the level kernels see: ``n`` not a
+    power-of-two multiple of ``leaf_size`` gives ragged leaves (several
+    shape groups per level) and ``tol`` gives adaptive, node-dependent ranks
+    (up to one group per node).
+    """
+
+    format: str
+    n: int
+    leaf_size: int
+    max_rank: int
+    tol: Optional[float] = None
+
+    @property
+    def id(self) -> str:
+        tol = f"-tol{self.tol:g}" if self.tol is not None else ""
+        return f"{self.format}-n{self.n}-leaf{self.leaf_size}-r{self.max_rank}{tol}"
+
+
+#: The solve sweep: ragged leaves (n=1000: 62/63 rows, n=3000: 93/94 rows),
+#: tol-adaptive ranks, and the leaf formats (HODLR's exact leaf view has
+#: rank == block size, i.e. nothing redundant to eliminate).
+SOLVE_CASES = (
+    SolveCase("hss", 1000, 64, 30),
+    SolveCase("hss", 1000, 64, 48, tol=1e-5),
+    SolveCase("hss", 3000, 128, 40),
+    SolveCase("hss", 3000, 128, 64, tol=1e-5),
+    SolveCase("blr2", 1000, 64, 48, tol=1e-5),
+    SolveCase("hodlr", 1000, 128, 40),
+)
+
+
+@lru_cache(maxsize=None)
+def solve_case_solver(case: SolveCase) -> StructuredSolver:
+    """The (cached, factorized) sequential solver of one sweep case."""
+    solver = StructuredSolver.from_kernel(
+        "yukawa", n=case.n, format=case.format, leaf_size=case.leaf_size,
+        max_rank=case.max_rank, tol=case.tol,
+    )
+    solver.factorize()
+    return solver
 
 
 def factorize_graph(fmt: str, matrix, backend: str = "immediate", **policy):

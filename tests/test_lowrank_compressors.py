@@ -113,6 +113,17 @@ class TestOrthogonalComplement:
         q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))
         assert orthogonal_complement(q).shape == (6, 0)
 
+    @pytest.mark.parametrize("m, r", [(256, 60), (120, 60), (9, 0), (9, 8), (9, 9)])
+    def test_square_basis_orthogonal_to_1e13(self, m, r):
+        """``[U^R U^S]`` from the single-QR complement is orthogonal to <= 1e-13,
+        including the edge ranks r = 0, r = m - 1 and r = m."""
+        u_s = row_basis(smooth_block(m, 3 * m, seed=m + r), rank=r) if r else np.zeros((m, 0))
+        assert u_s.shape == (m, r)
+        u_r = orthogonal_complement(u_s)
+        assert u_r.shape == (m, m - r)
+        u = np.hstack([u_r, u_s])
+        assert np.abs(u.T @ u - np.eye(m)).max() <= 1e-13
+
 
 class TestAca:
     def test_compress_aca_accuracy(self):

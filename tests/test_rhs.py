@@ -121,3 +121,43 @@ class TestCompressPathAcceptsAnyLayout:
             graph_solver.solve(np.empty((256, 0)))
         with pytest.raises(ValueError, match="0 columns"):
             graph_solver.solve(np.empty((256, 0)), use_runtime="parallel")
+
+
+class TestNonFiniteRhs:
+    """The level kernels skip per-call finiteness scans, so a NaN/Inf right-hand
+    side must be rejected once, at entry, on every format and backend."""
+
+    @pytest.fixture(scope="class", params=["hss", "blr2", "hodlr"])
+    def solver(self, request):
+        solver = StructuredSolver.from_kernel(
+            "yukawa", n=256, format=request.param, leaf_size=64, max_rank=20
+        )
+        solver.factorize()
+        return solver
+
+    @pytest.mark.parametrize("backend", ["off", "deferred", "parallel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rejected_with_value_error(self, solver, backend, bad, k):
+        b = np.ones(256 if k == 1 else (256, k))
+        b[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solver.solve(b, use_runtime=backend, n_workers=2)
+        # a clean right-hand side still solves afterwards (plans survive)
+        b[17] = 1.0
+        x = solver.solve(b, use_runtime=backend, n_workers=2)
+        assert np.array_equal(x, solver.factor.solve(b))
+
+    def test_validate_rhs_names_the_argument(self):
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            validate_rhs(np.array([1.0, np.nan]), 2, name="rhs")
+
+
+class TestNonFiniteFactor:
+    def test_factor_check_rejects_nan(self):
+        solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
+        factor = solver.factorize()
+        factor.check_finite()
+        factor.levels[1].groups[0].L_sr[0, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            factor.check_finite()

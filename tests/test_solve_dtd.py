@@ -20,7 +20,7 @@ import weakref
 
 import numpy as np
 import pytest
-from harness import assert_replay_bit_identical, solve_graph
+from harness import SOLVE_CASES, assert_replay_bit_identical, solve_case_solver, solve_graph
 
 from repro.api import StructuredSolver
 from repro.core.blr2_ulv import blr2_ulv_factorize
@@ -28,6 +28,9 @@ from repro.core.hss_ulv import hss_ulv_factorize
 from repro.core.rhs import validate_rhs
 from repro.formats.blr2 import build_blr2
 from repro.formats.hss import build_hss
+from repro.geometry.points import uniform_grid_2d
+from repro.kernels.assembly import KernelMatrix
+from repro.kernels.greens import Yukawa
 from repro.obs import MetricsRegistry
 from repro.pipeline.panels import column_panels
 from repro.pipeline.plans import SolvePlans
@@ -170,32 +173,85 @@ class TestPanels:
             assert panel_of[src] == panel_of[dst]
 
 
+class TestSolveSweep:
+    """Ragged sizes and tol-adaptive ranks through every solve backend.
+
+    Shape-grouped levels, single-node groups and owner-split level tasks
+    (two workers / two nodes) must all reproduce the sequential reference
+    bit for bit, panel by panel.
+    """
+
+    @pytest.mark.parametrize("case", SOLVE_CASES, ids=lambda c: c.id)
+    @pytest.mark.parametrize(
+        "k, panel_size", [(1, None), (16, None), (16, 4)], ids=["k1", "k16", "k16-panel4"]
+    )
+    @pytest.mark.parametrize(
+        "backend, nodes",
+        [
+            ("deferred", 1),
+            ("parallel", 1),
+            pytest.param("distributed", 2, marks=needs_fork),
+        ],
+        ids=["deferred", "parallel", "distributed2"],
+    )
+    def test_bit_identical_to_reference(self, case, k, panel_size, backend, nodes):
+        assert_replay_bit_identical(
+            solve_case_solver(case), backend, k=k, panel_size=panel_size,
+            nodes=nodes, n_workers=2, solves=2,
+        )
+
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_unaligned_owner_chunks(self, k):
+        """Three workers: a parent chunk spans two child chunks (rows are
+        stitched from both), and a child chunk feeds two parent chunks."""
+        assert_replay_bit_identical(
+            solve_case_solver(SOLVE_CASES[0]), "parallel", k=k, n_workers=3, solves=2
+        )
+
+
 class TestGraphShape:
-    def test_hss_task_census(self, hss_factor):
-        b = _rhs(hss_factor.hss.n, 1)
-        _, rt = solve_graph("hss", hss_factor, b, "deferred")
-        max_level = hss_factor.hss.max_level
-        nodes = sum(2**level for level in range(1, max_level + 1))
-        internal = sum(2 ** (level - 1) for level in range(1, max_level + 1))
+    @staticmethod
+    def _kinds(rt):
         kinds = {}
         for t in rt.graph.tasks:
             kinds[t.kind] = kinds.get(t.kind, 0) + 1
-        assert kinds == {
-            "SOLVE_FWD": nodes,
-            "MERGE_RHS": internal,
-            "SOLVE_ROOT": 1,
-            "SOLVE_BWD": nodes,
+        return kinds
+
+    def test_hss_task_census(self, hss_factor):
+        """One FWD and one BWD task per tree level, no merge tasks."""
+        b = _rhs(hss_factor.hss.n, 1)
+        _, rt = solve_graph("hss", hss_factor, b, "deferred")
+        max_level = hss_factor.hss.max_level
+        assert self._kinds(rt) == {
+            "SOLVE_FWD": max_level, "SOLVE_ROOT": 1, "SOLVE_BWD": max_level,
         }
         assert rt.graph.total_flops() > 0
+
+    def test_hss_task_census_n8192(self):
+        """The benchmark problem: 5 levels, so 5 + 1 + 5 = 11 tasks (156 with a task per node)."""
+        kmat = KernelMatrix(Yukawa(), uniform_grid_2d(8192))
+        hss = build_hss(kmat, leaf_size=256, max_rank=60)
+        builder = HSSULVSolveBuilder(
+            hss_ulv_factorize(hss), _rhs(8192, 1),
+            policy=ExecutionPolicy(backend="parallel", n_workers=1),
+        ).record()
+        assert builder.runtime.num_tasks == 11
+
+    def test_hss_owner_chunks(self, hss_factor):
+        """Two nodes split every level (each has at least two nodes) in two."""
+        b = _rhs(hss_factor.hss.n, 1)
+        _, rt = solve_graph("hss", hss_factor, b, "deferred", nodes=2)
+        max_level = hss_factor.hss.max_level
+        assert self._kinds(rt) == {
+            "SOLVE_FWD": 2 * max_level, "SOLVE_ROOT": 1, "SOLVE_BWD": 2 * max_level,
+        }
 
     def test_blr2_task_census(self, blr2_factor):
         b = _rhs(blr2_factor.blr2.n, 1)
         _, rt = solve_graph("blr2", blr2_factor, b, "deferred")
-        nb = blr2_factor.blr2.nblocks
-        kinds = {}
-        for t in rt.graph.tasks:
-            kinds[t.kind] = kinds.get(t.kind, 0) + 1
-        assert kinds == {"SOLVE_FWD": nb, "SOLVE_ROOT": 1, "SOLVE_BWD": nb}
+        assert self._kinds(rt) == {"SOLVE_FWD": 1, "SOLVE_ROOT": 1, "SOLVE_BWD": 1}
+        _, rt = solve_graph("blr2", blr2_factor, b, "parallel", n_workers=3)
+        assert self._kinds(rt) == {"SOLVE_FWD": 3, "SOLVE_ROOT": 1, "SOLVE_BWD": 3}
 
     def test_graph_is_valid(self, hss_factor):
         _, rt = solve_graph("hss", hss_factor, _rhs(hss_factor.hss.n, 4), "deferred")

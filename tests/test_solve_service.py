@@ -527,3 +527,37 @@ class TestPersistence:
         small = SolverService(backend="reference", max_cached=1)
         assert small.load_cache(path) == 2
         assert len(small.cached_keys) == 1  # evicted down to capacity
+
+    def test_snapshot_does_not_grow_with_level_stacks(self, tmp_path):
+        """The factors are pickled once, as level stacks, never also as node views.
+
+        The reference size is the same snapshot with the factor in the
+        per-node layout (one array per node factor, no stacks).
+        """
+        import pickle
+        import zlib
+
+        path = tmp_path / "factors.bin"
+        service = SolverService(backend="reference")
+        service.solve(_rhs(1), **KEY)
+        service.save_cache(path)
+        solver = service.solver_for(FactorKey.make(**KEY))
+        factor = solver.factor
+        assert factor.node_factors  # the view cache is populated
+        per_node = {
+            "hss": factor.hss,
+            "root_chol": factor.root_chol,
+            "node_factors": {
+                key: (nf.U.copy(), nf.rank, nf.partial.L_rr.copy(),
+                      nf.partial.L_sr.copy(), nf.partial.schur_ss.copy())
+                for key, nf in factor.node_factors.items()
+            },
+        }
+        entry = {
+            "kernel_matrix": solver.kernel_matrix, "matrix": solver.matrix,
+            "factor": per_node, "format": solver.format,
+        }
+        per_node_blob = zlib.compress(
+            pickle.dumps({FactorKey.make(**KEY): entry}, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert path.stat().st_size <= len(per_node_blob) * 1.01
