@@ -3,7 +3,7 @@
 The construction phase was the last serial phase of the pipeline; this
 benchmark measures it running through the DTD runtime for every registered
 format (sequential reference vs deferred/parallel/distributed task graphs,
-plus the fused parallel and forked process-pool configurations) and records
+plus the fused parallel and forked process configurations) and records
 the wall times, speedups, task counts and distributed communication volume
 into ``BENCH_runtime.json``, so the compression-phase trajectory is tracked
 across PRs like the factorize/solve numbers.  Both sides of every speedup
@@ -25,7 +25,7 @@ from repro.experiments.compress_scaling import (
 
 N = 4096 if full_scale() else 1024
 BACKENDS = ("deferred", "parallel", "distributed")
-#: Swept a second time with fusion forced on (process is fused by default).
+#: Swept a second time with fusion on.
 FUSED_BACKENDS = ("parallel", "process")
 REPEATS = bench_repeats()
 

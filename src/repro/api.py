@@ -28,11 +28,9 @@ and the solve (:meth:`StructuredSolver.solve`):
     the shared-memory analogue of the paper's PaRSEC execution.  Use this for
     large problems where the independent per-block tasks dominate.
 ``use_runtime="process"``
-    The task graph is recorded first, *fused* (record-time task coarsening,
-    :mod:`repro.runtime.fusion`) and then executed out-of-order on a pool of
-    ``n_workers`` forked worker processes -- GIL-free like the distributed
-    backend, but with the pool's dynamic load balancing instead of
-    owner-computes placement.
+    The distributed execution below with one forked worker process (rank)
+    per ``n_workers`` instead of ``nodes`` -- the GIL-free counterpart of
+    ``"parallel"``, on the same owner-computes rank loop and data plane.
 ``use_runtime="distributed"``
     The task graph is recorded first and then executed across ``nodes`` forked
     worker processes with owner-computes placement from a distribution
@@ -122,7 +120,7 @@ class StructuredSolver:
         compress_nodes: int = 1,
         compress_workers: int = 4,
         compress_distribution: Optional[Union[str, DistributionStrategy]] = None,
-        compress_fusion: Optional[bool] = None,
+        compress_fusion: bool = False,
         compress_trace: bool = False,
         compress_metrics: Optional[Any] = None,
         **kernel_params: float,
@@ -143,8 +141,8 @@ class StructuredSolver:
         the sequential build.  ``compress_nodes`` / ``compress_workers`` /
         ``compress_distribution`` parameterize the runtime backends (named
         separately from the kernel parameters caught by ``**kernel_params``);
-        ``compress_fusion`` toggles record-time task fusion/batching (None:
-        fused exactly where required, i.e. ``compress_runtime="process"``);
+        ``compress_fusion`` turns on record-time task fusion/batching
+        (:mod:`repro.runtime.fusion`; off by default);
         ``compress_trace`` records a measured
         :class:`~repro.runtime.tracing.ExecutionTrace` of the compression
         (``solver.compress_runtime.last_trace``); ``compress_metrics``
@@ -211,7 +209,7 @@ class StructuredSolver:
         compress_nodes: int = 1,
         compress_workers: int = 4,
         compress_distribution: Optional[Union[str, DistributionStrategy]] = None,
-        compress_fusion: Optional[bool] = None,
+        compress_fusion: bool = False,
         compress_trace: bool = False,
         compress_metrics: Optional[Any] = None,
         **kernel_params: float,
@@ -252,7 +250,7 @@ class StructuredSolver:
         nodes: int = 1,
         n_workers: int = 4,
         distribution: Optional[Union[str, DistributionStrategy]] = None,
-        fusion: Optional[bool] = None,
+        fusion: bool = False,
         trace: bool = False,
         metrics: Optional[Any] = None,
         data_plane: Optional[str] = None,
@@ -277,22 +275,24 @@ class StructuredSolver:
             pool with ``n_workers`` threads; ``"distributed"`` records the
             task graph first and then executes it across ``nodes`` forked
             worker processes with owner-computes placement (the HATRIX-DTD
-            distributed-memory execution model).  All paths produce
+            distributed-memory execution model); ``"process"`` is that same
+            execution with ``n_workers`` worker processes.  All paths produce
             bit-identical factors.
         nodes:
             Number of processes for the data distribution when the runtime is
             used (real worker processes for ``"distributed"``, simulated ranks
-            otherwise).
+            for the in-process paths).
         n_workers:
-            Thread count for ``use_runtime="parallel"``.
+            Thread count for ``use_runtime="parallel"``, worker-process count
+            for ``use_runtime="process"``.
         distribution:
             Data-distribution strategy for the runtime paths: a
             :class:`~repro.distribution.strategies.DistributionStrategy`
             instance or a name (``"row"`` / ``"block"`` / ``"element"``).
             Default: the paper's row-cyclic distribution.
         fusion:
-            Record-time task fusion/batching (None: fused exactly where
-            required, i.e. ``use_runtime="process"``).
+            Record-time task fusion/batching (:mod:`repro.runtime.fusion`;
+            off by default, task-graph paths only).
         trace:
             Record a measured :class:`~repro.runtime.tracing.ExecutionTrace`
             of the factorization; retrieve it with :meth:`last_traces` or
@@ -302,7 +302,7 @@ class StructuredSolver:
             task/comm/memory metrics of the runtime factorization.
         data_plane:
             Wire representation of cross-process edges for
-            ``use_runtime="distributed"``: ``"shm"`` (zero-copy shared-memory
+            ``use_runtime="distributed"`` / ``"process"``: ``"shm"`` (zero-copy shared-memory
             segments, the default) or ``"pickle"`` (full pickled payloads).
         force:
             Re-factorize even when a factor is already cached.
@@ -341,7 +341,7 @@ class StructuredSolver:
         n_workers: int = 4,
         distribution: Optional[Union[str, DistributionStrategy]] = None,
         panel_size: Optional[int] = None,
-        fusion: Optional[bool] = None,
+        fusion: bool = False,
         trace: bool = False,
         metrics: Optional[Any] = None,
         data_plane: Optional[str] = None,
@@ -367,7 +367,8 @@ class StructuredSolver:
             by :meth:`factorize` and cached).  Same modes and semantics as
             :meth:`factorize`: ``False``/``"off"`` (sequential reference),
             ``True``/``"immediate"``, ``"deferred"``, ``"parallel"``
-            (thread pool with ``n_workers`` threads) or ``"distributed"``
+            (thread pool with ``n_workers`` threads), ``"process"``
+            (``n_workers`` forked worker processes) or ``"distributed"``
             (``nodes`` forked worker processes).  All paths produce
             bit-identical solutions.
         refine:
@@ -380,8 +381,8 @@ class StructuredSolver:
             Columns per RHS panel of the task-graph solve; ``None`` keeps all
             ``k`` columns in one panel (bit-identical to the reference).
         fusion:
-            Record-time task fusion/batching (None: fused exactly where
-            required, i.e. ``use_runtime="process"``).
+            Record-time task fusion/batching (:mod:`repro.runtime.fusion`;
+            off by default, task-graph paths only).
         trace:
             Record a measured :class:`~repro.runtime.tracing.ExecutionTrace`
             of the task-graph solve; retrieve it with :meth:`last_traces` or
@@ -391,7 +392,8 @@ class StructuredSolver:
             task/comm/memory metrics of the task-graph solve.
         data_plane:
             Wire representation of cross-process edges for
-            ``use_runtime="distributed"`` (``"shm"`` or ``"pickle"``), as in
+            ``use_runtime="distributed"`` / ``"process"`` (``"shm"`` or
+            ``"pickle"``), as in
             :meth:`factorize`.
         """
         policy = ExecutionPolicy.resolve(

@@ -134,10 +134,6 @@ def _positive_int(value: str) -> int:
     return ivalue
 
 
-#: Maps the ``--fusion`` tri-state onto the ``ExecutionPolicy.fusion`` field.
-_FUSION_MODES = {"auto": None, "on": True, "off": False}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the ``repro`` experiment CLI.
 
@@ -198,10 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution path: off = sequential reference, immediate = DTD tasks "
         "run at insertion time, deferred = recorded graph run sequentially, "
         "parallel = task graph executed out-of-order on a thread pool, "
-        "process = fused task graph executed on a pool of forked worker "
+        "process = task graph executed across --workers forked worker "
         "processes (GIL-free), "
-        "distributed = task graph executed across --nodes worker processes "
-        "with owner-computes placement",
+        "distributed = task graph executed across --nodes worker processes; "
+        "both forked runtimes use owner-computes placement",
     )
     p.add_argument(
         "--compress-runtime",
@@ -213,17 +209,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fusion",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="record-time task fusion/batching: auto = fused exactly where "
-        "required (the process backend), on/off = force for any task-graph "
-        "runtime (never changes results, only the task census)",
+        choices=("on", "off"),
+        default="off",
+        help="record-time task fusion/batching of every recorded task graph "
+        "(never changes results, only the task census)",
     )
     p.add_argument(
         "--workers",
         type=int,
         default=4,
-        help="thread count for --runtime parallel, process count for --runtime process",
+        help="thread count for --runtime parallel, worker-process count for --runtime process",
     )
     p.add_argument(
         "--nodes",
@@ -242,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("shm", "pickle"),
         default=None,
         help="wire representation of cross-process edges for --runtime "
-        "distributed: shm = zero-copy shared-memory segments (default), "
+        "distributed/process: shm = zero-copy shared-memory segments (default), "
         "pickle = full pickled payloads (bit-identical, more bytes moved)",
     )
     p.add_argument("--seed", type=int, default=0, help="RNG seed for the right-hand side")
@@ -271,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("thread", "process", "distributed"),
         default="thread",
         help="parallel substrate: thread = shared-memory thread pool, "
-        "process = fused task graphs on a forked process pool (GIL-free), "
-        "distributed = owner-computes multi-process backend",
+        "process = --workers forked worker processes (GIL-free), "
+        "distributed = the same owner-computes rank loop, ranks counted as nodes",
     )
     p.add_argument(
         "--fusion",
-        choices=("auto", "on", "off"),
-        default="auto",
+        choices=("on", "off"),
+        default="off",
         help="record-time task fusion/batching of the timed graphs",
     )
     p.add_argument(
@@ -399,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fusion",
-        choices=("auto", "on", "off"),
-        default="auto",
+        choices=("on", "off"),
+        default="off",
         help="record-time task fusion/batching of the construction graphs",
     )
     p.add_argument(
@@ -646,12 +641,10 @@ def _run_solve(args: argparse.Namespace) -> str:
     )
     # --fusion applies wherever a graph is recorded; runtimes that execute
     # bodies at insertion time (off/immediate) have no graph to coarsen, so
-    # the flag falls back to auto for them instead of being rejected.
-    fusion = _FUSION_MODES[args.fusion]
-    exec_fusion = fusion if args.runtime not in ("off", "immediate") else None
-    compress_fusion = (
-        fusion if args.compress_runtime not in ("off", "immediate") else None
-    )
+    # the flag is dropped for them instead of being rejected.
+    fusion = args.fusion == "on"
+    exec_fusion = fusion and args.runtime not in ("off", "immediate")
+    compress_fusion = fusion and args.compress_runtime not in ("off", "immediate")
     t0 = time.perf_counter()
     solver = StructuredSolver.from_kernel(
         args.kernel, n=args.n, format=args.format,
@@ -705,8 +698,8 @@ def _run_solve(args: argparse.Namespace) -> str:
         runtime_detail = f" nodes={args.nodes} distribution={args.distribution}"
         if args.data_plane:
             runtime_detail += f" data_plane={args.data_plane}"
-    if args.fusion != "auto":
-        runtime_detail += f" fusion={args.fusion}"
+    if fusion:
+        runtime_detail += " fusion=on"
     if args.refine:
         runtime_detail += " refine=1"
     compress_detail = ""
@@ -966,7 +959,7 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
                 max_rank=args.max_rank,
                 n_workers=args.workers,
                 backend=args.backend,
-                fusion=_FUSION_MODES[args.fusion],
+                fusion=args.fusion == "on",
                 repeats=args.repeats,
             )
         )
@@ -1021,7 +1014,7 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
                 else ("deferred", "parallel", "distributed"),
                 n_workers=args.workers,
                 nodes=args.nodes,
-                fusion=_FUSION_MODES[args.fusion],
+                fusion=args.fusion == "on",
                 repeats=args.repeats,
                 seed=args.seed,
             )

@@ -4,11 +4,11 @@ HODLR shares no bases between blocks or levels, so its construction graph is
 the degenerate -- and maximally parallel -- case: one ``ASSEMBLE_DIAG`` task
 per leaf and one ``COMPRESS_LOWRANK`` task per internal node of the
 recursive 2x2 partition, with no dependency edges at all.  Each compression
-task evaluates its kernel block and factors it with the method of the
-sequential :func:`repro.formats.hodlr.build_hodlr` (truncated SVD,
-randomized SVD or ACA); randomized methods are seeded per call exactly as
-the sequential builder seeds them, so the output is bit-identical on every
-backend regardless of execution order.
+task evaluates its kernel block and factors it with
+:func:`repro.formats.hodlr.compress_offdiagonal`, the function the
+sequential :func:`~repro.formats.hodlr.build_hodlr` calls (truncated SVD,
+randomized SVD or ACA, randomized methods seeded per call), so the output is
+bit-identical on every backend regardless of execution order.
 
 The symmetric lower blocks are derived from the upper factors during result
 assembly (``A_21 = A_12^T``), mirroring the sequential construction.
@@ -21,11 +21,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compress.builder import CompressGraphBuilder, compress_through_builder
-from repro.formats.hodlr import HODLRMatrix, HODLRNode
-from repro.lowrank.aca import compress_aca
+from repro.formats.hodlr import HODLRMatrix, HODLRNode, compress_offdiagonal
 from repro.lowrank.block import LowRankBlock
-from repro.lowrank.rsvd import compress_rsvd
-from repro.lowrank.svd import compress_svd
 from repro.runtime.task import AccessMode
 
 __all__ = ["HODLRCompressBuilder", "build_hodlr_dtd"]
@@ -48,7 +45,7 @@ class HODLRCompressBuilder(CompressGraphBuilder):
         self._h: Dict[Tuple[int, int], object] = {}
 
     def declare_handles(self) -> None:
-        def visit(cnode) -> None:
+        for cnode in self.tree:
             key = (cnode.level, cnode.index)
             m = cnode.stop - cnode.start
             if cnode.is_leaf:
@@ -59,36 +56,21 @@ class HODLRCompressBuilder(CompressGraphBuilder):
                     row=cnode.index,
                 )
             else:
-                half = m // 2
                 self._h[key] = self.handle(
                     f"LR[{cnode.level};{cnode.index}]",
-                    2 * self.basis_nbytes(half),
+                    2 * self.basis_nbytes(m // 2),
                     level=cnode.level,
                     row=cnode.index,
                 )
-                visit(cnode.children[0])
-                visit(cnode.children[1])
-
-        visit(self.tree.root)
-
-    def _compress(self, block: np.ndarray) -> LowRankBlock:
-        """Factor one off-diagonal block exactly as the sequential builder."""
-        if self.method == "svd":
-            return compress_svd(block, rank=self.max_rank, tol=self.tol)
-        if self.method == "aca":
-            aca_tol = self.tol if self.tol is not None else 1e-10
-            return compress_aca(
-                block, tol=aca_tol, max_rank=self.max_rank, seed=self.rng_seed
-            )
-        return compress_rsvd(
-            block, self.max_rank or min(block.shape), tol=self.tol, seed=self.rng_seed
-        )
 
     def record_tasks(self) -> None:
+        # Task bodies close over locals only, never over the builder, so a
+        # dropped builder and its runtime are freed without a GC pass.
         kmat = self.kernel_matrix
         dense, upper = self._dense, self._upper
+        method, max_rank, tol, seed = self.method, self.max_rank, self.tol, self.rng_seed
 
-        def visit(cnode) -> None:
+        for cnode in self.tree:
             key = (cnode.level, cnode.index)
             self.set_phase(cnode.level)
             if cnode.is_leaf:
@@ -105,7 +87,7 @@ class HODLRCompressBuilder(CompressGraphBuilder):
                     kind="ASSEMBLE_DIAG",
                     flops=float(m * m),
                 )
-                return
+                continue
 
             left, right = cnode.children
 
@@ -113,7 +95,7 @@ class HODLRCompressBuilder(CompressGraphBuilder):
                 block = kmat.block(
                     slice(left.start, left.stop), slice(right.start, right.stop)
                 )
-                upper[key] = self._compress(block)
+                upper[key] = compress_offdiagonal(block, method, max_rank, tol, seed)
 
             mi = left.stop - left.start
             mj = right.stop - right.start
@@ -124,10 +106,6 @@ class HODLRCompressBuilder(CompressGraphBuilder):
                 kind="COMPRESS_LOWRANK",
                 flops=float(2 * mi * mj * self.rank_cap(min(mi, mj))),
             )
-            visit(left)
-            visit(right)
-
-        visit(self.tree.root)
 
     # -- distributed fragments ------------------------------------------------
     def collect_local(self):

@@ -59,24 +59,24 @@ def _blr2_mismatches(a, b) -> List[str]:
 
 def _hodlr_mismatches(a, b) -> List[str]:
     out: List[str] = []
-
-    def visit(na, nb, path: str) -> None:
+    # Pre-order walk, left subtree first, on an explicit stack.
+    stack = [(a.root, b.root, "root")]
+    while stack:
+        na, nb, path = stack.pop()
         if na.is_leaf != nb.is_leaf:
             out.append(f"{path}: leaf/internal mismatch")
-            return
+            continue
         if (na.start, na.stop) != (nb.start, nb.stop):
             out.append(f"{path}: index range differs")
         if na.is_leaf:
             _cmp_array(f"{path}.dense", na.dense, nb.dense, out)
-            return
+            continue
         for part in ("upper", "lower"):
             blk_a, blk_b = getattr(na, part), getattr(nb, part)
             _cmp_array(f"{path}.{part}.U", blk_a.U, blk_b.U, out)
             _cmp_array(f"{path}.{part}.V", blk_a.V, blk_b.V, out)
-        visit(na.left, nb.left, path + ".left")
-        visit(na.right, nb.right, path + ".right")
-
-    visit(a.root, b.root, "root")
+        stack.append((na.right, nb.right, path + ".right"))
+        stack.append((na.left, nb.left, path + ".left"))
     return out
 
 

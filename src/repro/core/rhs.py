@@ -8,9 +8,10 @@ These helpers normalize both forms to a float64, C-contiguous ``(n, k)``
 working copy -- accepting Fortran-ordered and non-contiguous views, and
 copying only when the input does not already require a conversion -- and
 raise a clear error for anything else (wrong dimensionality, wrong leading
-dimension, an empty 0-column block, or a NaN/Inf entry), instead of letting a
-bad array surface as a cryptic failure -- or a silently non-finite solution --
-deep inside the leaf kernels, which skip per-call finiteness checks.
+dimension, an empty 0-column block, a complex or non-numeric dtype, or a
+NaN/Inf entry), instead of letting a bad array surface as a cryptic failure
+-- or a silently wrong or non-finite solution -- deep inside the leaf
+kernels, which skip per-call finiteness checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["check_rhs_shape", "check_rhs_finite", "validate_rhs"]
+__all__ = ["as_real_rhs", "check_rhs_shape", "check_rhs_finite", "validate_rhs"]
 
 
 def check_rhs_shape(b: np.ndarray, n: int, *, name: str = "b") -> None:
@@ -45,6 +46,21 @@ def check_rhs_shape(b: np.ndarray, n: int, *, name: str = "b") -> None:
             f"{name} has 0 columns (shape {shape}); a solve needs at least "
             "one right-hand side"
         )
+
+
+def as_real_rhs(b: np.ndarray, *, name: str = "b") -> np.ndarray:
+    """``b`` as a float64 array (no copy when it already is one).
+
+    Raises :class:`ValueError` for a complex or non-numeric dtype: a float64
+    conversion would silently drop an imaginary part (numpy only warns) or
+    parse strings, and the ULV factors are real.
+    """
+    arr = np.asarray(b)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(
+            f"{name} must be real-valued (bool, integer or float); got dtype {arr.dtype}"
+        )
+    return arr.astype(np.float64, copy=False)
 
 
 def check_rhs_finite(arr: np.ndarray, *, name: str = "b") -> None:
@@ -81,10 +97,11 @@ def validate_rhs(b: np.ndarray, n: int, *, name: str = "b") -> Tuple[np.ndarray,
     ------
     ValueError
         If ``b`` is not 1-D or 2-D, its leading dimension is not ``n``, it
-        has 0 columns, or it contains a NaN or an infinity.
+        has 0 columns, its dtype is complex or non-numeric, or it contains a
+        NaN or an infinity.
     """
     check_rhs_shape(b, n, name=name)
-    arr = np.asarray(b, dtype=np.float64)
+    arr = as_real_rhs(b, name=name)
     check_rhs_finite(arr, name=name)
     single = arr.ndim == 1
     # ascontiguousarray copies exactly when the layout (or the dtype

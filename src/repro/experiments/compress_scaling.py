@@ -96,7 +96,7 @@ def run_compress_scaling(
     backends: Sequence[str] = ("deferred", "parallel", "distributed"),
     n_workers: int = 4,
     nodes: int = 2,
-    fusion: Optional[bool] = None,
+    fusion: bool = False,
     repeats: int = 3,
     seed: int = 0,
 ) -> Dict[str, object]:
@@ -107,8 +107,7 @@ def run_compress_scaling(
     oracle), then once per runtime backend through its registered
     ``compress_graph``.  Both sides take the best of ``repeats`` warmed
     runs, interleaved per backend so drift hits baseline and contender alike.
-    ``fusion`` toggles record-time task fusion/batching of the graphs
-    (``None``: fused exactly where required, i.e. the ``process`` backend).
+    ``fusion`` turns on record-time task fusion/batching of the graphs.
     """
     kmat = KernelMatrix(kernel_by_name(kernel), uniform_grid_2d(n))
     names = tuple(formats) if formats else tuple(
@@ -145,9 +144,9 @@ def run_compress_scaling(
 
             comm_messages = comm_bytes = 0
             comm_matches = True
-            if backend == "distributed":
+            if backend in ("distributed", "process"):
                 measured, planned = measured_vs_planned_comm(
-                    rt.graph, rt.last_distributed_report, policy.nodes
+                    rt.graph, rt.last_distributed_report, policy.ranks
                 )
                 comm_messages, comm_bytes = measured
                 comm_matches = measured == planned
@@ -157,8 +156,9 @@ def run_compress_scaling(
                     format=name,
                     backend=backend,
                     nodes=policy.nodes,
-                    # Actual concurrency: deferred runs in-order in the parent
-                    # and distributed runs one in-order executor per node.
+                    # Actual concurrency: deferred runs in-order in the parent,
+                    # distributed runs one in-order executor per node and
+                    # process one per worker.
                     n_workers=n_workers if backend in ("parallel", "process") else 1,
                     wall_seconds=wall,
                     sequential_seconds=t_seq,
@@ -168,7 +168,7 @@ def run_compress_scaling(
                     comm_messages=comm_messages,
                     comm_bytes=comm_bytes,
                     comm_matches_plan=comm_matches,
-                    fusion=policy.fusion_enabled,
+                    fusion=policy.fusion,
                     repeats=repeats,
                     sequential_samples=pair.baseline_samples,
                     wall_samples=pair.candidate_samples,

@@ -221,7 +221,7 @@ def run_fig10_measured(
                 format=fmt,
                 n=n,
                 n_workers=trace.n_workers,
-                nodes=policy.nodes,
+                nodes=policy.ranks,
                 num_tasks=len(trace.spans),
                 compute_time=totals.compute / workers,
                 overhead_time=totals.overhead / workers,
@@ -232,12 +232,12 @@ def run_fig10_measured(
         )
 
         # Simulate the same recorded graph on a machine shaped like the real
-        # run: the distributed backend runs one in-order executor per rank,
-        # the shared-memory backends one node with n_workers cores.
+        # run: the forked backends run one in-order executor per rank, the
+        # shared-memory backends one node with n_workers cores.
         if machine is not None:
             sim_machine = machine
-        elif backend == "distributed":
-            sim_machine = laptop_like(nodes=policy.nodes, cores_per_node=1)
+        elif backend in ("distributed", "process"):
+            sim_machine = laptop_like(nodes=policy.ranks, cores_per_node=1)
         else:
             sim_machine = laptop_like(nodes=1, cores_per_node=workers)
         res = simulate(rt.graph, sim_machine, policy="async", record_workers=True)

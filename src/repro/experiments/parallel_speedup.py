@@ -12,25 +12,21 @@ ones.  Three parallel backends are supported:
     pool (:meth:`~repro.runtime.dtd.DTDRuntime.run_parallel`); timings cover
     pure execution of an already-recorded graph (recording is identical on
     both sides and excluded).
-``process``
-    The recorded (and, by default, fused) graph is executed on a pool of
-    ``n_workers`` forked worker processes through the ``process``
-    :class:`~repro.pipeline.policy.ExecutionPolicy` backend; timings cover
-    recording plus execution for both sides (the forked workers' address
-    spaces need the recorded closures, so recording cannot be hoisted out).
-``distributed``
+``process`` / ``distributed``
     The factorization runs on the owner-computes multi-process backend with
     ``n_workers`` forked worker processes
-    (:meth:`~repro.runtime.dtd.DTDRuntime.run_distributed`); timings cover
-    recording plus execution for both sides, and the row also reports the
-    measured communication volume.
+    (:meth:`~repro.runtime.dtd.DTDRuntime.run_distributed`; ``process`` is
+    the same rank loop with the ranks counted as workers rather than nodes);
+    timings cover recording plus execution for both sides (the forked
+    workers' address spaces need the recorded closures, so recording cannot
+    be hoisted out), and the row also reports the measured communication
+    volume.
 
 Both sides of every comparison use best-of-``repeats`` warmed timings over
 fresh graphs (:func:`repro.experiments.timing.best_of`); the sequential
 baseline is always the plain in-order execution of the *unfused* graph, the
-reference the paper's speedups are defined against.  ``fusion`` toggles
-record-time task fusion/batching of the parallel side (``None``: fused
-exactly where required, i.e. the ``process`` backend).
+reference the paper's speedups are defined against.  ``fusion`` turns on
+record-time task fusion/batching of the parallel side.
 
 Used by ``python -m repro speedup [--backend thread|process|distributed]``
 and by ``benchmarks/test_runtime_parallel_speedup.py``.
@@ -39,7 +35,7 @@ and by ``benchmarks/test_runtime_parallel_speedup.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -118,7 +114,7 @@ def run_parallel_speedup(
     max_rank: int = 60,
     n_workers: int = 4,
     backend: str = "thread",
-    fusion: Optional[bool] = None,
+    fusion: bool = False,
     repeats: int = 3,
     seed: int = 0,
 ) -> List[SpeedupRow]:
@@ -126,14 +122,11 @@ def run_parallel_speedup(
 
     ``backend`` selects the parallel execution substrate (``"thread"``,
     ``"process"`` or ``"distributed"``); ``fusion`` the record-time task
-    coarsening of the parallel side (``None``: backend default); ``repeats``
-    the best-of-N timing protocol applied to both sides.
+    coarsening of the parallel side; ``repeats`` the best-of-N timing
+    protocol applied to both sides.
     """
     if backend not in _BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-    if fusion is False and backend == "process":
-        raise ValueError("the process backend requires fusion; pass fusion=None or True")
-    fused = fusion if fusion is not None else backend == "process"
     slots = 2 * max(1, n_workers)
     points = uniform_grid_2d(n)
     kmat = KernelMatrix(kernel_by_name(kernel), points)
@@ -170,22 +163,21 @@ def run_parallel_speedup(
             par_timing = best_of(
                 lambda state: (state[1].run_parallel(n_workers=n_workers), state)[1],
                 repeats=repeats,
-                setup=lambda: record(fuse=fused),
+                setup=lambda: record(fuse=fusion),
             )
             t_par, (par_factor, par_rt) = par_timing
             actual_workers = par_rt.last_parallel_report.num_workers
         else:
-            # Forked workers (pool or owner-computes) inherit the recorded
-            # closures, so recording cannot be hoisted out of the timed
-            # region; both sides time the full record+execute path to
-            # compare like with like.
+            # Forked ranks inherit the recorded closures, so recording
+            # cannot be hoisted out of the timed region; both sides time the
+            # full record+execute path to compare like with like.
             def seq_full():
                 factor, _ = get_format(fmt).factorize_dtd(matrix, policy=deferred)
                 return factor
 
             def par_full():
                 policy = ExecutionPolicy(
-                    backend="process" if backend == "process" else "distributed",
+                    backend=backend,
                     n_workers=n_workers,
                     nodes=n_workers if backend == "distributed" else 1,
                     fusion=fusion,
@@ -196,10 +188,10 @@ def run_parallel_speedup(
             t_seq, seq_factor = seq_timing
             par_timing = best_of(par_full, repeats=repeats)
             t_par, (par_factor, par_rt) = par_timing
+            comm_bytes = par_rt.last_distributed_report.ledger.total_bytes
             if backend == "process":
-                actual_workers = par_rt.last_process_report.num_workers
+                actual_workers = n_workers  # one forked rank per worker
             else:
-                comm_bytes = par_rt.last_distributed_report.ledger.total_bytes
                 nodes = n_workers
                 actual_workers = 1  # one in-order executor per forked node
 
@@ -218,7 +210,7 @@ def run_parallel_speedup(
                 comm_bytes=comm_bytes,
                 requested_workers=n_workers,
                 nodes=nodes,
-                fusion=fused,
+                fusion=fusion,
                 repeats=repeats,
                 seq_samples=seq_timing.samples,
                 par_samples=par_timing.samples,

@@ -22,7 +22,27 @@ from repro.lowrank.block import LowRankBlock
 from repro.lowrank.rsvd import compress_rsvd
 from repro.lowrank.svd import compress_svd
 
-__all__ = ["HODLRNode", "HODLRMatrix", "build_hodlr"]
+__all__ = ["HODLRNode", "HODLRMatrix", "build_hodlr", "compress_offdiagonal"]
+
+
+def compress_offdiagonal(
+    block: np.ndarray,
+    method: str,
+    max_rank: Optional[int],
+    tol: Optional[float],
+    seed: int,
+) -> LowRankBlock:
+    """Low-rank factorisation of one off-diagonal block with ``method``.
+
+    Shared by :func:`build_hodlr` and the task-graph construction, so both
+    factor every block identically (randomized methods seeded per call).
+    """
+    if method == "svd":
+        return compress_svd(block, rank=max_rank, tol=tol)
+    if method == "aca":
+        aca_tol = tol if tol is not None else 1e-10
+        return compress_aca(block, tol=aca_tol, max_rank=max_rank, seed=seed)
+    return compress_rsvd(block, max_rank or min(block.shape), tol=tol, seed=seed)
 
 
 @dataclass
@@ -177,21 +197,15 @@ def build_hodlr(
     if method not in ("svd", "rsvd", "aca"):
         raise ValueError(f"unknown compression method {method!r}")
 
-    def compress(rows: slice, cols: slice) -> LowRankBlock:
-        block = kernel_matrix.block(rows, cols)
-        if method == "svd":
-            return compress_svd(block, rank=max_rank, tol=tol)
-        if method == "aca":
-            aca_tol = tol if tol is not None else 1e-10
-            return compress_aca(block, tol=aca_tol, max_rank=max_rank, seed=seed)
-        return compress_rsvd(block, max_rank or min(block.shape), tol=tol, seed=seed)
-
     def recurse(cnode: ClusterNode) -> HODLRNode:
         if cnode.is_leaf:
             rows = slice(cnode.start, cnode.stop)
             return HODLRNode(start=cnode.start, stop=cnode.stop, dense=kernel_matrix.block(rows, rows))
         left_c, right_c = cnode.children
-        upper = compress(slice(left_c.start, left_c.stop), slice(right_c.start, right_c.stop))
+        block = kernel_matrix.block(
+            slice(left_c.start, left_c.stop), slice(right_c.start, right_c.stop)
+        )
+        upper = compress_offdiagonal(block, method, max_rank, tol, seed)
         lower = LowRankBlock(upper.V.copy(), upper.U.copy())  # symmetry: A_21 = A_12^T
         return HODLRNode(
             start=cnode.start,

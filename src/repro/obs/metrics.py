@@ -9,7 +9,7 @@ and exposes them in Prometheus text format
 (:meth:`MetricsRegistry.snapshot`).
 
 Cross-process aggregation uses the same shuttle pattern as PR 7's trace
-spans: a child process (a distributed rank, a pool worker) records into a
+spans: a child process (a distributed rank) records into a
 local registry and ships :meth:`MetricsRegistry.snapshot` -- a plain,
 picklable dict -- back to the parent, which folds it in with
 :meth:`MetricsRegistry.merge`.  Merging is associative and commutative

@@ -58,7 +58,6 @@ from repro.obs.metrics import (
 __all__ = [
     "record_report",
     "record_spans",
-    "record_comm_spans",
     "record_comm_events",
     "record_comm_message",
     "record_queue_depth",
@@ -159,15 +158,6 @@ def record_overhead(registry: MetricsRegistry, backend: str, seconds: float) -> 
     ).observe(seconds)
 
 
-def record_comm_spans(registry: MetricsRegistry, backend: str, comm: Iterable[Any]) -> None:
-    """Comm-action duration histograms from built CommSpans."""
-    for span in comm:
-        registry.histogram(
-            *_H["comm_seconds"], buckets=LATENCY_BUCKETS,
-            backend=backend, action=span.action,
-        ).observe(span.duration)
-
-
 def record_comm_message(
     registry: MetricsRegistry,
     backend: str,
@@ -253,9 +243,9 @@ def record_execution_metrics(
     graph: Any = None,
     queue_high_water: Optional[int] = None,
 ) -> MemoryStats:
-    """The parent-side umbrella recorder used by the shared-memory backends.
+    """The umbrella recorder of the thread executor.
 
-    Records the report counters, the span/overhead/comm histograms from the
+    Records the report counters, the span/overhead histograms from the
     (possibly unattached) trace, the ready-queue high water, and the memory
     gauges; returns the :class:`MemoryStats` so the caller can attach it to
     ``report.memory``.
@@ -263,9 +253,7 @@ def record_execution_metrics(
     record_report(registry, backend, report)
     if trace is not None:
         record_spans(registry, backend, trace.spans)
-        record_comm_spans(registry, backend, trace.comm)
-        overhead = trace.scheduler_overhead + sum(trace.worker_overhead.values())
-        record_overhead(registry, backend, overhead)
+        record_overhead(registry, backend, sum(trace.worker_overhead.values()))
     if queue_high_water is not None:
         record_queue_depth(registry, backend, queue_high_water)
     memory = handle_table_bytes(graph) if graph is not None else MemoryStats(

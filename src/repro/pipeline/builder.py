@@ -24,7 +24,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.rhs import check_rhs_finite, check_rhs_shape
+from repro.core.rhs import as_real_rhs, check_rhs_finite, check_rhs_shape
 from repro.pipeline.panels import column_panels
 from repro.pipeline.policy import ExecutionPolicy
 
@@ -102,7 +102,7 @@ class GraphBuilder:
     def record(self) -> "GraphBuilder":
         """Declare handles, assign owners, seed state and insert all tasks (once).
 
-        With :attr:`ExecutionPolicy.fusion_enabled` the freshly recorded
+        With :attr:`ExecutionPolicy.fusion` on, the freshly recorded
         graph is coarsened in place (chain fusion + batching, see
         :mod:`repro.runtime.fusion`) before any backend sees it, so transfer
         planning, comm verification and execution all run on the same fused
@@ -115,7 +115,7 @@ class GraphBuilder:
         self.strategy.assign(self.runtime.handles)
         self.seed()
         self.record_tasks()
-        if self.policy.fusion_enabled and self.runtime.num_tasks:
+        if self.policy.fusion and self.runtime.num_tasks:
             self.runtime.fuse(slots=self.policy.resolve_batch_slots())
         self._recorded = True
         return self
@@ -154,9 +154,11 @@ class GraphBuilder:
 
         report = report if report is not None else self.runtime.last_distributed_report
         if report is None:
-            raise RuntimeError("no distributed report to verify; run on 'distributed' first")
+            raise RuntimeError(
+                "no distributed report to verify; run on 'distributed' or 'process' first"
+            )
         measured, planned = measured_vs_planned_comm(
-            self.runtime.graph, report, self.policy.nodes
+            self.runtime.graph, report, self.policy.ranks
         )
         if measured != planned:
             raise RuntimeError(
@@ -206,7 +208,7 @@ class SolveGraphBuilder(GraphBuilder):
         # Normalize without copying: builders only read bm (the leaf seeds are
         # slice copies), so a validate_rhs working copy would be pure overhead.
         check_rhs_shape(b, self.n)
-        arr = np.asarray(b, dtype=np.float64)
+        arr = as_real_rhs(b)
         check_rhs_finite(arr)
         self.single = arr.ndim == 1
         self.bm = arr.reshape(self.n, -1)

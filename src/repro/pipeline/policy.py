@@ -42,17 +42,18 @@ class ExecutionPolicy:
         ``"off"`` (sequential reference, no task graph), ``"immediate"``
         (task bodies run at insertion time), ``"deferred"`` (record first,
         then run sequentially), ``"parallel"`` (record first, then execute
-        out-of-order on a thread pool), ``"process"`` (record first, fuse,
-        then execute on a pool of forked worker processes -- GIL-free) or
-        ``"distributed"`` (record first, then execute across forked worker
-        processes with owner-computes placement).  All backends produce
-        bit-identical results.
+        out-of-order on a thread pool) or ``"distributed"`` / ``"process"``
+        (record first, then execute across forked worker processes with
+        owner-computes placement -- GIL-free; ``process`` is the same rank
+        loop with one rank per worker, see :attr:`ranks`).  All backends
+        produce bit-identical results.
     n_workers:
-        Thread count for the ``parallel`` backend, process count for the
-        ``process`` backend.
+        Thread count for the ``parallel`` backend, worker-process (rank)
+        count for the ``process`` backend.
     nodes:
         Process count for the data distribution (real worker processes for
-        ``distributed``, simulated ranks otherwise).
+        ``distributed``, simulated ranks for the in-process backends;
+        ``process`` distributes over ``n_workers`` instead).
     distribution:
         Placement strategy for the runtime backends: a
         :class:`~repro.distribution.strategies.DistributionStrategy` instance,
@@ -65,10 +66,9 @@ class ExecutionPolicy:
         Record-time task fusion/batching (:mod:`repro.runtime.fusion`):
         coalesce short same-phase task chains and batch independent
         same-kind tasks so each scheduled task amortizes its dispatch cost.
-        ``None`` (default) enables fusion exactly where it is required --
-        the ``process`` backend; ``True``/``False`` force it on the other
-        deferred-graph backends.  Fusion never changes results (the member
-        bodies run in insertion order), only the task census.
+        Off by default; only valid on the deferred-graph backends.  Fusion
+        never changes results (the member bodies run in insertion order),
+        only the task census.
     batch_slots:
         Upper bound on the number of batches a wide task group is split
         into; ``None`` derives ``2 * n_workers`` so every worker keeps two
@@ -86,10 +86,10 @@ class ExecutionPolicy:
         the metric vocabulary).  Like ``trace``, ignored by ``"off"``.
     data_plane:
         Wire representation of cross-process edges on the ``distributed``
-        backend: ``"shm"`` (zero-copy shared-memory segments, the default) or
-        ``"pickle"`` (full pickled payloads); None defers to the backend's
-        resolution (``REPRO_DATA_PLANE`` or the default).  Ignored by every
-        other backend.
+        and ``process`` backends: ``"shm"`` (zero-copy shared-memory
+        segments, the default) or ``"pickle"`` (full pickled payloads); None
+        defers to the backend's resolution (``REPRO_DATA_PLANE`` or the
+        default).  Ignored by every other backend.
     """
 
     backend: str = "off"
@@ -97,7 +97,7 @@ class ExecutionPolicy:
     nodes: int = 1
     distribution: Optional[Union[str, DistributionStrategy]] = None
     panel_size: Optional[int] = None
-    fusion: Optional[bool] = None
+    fusion: bool = False
     batch_slots: Optional[int] = None
     trace: bool = False
     metrics: Optional[Any] = None
@@ -112,11 +112,6 @@ class ExecutionPolicy:
             from repro.runtime.distributed.blockstore import resolve_data_plane
 
             resolve_data_plane(self.data_plane)  # validate eagerly
-        if self.fusion is not None and not self.fusion and self.backend == "process":
-            raise ValueError(
-                "the process backend requires fusion; per-leaf task chains pass "
-                "state outside handles and must be coarsened to stay colocated"
-            )
         if self.fusion and self.backend in ("off", "immediate"):
             raise ValueError(
                 f"fusion requires a deferred-graph backend, not {self.backend!r} "
@@ -133,7 +128,7 @@ class ExecutionPolicy:
         nodes: int = 1,
         distribution: Optional[Union[str, DistributionStrategy]] = None,
         panel_size: Optional[int] = None,
-        fusion: Optional[bool] = None,
+        fusion: bool = False,
         batch_slots: Optional[int] = None,
         trace: bool = False,
         metrics: Optional[Any] = None,
@@ -174,15 +169,14 @@ class ExecutionPolicy:
         return replace(self, backend=backend)
 
     @property
-    def fusion_enabled(self) -> bool:
-        """True when the graph builders should coarsen recorded graphs.
+    def ranks(self) -> int:
+        """Rank count of the data distribution.
 
-        ``fusion=None`` resolves to "on exactly for the process backend" --
-        its workers rely on fused chains to keep non-handle state colocated.
+        ``n_workers`` for ``process`` (one forked rank per worker), ``nodes``
+        for every other backend.  Placement, execution, comm-plan checks and
+        the level-solve chunking all read this one number.
         """
-        if self.fusion is None:
-            return self.backend == "process"
-        return bool(self.fusion) and self.uses_runtime
+        return self.n_workers if self.backend == "process" else self.nodes
 
     def resolve_batch_slots(self) -> int:
         """Concrete batch-count bound for :meth:`DTDRuntime.fuse`."""
@@ -210,9 +204,9 @@ class ExecutionPolicy:
     def resolve_distribution(self, max_level: int) -> DistributionStrategy:
         """The concrete placement strategy (name or None resolved; instances pass through)."""
         if isinstance(self.distribution, str):
-            return strategy_by_name(self.distribution, self.nodes, max_level=max_level)
+            return strategy_by_name(self.distribution, self.ranks, max_level=max_level)
         if self.distribution is None:
-            return RowCyclicDistribution(self.nodes, max_level=max_level)
+            return RowCyclicDistribution(self.ranks, max_level=max_level)
         return self.distribution
 
     # -- execution ------------------------------------------------------------
@@ -230,9 +224,10 @@ class ExecutionPolicy:
         This is the single backend-dispatch implementation shared by every
         graph builder, the facade, the CLI and the service:
 
-        * ``distributed`` runs the graph across :attr:`nodes` forked worker
-          processes (``collect`` gathers per-worker result fragments, and
-          ``merge`` is invoked on each returned fragment), returning the
+        * ``distributed`` and ``process`` run the graph across :attr:`ranks`
+          forked worker processes (``collect`` gathers per-worker result
+          fragments, and ``merge`` is invoked on each returned fragment),
+          returning the
           :class:`~repro.runtime.distributed.DistributedReport`;
         * ``parallel`` runs the graph out-of-order on a :attr:`n_workers`
           thread pool, returning the
@@ -241,22 +236,12 @@ class ExecutionPolicy:
           order (a no-op for ``immediate`` bodies that already ran), returning
           None.
         """
-        if self.backend == "distributed":
+        if self.backend in ("distributed", "process"):
             if runtime.num_tasks == 0:
                 return None
             report = runtime.run_distributed(
-                nodes=self.nodes, strategy=strategy, collect=collect,
+                nodes=self.ranks, strategy=strategy, collect=collect,
                 timeout=timeout, data_plane=self.data_plane,
-            )
-            if merge is not None:
-                for fragment in report.fragments:
-                    merge(fragment)
-            return report
-        if self.backend == "process":
-            if runtime.num_tasks == 0:
-                return None
-            report = runtime.run_process(
-                n_workers=self.n_workers, collect=collect, timeout=timeout
             )
             if merge is not None:
                 for fragment in report.fragments:

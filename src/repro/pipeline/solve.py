@@ -151,8 +151,8 @@ class LevelULVSolveBuilder(SolveGraphBuilder):
     def __init__(self, factor, b, *, policy=None) -> None:
         super().__init__(factor, b, policy=policy)
         policy = self.policy
-        workers = policy.n_workers if policy.backend in ("parallel", "process") else 1
-        parts = max(1, policy.nodes, workers)
+        threads = policy.n_workers if policy.backend == "parallel" else 1
+        parts = max(1, policy.ranks, threads)
         self._chunks = [_chunks(level.num_nodes, parts) for level in self.levels]
         # Row ranges per chunk: rows[t] in level t's flat block (its input
         # and its solution), skeleton[t] in level t + 1's.  The root is one

@@ -51,7 +51,9 @@ The graph builders of :mod:`repro.pipeline` select among these through an
 (``"immediate" | "deferred" | "parallel" | "process" | "distributed"``), and
 the :class:`~repro.api.StructuredSolver` facade as
 ``use_runtime="off" | "immediate" | "deferred" | "parallel" | "process" |
-"distributed"``.
+"distributed"``.  There is one forked-process executor: ``process`` runs the
+distributed rank loop with one rank per worker (``n_workers`` ranks) instead
+of ``nodes``.
 """
 
 from repro.runtime.data import DataHandle

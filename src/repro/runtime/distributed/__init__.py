@@ -12,7 +12,7 @@ communication accounting.
 Modules
 -------
 :mod:`~repro.runtime.distributed.backend`
-    :func:`execute_graph_distributed` -- the process-pool event loops,
+    :func:`execute_graph_distributed` -- the per-rank event loops,
     owner resolution and result gathering; :class:`DistributedReport`.
 :mod:`~repro.runtime.distributed.comm`
     :class:`CommLedger` / :class:`CommEvent` measurement records, plus the
@@ -22,7 +22,8 @@ Modules
     The queue message types exchanged between workers and the parent.
 
 Entry points: :meth:`repro.runtime.dtd.DTDRuntime.run_distributed`,
-``ExecutionPolicy(backend="distributed", nodes=N)`` on any graph builder,
+``ExecutionPolicy(backend="distributed", nodes=N)`` (or ``backend="process",
+n_workers=N``: one rank per worker) on any graph builder,
 ``StructuredSolver.factorize(use_runtime="distributed")`` and
 ``python -m repro solve --runtime distributed --nodes N``.
 """

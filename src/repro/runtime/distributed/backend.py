@@ -51,8 +51,11 @@ sequential in-process run.
 from __future__ import annotations
 
 import heapq
+import os
 import pickle
 import queue as queue_mod
+import signal
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -195,6 +198,34 @@ def measured_vs_planned_comm(graph: TaskGraph, report: "DistributedReport", node
     return measured, expected_comm(graph, proc_of)
 
 
+#: ``prctl`` option that delivers a signal to the caller when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent() -> None:
+    """Make this forked rank receive SIGTERM when the forking thread exits.
+
+    Linux only (``prctl(PR_SET_PDEATHSIG)``); elsewhere a rank can outlive a
+    killed parent.  The forking thread waits in
+    ``execute_graph_distributed`` until every rank is joined, so it cannot
+    exit early on a healthy run.  If the parent already died between the
+    fork and the ``prctl`` call, the signal will never come: exit now.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+    import multiprocessing
+
+    parent = multiprocessing.parent_process()
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    # Best effort: a failed call leaves the rank as it was before.
+    prctl(_PR_SET_PDEATHSIG, signal.SIGTERM, 0, 0, 0)
+    if parent is not None and os.getppid() != parent.pid:
+        os._exit(1)
+
+
 def _worker_main(
     rank: int,
     graph: TaskGraph,
@@ -227,7 +258,11 @@ def _worker_main(
     With ``metrics`` the same stamps additionally feed a rank-local
     :class:`~repro.obs.metrics.MetricsRegistry`, whose snapshot ships back
     in ``result.metrics`` for the parent to merge.
+
+    The rank first arranges to die with its parent (:func:`_die_with_parent`),
+    so a killed parent leaves no rank behind.
     """
+    _die_with_parent()
     t0 = time.perf_counter()
     stamp = trace or metrics
     result = WorkerResult(rank=rank)

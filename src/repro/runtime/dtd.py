@@ -52,7 +52,7 @@ class DTDRuntime:
     trace:
         Record a measured :class:`~repro.runtime.tracing.ExecutionTrace` of
         every execution.  Sequential runs (immediate bodies, :meth:`run`) are
-        stamped at DTD level; the parallel/process/distributed backends
+        stamped at DTD level; the parallel and distributed backends
         receive the flag and attach their own traces.  The most recent trace
         is available as :attr:`last_trace`.
     metrics:
@@ -88,8 +88,6 @@ class DTDRuntime:
         self.last_distributed_report = None
         #: Report of the most recent :meth:`run_parallel` call (or None).
         self.last_parallel_report = None
-        #: Report of the most recent :meth:`run_process` call (or None).
-        self.last_process_report = None
         #: Stats of the most recent :meth:`fuse` call (or None).
         self.last_fusion_stats = None
         #: Fusion contraction map of all :meth:`fuse` calls (original -> head tid).
@@ -266,7 +264,6 @@ class DTDRuntime:
         self._metrics_upto = 0
         self.last_distributed_report = None
         self.last_parallel_report = None
-        self.last_process_report = None
         self.last_trace = None
 
     def run(self) -> None:
@@ -449,62 +446,6 @@ class DTDRuntime:
             raise
         self._executed.update(report.executed)
         self.last_distributed_report = report
-        self._adopt_trace(report)
-        return report
-
-    def run_process(
-        self,
-        *,
-        n_workers: int = 4,
-        collect=None,
-        timeout: Optional[float] = None,
-    ):
-        """Execute the recorded graph on a pool of forked worker processes.
-
-        The GIL-free counterpart of :meth:`run_parallel`: task bodies run in
-        ``fork``-ed worker processes that inherit the graph and all
-        pre-execution numerical state; values written through *bound* handles
-        are shipped back to the parent after each task and injected into the
-        consumers' processes, so the numerical dataflow is exact.  Results
-        living outside handles are gathered per worker by ``collect`` (see
-        :func:`repro.runtime.executor.execute_graph_processes`).
-
-        Only valid on a fully deferred graph.  Like the distributed backend,
-        any failure poisons the runtime: partially computed state lives in
-        pool worker processes and cannot be resumed.
-
-        Returns the :class:`~repro.runtime.executor.ExecutionReport`
-        (fragments in ``report.fragments``), also stored as
-        :attr:`last_process_report`.
-        """
-        from repro.runtime.executor import execute_graph_processes
-
-        if self.execution == "symbolic":
-            raise RuntimeError("cannot run a symbolic graph; task bodies were discarded")
-        if self._failed is not None:
-            raise RuntimeError(
-                "runtime has a failed execution; rebuild the task graph"
-            ) from self._failed
-        if self._executed:
-            raise RuntimeError(
-                f"{len(self._executed)} task(s) already executed; "
-                "the process backend requires a fully deferred graph"
-            )
-        try:
-            report = execute_graph_processes(
-                self.graph, n_workers=n_workers, collect=collect,
-                timeout=timeout, trace=self.trace, metrics=self.metrics,
-            )
-        except BaseException as exc:
-            partial = getattr(exc, "execution_report", None)
-            if partial is not None:
-                self._executed.update(partial.executed)
-                self.last_process_report = partial
-                self._adopt_trace(partial)
-            self._failed = exc
-            raise
-        self._executed.update(report.executed)
-        self.last_process_report = report
         self._adopt_trace(report)
         return report
 

@@ -27,17 +27,13 @@ interrupted mid-kernel).
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import os
-import pickle
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.runtime.dag import TaskGraph
 
-__all__ = ["execute_graph", "execute_graph_processes", "ExecutionReport"]
+__all__ = ["execute_graph", "ExecutionReport"]
 
 
 class ExecutionReport:
@@ -62,8 +58,6 @@ class ExecutionReport:
         True when the overall ``timeout`` expired before the graph drained.
     wall_time:
         Wall-clock seconds spent inside :func:`execute_graph`.
-    fragments:
-        Per-worker result fragments (process-pool executions only).
     trace:
         Measured :class:`~repro.runtime.tracing.ExecutionTrace` when the
         execution ran with ``trace=True`` (None otherwise).
@@ -89,7 +83,6 @@ class ExecutionReport:
         self.cancelled: List[int] = []
         self.timed_out: bool = False
         self.wall_time: float = 0.0
-        self.fragments: List = []
         self.trace = None
         self.memory = None
 
@@ -371,407 +364,6 @@ def execute_graph(
         if report.errors:
             first = next(iter(report.errors.values()))
             first.execution_report = report
-            raise first
-        if report.timed_out:
-            err = TimeoutError(
-                f"graph execution exceeded {timeout}s "
-                f"({len(report.executed)}/{report.num_tasks} tasks completed)"
-            )
-            err.execution_report = report
-            raise err
-    return report
-
-
-# -- process-pool execution ---------------------------------------------------
-#
-# The pool workers are forked, so they inherit the recorded graph (closures
-# and all) plus the pre-execution numerical state through this module-level
-# slot -- nothing but task ids and handle values ever crosses the process
-# boundary.  The slot is populated before the pool is created and cleared in
-# the `finally` of execute_graph_processes; ProcessPoolExecutor forks its
-# workers lazily from the submitting (main) thread, so every worker sees a
-# consistent snapshot.
-_POOL_STATE: Dict[str, Any] = {}
-
-
-def _pack_oob(obj: Any) -> tuple:
-    """Serialize for the pool channel: protocol 5 with out-of-band buffers.
-
-    Returns ``(payload, buffers)``: the pickle stream without any array bytes
-    in it, plus each array's flat bytes as a writable ``bytearray``.  The
-    pool's own (protocol-4) channel pickler cannot ship ``PickleBuffer``
-    views, so each buffer is flattened to a ``bytearray`` -- the one copy the
-    shuttle makes per direction; :func:`_unpack_oob` then reconstructs every
-    array as a zero-copy (writable) view over its received buffer instead of
-    copying it back out of a pickle stream.
-    """
-    pickle_buffers: List[pickle.PickleBuffer] = []
-    payload = pickle.dumps(obj, protocol=5, buffer_callback=pickle_buffers.append)
-    return payload, [bytearray(b.raw()) for b in pickle_buffers]
-
-
-def _unpack_oob(packed: tuple) -> Any:
-    payload, buffers = packed
-    return pickle.loads(payload, buffers=buffers)
-
-
-def _oob_nbytes(packed: tuple) -> int:
-    """Physical bytes of a packed message (stream + out-of-band buffers)."""
-    payload, buffers = packed
-    return len(payload) + sum(len(b) for b in buffers)
-
-
-def _pool_run_task(tid: int, packed_inject: tuple) -> tuple:
-    """Run one task inside a pool worker.
-
-    ``packed_inject`` is the :func:`_pack_oob` form of the ``hid -> value``
-    dict of bound read handles the parent injects.  Returns
-    ``(packed_writes, span, phys_nbytes)``: the written values in the same
-    packed form, ``span`` None unstamped or the raw stamp tuple ``(pid,
-    install_t0, install_t1, run_t0, run_t1, gather_t1)`` -- absolute
-    ``perf_counter`` stamps on the parent's clock (fork shares
-    ``CLOCK_MONOTONIC``), split into handle-install (recv), task body
-    (compute) and written-value gather (send) intervals -- and
-    ``phys_nbytes`` the measured physical size of the written values (free
-    from the packed form; None when the execution carries no metrics
-    registry).
-    """
-    stamp = _POOL_STATE.get("trace", False)
-    t_in0 = time.perf_counter() if stamp else 0.0
-    graph = _POOL_STATE["graph"]
-    by_hid = _POOL_STATE["by_hid"]
-    for hid, value in _unpack_oob(packed_inject).items():
-        by_hid[hid].set_value(value)
-    task = graph.task(tid)
-    t_run0 = time.perf_counter() if stamp else 0.0
-    task.run()
-    t_run1 = time.perf_counter() if stamp else 0.0
-    out: Dict[int, Any] = {}
-    for handle in task.write_handles:
-        if handle.bound:
-            out[handle.hid] = handle.get_value()
-    packed_out = _pack_oob(out)
-    phys = None
-    if _POOL_STATE.get("measure", False) and out:
-        phys = _oob_nbytes(packed_out)
-    if not stamp:
-        return packed_out, None, phys
-    return packed_out, (os.getpid(), t_in0, t_run0, t_run0, t_run1, time.perf_counter()), phys
-
-
-def _pool_collect(_slot: int) -> Any:
-    """Gather one worker's result fragment (runs inside the worker).
-
-    Blocks on a barrier sized to the worker count first, which forces the
-    pool to stand up every worker and hand each exactly one collect call --
-    so every worker's fragment is gathered exactly once.
-    """
-    barrier = _POOL_STATE["barrier"]
-    if barrier is not None:
-        barrier.wait(timeout=120.0)
-    collect = _POOL_STATE["collect"]
-    return collect() if collect is not None else None
-
-
-def _check_bound_dataflow(graph: TaskGraph) -> None:
-    """Every cross-task value flow must go through a *bound* handle.
-
-    The process backend ships written handle values between workers through
-    their getters/setters; a task reading a handle some earlier task wrote
-    without accessors would silently read stale forked state.  Task chains
-    passing state outside handles must be fused first (the `process` backend
-    enables fusion by default).
-    """
-    last_writer: Dict[int, int] = {}
-    for task in graph.tasks:
-        for handle in task.read_handles:
-            writer = last_writer.get(handle.hid)
-            if writer is not None and writer != task.tid and not handle.bound:
-                raise RuntimeError(
-                    f"process backend: task {task.tid} ({task.name!r}) reads "
-                    f"unbound handle {handle.name!r} written by task {writer}; "
-                    "bind the handle (DataHandle.bind/bind_item) or fuse the chain"
-                )
-        for handle in task.write_handles:
-            last_writer[handle.hid] = task.tid
-
-
-def execute_graph_processes(
-    graph: TaskGraph,
-    *,
-    n_workers: int = 4,
-    timeout: Optional[float] = None,
-    priorities: Optional[Mapping[int, float]] = None,
-    collect: Optional[Callable[[], Any]] = None,
-    raise_on_error: bool = True,
-    trace: bool = False,
-    metrics=None,
-) -> ExecutionReport:
-    """Execute all task bodies of ``graph`` on ``n_workers`` forked processes.
-
-    The GIL-free counterpart of :func:`execute_graph`: workers are forked
-    from the current process (inheriting the graph and all pre-execution
-    state), ready tasks are dispatched highest-critical-path-first, and the
-    parent holds the authoritative copy of every *bound* handle -- written
-    values are shipped back after each task and injected into the process
-    that runs a consumer, so out-of-order cross-process execution is exactly
-    as bit-identical as the thread pool.
-
-    ``collect`` (optional) is invoked once inside every worker after the
-    graph drains; the returned fragments are stored in
-    ``ExecutionReport.fragments`` so results kept outside handles (per-node
-    factor stores, solution blocks) can be merged by the caller.
-
-    Error and timeout semantics mirror :func:`execute_graph`: the first task
-    error cancels all not-yet-started tasks, a timeout cancels the rest but
-    lets in-flight bodies finish, and with ``raise_on_error`` the partial
-    report rides on the raised exception as ``exc.execution_report``.
-
-    With ``trace=True`` every worker stamps its task bodies and the
-    handle-shuttle intervals (install/gather, reported as communication) and
-    ships the stamps back with the results; the parent's scheduling loop time
-    is measured as ``scheduler_overhead``.  Fork shares ``CLOCK_MONOTONIC``,
-    so child stamps merge directly onto the parent's timeline in
-    ``report.trace``.
-
-    With a ``metrics`` registry the execution additionally records task
-    counters and latency histograms (derived from the same stamps) plus the
-    handle-shuttle traffic as comm metrics: every inject (parent -> pool)
-    and every gather (pool -> parent) counts one message, with *logical*
-    bytes from the declared handle sizes and *physical* bytes measured from
-    the serialized payloads (protocol 5 with out-of-band buffers: array
-    bytes travel as flat buffers beside a tiny pickle stream, and the
-    receiving side reconstructs each array as a zero-copy view over its
-    buffer).  ``report.memory`` is filled.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise RuntimeError("the process backend requires fork (POSIX)")
-    t0 = time.perf_counter()
-    stamp = trace or metrics is not None
-    succ, pred = graph.adjacency()
-    remaining = {t.tid: len(pred.get(t.tid, [])) for t in graph.tasks}
-    actual_workers = max(1, min(n_workers, graph.num_tasks)) if graph.num_tasks else 0
-    report = ExecutionReport(
-        num_tasks=graph.num_tasks,
-        num_workers=actual_workers,
-        requested_workers=n_workers,
-    )
-    if graph.num_tasks == 0:
-        report.wall_time = time.perf_counter() - t0
-        if metrics is not None:
-            from repro.obs.runtime_metrics import record_execution_metrics
-
-            report.memory = record_execution_metrics(
-                metrics, backend="process", report=report, graph=graph
-            )
-        return report
-
-    graph.validate_drainable()
-    _check_bound_dataflow(graph)
-
-    if priorities is None:
-        priorities = graph.critical_path_priorities(succ)
-
-    by_hid: Dict[int, Any] = {}
-    for task in graph.tasks:
-        for access in task.accesses:
-            by_hid.setdefault(access.handle.hid, access.handle)
-
-    ctx = multiprocessing.get_context("fork")
-    deadline = None if timeout is None else t0 + timeout
-    ready: List[tuple] = [
-        (-priorities.get(tid, 0.0), tid) for tid, cnt in remaining.items() if cnt == 0
-    ]
-    heapq.heapify(ready)
-    dirty: set = set()          # hids written by completed tasks
-    started: set = set()
-    futures: Dict[Any, int] = {}  # future -> tid
-
-    # Tracing state: parent-side submit stamps (queue_t of each span), raw
-    # child stamp tuples, and the parent scheduling-loop time (everything the
-    # parent does between waits, accounted as central scheduler overhead).
-    submit_at: Dict[int, float] = {}
-    child_spans: List[tuple] = []   # (tid, pid, in0, in1, run0, run1, out1)
-    sched_overhead = 0.0
-    # Metrics state: handle-shuttle messages as (src, dst, logical, physical)
-    # byte tuples, recorded after the run, and the ready-queue high water.
-    shuttle_msgs: List[tuple] = []
-    ready_hw = len(ready)
-
-    _POOL_STATE["graph"] = graph
-    _POOL_STATE["by_hid"] = by_hid
-    _POOL_STATE["collect"] = collect
-    _POOL_STATE["trace"] = stamp
-    _POOL_STATE["measure"] = metrics is not None
-    _POOL_STATE["barrier"] = ctx.Barrier(actual_workers) if collect is not None else None
-    pool = ProcessPoolExecutor(max_workers=actual_workers, mp_context=ctx)
-    try:
-        def submit_ready() -> None:
-            nonlocal ready_hw
-            if stamp and len(ready) > ready_hw:
-                ready_hw = len(ready)
-            while ready:
-                _, tid = heapq.heappop(ready)
-                task = graph.task(tid)
-                inject = {
-                    h.hid: h.get_value()
-                    for h in task.read_handles
-                    if h.bound and h.hid in dirty
-                }
-                packed = _pack_oob(inject)
-                started.add(tid)
-                if stamp:
-                    submit_at[tid] = time.perf_counter()
-                if metrics is not None and inject:
-                    logical = sum(
-                        h.nbytes for h in task.read_handles
-                        if h.bound and h.hid in inject
-                    )
-                    shuttle_msgs.append(("parent", "pool", logical, _oob_nbytes(packed)))
-                futures[pool.submit(_pool_run_task, tid, packed)] = tid
-
-        submit_ready()
-        stop = False
-        while futures and not stop:
-            budget = None if deadline is None else max(0.0, deadline - time.perf_counter())
-            done, _ = wait(futures, timeout=budget, return_when=FIRST_COMPLETED)
-            if not done:
-                report.timed_out = True
-                break
-            ts0 = time.perf_counter() if stamp else 0.0
-            for fut in done:
-                tid = futures.pop(fut)
-                try:
-                    packed_writes, span, phys = fut.result()
-                except BaseException as exc:
-                    report.errors[tid] = exc
-                    stop = True
-                    continue
-                writes = _unpack_oob(packed_writes)
-                for hid, value in writes.items():
-                    by_hid[hid].set_value(value)
-                    dirty.add(hid)
-                report.executed.append(tid)
-                if span is not None:
-                    child_spans.append((tid,) + span)
-                if phys is not None:
-                    logical = sum(by_hid[hid].nbytes for hid in writes)
-                    shuttle_msgs.append(("pool", "parent", logical, phys))
-                if not stop:
-                    for nxt in succ.get(tid, []):
-                        remaining[nxt] -= 1
-                        if remaining[nxt] == 0:
-                            heapq.heappush(ready, (-priorities.get(nxt, 0.0), nxt))
-            if not stop:
-                submit_ready()
-            if stamp:
-                sched_overhead += time.perf_counter() - ts0
-
-        if report.timed_out or report.errors:
-            # Cancel whatever has not started; in-flight bodies finish (their
-            # processes cannot be interrupted mid-kernel) and are recorded.
-            for fut, tid in list(futures.items()):
-                if fut.cancel():
-                    started.discard(tid)
-                    del futures[fut]
-            for fut, tid in futures.items():
-                try:
-                    packed_writes, span, phys = fut.result()
-                except BaseException as exc:
-                    report.errors.setdefault(tid, exc)
-                else:
-                    writes = _unpack_oob(packed_writes)
-                    for hid, value in writes.items():
-                        by_hid[hid].set_value(value)
-                        dirty.add(hid)
-                    report.executed.append(tid)
-                    if span is not None:
-                        child_spans.append((tid,) + span)
-                    if phys is not None:
-                        logical = sum(by_hid[hid].nbytes for hid in writes)
-                        shuttle_msgs.append(("pool", "parent", logical, phys))
-            futures.clear()
-            for task in graph.tasks:
-                if task.tid not in started:
-                    report.cancelled.append(task.tid)
-        elif collect is not None:
-            # One blocking collect call per worker: the barrier holds each
-            # worker until all of them run one, so the pool spawns any
-            # workers it never needed during execution (their fragments are
-            # near-empty forks of the parent, and merging is idempotent).
-            collect_futures = [
-                pool.submit(_pool_collect, slot) for slot in range(actual_workers)
-            ]
-            report.fragments = [f.result(timeout=150.0) for f in collect_futures]
-    finally:
-        pool.shutdown(wait=True)
-        _POOL_STATE.clear()
-        report.wall_time = time.perf_counter() - t0
-        if stamp:
-            from repro.runtime.tracing import CommSpan, ExecutionTrace, build_spans
-
-            tr = ExecutionTrace(
-                backend="process",
-                n_workers=actual_workers,
-                wall_time=report.wall_time,
-                scheduler_overhead=sched_overhead,
-            )
-            # Map distinct worker pids onto dense worker indices in
-            # first-seen (completion) order.
-            slot_of: Dict[int, int] = {}
-            raw: List[tuple] = []
-            for tid, pid, t_in0, t_in1, t_run0, t_run1, t_out1 in child_spans:
-                widx = slot_of.setdefault(pid, len(slot_of))
-                task = graph.task(tid)
-                raw.append(
-                    (tid, task.name, task.kind, task.phase, widx, widx,
-                     submit_at.get(tid, t0), t_run0, t_run1)
-                )
-                # Handle shuttling across the fork boundary: install of
-                # injected values (recv) and gather of written values (send).
-                if t_in1 > t_in0:
-                    tr.comm.append(CommSpan(
-                        action="recv", worker=widx, src=-1, dst=widx,
-                        edge=(tid, tid), nbytes=0,
-                        start_t=t_in0 - t0, end_t=t_in1 - t0,
-                    ))
-                if t_out1 > t_run1:
-                    tr.comm.append(CommSpan(
-                        action="send", worker=widx, src=widx, dst=-1,
-                        edge=(tid, tid), nbytes=0,
-                        start_t=t_run1 - t0, end_t=t_out1 - t0,
-                    ))
-            tr.spans = build_spans(raw, t0)
-            if trace:
-                report.trace = tr
-            if metrics is not None:
-                from repro.obs.runtime_metrics import (
-                    record_comm_message,
-                    record_execution_metrics,
-                )
-
-                report.memory = record_execution_metrics(
-                    metrics,
-                    backend="process",
-                    report=report,
-                    trace=tr,
-                    graph=graph,
-                    queue_high_water=ready_hw,
-                )
-                for src, dst, logical, physical in shuttle_msgs:
-                    record_comm_message(
-                        metrics, "process",
-                        src=src, dst=dst,
-                        logical_bytes=logical, physical_bytes=physical,
-                    )
-
-    if raise_on_error:
-        if report.errors:
-            first = next(iter(report.errors.values()))
-            try:
-                first.execution_report = report
-            except AttributeError:
-                pass  # some builtin exceptions reject new attributes
             raise first
         if report.timed_out:
             err = TimeoutError(

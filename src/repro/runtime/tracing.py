@@ -65,9 +65,8 @@ class TaskSpan:
     name, kind, phase:
         Copied from the task (fused tasks carry the merged kind).
     worker:
-        Executing worker index.  Thread backend: thread index; process
-        backend: pool-worker index (first-seen pid order); distributed
-        backend: the rank (one event loop per rank).
+        Executing worker index.  Thread backend: thread index; distributed
+        and process backends: the rank (one event loop per rank).
     process:
         Executing process rank (0 for the shared-memory backends).
     queue_t, start_t, end_t:
@@ -185,11 +184,11 @@ class ExecutionTrace:
     Attributes
     ----------
     backend:
-        Backend name (``"parallel"``, ``"process"``, ``"distributed"``,
+        Executor name (``"parallel"``, ``"distributed"`` -- also for
+        ``process`` runs, which use the distributed rank loop --
         ``"immediate"``, ``"deferred"``).
     n_workers:
-        Worker count the breakdowns average over (threads, pool processes or
-        ranks).
+        Worker count the breakdowns average over (threads or ranks).
     wall_time:
         Wall-clock seconds of the traced execution (the reconciliation
         window of :meth:`worker_breakdowns`).
@@ -202,10 +201,6 @@ class ExecutionTrace:
         Measured runtime-system seconds per worker (dispatch, bookkeeping,
         result shuttling) -- the directly instrumented part of RUNTIME
         OVERHEAD.
-    scheduler_overhead:
-        Runtime-system seconds spent in a central scheduler on behalf of all
-        workers (the parent loop of the process backend); distributed evenly
-        over the workers by :meth:`worker_breakdowns`.
     head_of:
         Fusion contraction map ``original tid -> executed head tid`` (empty
         when the graph was not coarsened).
@@ -217,7 +212,6 @@ class ExecutionTrace:
     spans: List[TaskSpan] = field(default_factory=list)
     comm: List[CommSpan] = field(default_factory=list)
     worker_overhead: Dict[int, float] = field(default_factory=dict)
-    scheduler_overhead: float = 0.0
     head_of: Dict[int, int] = field(default_factory=dict)
     meta: Dict[str, Any] = field(default_factory=dict)
 
@@ -226,14 +220,12 @@ class ExecutionTrace:
         """Measured per-worker compute/overhead/communication/idle split.
 
         Compute and communication are summed from the recorded spans,
-        overhead is the measured per-worker runtime cost plus an even share
-        of the central :attr:`scheduler_overhead`, and idle is the remainder
-        of the :attr:`wall_time` window (clamped at zero) -- so the four
+        overhead is the measured per-worker runtime cost, and idle is the
+        remainder of the :attr:`wall_time` window (clamped at zero) -- so the four
         components of every worker sum to ``wall_time`` whenever the
         measured parts fit inside it.
         """
         workers = max(self.n_workers, 1)
-        shared = self.scheduler_overhead / workers
         out: Dict[int, WorkerBreakdown] = {w: WorkerBreakdown() for w in range(workers)}
         for span in self.spans:
             out.setdefault(span.worker, WorkerBreakdown()).compute += span.duration
@@ -242,7 +234,6 @@ class ExecutionTrace:
         for worker, overhead in self.worker_overhead.items():
             out.setdefault(worker, WorkerBreakdown()).overhead += overhead
         for breakdown in out.values():
-            breakdown.overhead += shared
             busy = breakdown.compute + breakdown.overhead + breakdown.communication
             breakdown.idle = max(0.0, self.wall_time - busy)
         return out

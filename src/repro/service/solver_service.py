@@ -358,9 +358,9 @@ class SolverService:
         Solve execution path: ``"reference"`` (sequential factor.solve),
         ``"immediate"`` / ``"sequential"`` (task graph, sequential bodies),
         ``"parallel"`` (thread-pool executor, ``n_workers`` threads; the
-        default), ``"process"`` (fused graphs on ``n_workers`` forked pool
-        processes, GIL-free) or ``"distributed"`` (``nodes`` forked worker
-        processes).  All backends produce bit-identical solutions.
+        default), ``"process"`` (``n_workers`` forked worker processes,
+        GIL-free) or ``"distributed"`` (``nodes`` forked worker processes);
+        ``process`` and ``distributed`` are the same owner-computes rank loop.  All backends produce bit-identical solutions.
     n_workers / nodes / distribution:
         Runtime-backend parameters, as in :meth:`repro.api.StructuredSolver.solve`.
     panel_size:
@@ -392,10 +392,8 @@ class SolverService:
         / ``factor_tasks``).
     fusion:
         Record-time task fusion/batching for every graph this service
-        records (compression, factorization and the batched solves).
-        ``None`` (default) fuses exactly where required -- the ``process``
-        backend; ``True``/``False`` force it on the other task-graph
-        backends.  Fusion never changes solutions, only the task census.
+        records (compression, factorization and the batched solves); off by
+        default.  Fusion never changes solutions, only the task census.
     trace:
         Record measured :class:`~repro.runtime.tracing.ExecutionTrace` objects
         for every task-graph factorization and batched solve this service
@@ -423,7 +421,7 @@ class SolverService:
         max_cached: int = 8,
         ttl_seconds: Optional[float] = None,
         compress_runtime: Union[bool, str] = False,
-        fusion: Optional[bool] = None,
+        fusion: bool = False,
         trace: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:

@@ -142,7 +142,7 @@ def _policy(
     *,
     nodes: int = 1,
     n_workers: int = 2,
-    fusion: Optional[bool] = None,
+    fusion: bool = False,
     data_plane: Optional[str] = None,
 ) -> ExecutionPolicy:
     return ExecutionPolicy(
@@ -157,7 +157,7 @@ def graph_build(
     *,
     nodes: int = 1,
     n_workers: int = 2,
-    fusion: Optional[bool] = None,
+    fusion: bool = False,
     data_plane: Optional[str] = None,
 ):
     """Compress one case through the registry's ``compress_graph`` on ``backend``.
@@ -208,7 +208,7 @@ def run_pipeline(
     nodes: int = 1,
     n_workers: int = 2,
     k: int = 3,
-    fusion: Optional[bool] = None,
+    fusion: bool = False,
     data_plane: Optional[str] = None,
 ) -> Tuple[np.ndarray, float]:
     """Compress -> factorize -> solve one case entirely on ``backend``.

@@ -18,7 +18,9 @@ the subsystem:
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -117,15 +119,12 @@ class TestEndToEndPipeline:
 
 @needs_fork
 class TestBitIdentityProcess:
-    """Forked process-pool backend against the sequential build."""
+    """Forked process backend (one rank per worker) against the sequential build."""
 
     @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     def test_graph_build_matches_sequential(self, case):
         matrix, rt = graph_build(case, "process")
-        assert rt.last_process_report is not None and rt.last_process_report.ok
-        # the process backend fuses by default: the executed graph is coarse
-        stats = rt.last_fusion_stats
-        assert stats is not None and rt.num_tasks == stats.tasks_after
+        assert rt.last_distributed_report is not None and rt.last_distributed_report.ok
         assert_case_bit_identical(case, matrix)
 
     @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
@@ -171,8 +170,6 @@ class TestFusion:
     def test_invalid_fusion_policies_rejected(self):
         from repro.pipeline.policy import ExecutionPolicy
 
-        with pytest.raises(ValueError, match="fusion"):
-            ExecutionPolicy(backend="process", fusion=False)
         with pytest.raises(ValueError, match="fusion"):
             ExecutionPolicy(backend="immediate", fusion=True)
 
@@ -231,6 +228,43 @@ class TestGraphShape:
         for tid in couplings:
             sources = {kind_of[p] for p in preds.get(tid, ())}
             assert sources == {"COMPRESS_BASIS"}
+
+
+class TestNoReferenceCycles:
+    """A dropped graph-built solver is freed by refcounting alone.
+
+    Task bodies close over locals, never over their builder, so nothing of a
+    finished construction waits for the cyclic GC (whose timing would swing
+    peak memory).
+    """
+
+    @pytest.mark.parametrize("fmt", ["hodlr", "hss", "blr2"])
+    def test_builder_and_runtime_die_without_gc(self, fmt, monkeypatch):
+        from repro.api import StructuredSolver
+        from repro.pipeline.builder import GraphBuilder
+
+        builders = []
+        execute = GraphBuilder.execute
+
+        def spy(self, **kwargs):
+            builders.append(weakref.ref(self))
+            return execute(self, **kwargs)
+
+        monkeypatch.setattr(GraphBuilder, "execute", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            solver = StructuredSolver.from_kernel(
+                "yukawa", n=256, format=fmt, leaf_size=32, max_rank=20,
+                compress_runtime="parallel", compress_workers=2,
+            )
+            runtime = weakref.ref(solver.compress_runtime)
+            # the solver keeps the runtime, never the builder
+            assert len(builders) == 1 and builders[0]() is None
+            del solver
+            assert runtime() is None
+        finally:
+            gc.enable()
 
 
 class TestFacadeIntegration:

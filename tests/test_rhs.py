@@ -59,6 +59,24 @@ class TestValidateRhsLayouts:
         with pytest.raises(ValueError, match="3-D"):
             validate_rhs(np.ones((4, 1, 1)), 4)
 
+    def test_complex_rejected_not_truncated(self):
+        # a float64 cast would keep [1, 3, 4, 5] and only warn
+        with pytest.raises(ValueError, match="real-valued"):
+            validate_rhs(np.array([1 + 2j, 3, 4, 5]), 4)
+        with pytest.raises(ValueError, match="complex128"):
+            validate_rhs(np.ones((4, 2), dtype=np.complex128), 4)
+
+    @pytest.mark.parametrize(
+        "b", [np.array(["1", "2", "3", "4"]), np.array([1.0, 2.0, 3.0, 4.0], dtype=object)]
+    )
+    def test_non_numeric_rejected(self, b):
+        with pytest.raises(ValueError, match="real-valued"):
+            validate_rhs(b, 4)
+
+    def test_bool_and_integer_accepted(self):
+        bm, _ = validate_rhs(np.array([True, False, True, True]), 4)
+        assert bm.dtype == np.float64 and bm[:, 0].tolist() == [1.0, 0.0, 1.0, 1.0]
+
 
 class TestSolversAcceptAnyLayout:
     @pytest.fixture(scope="class")
@@ -147,6 +165,13 @@ class TestNonFiniteRhs:
         b[17] = 1.0
         x = solver.solve(b, use_runtime=backend, n_workers=2)
         assert np.array_equal(x, solver.factor.solve(b))
+
+    @pytest.mark.parametrize("backend", ["off", "deferred"])
+    def test_complex_rejected_on_every_path(self, solver, backend):
+        b = np.ones(256, dtype=np.complex128)
+        b[3] = 1j
+        with pytest.raises(ValueError, match="real-valued"):
+            solver.solve(b, use_runtime=backend)
 
     def test_validate_rhs_names_the_argument(self):
         with pytest.raises(ValueError, match="rhs must be finite"):

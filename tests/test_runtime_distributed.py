@@ -8,6 +8,10 @@ the distribution strategy and the static graph model.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -307,3 +311,126 @@ class TestSolverFacade:
         solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=32, max_rank=20)
         with pytest.raises(ValueError, match="unknown distribution"):
             solver.factorize(use_runtime="distributed", nodes=2, distribution="spiral")
+
+
+def _shm_segments() -> set:
+    """Names of the block store's shared-memory segments currently on the host."""
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("rps")}
+
+
+class TestProcessBackend:
+    """``process`` is the rank loop with one rank per worker: same failure paths."""
+
+    @pytest.fixture(scope="class")
+    def factor(self, hss):
+        return hss_ulv_factorize(hss)
+
+    def _solve_builder(self, factor, b, n_workers=2):
+        from repro.pipeline.policy import ExecutionPolicy
+        from repro.pipeline.solve import HSSULVSolveBuilder
+
+        policy = ExecutionPolicy(backend="process", n_workers=n_workers)
+        return HSSULVSolveBuilder(factor, b, policy=policy).record()
+
+    def _assert_fresh_solve_exact(self, factor, rng):
+        b = rng.standard_normal(factor.hss.n)
+        builder = self._solve_builder(factor, b)
+        builder.execute(timeout=TIMEOUT)
+        assert builder.runtime.last_distributed_report.ok
+        assert np.array_equal(builder.result()[:, 0], factor.solve(b))
+
+    def test_runs_one_rank_per_worker_and_matches_plan(self, factor, rng):
+        b = rng.standard_normal(factor.hss.n)
+        builder = self._solve_builder(factor, b, n_workers=2)
+        report = builder.execute(timeout=TIMEOUT)
+        assert report.ok and report.nodes == 2
+        assert report.ledger.num_messages > 0  # the two ranks really exchanged data
+        builder.verify_comm_plan()
+        assert np.array_equal(builder.result()[:, 0], factor.solve(b))
+
+    def test_task_error_raises_remote_task_error(self, factor, rng):
+        before = _shm_segments()
+        builder = self._solve_builder(factor, rng.standard_normal(factor.hss.n))
+        tasks = builder.runtime.graph.tasks
+
+        def boom():
+            raise ValueError("injected failure")
+
+        tasks[len(tasks) // 2].func = boom
+        with pytest.raises(RemoteTaskError, match="injected failure"):
+            builder.execute(timeout=TIMEOUT)
+        assert _shm_segments() <= before
+        self._assert_fresh_solve_exact(factor, rng)
+
+    def test_dead_worker_is_an_error_not_a_hang(self, factor, rng):
+        before = _shm_segments()
+        builder = self._solve_builder(factor, rng.standard_normal(factor.hss.n))
+        tasks = builder.runtime.graph.tasks
+        tasks[len(tasks) // 2].func = lambda: os._exit(3)
+        with pytest.raises(RemoteTaskError, match="died without reporting"):
+            builder.execute(timeout=TIMEOUT)
+        assert _shm_segments() <= before
+        self._assert_fresh_solve_exact(factor, rng)
+
+
+_ORPHAN_SCRIPT = """
+import os, time
+from repro.formats.hss import build_hss
+from repro.geometry.points import uniform_grid_2d
+from repro.kernels.assembly import KernelMatrix
+from repro.kernels.greens import Yukawa
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
+
+hss = build_hss(KernelMatrix(Yukawa(), uniform_grid_2d(256)), leaf_size=32, max_rank=20)
+builder = HSSULVFactorizeBuilder(
+    hss, policy=ExecutionPolicy(backend="process", n_workers=2)
+).record()
+
+def stall():
+    print(os.getpid(), flush=True)
+    time.sleep(600)
+
+for task in builder.runtime.graph.tasks:
+    task.func = stall
+builder.execute()
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="ascii") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state not in ("Z", "X")  # a zombie has already exited
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux-only")
+def test_ranks_die_with_a_killed_parent():
+    """SIGKILL the process running a ``process`` factorize: no rank survives it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT], stdout=subprocess.PIPE, env=env, text=True
+    )
+    try:
+        # every rank announces itself from its first (stalled) task
+        pids = {int(proc.stdout.readline()) for _ in range(2)}
+        assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+    finally:
+        proc.kill()
+        proc.wait(timeout=TIMEOUT)
+        proc.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if _alive(pid)]
+    for pid in survivors:  # never leave a stray rank behind, even on failure
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"ranks {survivors} outlived their killed parent"

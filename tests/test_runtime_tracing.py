@@ -6,7 +6,7 @@ clock-aligned timeline, worker ids within bounds, fused tasks mapping onto
 executed head spans, and per-worker breakdown components that reconcile with
 the execution wall time.  These tests assert that contract on the randomized
 executor stress graphs (thread backend) and on small handle graphs for the
-sequential, process-pool and distributed backends, plus the Chrome
+sequential, process and distributed backends, plus the Chrome
 trace-event export schema.
 """
 
@@ -18,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.pipeline.policy import ExecutionPolicy
 from repro.runtime.dtd import DTDRuntime
 from repro.runtime.executor import execute_graph
 from repro.runtime.task import AccessMode
@@ -248,16 +249,16 @@ def _bound_chain_runtime(n_tasks=6):
 class TestProcessBackend:
     def test_process_trace_spans_and_comm(self):
         rt, store = _bound_chain_runtime()
-        report = rt.run_process(n_workers=2)
-        assert report.ok
+        report = ExecutionPolicy(backend="process", n_workers=2, trace=True).execute(rt)
+        assert report.ok and report is rt.last_distributed_report
         trace = rt.last_trace
-        assert trace is not None and trace.backend == "process"
-        assert trace.n_workers == report.num_workers
+        # process is the distributed rank loop with one rank per worker
+        assert trace is not None and trace.backend == "distributed"
+        assert trace.n_workers == report.nodes == 2
         _assert_span_invariants(trace, report.executed, trace.n_workers)
         _assert_breakdown_reconciles(trace, rel_tol=0.5, abs_tol=0.05)
-        # the fork-boundary handle shuttle is accounted as communication
-        assert {c.action for c in trace.comm} <= {"send", "recv"}
-        assert trace.scheduler_overhead >= 0.0
+        # cross-rank handle transfers are accounted as communication
+        assert {c.action for c in trace.comm} == {"send", "recv"}
 
 
 @needs_fork

@@ -357,11 +357,17 @@ class TestReplay:
     @needs_fork
     @pytest.mark.parametrize("panel_size", [None, 4])
     @pytest.mark.parametrize("k", RHS_WIDTHS)
-    @pytest.mark.parametrize("backend,nodes", [("process", 1), ("distributed", 1), ("distributed", 2)])
+    @pytest.mark.parametrize(
+        "backend,nodes",
+        [("process", 1), ("process", 2), ("distributed", 1), ("distributed", 2)],
+    )
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_forked(self, solvers, fmt, backend, nodes, k, panel_size):
+        # ``nodes`` is the rank count: process counts its ranks as workers
+        workers = nodes if backend == "process" else 2
         assert_replay_bit_identical(
-            solvers[fmt], backend, k=k, panel_size=panel_size, nodes=nodes
+            solvers[fmt], backend, k=k, panel_size=panel_size, nodes=nodes,
+            n_workers=workers,
         )
 
     def test_immediate_records_every_time(self, solvers):
