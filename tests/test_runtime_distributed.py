@@ -327,11 +327,11 @@ class TestProcessBackend:
     def factor(self, hss):
         return hss_ulv_factorize(hss)
 
-    def _solve_builder(self, factor, b, n_workers=2):
+    def _solve_builder(self, factor, b):
         from repro.pipeline.policy import ExecutionPolicy
         from repro.pipeline.solve import HSSULVSolveBuilder
 
-        policy = ExecutionPolicy(backend="process", n_workers=n_workers)
+        policy = ExecutionPolicy(backend="process", n_workers=2)
         return HSSULVSolveBuilder(factor, b, policy=policy).record()
 
     def _assert_fresh_solve_exact(self, factor, rng):
@@ -343,7 +343,7 @@ class TestProcessBackend:
 
     def test_runs_one_rank_per_worker_and_matches_plan(self, factor, rng):
         b = rng.standard_normal(factor.hss.n)
-        builder = self._solve_builder(factor, b, n_workers=2)
+        builder = self._solve_builder(factor, b)
         report = builder.execute(timeout=TIMEOUT)
         assert report.ok and report.nodes == 2
         assert report.ledger.num_messages > 0  # the two ranks really exchanged data
