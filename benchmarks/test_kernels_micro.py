@@ -45,7 +45,7 @@ def test_bench_hss_ulv_factorization(benchmark, hss):
 
 
 def test_bench_hss_ulv_factorization_dtd(benchmark, hss):
-    policy = ExecutionPolicy(backend="immediate", nodes=4)
+    policy = ExecutionPolicy(backend="deferred", nodes=4)
     factor, rt = benchmark.pedantic(
         lambda: get_format("hss").factorize_dtd(hss, policy=policy), rounds=3, iterations=1
     )

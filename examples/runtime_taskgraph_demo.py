@@ -48,7 +48,7 @@ def hss_ulv_tasks() -> None:
     kmat = KernelMatrix(Yukawa(), points)
     hss = build_hss(kmat, leaf_size=128, max_rank=40)
     factor, runtime = get_format("hss").factorize_dtd(
-        hss, policy=ExecutionPolicy(backend="immediate", nodes=4)
+        hss, policy=ExecutionPolicy(backend="deferred", nodes=4)
     )
     graph = runtime.graph
     print(f"tasks: {graph.num_tasks}, edges: {graph.num_edges}, "

@@ -1,10 +1,14 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the ``repro`` package lives under ``src/``.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in fully
-offline environments (legacy editable installs do not need the ``wheel``
-package).
+``pip install -e .`` works offline with this file alone (legacy editable
+installs do not need the ``wheel`` package); the runtime dependencies are
+listed in ``requirements.txt``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-import scipy.stats
 
 __all__ = ["weak_scaling_efficiency", "parallel_efficiency", "confidence_interval"]
 
@@ -42,6 +41,8 @@ def confidence_interval(
     Returns ``(mean, lower, upper)`` using the Student-t distribution, which is
     the 95% CI of the mean reported in the paper's weak-scaling plots.
     """
+    import scipy.stats  # imported here: it costs more than the rest of ``import repro``
+
     arr = np.asarray(list(samples), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one sample")

@@ -19,9 +19,9 @@ and the solve (:meth:`StructuredSolver.solve`):
 ``use_runtime=False`` (or ``"off"``)
     Sequential reference implementation -- the fastest path for small
     problems and the ground truth the other modes are validated against.
-``use_runtime=True`` (or ``"immediate"``)
-    Expressed as DTD runtime tasks whose bodies execute at insertion time;
-    records the full task graph for inspection/simulation.
+``use_runtime=True`` (or ``"deferred"``)
+    Expressed as DTD runtime tasks: the full task graph is recorded first
+    (for inspection/simulation) and then run sequentially in insertion order.
 ``use_runtime="parallel"``
     The task graph is recorded first and then executed *out-of-order* on a
     thread pool (``n_workers`` threads) by the event-driven graph executor --
@@ -267,10 +267,9 @@ class StructuredSolver:
         ----------
         use_runtime:
             Selects the execution path.  ``False`` / ``"off"`` (default) uses
-            the sequential reference implementation; ``True`` / ``"immediate"``
-            runs the factorization through the DTD runtime with task bodies
-            executing at insertion time; ``"deferred"`` records the full task
-            graph first and then runs it sequentially; ``"parallel"`` records
+            the sequential reference implementation; ``True`` / ``"deferred"``
+            records the full task graph first and then runs it sequentially;
+            ``"parallel"`` records
             the task graph first and then executes it out-of-order on a thread
             pool with ``n_workers`` threads; ``"distributed"`` records the
             task graph first and then executes it across ``nodes`` forked
@@ -355,9 +354,8 @@ class StructuredSolver:
         under a given execution policy records the graph; later solves of that
         width and policy rebind the recorded graph to the new ``b`` and run it
         again (``solve_runtime`` is then the same object).  ``trace`` and
-        ``metrics`` are switches of one execution and not part of that key;
-        ``immediate`` runs its bodies while recording, so it records every
-        time.  Recorded graphs are dropped by ``factorize(force=True)`` and by
+        ``metrics`` are switches of one execution and not part of that key.
+        Recorded graphs are dropped by ``factorize(force=True)`` and by
         any solve that raises.
 
         Parameters
@@ -366,7 +364,7 @@ class StructuredSolver:
             Execution path of the *solve* (the factorization path is chosen
             by :meth:`factorize` and cached).  Same modes and semantics as
             :meth:`factorize`: ``False``/``"off"`` (sequential reference),
-            ``True``/``"immediate"``, ``"deferred"``, ``"parallel"``
+            ``True``/``"deferred"``, ``"parallel"``
             (thread pool with ``n_workers`` threads), ``"process"``
             (``n_workers`` forked worker processes) or ``"distributed"``
             (``nodes`` forked worker processes).  All paths produce

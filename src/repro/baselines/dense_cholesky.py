@@ -94,7 +94,7 @@ def tile_cholesky_dtd(
 
     Returns the numerical factor and the runtime holding the recorded graph.
     """
-    rt = runtime if runtime is not None else DTDRuntime(execution="immediate")
+    rt = runtime if runtime is not None else DTDRuntime()
     nb = matrix.nblocks
     factor = DenseCholeskyFactor(offsets=list(matrix.offsets))
 

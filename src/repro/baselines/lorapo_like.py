@@ -98,7 +98,7 @@ def blr_cholesky_factorize(
     -------
     (factor, runtime)
     """
-    rt = runtime if runtime is not None else DTDRuntime(execution="immediate")
+    rt = runtime if runtime is not None else DTDRuntime()
     nb = blr.nblocks
     factor = BLRCholeskyFactor(blr=blr)
 

@@ -33,9 +33,8 @@ where feasible.
 :class:`~repro.api.StructuredSolver` facade; ``--format`` selects the
 compressed representation from the pipeline's format registry (HSS, BLR2,
 HODLR, ...), and ``--runtime`` selects the execution path of both the
-factorization and the solve (``off``: sequential reference, ``immediate``:
-DTD tasks executed at insertion time, ``deferred``: recorded graph run
-sequentially, ``parallel``: recorded task graph executed out-of-order on a
+factorization and the solve (``off``: sequential reference, ``deferred``:
+recorded graph run sequentially, ``parallel``: recorded task graph executed out-of-order on a
 ``--workers``-thread pool, ``distributed``: recorded task graph executed
 across ``--nodes`` worker processes under the ``--distribution`` placement)
 and the reported errors demonstrate that all modes agree.  ``--nrhs`` solves
@@ -191,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--runtime",
         choices=RUNTIME_CHOICES,
         default="off",
-        help="execution path: off = sequential reference, immediate = DTD tasks "
-        "run at insertion time, deferred = recorded graph run sequentially, "
+        help="execution path: off = sequential reference, "
+        "deferred = recorded graph run sequentially, "
         "parallel = task graph executed out-of-order on a thread pool, "
         "process = task graph executed across --workers forked worker "
         "processes (GIL-free), "
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         action="append",
         dest="backends",
-        choices=("reference", "immediate", "sequential", "parallel", "process", "distributed"),
+        choices=("reference", "sequential", "parallel", "process", "distributed"),
         help="service backend (repeatable; default: reference, sequential, parallel)",
     )
     p.add_argument("--workers", type=int, default=4, help="thread count for the parallel backend")
@@ -511,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8080, help="bind port (0: pick a free one)")
     p.add_argument(
         "--backend",
-        choices=("reference", "immediate", "sequential", "parallel", "process", "distributed"),
+        choices=("reference", "sequential", "parallel", "process", "distributed"),
         default="parallel",
         help="SolverService execution backend for the batched solves",
     )
@@ -639,12 +638,11 @@ def _run_solve(args: argparse.Namespace) -> str:
     compress_distribution = (
         args.distribution if args.compress_runtime == "distributed" else None
     )
-    # --fusion applies wherever a graph is recorded; runtimes that execute
-    # bodies at insertion time (off/immediate) have no graph to coarsen, so
-    # the flag is dropped for them instead of being rejected.
+    # --fusion applies wherever a graph is recorded; "off" has no graph to
+    # coarsen, so the flag is dropped for it instead of being rejected.
     fusion = args.fusion == "on"
-    exec_fusion = fusion and args.runtime not in ("off", "immediate")
-    compress_fusion = fusion and args.compress_runtime not in ("off", "immediate")
+    exec_fusion = fusion and args.runtime != "off"
+    compress_fusion = fusion and args.compress_runtime != "off"
     t0 = time.perf_counter()
     solver = StructuredSolver.from_kernel(
         args.kernel, n=args.n, format=args.format,

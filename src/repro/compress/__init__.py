@@ -5,8 +5,8 @@ compression (per-block ACA/ID/SVD tasks, shared-basis tasks, nested-basis
 translation ops, sibling couplings) expressed as ``insert_task`` graphs on
 the pipeline layer's :class:`~repro.pipeline.builder.GraphBuilder` scaffold,
 so HSS, BLR2 and HODLR matrices can be *constructed* -- not just factorized
-and solved -- on every execution backend (immediate / deferred /
-thread-parallel / distributed), bit-identical to the sequential
+and solved -- on every execution backend (deferred / thread-parallel /
+process / distributed), bit-identical to the sequential
 ``repro.formats.build_*`` references.
 
 Modules

@@ -14,6 +14,11 @@ projecting every off-diagonal block onto the two row bases.
     depends on both rows' basis tasks, which is where the distributed
     backend's basis transfers come from.
 
+Both task bodies call the step ``build_blr2`` calls
+(:func:`~repro.formats.blr2.shared_basis`,
+:func:`~repro.formats.blr2.skeleton_coupling`), so the result is
+bit-identical to it on every backend.
+
 The flat block rows are mapped onto the same virtual tree level as the
 leaf-ULV factorize/solve graphs (:func:`repro.pipeline.factorize.leaf_virtual_level`),
 so all three phases of one BLR2 problem distribute identically.
@@ -26,8 +31,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compress.builder import CompressGraphBuilder, compress_through_builder
-from repro.formats.blr2 import BLR2Matrix
-from repro.lowrank.qr import row_basis
+from repro.formats.blr2 import BLR2Matrix, shared_basis, skeleton_coupling
 from repro.pipeline.factorize import leaf_virtual_level
 from repro.runtime.task import AccessMode
 
@@ -100,13 +104,7 @@ class BLR2CompressBuilder(CompressGraphBuilder):
             )
 
             def compress_row(i=i, leaf=leaf) -> None:
-                far_cols = np.concatenate(
-                    [np.arange(0, leaf.start), np.arange(leaf.stop, n)]
-                )
-                block_row = kmat.block(slice(leaf.start, leaf.stop), far_cols)
-                u = row_basis(block_row, rank=max_rank, tol=tol, method=method)
-                bases[i] = u
-                bx[i] = u
+                bases[i] = bx[i] = shared_basis(kmat, leaf, max_rank, tol, method)
 
             self.insert(
                 compress_row,
@@ -122,10 +120,7 @@ class BLR2CompressBuilder(CompressGraphBuilder):
                 lj = leaves[j]
 
                 def coupling(i=i, j=j, li=li, lj=lj) -> None:
-                    block = kmat.block(
-                        slice(li.start, li.stop), slice(lj.start, lj.stop)
-                    )
-                    couplings[(i, j)] = bx[i].T @ block @ bx[j]
+                    couplings[(i, j)] = skeleton_coupling(kmat, li, lj, bx[i], bx[j])
 
                 mi, mj = li.stop - li.start, lj.stop - lj.start
                 self.insert(

@@ -25,7 +25,7 @@ Concrete builders (:class:`~repro.compress.hss.HSSCompressBuilder`,
 perform *exactly* the operations of the sequential ``formats.build_*``
 references, in the same order, with any RNG draws (proxy-column sampling)
 precomputed at record time in the sequential order -- so every backend
-(immediate / deferred / parallel / distributed) produces a compressed matrix
+(deferred / parallel / process / distributed) produces a compressed matrix
 bit-identical to the sequential reference.
 """
 
@@ -126,12 +126,12 @@ class CompressGraphBuilder(GraphBuilder):
 def compress_through_builder(builder_cls, kernel_matrix, *, policy=None, **kwargs):
     """Drive one compression builder end-to-end.
 
-    Records the graph under ``policy`` (default: ``immediate``), executes it
+    Records the graph under ``policy`` (default: ``deferred``), executes it
     on the policy's backend and returns ``(matrix, runtime)`` -- the same
     contract as the ``factorize_dtd`` / ``solve_dtd`` drivers, so the format
     registry can expose all four entry points uniformly.
     """
-    policy = policy if policy is not None else ExecutionPolicy(backend="immediate")
+    policy = policy if policy is not None else ExecutionPolicy(backend="deferred")
     builder = builder_cls(kernel_matrix, policy=policy, **kwargs)
     builder.execute()
     return builder.result(), builder.runtime

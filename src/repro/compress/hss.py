@@ -19,10 +19,13 @@ as DTD tasks:
     Sibling skeleton coupling ``S_{l;i,j}`` from kernel evaluations on the
     two skeleton point sets; depends on both siblings' basis info.
 
-Proxy-column sampling consumes the RNG at *record* time, in exactly the
-order the sequential builder draws (leaves ascending, then internal levels
-bottom-up), so the per-task inputs -- and therefore the compressed matrix --
-are bit-identical to ``build_hss`` on every backend.
+Every task body is one call of the per-node construction step
+``build_hss`` itself calls (:func:`~repro.formats.hss.interpolative_leaf_basis`,
+:func:`~repro.formats.hss.interpolative_translation`,
+:func:`~repro.formats.hss.interpolative_coupling` and their ``dense_rows``
+counterparts), and the proxy columns are drawn up front by the same
+:func:`~repro.formats.hss.draw_proxies`, so the compressed matrix is
+bit-identical to ``build_hss`` on every backend.
 
 Cross-task data (skeleton indices + row weights per cluster) moves through
 handle-bound stores, so the distributed backend ships exactly that basis
@@ -37,9 +40,18 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compress.builder import CompressGraphBuilder, compress_through_builder
-from repro.formats.hss import HSSMatrix, HSSNode, _proxy_indices
-from repro.lowrank.interpolative import interpolative_rows
-from repro.lowrank.qr import row_basis
+from repro.formats.blr2 import skeleton_coupling
+from repro.formats.hss import (
+    HSSMatrix,
+    HSSNode,
+    check_construction,
+    dense_leaf_basis,
+    dense_translation,
+    draw_proxies,
+    interpolative_coupling,
+    interpolative_leaf_basis,
+    interpolative_translation,
+)
 from repro.runtime.task import AccessMode
 
 __all__ = ["HSSCompressBuilder", "build_hss_dtd"]
@@ -50,40 +62,10 @@ class HSSCompressBuilder(CompressGraphBuilder):
 
     default_method = "interpolative"
 
-    def __init__(
-        self,
-        kernel_matrix,
-        *,
-        leaf_size: int = 256,
-        max_rank: Optional[int] = 100,
-        tol: Optional[float] = None,
-        method: Optional[str] = None,
-        n_proxy: Optional[int] = None,
-        seed: int = 0,
-        tree=None,
-        policy=None,
-    ) -> None:
-        super().__init__(
-            kernel_matrix,
-            leaf_size=leaf_size,
-            max_rank=max_rank,
-            tol=tol,
-            method=method,
-            seed=seed,
-            tree=tree,
-            policy=policy,
-        )
-        if self.tree.max_level < 1:
-            raise ValueError(
-                "HSS requires at least one level of partitioning; "
-                "decrease leaf_size or increase N"
-            )
-        if self.method not in ("interpolative", "dense_rows"):
-            raise ValueError(f"unknown construction method {self.method!r}")
+    def __init__(self, kernel_matrix, *, n_proxy: Optional[int] = None, **kwargs) -> None:
+        super().__init__(kernel_matrix, **kwargs)
+        self.n_proxy = check_construction(self.tree, self.method, self.max_rank, n_proxy)
         self.max_level = self.tree.max_level
-        self.n_proxy = (
-            n_proxy if n_proxy is not None else max(2 * (self.max_rank or 64), 128)
-        )
         #: Result stores: node shells filled by the task bodies (fields set
         #: only in the process that ran the task -- the distributed locality
         #: marker), plus the sibling couplings.
@@ -98,20 +80,12 @@ class HSSCompressBuilder(CompressGraphBuilder):
         self._b: Dict[Tuple[int, int], object] = {}
         self._d: Dict[int, object] = {}
         self._s: Dict[Tuple[int, int, int], object] = {}
-        # Proxy columns per cluster, sampled at record time in the exact
-        # sequential RNG order (leaves ascending, then levels bottom-up).
-        self._proxy: Dict[Tuple[int, int], np.ndarray] = {}
-        if self.method == "interpolative":
-            rng = np.random.default_rng(self.rng_seed)
-            for i, leaf in enumerate(self.tree.leaves):
-                self._proxy[(self.max_level, i)] = _proxy_indices(
-                    leaf.start, leaf.stop, self.n, self.n_proxy, rng
-                )
-            for level in range(self.max_level - 1, 0, -1):
-                for index, cnode in enumerate(self.tree.level_nodes(level)):
-                    self._proxy[(level, index)] = _proxy_indices(
-                        cnode.start, cnode.stop, self.n, self.n_proxy, rng
-                    )
+        # Proxy columns per cluster, drawn up front in the sequential RNG order.
+        self._proxy: Dict[Tuple[int, int], np.ndarray] = (
+            draw_proxies(self.tree, self.n_proxy, self.rng_seed)
+            if self.method == "interpolative"
+            else {}
+        )
 
     # -- scaffold hooks -------------------------------------------------------
     def declare_handles(self) -> None:
@@ -147,18 +121,21 @@ class HSSCompressBuilder(CompressGraphBuilder):
                 )
 
     def record_tasks(self) -> None:
-        kmat, ml, n = self.kernel_matrix, self.max_level, self.n
+        kmat, ml = self.kernel_matrix, self.max_level
         nodes, basis, couplings = self.nodes, self._basis, self.couplings
-        max_rank, tol = self.max_rank, self.tol
+        max_rank, tol, proxies = self.max_rank, self.tol, self._proxy
+        dense = self.method == "dense_rows"
 
         # ---- leaf level: diagonal blocks + skeleton bases -------------------
         self.set_phase(0)
-        for i, leaf in enumerate(self.tree.leaves):
-            m = leaf.stop - leaf.start
+        for i in range(len(self.tree.leaves)):
+            key = (ml, i)
+            node = nodes[key]
+            m = node.size
 
-            def assemble_diag(i=i, leaf=leaf) -> None:
-                rows = slice(leaf.start, leaf.stop)
-                nodes[(ml, i)].D = kmat.block(rows, rows)
+            def assemble_diag(node=node) -> None:
+                rows = slice(node.start, node.stop)
+                node.D = kmat.block(rows, rows)
 
             self.insert(
                 assemble_diag,
@@ -168,34 +145,15 @@ class HSSCompressBuilder(CompressGraphBuilder):
                 flops=float(m * m),
             )
 
-            if self.method == "dense_rows":
-
-                def leaf_basis(i=i, leaf=leaf) -> None:
-                    comp = np.concatenate(
-                        [np.arange(0, leaf.start), np.arange(leaf.stop, n)]
-                    )
-                    block_row = kmat.block(slice(leaf.start, leaf.stop), comp)
-                    u = row_basis(block_row, rank=max_rank, tol=tol)
-                    node = nodes[(ml, i)]
-                    node.U = u
-                    node.rank = u.shape[1]
-                    basis[(ml, i)] = u
-
-            else:
-
-                def leaf_basis(i=i, leaf=leaf, proxy=self._proxy[(ml, i)]) -> None:
-                    block_row = kmat.block(slice(leaf.start, leaf.stop), proxy)
-                    sel, p = interpolative_rows(block_row, rank=max_rank, tol=tol)
-                    q, r = np.linalg.qr(p)
-                    node = nodes[(ml, i)]
-                    node.U = q
-                    node.rank = q.shape[1]
-                    node.skeleton = np.arange(leaf.start, leaf.stop)[sel]
-                    basis[(ml, i)] = (node.skeleton, r)
+            def leaf_basis(key=key, node=node, proxy=proxies.get(key)) -> None:
+                if dense:
+                    basis[key] = dense_leaf_basis(kmat, node, max_rank, tol)
+                else:
+                    basis[key] = interpolative_leaf_basis(kmat, node, proxy, max_rank, tol)
 
             self.insert(
                 leaf_basis,
-                [(self._b[(ml, i)], AccessMode.WRITE)],
+                [(self._b[key], AccessMode.WRITE)],
                 name=f"COMPRESS_BASIS[{ml};{i}]",
                 kind="COMPRESS_BASIS",
                 flops=float(2 * m * self.n_proxy * self.rank_cap(m)),
@@ -204,48 +162,21 @@ class HSSCompressBuilder(CompressGraphBuilder):
         # ---- internal levels: bottom-up transfer (translation) matrices -----
         for level in range(ml - 1, 0, -1):
             self.set_phase(ml - level)
-            for index, cnode in enumerate(self.tree.level_nodes(level)):
+            for index in range(2**level):
                 key, k1, k2 = (level, index), (level + 1, 2 * index), (level + 1, 2 * index + 1)
 
-                if self.method == "dense_rows":
-
-                    def translate(key=key, k1=k1, k2=k2, cnode=cnode) -> None:
-                        e1, e2 = basis[k1], basis[k2]
-                        c1, c2 = nodes[k1], nodes[k2]
-                        comp = np.concatenate(
-                            [np.arange(0, cnode.start), np.arange(cnode.stop, n)]
+                def translate(key=key, k1=k1, k2=k2, proxy=proxies.get(key)) -> None:
+                    if dense:
+                        basis[key] = dense_translation(
+                            kmat, nodes[key], nodes[k1], nodes[k2],
+                            basis[k1], basis[k2], max_rank, tol,
                         )
-                        w1 = e1.T @ kmat.block(slice(c1.start, c1.stop), comp)
-                        w2 = e2.T @ kmat.block(slice(c2.start, c2.stop), comp)
-                        w = np.vstack([w1, w2])
-                        u = row_basis(w, rank=max_rank, tol=tol)
-                        node = nodes[key]
-                        node.U = u
-                        node.rank = u.shape[1]
-                        r1 = e1.shape[1]
-                        basis[key] = np.vstack([e1 @ u[:r1], e2 @ u[r1:]])
+                    else:
+                        basis[key] = interpolative_translation(
+                            kmat, nodes[key], basis[k1], basis[k2], proxy, max_rank, tol
+                        )
 
-                else:
-
-                    def translate(key=key, k1=k1, k2=k2, proxy=self._proxy[key]) -> None:
-                        skel1, g1 = basis[k1]
-                        skel2, g2 = basis[k2]
-                        union_skel = np.concatenate([skel1, skel2])
-                        b = kmat.block(union_skel, proxy)
-                        sel, p = interpolative_rows(b, rank=max_rank, tol=tol)
-                        r1, r2 = g1.shape[0], g2.shape[0]
-                        g_children = np.zeros((r1 + r2, r1 + r2))
-                        g_children[:r1, :r1] = g1
-                        g_children[r1:, r1:] = g2
-                        t = g_children @ p
-                        q, r = np.linalg.qr(t)
-                        node = nodes[key]
-                        node.U = q
-                        node.rank = q.shape[1]
-                        node.skeleton = union_skel[sel]
-                        basis[key] = (node.skeleton, r)
-
-                m = cnode.stop - cnode.start
+                m = nodes[key].size
                 self.insert(
                     translate,
                     [
@@ -265,24 +196,14 @@ class HSSCompressBuilder(CompressGraphBuilder):
                 j, i = 2 * k, 2 * k + 1
                 ki, kj = (level, i), (level, j)
 
-                if self.method == "dense_rows":
+                def coupling(level=level, i=i, j=j, ki=ki, kj=kj) -> None:
+                    if dense:
+                        s = skeleton_coupling(kmat, nodes[ki], nodes[kj], basis[ki], basis[kj])
+                    else:
+                        s = interpolative_coupling(kmat, basis[ki], basis[kj])
+                    couplings[(level, i, j)] = s
 
-                    def coupling(level=level, i=i, j=j, ki=ki, kj=kj) -> None:
-                        ni, nj = nodes[ki], nodes[kj]
-                        block = kmat.block(
-                            slice(ni.start, ni.stop), slice(nj.start, nj.stop)
-                        )
-                        couplings[(level, i, j)] = basis[ki].T @ block @ basis[kj]
-
-                else:
-
-                    def coupling(level=level, i=i, j=j, ki=ki, kj=kj) -> None:
-                        skel_i, g_i = basis[ki]
-                        skel_j, g_j = basis[kj]
-                        kss = kmat.block(skel_i, skel_j)
-                        couplings[(level, i, j)] = g_i @ kss @ g_j.T
-
-                ni, nj = self.nodes[ki], self.nodes[kj]
+                ni, nj = nodes[ki], nodes[kj]
                 self.insert(
                     coupling,
                     [

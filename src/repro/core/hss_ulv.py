@@ -25,7 +25,7 @@ from repro.core.partial_cholesky import PartialCholeskyResult, partial_cholesky
 from repro.core.rhs import validate_rhs
 from repro.formats.hss import HSSMatrix
 
-__all__ = ["HSSNodeFactor", "HSSULVFactor", "hss_ulv_factorize"]
+__all__ = ["HSSNodeFactor", "HSSULVFactor", "hss_ulv_factorize", "merge_siblings"]
 
 
 @dataclass
@@ -156,6 +156,20 @@ class HSSULVFactor:
         return total
 
 
+def merge_siblings(
+    schur_left: np.ndarray, schur_right: np.ndarray, coupling: np.ndarray
+) -> np.ndarray:
+    """Merge step (line 4 of Alg. 2): the parent's diagonal block.
+
+    Two sibling skeleton Schur complements go on the diagonal and their
+    coupling ``S = E_{2k+1}^T A E_{2k}`` off it.  Shared by
+    :func:`hss_ulv_factorize` and the factorization task graph.
+    """
+    top = np.hstack([schur_left, coupling.T])
+    bot = np.hstack([coupling, schur_right])
+    return np.vstack([top, bot])
+
+
 def hss_ulv_factorize(hss: HSSMatrix) -> HSSULVFactor:
     """Factorize an SPD HSS matrix with the HSS-ULV algorithm (Alg. 2).
 
@@ -194,13 +208,10 @@ def hss_ulv_factorize(hss: HSSMatrix) -> HSSULVFactor:
             u = lf.set_basis(i, node.U)
             part = partial_cholesky(u.T @ diag[(level, i)] @ u, node.rank)
             schur[i] = lf.set_partial(i, part)
-        # Merge step (line 4 of Alg. 2): two sibling Schur complements plus
-        # their coupling become the parent's diagonal block.
         for k in range(2 ** (level - 1)):
-            s = hss.coupling(level, 2 * k + 1, 2 * k)  # E_{2k+1}^T A E_{2k}
-            top = np.hstack([schur[2 * k], s.T])
-            bot = np.hstack([s, schur[2 * k + 1]])
-            diag[(level - 1, k)] = np.vstack([top, bot])
+            diag[(level - 1, k)] = merge_siblings(
+                schur[2 * k], schur[2 * k + 1], hss.coupling(level, 2 * k + 1, 2 * k)
+            )
 
     factor.root_chol = np.linalg.cholesky(diag[(0, 0)])
     factor.check_finite()

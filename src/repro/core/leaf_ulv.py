@@ -29,7 +29,7 @@ from repro.core.level_ulv import LevelFactors, check_finite, ulv_solve
 from repro.core.partial_cholesky import PartialCholeskyResult, partial_cholesky
 from repro.core.rhs import validate_rhs
 
-__all__ = ["LeafULVSolveMixin", "leaf_ulv_factorize_into"]
+__all__ = ["LeafULVSolveMixin", "assemble_merged_row", "leaf_ulv_factorize_into"]
 
 
 class LeafULVSolveMixin:
@@ -94,6 +94,23 @@ class LeafULVSolveMixin:
         return total
 
 
+def assemble_merged_row(
+    merged: np.ndarray, offsets: List[int], i: int, schur: np.ndarray, system
+) -> None:
+    """Write block row ``i`` of the permuted skeleton system (Fig. 4) into ``merged``.
+
+    Row ``i``'s skeleton Schur complement goes on the diagonal and its
+    couplings ``S_{i,j}`` off it.  Rows write disjoint slices, so the task
+    graph assembles them concurrently; the sequential reference calls the
+    same function row by row.
+    """
+    rows = slice(offsets[i], offsets[i + 1])
+    merged[rows, rows] = schur
+    for j in range(system.nblocks):
+        if j != i:
+            merged[rows, offsets[j] : offsets[j + 1]] = system.coupling(i, j)
+
+
 def leaf_ulv_factorize_into(factor, system):
     """Run the sequential leaf-level ULV (Alg. 1) and populate ``factor``.
 
@@ -114,11 +131,7 @@ def leaf_ulv_factorize_into(factor, system):
     offsets = factor._skeleton_offsets()
     merged = np.zeros((offsets[-1], offsets[-1]))
     for i in range(nb):
-        merged[offsets[i] : offsets[i + 1], offsets[i] : offsets[i + 1]] = schur[i]
-        for j in range(nb):
-            if i == j:
-                continue
-            merged[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = system.coupling(i, j)
+        assemble_merged_row(merged, offsets, i, schur[i], system)
 
     factor.merged_chol = np.linalg.cholesky(merged)
     factor.check_finite()

@@ -17,7 +17,7 @@ from repro.geometry.cluster_tree import ClusterTree, build_cluster_tree
 from repro.kernels.assembly import KernelMatrix
 from repro.lowrank.qr import row_basis
 
-__all__ = ["BLR2Matrix", "build_blr2"]
+__all__ = ["BLR2Matrix", "build_blr2", "shared_basis", "skeleton_coupling"]
 
 
 @dataclass
@@ -115,6 +115,30 @@ class BLR2Matrix:
         )
 
 
+def shared_basis(
+    kernel_matrix: KernelMatrix, cluster, max_rank: Optional[int], tol: Optional[float], method: str
+) -> np.ndarray:
+    """Shared skeleton basis ``U_i^S`` of one block row (Eq. 2).
+
+    Computed from the concatenation of every admissible (off-diagonal) block
+    of the row of ``cluster`` (anything with ``start`` / ``stop``).  Shared
+    by :func:`build_blr2` and the construction task graph.
+    """
+    far_cols = np.concatenate(
+        [np.arange(0, cluster.start), np.arange(cluster.stop, kernel_matrix.n)]
+    )
+    block_row = kernel_matrix.block(slice(cluster.start, cluster.stop), far_cols)
+    return row_basis(block_row, rank=max_rank, tol=tol, method=method)
+
+
+def skeleton_coupling(
+    kernel_matrix: KernelMatrix, ci, cj, u_i: np.ndarray, u_j: np.ndarray
+) -> np.ndarray:
+    """Skeleton coupling ``S_{i,j} = (U_i^S)^T A_{i,j} U_j^S`` of clusters ``ci``, ``cj``."""
+    block = kernel_matrix.block(slice(ci.start, ci.stop), slice(cj.start, cj.stop))
+    return u_i.T @ block @ u_j
+
+
 def build_blr2(
     kernel_matrix: KernelMatrix,
     *,
@@ -147,8 +171,6 @@ def build_blr2(
     if tree is None:
         tree = build_cluster_tree(kernel_matrix.points, leaf_size=leaf_size)
     leaves = tree.leaves
-    nb = len(leaves)
-    n = kernel_matrix.n
 
     diag: Dict[int, np.ndarray] = {}
     bases: Dict[int, np.ndarray] = {}
@@ -157,16 +179,12 @@ def build_blr2(
     for i, li in enumerate(leaves):
         rows = slice(li.start, li.stop)
         diag[i] = kernel_matrix.block(rows, rows)
-        far_cols = np.concatenate(
-            [np.arange(0, li.start), np.arange(li.stop, n)]
-        )
-        block_row = kernel_matrix.block(rows, far_cols)
-        bases[i] = row_basis(block_row, rank=max_rank, tol=tol, method=basis_method)
+        bases[i] = shared_basis(kernel_matrix, li, max_rank, tol, basis_method)
 
     for i, li in enumerate(leaves):
         for j in range(i):
-            lj = leaves[j]
-            block = kernel_matrix.block(slice(li.start, li.stop), slice(lj.start, lj.stop))
-            couplings[(i, j)] = bases[i].T @ block @ bases[j]
+            couplings[(i, j)] = skeleton_coupling(
+                kernel_matrix, li, leaves[j], bases[i], bases[j]
+            )
 
     return BLR2Matrix(tree=tree, diag=diag, bases=bases, couplings=couplings)

@@ -28,12 +28,25 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.formats.blr2 import shared_basis, skeleton_coupling
 from repro.geometry.cluster_tree import ClusterTree, build_cluster_tree
 from repro.kernels.assembly import KernelMatrix
 from repro.lowrank.interpolative import interpolative_rows
 from repro.lowrank.qr import row_basis
 
-__all__ = ["HSSNode", "HSSMatrix", "build_hss", "HSSStructure"]
+__all__ = [
+    "HSSNode",
+    "HSSMatrix",
+    "build_hss",
+    "check_construction",
+    "draw_proxies",
+    "interpolative_leaf_basis",
+    "interpolative_translation",
+    "interpolative_coupling",
+    "dense_leaf_basis",
+    "dense_translation",
+    "HSSStructure",
+]
 
 
 @dataclass
@@ -252,6 +265,11 @@ class HSSMatrix:
         )
 
 
+def _complement(start: int, stop: int, n: int) -> np.ndarray:
+    """Every index of ``0..n`` outside the cluster ``[start, stop)``."""
+    return np.concatenate([np.arange(0, start), np.arange(stop, n)])
+
+
 def _proxy_indices(
     start: int, stop: int, n: int, n_proxy: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -261,7 +279,7 @@ def _proxy_indices(
     cluster (where radial kernels vary the fastest) and the rest uniformly at
     random from the remaining complement.
     """
-    complement = np.concatenate([np.arange(0, start), np.arange(stop, n)])
+    complement = _complement(start, stop, n)
     if complement.size <= n_proxy:
         return complement
     n_near = min(n_proxy // 2, complement.size)
@@ -275,6 +293,113 @@ def _proxy_indices(
     else:
         far = remaining
     return np.sort(np.concatenate([near, far]))
+
+
+def check_construction(
+    tree: ClusterTree, method: str, max_rank: Optional[int], n_proxy: Optional[int]
+) -> int:
+    """Validate an HSS construction's tree and method; return its proxy count."""
+    if tree.max_level < 1:
+        raise ValueError(
+            "HSS requires at least one level of partitioning; "
+            "decrease leaf_size or increase N"
+        )
+    if method not in ("interpolative", "dense_rows"):
+        raise ValueError(f"unknown construction method {method!r}")
+    return n_proxy if n_proxy is not None else max(2 * (max_rank or 64), 128)
+
+
+def draw_proxies(tree: ClusterTree, n_proxy: int, seed: int) -> Dict[Tuple[int, int], np.ndarray]:
+    """Proxy columns of every non-root cluster, keyed ``(level, index)``.
+
+    Drawn from one ``default_rng(seed)`` stream in the order the
+    interpolative construction visits the clusters (levels bottom-up, each
+    level's clusters ascending).  Nothing else draws from that stream, so
+    drawing every proxy up front gives each cluster the same columns as
+    drawing it just before its ID.
+    """
+    rng = np.random.default_rng(seed)
+    proxies: Dict[Tuple[int, int], np.ndarray] = {}
+    for level in range(tree.max_level, 0, -1):
+        for index, cnode in enumerate(tree.level_nodes(level)):
+            proxies[(level, index)] = _proxy_indices(
+                cnode.start, cnode.stop, tree.n, n_proxy, rng
+            )
+    return proxies
+
+
+# ---- per-node construction steps ---------------------------------------------
+# Each basis step fills one node's basis fields and returns the *basis info*
+# its parent's translation and its sibling coupling read: a ``(skeleton, G)`` pair
+# for the interpolative construction (``G`` the row-weight factor with
+# ``E^T A[I, J] ~= G A[skeleton, J]``), the expanded cluster basis for
+# ``dense_rows`` (whose sibling coupling ``E_i^T A[I_i, I_j] E_j`` is the
+# BLR2 :func:`~repro.formats.blr2.skeleton_coupling`).  :func:`build_hss` and
+# the construction task graph (:class:`repro.compress.hss.HSSCompressBuilder`)
+# both call these.
+
+SkeletonInfo = Tuple[np.ndarray, np.ndarray]
+
+
+def interpolative_leaf_basis(
+    kernel_matrix: KernelMatrix, node: HSSNode, proxy: np.ndarray, max_rank, tol
+) -> SkeletonInfo:
+    """Leaf skeleton basis: row ID of the proxy block row, then QR of the interpolant."""
+    block_row = kernel_matrix.block(slice(node.start, node.stop), proxy)
+    sel, p = interpolative_rows(block_row, rank=max_rank, tol=tol)
+    q, r = np.linalg.qr(p)
+    node.U, node.rank, node.skeleton = q, q.shape[1], np.arange(node.start, node.stop)[sel]
+    return node.skeleton, r
+
+
+def interpolative_translation(
+    kernel_matrix: KernelMatrix, node: HSSNode, info1: SkeletonInfo,
+    info2: SkeletonInfo, proxy: np.ndarray, max_rank, tol,
+) -> SkeletonInfo:
+    """Parent transfer matrix from the children's ``(skeleton, G)`` (Eq. 6)."""
+    (skel1, g1), (skel2, g2) = info1, info2
+    union_skel = np.concatenate([skel1, skel2])
+    sel, p = interpolative_rows(kernel_matrix.block(union_skel, proxy), rank=max_rank, tol=tol)
+    r1, r2 = g1.shape[0], g2.shape[0]
+    g_children = np.zeros((r1 + r2, r1 + r2))
+    g_children[:r1, :r1] = g1
+    g_children[r1:, r1:] = g2
+    q, r = np.linalg.qr(g_children @ p)
+    node.U, node.rank, node.skeleton = q, q.shape[1], union_skel[sel]
+    return node.skeleton, r
+
+
+def interpolative_coupling(
+    kernel_matrix: KernelMatrix, info_i: SkeletonInfo, info_j: SkeletonInfo
+) -> np.ndarray:
+    """Sibling coupling ``G_i A[skeleton_i, skeleton_j] G_j^T``."""
+    (skel_i, g_i), (skel_j, g_j) = info_i, info_j
+    return g_i @ kernel_matrix.block(skel_i, skel_j) @ g_j.T
+
+
+def dense_leaf_basis(kernel_matrix: KernelMatrix, node: HSSNode, max_rank, tol) -> np.ndarray:
+    """Leaf basis from the full off-diagonal block row: the BLR2 shared basis (Eq. 2)."""
+    u = shared_basis(kernel_matrix, node, max_rank, tol, "svd")
+    node.U, node.rank = u, u.shape[1]
+    return u
+
+
+def dense_translation(
+    kernel_matrix: KernelMatrix, node: HSSNode, c1: HSSNode, c2: HSSNode,
+    e1: np.ndarray, e2: np.ndarray, max_rank, tol,
+) -> np.ndarray:
+    """Parent transfer matrix from the children's compressed block rows.
+
+    ``c1`` / ``c2`` give the children's index ranges and ``e1`` / ``e2``
+    their expanded bases; returns the parent's expanded basis.
+    """
+    comp = _complement(node.start, node.stop, kernel_matrix.n)
+    w1 = e1.T @ kernel_matrix.block(slice(c1.start, c1.stop), comp)
+    w2 = e2.T @ kernel_matrix.block(slice(c2.start, c2.stop), comp)
+    u = row_basis(np.vstack([w1, w2]), rank=max_rank, tol=tol)
+    node.U, node.rank = u, u.shape[1]
+    r1 = e1.shape[1]
+    return np.vstack([e1 @ u[:r1], e2 @ u[r1:]])
 
 
 def build_hss(
@@ -318,24 +443,15 @@ def build_hss(
     """
     if tree is None:
         tree = build_cluster_tree(kernel_matrix.points, leaf_size=leaf_size)
-    if tree.max_level < 1:
-        raise ValueError(
-            "HSS requires at least one level of partitioning; "
-            "decrease leaf_size or increase N"
-        )
-    n = kernel_matrix.n
+    n_proxy = check_construction(tree, method, max_rank, n_proxy)
     max_level = tree.max_level
-    rng = np.random.default_rng(seed)
-    if n_proxy is None:
-        n_proxy = max(2 * (max_rank or 64), 128)
+    dense = method == "dense_rows"
+    proxies = {} if dense else draw_proxies(tree, n_proxy, seed)
 
     nodes: Dict[Tuple[int, int], HSSNode] = {}
     couplings: Dict[Tuple[int, int, int], np.ndarray] = {}
-    # Row-weight matrices of the interpolative construction (G in the design
-    # notes): E_i^T A[I_i, J] ~= G_i A[skeleton_i, J].
-    gmat: Dict[Tuple[int, int], np.ndarray] = {}
-    # Expanded bases kept only for the dense_rows construction.
-    expanded: Dict[Tuple[int, int], np.ndarray] = {}
+    # Basis info per cluster (see the per-node steps above).
+    info: Dict[Tuple[int, int], object] = {}
 
     for level in range(max_level + 1):
         for index, cnode in enumerate(tree.level_nodes(level)):
@@ -343,85 +459,43 @@ def build_hss(
                 level=level, index=index, start=cnode.start, stop=cnode.stop
             )
 
-    if method not in ("interpolative", "dense_rows"):
-        raise ValueError(f"unknown construction method {method!r}")
-
     # ---- leaf level -------------------------------------------------------
-    for i, leaf in enumerate(tree.leaves):
-        node = nodes[(max_level, i)]
-        rows = slice(leaf.start, leaf.stop)
+    for i in range(len(tree.leaves)):
+        key = (max_level, i)
+        node = nodes[key]
+        rows = slice(node.start, node.stop)
         node.D = kernel_matrix.block(rows, rows)
-        if method == "dense_rows":
-            comp = np.concatenate([np.arange(0, leaf.start), np.arange(leaf.stop, n)])
-            block_row = kernel_matrix.block(rows, comp)
-            u = row_basis(block_row, rank=max_rank, tol=tol)
-            node.U = u
-            node.rank = u.shape[1]
-            expanded[(max_level, i)] = u
+        if dense:
+            info[key] = dense_leaf_basis(kernel_matrix, node, max_rank, tol)
         else:
-            proxy = _proxy_indices(leaf.start, leaf.stop, n, n_proxy, rng)
-            block_row = kernel_matrix.block(rows, proxy)
-            sel, p = interpolative_rows(block_row, rank=max_rank, tol=tol)
-            q, r = np.linalg.qr(p)
-            node.U = q
-            node.rank = q.shape[1]
-            node.skeleton = np.arange(leaf.start, leaf.stop)[sel]
-            gmat[(max_level, i)] = r
+            info[key] = interpolative_leaf_basis(
+                kernel_matrix, node, proxies[key], max_rank, tol
+            )
 
     # ---- internal levels (bottom-up transfers) -----------------------------
     for level in range(max_level - 1, 0, -1):
-        for index, cnode in enumerate(tree.level_nodes(level)):
-            node = nodes[(level, index)]
-            c1 = nodes[(level + 1, 2 * index)]
-            c2 = nodes[(level + 1, 2 * index + 1)]
-            if method == "dense_rows":
-                comp = np.concatenate(
-                    [np.arange(0, cnode.start), np.arange(cnode.stop, n)]
-                )
-                w1 = expanded[(level + 1, 2 * index)].T @ kernel_matrix.block(
-                    slice(c1.start, c1.stop), comp
-                )
-                w2 = expanded[(level + 1, 2 * index + 1)].T @ kernel_matrix.block(
-                    slice(c2.start, c2.stop), comp
-                )
-                w = np.vstack([w1, w2])
-                u = row_basis(w, rank=max_rank, tol=tol)
-                node.U = u
-                node.rank = u.shape[1]
-                expanded[(level, index)] = np.vstack(
-                    [
-                        expanded[(level + 1, 2 * index)] @ u[: c1.rank],
-                        expanded[(level + 1, 2 * index + 1)] @ u[c1.rank :],
-                    ]
+        for index in range(2**level):
+            key, k1, k2 = (level, index), (level + 1, 2 * index), (level + 1, 2 * index + 1)
+            if dense:
+                info[key] = dense_translation(
+                    kernel_matrix, nodes[key], nodes[k1], nodes[k2],
+                    info[k1], info[k2], max_rank, tol,
                 )
             else:
-                union_skel = np.concatenate([c1.skeleton, c2.skeleton])
-                proxy = _proxy_indices(cnode.start, cnode.stop, n, n_proxy, rng)
-                b = kernel_matrix.block(union_skel, proxy)
-                sel, p = interpolative_rows(b, rank=max_rank, tol=tol)
-                g_children = np.zeros((c1.rank + c2.rank, c1.rank + c2.rank))
-                g_children[: c1.rank, : c1.rank] = gmat[(level + 1, 2 * index)]
-                g_children[c1.rank :, c1.rank :] = gmat[(level + 1, 2 * index + 1)]
-                t = g_children @ p
-                q, r = np.linalg.qr(t)
-                node.U = q
-                node.rank = q.shape[1]
-                node.skeleton = union_skel[sel]
-                gmat[(level, index)] = r
+                info[key] = interpolative_translation(
+                    kernel_matrix, nodes[key], info[k1], info[k2],
+                    proxies[key], max_rank, tol,
+                )
 
     # ---- sibling couplings --------------------------------------------------
     for level in range(1, max_level + 1):
         for k in range(2 ** (level - 1)):
-            j, i = 2 * k, 2 * k + 1
-            ni = nodes[(level, i)]
-            nj = nodes[(level, j)]
-            if method == "dense_rows":
-                block = kernel_matrix.block(slice(ni.start, ni.stop), slice(nj.start, nj.stop))
-                s = expanded[(level, i)].T @ block @ expanded[(level, j)]
+            ki, kj = (level, 2 * k + 1), (level, 2 * k)
+            if dense:
+                s = skeleton_coupling(kernel_matrix, nodes[ki], nodes[kj], info[ki], info[kj])
             else:
-                kss = kernel_matrix.block(ni.skeleton, nj.skeleton)
-                s = gmat[(level, i)] @ kss @ gmat[(level, j)].T
-            couplings[(level, i, j)] = s
+                s = interpolative_coupling(kernel_matrix, info[ki], info[kj])
+            couplings[(level, 2 * k + 1, 2 * k)] = s
 
     return HSSMatrix(tree=tree, nodes=nodes, couplings=couplings)
 

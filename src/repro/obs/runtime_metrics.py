@@ -269,7 +269,7 @@ def record_sequential_run(
     graph: Any,
     raw_spans: Sequence[tuple],
 ) -> MemoryStats:
-    """DTD-level recorder for the sequential modes (immediate bodies, run()).
+    """DTD-level recorder for the sequential ``deferred`` run (``DTDRuntime.run``).
 
     ``raw_spans`` are the runtime's not-yet-recorded 9-field span-log tuples
     ``(tid, name, kind, phase, worker, process, queue_t, start_t, end_t)`` --

@@ -38,7 +38,7 @@ class GraphBuilder:
     ----------
     policy:
         The execution policy (must use a runtime backend).  Defaults to
-        ``immediate`` execution.  The builder records into the fresh runtime
+        ``deferred`` execution.  The builder records into the fresh runtime
         the policy makes (:meth:`ExecutionPolicy.make_runtime`).
     """
 
@@ -48,7 +48,7 @@ class GraphBuilder:
     max_level: int = 0
 
     def __init__(self, *, policy: Optional[ExecutionPolicy] = None) -> None:
-        self.policy = policy if policy is not None else ExecutionPolicy(backend="immediate")
+        self.policy = policy if policy is not None else ExecutionPolicy(backend="deferred")
         if not self.policy.uses_runtime:
             raise ValueError(
                 "graph builders require a runtime backend; "
@@ -194,9 +194,6 @@ class SolveGraphBuilder(GraphBuilder):
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         super().__init__(policy=policy)
-        #: Only a deferred graph can be rewound and run again (immediate
-        #: bodies ran at insertion).
-        self.replayable = self.runtime.execution == "deferred"
         self.factor = factor
         self._stores: list = []
         self._set_rhs(b)
@@ -228,8 +225,8 @@ class SolveGraphBuilder(GraphBuilder):
         ``trace`` / ``metrics``, which are switches of one execution, not
         part of the plan: both are set from it, on or off.
         """
-        if not self._recorded or not self.replayable:
-            raise RuntimeError("only a recorded graph in a deferred runtime can be rebound")
+        if not self._recorded:
+            raise RuntimeError("only a recorded graph can be rebound")
         width = self.panels[-1].stop
         self.release()
         self._set_rhs(b)

@@ -29,7 +29,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.hss_ulv import HSSULVFactor
+from repro.core.hss_ulv import HSSULVFactor, merge_siblings
+from repro.core.leaf_ulv import assemble_merged_row
 from repro.core.partial_cholesky import partial_cholesky
 from repro.distribution.strategies import DistributionStrategy, RowCyclicDistribution
 from repro.formats.hss import HSSStructure
@@ -157,10 +158,11 @@ class HSSULVFactorizeBuilder(GraphBuilder):
             for k in range(2 ** (level - 1)):
 
                 def merge(level=level, k=k) -> None:
-                    s = hss.coupling(level, 2 * k + 1, 2 * k)
-                    top = np.hstack([schur[(level, 2 * k)], s.T])
-                    bot = np.hstack([s, schur[(level, 2 * k + 1)]])
-                    diag[(level - 1, k)] = np.vstack([top, bot])
+                    diag[(level - 1, k)] = merge_siblings(
+                        schur[(level, 2 * k)],
+                        schur[(level, 2 * k + 1)],
+                        hss.coupling(level, 2 * k + 1, 2 * k),
+                    )
 
                 self.insert(
                     merge,
@@ -434,13 +436,7 @@ class LeafULVFactorizeBuilder(GraphBuilder):
         for i in range(nb):
 
             def merge_row(i=i) -> None:
-                merged[offsets[i] : offsets[i + 1], offsets[i] : offsets[i + 1]] = schur[i]
-                for j in range(nb):
-                    if i == j:
-                        continue
-                    merged[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = (
-                        system.coupling(i, j)
-                    )
+                assemble_merged_row(merged, offsets, i, schur[i], system)
 
             accesses = [(self._schur_h[i], AccessMode.READ)]
             accesses += [

@@ -65,9 +65,7 @@ class SolvePlans:
         """The builder to solve ``b`` with: a rebound plan, or a fresh recording.
 
         Counts the choice on ``policy.metrics``
-        (``repro_solve_plan_replays_total`` / ``..._records_total``).  The
-        ``immediate`` backend runs its bodies at insertion by contract, so it
-        records every time and is never kept.
+        (``repro_solve_plan_replays_total`` / ``..._records_total``).
         """
         shape = np.shape(b)
         key = (shape[1] if len(shape) == 2 else 1, replace(policy, trace=False, metrics=None))
@@ -83,9 +81,8 @@ class SolvePlans:
 
             record_solve_plan(policy.metrics, policy.backend, replayed=replayed)
         yield plan
-        if plan.replayable:
-            plan.release()
-            with self._lock:
-                self._plans[key] = plan
-                while len(self._plans) > self.CAPACITY:
-                    self._plans.popitem(last=False)
+        plan.release()
+        with self._lock:
+            self._plans[key] = plan
+            while len(self._plans) > self.CAPACITY:
+                self._plans.popitem(last=False)

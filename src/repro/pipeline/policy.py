@@ -26,7 +26,7 @@ __all__ = ["BACKENDS", "RUNTIME_BACKENDS", "ExecutionPolicy"]
 #: Every execution backend, in the order the docs present them.  ``"off"`` is
 #: the sequential reference implementation (no task graph); the rest record a
 #: DTD task graph and differ only in how the recorded graph is executed.
-BACKENDS = ("off", "immediate", "deferred", "parallel", "process", "distributed")
+BACKENDS = ("off", "deferred", "parallel", "process", "distributed")
 
 #: The backends that go through the DTD runtime (everything but ``"off"``).
 RUNTIME_BACKENDS = BACKENDS[1:]
@@ -39,14 +39,13 @@ class ExecutionPolicy:
     Attributes
     ----------
     backend:
-        ``"off"`` (sequential reference, no task graph), ``"immediate"``
-        (task bodies run at insertion time), ``"deferred"`` (record first,
-        then run sequentially), ``"parallel"`` (record first, then execute
-        out-of-order on a thread pool) or ``"distributed"`` / ``"process"``
-        (record first, then execute across forked worker processes with
-        owner-computes placement -- GIL-free; ``process`` is the same rank
-        loop with one rank per worker, see :attr:`ranks`).  All backends
-        produce bit-identical results.
+        ``"off"`` (sequential reference, no task graph), ``"deferred"``
+        (record first, then run sequentially), ``"parallel"`` (record
+        first, then execute out-of-order on a thread pool) or
+        ``"distributed"`` / ``"process"`` (record first, then execute across
+        forked worker processes with owner-computes placement -- GIL-free;
+        ``process`` is the same rank loop with one rank per worker, see
+        :attr:`ranks`).  All backends produce bit-identical results.
     n_workers:
         Thread count for the ``parallel`` backend, worker-process (rank)
         count for the ``process`` backend.
@@ -66,7 +65,7 @@ class ExecutionPolicy:
         Record-time task fusion/batching (:mod:`repro.runtime.fusion`):
         coalesce short same-phase task chains and batch independent
         same-kind tasks so each scheduled task amortizes its dispatch cost.
-        Off by default; only valid on the deferred-graph backends.  Fusion
+        Off by default; not valid on ``"off"`` (no graph to coarsen).  Fusion
         never changes results (the member bodies run in insertion order),
         only the task census.
     batch_slots:
@@ -112,11 +111,8 @@ class ExecutionPolicy:
             from repro.runtime.distributed.blockstore import resolve_data_plane
 
             resolve_data_plane(self.data_plane)  # validate eagerly
-        if self.fusion and self.backend in ("off", "immediate"):
-            raise ValueError(
-                f"fusion requires a deferred-graph backend, not {self.backend!r} "
-                "(immediate bodies run at insertion time; 'off' records no graph)"
-            )
+        if self.fusion and self.backend == "off":
+            raise ValueError("fusion requires a task-graph backend; 'off' records no graph")
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -136,15 +132,14 @@ class ExecutionPolicy:
     ) -> "ExecutionPolicy":
         """Normalize a facade-style ``use_runtime`` argument into a policy.
 
-        ``False`` maps to ``"off"``, ``True`` to ``"immediate"``; strings are
+        ``False`` maps to ``"off"``, ``True`` to ``"deferred"``; strings are
         validated against :data:`BACKENDS`.
         """
-        backend = {False: "off", True: "immediate"}.get(use_runtime, use_runtime)
+        backend = {False: "off", True: "deferred"}.get(use_runtime, use_runtime)
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown use_runtime {use_runtime!r}; expected False, True, "
-                "'off', 'immediate', 'deferred', 'parallel', 'process' or "
-                "'distributed'"
+                "'off', 'deferred', 'parallel', 'process' or 'distributed'"
             )
         return cls(
             backend=backend,
@@ -186,20 +181,10 @@ class ExecutionPolicy:
 
     # -- runtime / strategy construction -------------------------------------
     def make_runtime(self) -> DTDRuntime:
-        """A fresh :class:`DTDRuntime` in the recording mode this backend needs.
-
-        ``parallel`` and ``distributed`` require a fully deferred graph; the
-        sequential backends record in their own mode.
-        """
-        if self.backend in ("parallel", "process", "distributed"):
-            return DTDRuntime(
-                execution="deferred", trace=self.trace, metrics=self.metrics
-            )
-        if self.backend in ("immediate", "deferred"):
-            return DTDRuntime(
-                execution=self.backend, trace=self.trace, metrics=self.metrics
-            )
-        raise ValueError("backend 'off' does not record a task graph")
+        """A fresh deferred :class:`DTDRuntime` to record this policy's graph into."""
+        if self.backend == "off":
+            raise ValueError("backend 'off' does not record a task graph")
+        return DTDRuntime(execution="deferred", trace=self.trace, metrics=self.metrics)
 
     def resolve_distribution(self, max_level: int) -> DistributionStrategy:
         """The concrete placement strategy (name or None resolved; instances pass through)."""
@@ -232,9 +217,8 @@ class ExecutionPolicy:
         * ``parallel`` runs the graph out-of-order on a :attr:`n_workers`
           thread pool, returning the
           :class:`~repro.runtime.executor.ExecutionReport`;
-        * every other backend finishes the graph sequentially in insertion
-          order (a no-op for ``immediate`` bodies that already ran), returning
-          None.
+        * ``deferred`` runs the graph sequentially in insertion order,
+          returning None.
         """
         if self.backend in ("distributed", "process"):
             if runtime.num_tasks == 0:

@@ -84,11 +84,8 @@ def solve_through_builder(
             op = matvec if matvec is not None else default_op
 
             def solve_residual(r: np.ndarray) -> np.ndarray:
-                if builder.replayable:
-                    builder.rebind(r)
-                    return builder.run()
-                # Immediate bodies already ran: record the residual solve afresh.
-                return builder_cls(factor, r, policy=policy).run()
+                builder.rebind(r)
+                return builder.run()
 
             x = refine_once(solve_residual, op, builder.bm, x)
     return (x[:, 0] if single else x), builder.runtime

@@ -31,14 +31,11 @@ programming model in pure Python:
 
 Execution modes
 ---------------
-A :class:`~repro.runtime.dtd.DTDRuntime` runs task bodies in one of three
-modes, all producing bit-identical results:
+A :class:`~repro.runtime.dtd.DTDRuntime` records in one of two modes:
 
-``immediate``
-    Bodies run at ``insert_task`` time (sequential, deterministic) while the
-    graph is still recorded.  Best for debugging and as a reference.
-``deferred``
-    Bodies are recorded and run later: sequentially via
+``deferred`` (the default)
+    Bodies are recorded and run later, with bit-identical results whichever
+    way: sequentially via
     :meth:`~repro.runtime.dtd.DTDRuntime.run`, out-of-order on a thread
     pool via :meth:`~repro.runtime.dtd.DTDRuntime.run_parallel`, or across
     worker processes via :meth:`~repro.runtime.dtd.DTDRuntime.run_distributed`.
@@ -48,10 +45,10 @@ modes, all producing bit-identical results:
 
 The graph builders of :mod:`repro.pipeline` select among these through an
 :class:`~repro.pipeline.policy.ExecutionPolicy` backend
-(``"immediate" | "deferred" | "parallel" | "process" | "distributed"``), and
-the :class:`~repro.api.StructuredSolver` facade as
-``use_runtime="off" | "immediate" | "deferred" | "parallel" | "process" |
-"distributed"``.  There is one forked-process executor: ``process`` runs the
+(``"deferred" | "parallel" | "process" | "distributed"``), and the
+:class:`~repro.api.StructuredSolver` facade as
+``use_runtime="off" | "deferred" | "parallel" | "process" | "distributed"``
+(``True`` means ``"deferred"``).  There is one forked-process executor: ``process`` runs the
 distributed rank loop with one rank per worker (``n_workers`` ranks) instead
 of ``nodes``.
 """

@@ -15,10 +15,7 @@ the machine model charges it explicitly.
 
 Execution modes
 ---------------
-``immediate``
-    The task body runs at insertion time (sequential, deterministic) while the
-    graph is still recorded -- the default for numerical factorizations.
-``deferred``
+``deferred`` (the default)
     Bodies are stored and only run when :meth:`DTDRuntime.run` (sequentially,
     in insertion order), :meth:`DTDRuntime.run_parallel` (out-of-order on a
     thread pool, via :func:`repro.runtime.executor.execute_graph`) or
@@ -32,7 +29,6 @@ Execution modes
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.dag import TaskGraph
@@ -48,11 +44,11 @@ class DTDRuntime:
     Parameters
     ----------
     execution:
-        ``"immediate"`` (default), ``"deferred"`` or ``"symbolic"``.
+        ``"deferred"`` (default) or ``"symbolic"``.
     trace:
         Record a measured :class:`~repro.runtime.tracing.ExecutionTrace` of
-        every execution.  Sequential runs (immediate bodies, :meth:`run`) are
-        stamped at DTD level; the parallel and distributed backends
+        every execution.  Sequential runs (:meth:`run`) are stamped at DTD
+        level; the parallel and distributed backends
         receive the flag and attach their own traces.  The most recent trace
         is available as :attr:`last_trace`.
     metrics:
@@ -65,9 +61,9 @@ class DTDRuntime:
     """
 
     def __init__(
-        self, execution: str = "immediate", *, trace: bool = False, metrics=None
+        self, execution: str = "deferred", *, trace: bool = False, metrics=None
     ) -> None:
-        if execution not in ("immediate", "deferred", "symbolic"):
+        if execution not in ("deferred", "symbolic"):
             raise ValueError(f"unknown execution mode {execution!r}")
         self.execution = execution
         self.trace = bool(trace)
@@ -79,7 +75,7 @@ class DTDRuntime:
         self._handles: Dict[str, DataHandle] = {}
         self._executed: set[int] = set()
         self._failed: Optional[BaseException] = None
-        #: Raw sequential span tuples (immediate bodies / run()), absolute stamps.
+        #: Raw sequential span tuples of run(), absolute stamps.
         self._span_log: List[tuple] = []
         #: Span-log prefix already folded into the metrics registry (so
         #: repeated run() calls never double-count a task).
@@ -140,8 +136,8 @@ class DTDRuntime:
     ) -> Task:
         """Insert a task, wiring its dependencies from the declared data accesses.
 
-        Returns the created :class:`Task`.  In ``immediate`` mode the task body
-        has already been executed when this returns.
+        Returns the created :class:`Task`; its body runs only when the graph
+        is executed.
         """
         acc = normalize_accesses(accesses)
         task = Task(
@@ -174,18 +170,6 @@ class DTDRuntime:
                     self.graph.add_edge(reader, task.tid, access.handle)
                 self._last_writer[hid] = task.tid
                 self._readers_since_write[hid] = []
-
-        if self.execution == "immediate" and task.func is not None:
-            if self.trace or self.metrics is not None:
-                queue_t = time.perf_counter()
-                task.run()
-                self._span_log.append(
-                    (task.tid, task.name, task.kind, task.phase, 0, 0,
-                     queue_t, queue_t, time.perf_counter())
-                )
-            else:
-                task.run()
-            self._executed.add(task.tid)
         return task
 
     # -- graph coarsening ------------------------------------------------------
@@ -200,16 +184,11 @@ class DTDRuntime:
         ``insert_task`` calls may follow (they will depend on the fused
         tasks exactly as they would have on the absorbed originals).
 
-        Only valid before any task body has run on a deferred (or symbolic)
-        graph.  Returns the :class:`~repro.runtime.fusion.FusionStats`, also
+        Only valid before any task body has run.  Returns the :class:`~repro.runtime.fusion.FusionStats`, also
         stored as :attr:`last_fusion_stats`.
         """
         from repro.runtime.fusion import coarsen_graph
 
-        if self.execution == "immediate":
-            raise RuntimeError(
-                "cannot fuse an immediate-mode graph; its task bodies already ran"
-            )
         if self._failed is not None:
             raise RuntimeError(
                 "runtime has a failed execution; rebuild the task graph"
@@ -249,12 +228,9 @@ class DTDRuntime:
         and trace; the graph itself (tasks, edges, fusion map) is untouched,
         so the next ``run*`` call re-executes every task body.  The caller is
         responsible for re-seeding whatever state the bodies read.  Refused on
-        an ``immediate`` runtime (its bodies ran at insertion and cannot run
-        again) and on a poisoned one (a failed body may have left state
-        half-written; rebuild the graph instead).
+        a poisoned runtime (a failed body may have left state half-written;
+        rebuild the graph instead).
         """
-        if self.execution == "immediate":
-            raise RuntimeError("cannot rewind an immediate-mode graph; its bodies ran at insertion")
         if self._failed is not None:
             raise RuntimeError(
                 "runtime has a failed execution; rebuild the task graph"
@@ -301,12 +277,10 @@ class DTDRuntime:
 
     def assemble_trace(self):
         """Build the :class:`~repro.runtime.tracing.ExecutionTrace` of the
-        sequential (immediate / deferred ``run()``) execution so far.
+        sequential (``run()``) execution so far.
 
         The timeline origin is the first recorded span's stamp and the wall
-        time spans to the last body's end, so an immediate-mode trace covers
-        the record-and-execute window including any driver code between
-        ``insert_task`` calls (which shows up as idle).  Parallel backends
+        time spans to the last body's end.  Parallel backends
         attach their own traces to their reports instead; see
         :attr:`last_trace`.
         """

@@ -186,7 +186,7 @@ class ExecutionTrace:
     backend:
         Executor name (``"parallel"``, ``"distributed"`` -- also for
         ``process`` runs, which use the distributed rank loop --
-        ``"immediate"``, ``"deferred"``).
+        ``"deferred"``).
     n_workers:
         Worker count the breakdowns average over (threads or ranks).
     wall_time:

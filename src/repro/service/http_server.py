@@ -59,6 +59,7 @@ Request body (solve/submit), JSON::
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import threading
 import time
@@ -80,6 +81,7 @@ from repro.service.solver_service import SolverService, SolveTicket
 __all__ = ["SolverHTTPServer", "HTTPError"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024  # one (n, k) float64 block tops out well below
+_MAX_HEADER_LINES = 100  # a client needs a handful; beyond this is hostile
 _SERVER_NAME = "repro-solver"
 #: Pause after a flush that raised instead of resolving its tickets, so a
 #: persistent fault retries once a second instead of spinning.
@@ -111,6 +113,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -468,10 +471,12 @@ class SolverHTTPServer:
         except ValueError:
             raise HTTPError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
-        while True:
+        for count in itertools.count():
             line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
+            if count == _MAX_HEADER_LINES:
+                raise HTTPError(431, f"more than {_MAX_HEADER_LINES} header lines")
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         declared = headers.get("content-length", "0") or "0"

@@ -48,7 +48,6 @@ __all__ = [
 #: :meth:`repro.api.StructuredSolver.solve`.
 _BACKEND_TO_RUNTIME: Dict[str, Union[bool, str]] = {
     "reference": False,
-    "immediate": True,
     "sequential": "deferred",
     "parallel": "parallel",
     "process": "process",
@@ -356,7 +355,7 @@ class SolverService:
     ----------
     backend:
         Solve execution path: ``"reference"`` (sequential factor.solve),
-        ``"immediate"`` / ``"sequential"`` (task graph, sequential bodies),
+        ``"sequential"`` (task graph, sequential bodies),
         ``"parallel"`` (thread-pool executor, ``n_workers`` threads; the
         default), ``"process"`` (``n_workers`` forked worker processes,
         GIL-free) or ``"distributed"`` (``nodes`` forked worker processes);

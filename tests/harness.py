@@ -331,7 +331,7 @@ def solve_case_solver(case: SolveCase) -> StructuredSolver:
     return solver
 
 
-def factorize_graph(fmt: str, matrix, backend: str = "immediate", **policy):
+def factorize_graph(fmt: str, matrix, backend: str = "deferred", **policy):
     """``get_format(fmt).factorize_dtd`` under ``ExecutionPolicy(backend, **policy)``.
 
     Returns ``(factor, runtime)``.
@@ -342,7 +342,7 @@ def factorize_graph(fmt: str, matrix, backend: str = "immediate", **policy):
 
 
 def solve_graph(
-    fmt: str, factor, b, backend: str = "immediate", *, refine: bool = False,
+    fmt: str, factor, b, backend: str = "deferred", *, refine: bool = False,
     matvec=None, **policy,
 ):
     """``get_format(fmt).solve_dtd`` under ``ExecutionPolicy(backend, **policy)``.

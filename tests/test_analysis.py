@@ -1,5 +1,9 @@
 """Tests for error metrics, power-law fits and scaling analysis."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -115,3 +119,15 @@ class TestScaling:
     def test_confidence_interval_empty(self):
         with pytest.raises(ValueError):
             confidence_interval([])
+
+
+def test_import_repro_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` is loaded by the first confidence interval, not by ``import repro``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, repro; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

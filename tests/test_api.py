@@ -70,7 +70,7 @@ class TestStructuredSolver:
         assert par.solve_error() < 1e-10
 
     def test_factorize_mode_aliases(self):
-        for mode in (False, True, "off", "immediate", "deferred", "parallel"):
+        for mode in (False, True, "off", "deferred", "parallel"):
             solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=20)
             factor = solver.factorize(use_runtime=mode, n_workers=2)
             assert factor is solver.factor

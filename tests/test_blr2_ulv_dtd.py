@@ -16,7 +16,7 @@ def blr2(kmat_small):
 
 
 class TestNumericalEquivalence:
-    def test_immediate_matches_sequential_reference(self, blr2, rng):
+    def test_default_policy_matches_sequential_reference(self, blr2, rng):
         seq = blr2_ulv_factorize(blr2)
         dtd, _ = factorize_graph("blr2", blr2, nodes=4)
         b = rng.standard_normal(blr2.n)

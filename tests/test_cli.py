@@ -90,6 +90,8 @@ class TestParser:
         assert args.backends == ["reference", "parallel"]
         for bad_args in (
             ["servebench", "--backend", "gpu"],
+            ["servebench", "--backend", "immediate"],
+            ["solve", "--runtime", "immediate"],
             ["servebench", "--batch", "0"],
             ["servebench", "--batch", "-4"],
             ["servebench", "--requests", "0"],
@@ -103,7 +105,7 @@ class TestParser:
         help_text = capsys.readouterr().out
         assert "--runtime" in help_text
         assert "--workers" in help_text
-        for mode in ("off", "immediate", "parallel", "distributed"):
+        for mode in ("off", "deferred", "parallel", "distributed"):
             assert mode in help_text
 
     def test_table2_options(self):
@@ -160,9 +162,9 @@ class TestMain:
         err = float(out.split("solve error")[1].split()[0])
         assert err < 1e-10
 
-    def test_solve_immediate_smoke(self):
-        out = main(["solve", "--n", "512", "--leaf-size", "64", "--max-rank", "24", "--runtime", "immediate"])
-        assert "runtime=immediate" in out
+    def test_solve_deferred_smoke(self):
+        out = main(["solve", "--n", "512", "--leaf-size", "64", "--max-rank", "24", "--runtime", "deferred"])
+        assert "runtime=deferred" in out
 
     def test_solve_distributed_smoke(self):
         """End-to-end solve through the multi-process distributed backend."""

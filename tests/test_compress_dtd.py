@@ -8,7 +8,7 @@ the subsystem:
 
 * graph-built compression is **bit-identical** to the sequential
   ``build_hss`` / ``build_blr2`` / ``build_hodlr`` references on the
-  immediate, deferred, parallel and distributed backends;
+  deferred, parallel, process and distributed backends;
 * the distributed communication ledger matches the ``plan_transfers``
   analytic counts exactly;
 * the end-to-end compress -> factorize -> solve pipeline on any backend
@@ -45,7 +45,7 @@ needs_fork = pytest.mark.skipif(
 CASES = sample_cases()
 CASE_IDS = [case.id for case in CASES]
 
-SHARED_BACKENDS = ("immediate", "deferred", "parallel")
+SHARED_BACKENDS = ("deferred", "parallel")
 NODE_COUNTS = (1, 2, 4)
 
 
@@ -61,7 +61,7 @@ class TestHarnessSeeding:
 
 
 class TestBitIdentitySharedMemory:
-    """immediate / deferred / parallel backends against the sequential build."""
+    """deferred / parallel backends against the sequential build."""
 
     @pytest.mark.parametrize("backend", SHARED_BACKENDS)
     @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
@@ -171,7 +171,7 @@ class TestFusion:
         from repro.pipeline.policy import ExecutionPolicy
 
         with pytest.raises(ValueError, match="fusion"):
-            ExecutionPolicy(backend="immediate", fusion=True)
+            ExecutionPolicy(backend="off", fusion=True)
 
 
 class TestGraphShape:

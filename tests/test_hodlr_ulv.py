@@ -90,7 +90,7 @@ class TestBitIdentityAcrossBackends:
     """HODLR, k in {1, 4}, every backend bit-identical to the sequential reference."""
 
     @pytest.mark.parametrize("k", (1, 4))
-    @pytest.mark.parametrize("execution", ("immediate", "deferred", "parallel"))
+    @pytest.mark.parametrize("execution", ("deferred", "parallel"))
     def test_factorize_and_solve(self, hodlr, hodlr_factor, execution, k):
         factor, rt = factorize_graph("hodlr", hodlr, execution, n_workers=4)
         assert rt.num_tasks > 0

@@ -68,13 +68,6 @@ class TestNumericalEquivalence:
         b = rng.standard_normal(hss.n)
         np.testing.assert_allclose(factor.solve(b), seq.solve(b), atol=1e-10)
 
-    def test_immediate_and_deferred_agree(self, hss, rng):
-        """Immediate and deferred execution produce identical factors."""
-        immediate, _ = factorize_graph("hss", hss, "immediate")
-        deferred, _ = factorize_graph("hss", hss, "deferred")
-        b = rng.standard_normal(hss.n)
-        np.testing.assert_allclose(immediate.solve(b), deferred.solve(b), atol=1e-12)
-
     def test_parallel_execution_mode(self, hss, rng):
         """Acceptance: execution="parallel" with n_workers >= 4 matches the
         sequential reference to <= 1e-10."""

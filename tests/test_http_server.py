@@ -555,6 +555,22 @@ class TestHostileInput:
         assert head.startswith(b"HTTP/1.1 400")
         assert "too long" in json.loads(body)["error"]
 
+    def test_too_many_header_lines_is_a_431(self, server, base):
+        many = b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+        raw = _raw_exchange(server, b"GET /healthz HTTP/1.1\r\n" + many + b"\r\n")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 431")
+        assert b"Connection: close" in head
+        assert "header lines" in json.loads(body)["error"]
+        # 100 lines are still a request, and the server keeps serving
+        ok = _raw_exchange(
+            server,
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + many[: many.index(b"X-H99")]
+            + b"\r\n",
+        )
+        assert ok.startswith(b"HTTP/1.1 200")
+        assert _request(base, "/healthz")[0] == 200
+
     def test_server_still_serves_after_hostile_requests(self, server, base):
         _raw_exchange(server, b"POST /v1/solve HTTP/1.1\r\nContent-Length: -1\r\n\r\n")
         _raw_exchange(server, b"garbage\r\n\r\n")

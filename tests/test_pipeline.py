@@ -24,15 +24,17 @@ needs_fork = pytest.mark.skipif(
 class TestExecutionPolicy:
     def test_resolve_bool_mapping(self):
         assert ExecutionPolicy.resolve(False).backend == "off"
-        assert ExecutionPolicy.resolve(True).backend == "immediate"
+        assert ExecutionPolicy.resolve(True).backend == "deferred"
         for name in BACKENDS:
             assert ExecutionPolicy.resolve(name).backend == name
 
     def test_unknown_backend_rejected(self):
+        assert BACKENDS == ("off", "deferred", "parallel", "process", "distributed")
         with pytest.raises(ValueError, match="unknown use_runtime"):
             ExecutionPolicy.resolve("turbo")
-        with pytest.raises(ValueError, match="unknown backend"):
-            ExecutionPolicy(backend="turbo")
+        for name in ("turbo", "immediate"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                ExecutionPolicy(backend=name)
 
     def test_uses_runtime(self):
         assert not ExecutionPolicy(backend="off").uses_runtime
@@ -40,9 +42,7 @@ class TestExecutionPolicy:
             assert ExecutionPolicy(backend=name).uses_runtime
 
     def test_make_runtime_modes(self):
-        assert ExecutionPolicy(backend="immediate").make_runtime().execution == "immediate"
         assert ExecutionPolicy(backend="deferred").make_runtime().execution == "deferred"
-        # parallel/distributed need fully deferred graphs
         assert ExecutionPolicy(backend="parallel").make_runtime().execution == "deferred"
         assert ExecutionPolicy(backend="distributed").make_runtime().execution == "deferred"
         with pytest.raises(ValueError, match="off"):

@@ -212,9 +212,11 @@ class TestGuardsAndErrors:
             rt.run_distributed(nodes=2, timeout=TIMEOUT)
 
     def test_partially_executed_graph_refused(self):
-        rt = DTDRuntime(execution="immediate")
+        rt = DTDRuntime(execution="deferred")
         h = rt.new_handle("x", nbytes=8, row=0)
         rt.insert_task(lambda: None, [(h, AccessMode.WRITE)])
+        rt.run()
+        rt.insert_task(lambda: None, [(h, AccessMode.RW)])
         with pytest.raises(RuntimeError, match="already executed"):
             rt.run_distributed(nodes=2, timeout=TIMEOUT)
 
@@ -390,7 +392,7 @@ builder = HSSULVFactorizeBuilder(
 ).record()
 
 def stall():
-    print(os.getpid(), flush=True)
+    os.write(1, b"%d\\n" % os.getpid())  # one write: the ranks share the pipe
     time.sleep(600)
 
 for task in builder.runtime.graph.tasks:

@@ -105,17 +105,6 @@ class TestDTDRuntime:
         r2 = rt.insert_task(None, [(h, AccessMode.READ)])
         assert (r1.tid, r2.tid) not in rt.graph.edges
 
-    def test_immediate_execution_runs_bodies(self):
-        rt = DTDRuntime(execution="immediate")
-        h = rt.new_handle("a")
-        store = {"x": 0}
-
-        def body():
-            store["x"] += 1
-
-        rt.insert_task(body, [(h, AccessMode.RW)])
-        assert store["x"] == 1
-
     def test_deferred_execution_runs_on_run(self):
         rt = DTDRuntime(execution="deferred")
         h = rt.new_handle("a")
@@ -134,8 +123,10 @@ class TestDTDRuntime:
         rt.run()  # no-op
 
     def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            DTDRuntime(execution="bogus")
+        assert DTDRuntime().execution == "deferred"
+        for mode in ("bogus", "immediate"):
+            with pytest.raises(ValueError):
+                DTDRuntime(execution=mode)
 
     def test_validate_passes_for_wellformed_graph(self):
         rt = DTDRuntime(execution="symbolic")

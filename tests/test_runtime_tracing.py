@@ -157,26 +157,6 @@ class TestChromeExport:
 
 
 class TestSequentialDTD:
-    def test_immediate_mode_traces_at_insertion(self):
-        rt = DTDRuntime(execution="immediate", trace=True)
-        h = rt.new_handle("acc", nbytes=8)
-        state = {"v": 0}
-        for i in range(5):
-            rt.insert_task(
-                lambda: state.__setitem__("v", state["v"] + 1),
-                [(h, AccessMode.RW)],
-                name=f"inc{i}",
-                kind="INC",
-            )
-        assert state["v"] == 5
-        rt.run()  # assembles the trace of the already-executed bodies
-        trace = rt.last_trace
-        assert trace is not None and trace.backend == "immediate"
-        assert trace.n_workers == 1
-        _assert_span_invariants(trace, list(range(5)), 1)
-        # insertion order is the execution order
-        assert [s.tid for s in sorted(trace.spans, key=lambda s: s.start_t)] == list(range(5))
-
     def test_deferred_run_traces_sequential_execution(self):
         rt = DTDRuntime(execution="deferred", trace=True)
         h = rt.new_handle("acc", nbytes=8)
@@ -193,8 +173,11 @@ class TestSequentialDTD:
         assert state["v"] == 6
         trace = rt.last_trace
         assert trace is not None and trace.backend == "deferred"
+        assert trace.n_workers == 1
         _assert_span_invariants(trace, list(range(6)), 1)
         assert trace.wall_time >= max(s.end_t for s in trace.spans) - 1e-12
+        # insertion order is the execution order
+        assert [s.tid for s in sorted(trace.spans, key=lambda s: s.start_t)] == list(range(6))
 
     def test_fused_spans_map_originals_to_heads(self):
         rt = DTDRuntime(execution="deferred", trace=True)

@@ -2,7 +2,7 @@
 
 Acceptance criteria of the solve subsystem: task-graph solves are
 bit-identical to the sequential reference for HSS and BLR2 on all three
-backends -- sequential (immediate/deferred), thread-parallel, distributed
+backends -- sequential (deferred), thread-parallel, distributed
 over 1/2/4 worker processes -- including multi-RHS blocks (k in {1, 4, 16});
 RHS panels decompose a block solve into independent task chains; one
 iterative-refinement step recovers accuracy under loose compression; and the
@@ -37,6 +37,7 @@ from repro.pipeline.plans import SolvePlans
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.solve import HSSULVSolveBuilder
 from repro.runtime.distributed import expected_comm, resolve_owners
+from repro.runtime.distributed.blockstore import SEGMENT_PREFIX
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="distributed backend requires fork (POSIX)"
@@ -55,16 +56,23 @@ def blr2_factor(kmat_small):
     return blr2_ulv_factorize(build_blr2(kmat_small, leaf_size=32, max_rank=20))
 
 
+def _shm_segments() -> list:
+    """This project's shared-memory segments currently in ``/dev/shm``."""
+    if not os.path.isdir("/dev/shm"):
+        return []
+    return [f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)]
+
+
 def _rhs(n: int, k: int, seed: int = 42) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n if k == 1 else (n, k))
 
 
 class TestBitIdentitySharedMemory:
-    """immediate / deferred / parallel backends against the sequential reference."""
+    """deferred / parallel backends against the sequential reference."""
 
     @pytest.mark.parametrize("k", RHS_WIDTHS)
-    @pytest.mark.parametrize("execution", ["immediate", "deferred", "parallel"])
+    @pytest.mark.parametrize("execution", ["deferred", "parallel"])
     def test_hss(self, hss_factor, execution, k):
         b = _rhs(hss_factor.hss.n, k)
         x, rt = solve_graph("hss", hss_factor, b, execution)
@@ -73,7 +81,7 @@ class TestBitIdentitySharedMemory:
         assert rt.num_tasks > 0
 
     @pytest.mark.parametrize("k", RHS_WIDTHS)
-    @pytest.mark.parametrize("execution", ["immediate", "deferred", "parallel"])
+    @pytest.mark.parametrize("execution", ["deferred", "parallel"])
     def test_blr2(self, blr2_factor, execution, k):
         b = _rhs(blr2_factor.blr2.n, k)
         x, rt = solve_graph("blr2", blr2_factor, b, execution)
@@ -370,15 +378,6 @@ class TestReplay:
             n_workers=workers,
         )
 
-    def test_immediate_records_every_time(self, solvers):
-        solver = solvers["hss"]
-        b = _rhs(solver.n, 1)
-        x1 = solver.solve(b, use_runtime="immediate")
-        rt1 = solver.solve_runtime
-        x2 = solver.solve(b, use_runtime="immediate")
-        assert solver.solve_runtime is not rt1
-        assert np.array_equal(x1, x2) and np.array_equal(x1, solver.factor.solve(b))
-
     def test_width_and_policy_key_the_plan(self, solvers):
         solver = solvers["blr2"]
         solver.solve(_rhs(solver.n, 1), use_runtime="parallel", n_workers=2)
@@ -390,18 +389,27 @@ class TestReplay:
         solver.solve(_rhs(solver.n, 1, seed=5).reshape(-1, 1), use_runtime="parallel", n_workers=2)
         assert solver.solve_runtime is rt  # (n,) and (n, 1) are one width
 
-    def test_failing_task_discards_the_plan(self, points_small):
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"use_runtime": "parallel", "n_workers": 2},
+            pytest.param({"use_runtime": "distributed", "nodes": 2}, marks=needs_fork),
+        ],
+        ids=["parallel", "distributed"],
+    )
+    def test_failing_task_discards_the_plan(self, points_small, kw):
         solver = StructuredSolver.from_points(
             "yukawa", points_small, leaf_size=32, max_rank=20
         )
         b = _rhs(solver.n, 1)
-        kw = {"use_runtime": "parallel", "n_workers": 2}
+        segments_before = set(_shm_segments())
         solver.solve(b, **kw)
         poisoned = solver.solve_runtime
 
         def boom():
             raise RuntimeError("injected task failure")
 
+        # Forked ranks inherit the swapped body, so the failure is remote there.
         poisoned.graph.tasks[3].func = boom
         with pytest.raises(RuntimeError, match="injected"):
             solver.solve(b, **kw)
@@ -409,6 +417,7 @@ class TestReplay:
         x = solver.solve(b, **kw)
         assert solver.solve_runtime is not poisoned
         assert np.array_equal(x, solver.factor.solve(b))
+        assert set(_shm_segments()) <= segments_before
 
     def test_timeout_discards_the_plan(self, hss_factor):
         plans = SolvePlans()

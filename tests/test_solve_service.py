@@ -132,7 +132,7 @@ class TestBatching:
     def test_same_batch_is_bit_identical_across_backends(self):
         B = _rhs(4)
         results = {}
-        for backend in ("reference", "immediate", "sequential", "parallel"):
+        for backend in ("reference", "sequential", "parallel"):
             results[backend] = SolverService(backend=backend, n_workers=2).solve(B, **KEY)
         ref = results.pop("reference")
         for backend, x in results.items():
