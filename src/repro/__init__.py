@@ -23,8 +23,17 @@ Subpackages
 """
 
 from repro.api import StructuredSolver
-from repro.service import SolverService
 
 __version__ = "1.0.0"
 
 __all__ = ["StructuredSolver", "SolverService", "__version__"]
+
+
+def __getattr__(name: str):
+    # The serving layer (and the metrics it pulls in) loads on first use,
+    # not with every ``import repro``.
+    if name == "SolverService":
+        from repro.service import SolverService
+
+        return SolverService
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

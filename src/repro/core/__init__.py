@@ -2,9 +2,11 @@
 
 * :mod:`repro.core.partial_cholesky` -- the partial (RR-block) Cholesky step
   shared by all algorithms (Eq. 10-12).
-* :mod:`repro.core.level_ulv` -- the level-stacked factor storage and the
-  level kernels: the one implementation of the ULV forward/backward
-  substitution, run by every sequential reference and every solve graph.
+* :mod:`repro.core.level_ulv` -- the level-stacked factor storage (each
+  node's basis as compact-WY Householder reflectors), the per-node diagonal
+  product and the level kernels: the one implementation of the ULV
+  forward/backward substitution, run by every sequential reference and
+  every solve graph.
 * :mod:`repro.core.leaf_ulv` -- the format-agnostic single-level ULV core
   (Alg. 1) over any *leaf system* (shared bases + couplings per block row).
 * :mod:`repro.core.blr2_ulv` -- BLR2-ULV: the leaf-ULV core bound to

@@ -2,7 +2,8 @@
 
 Each level ``l`` of the HSS matrix is a weak-admissibility BLR2 matrix whose
 off-diagonal blocks are nullified by the *diagonal product* with the square
-orthogonal basis ``U_{l;i} = [U^R U^S]``.  The redundant rows are eliminated
+orthogonal basis ``U_{l;i} = [U^R U^S]`` (applied through the Householder
+factors of ``U^S``, :mod:`repro.core.level_ulv`).  The redundant rows are eliminated
 with a partial Cholesky, and the surviving skeleton-skeleton Schur complements
 of two sibling nodes are *merged* (together with their coupling block) into
 the parent's diagonal block at level ``l - 1``.  The final ``A_0`` block is
@@ -20,10 +21,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.level_ulv import LevelFactors, check_finite, ulv_solve
+from repro.core.level_ulv import LevelFactors, check_finite, square_basis, ulv_solve
 from repro.core.partial_cholesky import PartialCholeskyResult, partial_cholesky
 from repro.core.rhs import validate_rhs
 from repro.formats.hss import HSSMatrix
+from repro.runtime.flops import flops_diag_product, flops_partial_factor, flops_potrf
 
 __all__ = ["HSSNodeFactor", "HSSULVFactor", "hss_ulv_factorize", "merge_siblings"]
 
@@ -37,23 +39,32 @@ class HSSNodeFactor:
 
     Attributes
     ----------
-    U:
-        The square orthogonal basis ``[U^R U^S]`` used for the diagonal
-        product of this node (size ``m x m`` where ``m`` is the node's ULV
-        working-block size).
+    V, T, R:
+        The compact-WY QR ``U^S = Q_S R`` of the node's basis: reflectors
+        ``V`` (``m x r``), ``T`` with ``Q = I - V T V^T``, and ``R``.
+    basis:
+        The node's HSS basis ``U^S`` (held by reference to the HSS matrix).
     rank:
         Skeleton rank ``r`` of the node.
     partial:
         The partial Cholesky factors of the rotated diagonal block.
     """
 
-    U: np.ndarray
+    V: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
+    basis: np.ndarray
     rank: int
     partial: PartialCholeskyResult
 
     @property
+    def U(self) -> np.ndarray:
+        """The square ``[U^R U^S]`` of the diagonal product, built on demand (not stored)."""
+        return square_basis(self.V, self.T, self.basis)
+
+    @property
     def block_size(self) -> int:
-        return self.U.shape[0]
+        return self.V.shape[0]
 
     @property
     def redundant_size(self) -> int:
@@ -65,9 +76,10 @@ class HSSULVFactor:
     """The complete HSS-ULV factorization of an :class:`HSSMatrix`.
 
     The node factors of each level are stored stacked per node shape
-    (:class:`~repro.core.level_ulv.LevelFactors`: ``U`` as ``(nodes, m, m)``,
-    ``L_rr`` as ``(nodes, m - r, m - r)``, ``L_sr`` as ``(nodes, r, m - r)``),
-    so the solve runs each level as one batched kernel
+    (:class:`~repro.core.level_ulv.LevelFactors`: reflectors ``V`` as
+    ``(nodes, m, r)``, ``T`` and ``R`` as ``(nodes, r, r)``, ``L_rr`` as
+    ``(nodes, m - r, m - r)``, ``L_sr`` as ``(nodes, r, m - r)``; no square
+    basis), so the solve runs each level as one batched kernel
     (:mod:`repro.core.level_ulv`).  The stacks are allocated empty from the
     HSS structure and filled in place by the factorization.
 
@@ -101,9 +113,9 @@ class HSSULVFactor:
     def node_factors(self) -> Dict[Tuple[int, int], HSSNodeFactor]:
         """``(level, index) -> HSSNodeFactor`` views into the level stacks."""
         return {
-            (level, i): HSSNodeFactor(U=u, rank=int(lf.ranks[i]), partial=part)
+            (level, i): HSSNodeFactor(v, t, rr, self.hss.node(level, i).U, int(lf.ranks[i]), part)
             for level, lf in sorted(self.levels.items())
-            for i, (u, part) in enumerate(lf.node_views())
+            for i, (v, t, rr, part) in enumerate(lf.node_views())
         }
 
     def check_finite(self) -> None:
@@ -134,26 +146,18 @@ class HSSULVFactor:
 
     # --------------------------------------------------------------- stats
     def factor_flops(self) -> float:
-        """Floating-point operations of the numerical factorization steps."""
-        flops = 0.0
-        for fac in self.node_factors.values():
-            m = fac.block_size
-            nr = fac.redundant_size
-            r = fac.rank
-            flops += 2.0 * m * m * m  # two GEMMs of the diagonal product
-            flops += nr**3 / 3.0  # POTRF of the RR block
-            flops += r * nr**2  # TRSM for L_SR
-            flops += r * r * nr  # SYRK update of the SS block
-        n0 = self.root_chol.shape[0]
-        flops += n0**3 / 3.0
+        """Floating-point operations of the factorization: the graph's per-task model, summed."""
+        flops = flops_potrf(self.root_chol.shape[0])
+        for lf in self.levels.values():
+            for m, r in zip(lf.sizes.tolist(), lf.ranks.tolist()):
+                flops += flops_diag_product(m, r) + flops_partial_factor(m, r)
         return flops
 
     def memory_bytes(self) -> int:
         """Bytes stored by the factor objects (excluding the HSS matrix itself)."""
-        total = self.root_chol.nbytes
-        for fac in self.node_factors.values():
-            total += fac.U.nbytes + fac.partial.L_rr.nbytes + fac.partial.L_sr.nbytes
-        return total
+        return self.root_chol.nbytes + sum(
+            s.nbytes for lf in self.levels.values() for g in lf.groups for s in g.solve_stacks
+        )
 
 
 def merge_siblings(
@@ -196,17 +200,17 @@ def hss_ulv_factorize(hss: HSSMatrix) -> HSSULVFactor:
     factor = HSSULVFactor(hss=hss)
 
     # Working diagonal blocks of the current level, keyed by node index.
+    # set_basis only reads them, so the leaf level starts on the HSS blocks.
     diag: Dict[Tuple[int, int], np.ndarray] = {}
     for i in range(2**max_level):
-        diag[(max_level, i)] = hss.node(max_level, i).D.copy()
+        diag[(max_level, i)] = hss.node(max_level, i).D
 
     for level in range(max_level, 0, -1):
         lf = factor.levels[level]
         schur: Dict[int, np.ndarray] = {}
         for i in range(2**level):
             node = hss.node(level, i)
-            u = lf.set_basis(i, node.U)
-            part = partial_cholesky(u.T @ diag[(level, i)] @ u, node.rank)
+            part = partial_cholesky(lf.set_basis(i, node.U, diag[(level, i)]), node.rank)
             schur[i] = lf.set_partial(i, part)
         for k in range(2 ** (level - 1)):
             diag[(level - 1, k)] = merge_siblings(

@@ -25,7 +25,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.level_ulv import LevelFactors, check_finite, ulv_solve
+from repro.core.level_ulv import LevelFactors, check_finite, square_basis, ulv_solve
 from repro.core.partial_cholesky import PartialCholeskyResult, partial_cholesky
 from repro.core.rhs import validate_rhs
 
@@ -43,9 +43,11 @@ class LeafULVSolveMixin:
     factor classes are dataclasses providing a ``system`` (the leaf system
     that was factorized), a ``level`` field (None until
     :meth:`__post_init__` allocates it) and ``merged_chol`` (Cholesky factor
-    of the permuted skeleton system).  ``bases`` (square orthogonal
-    ``[U^R U^S]`` per block row) and ``partials`` (partial Cholesky factors
-    per block row) are views into the stacks.
+    of the permuted skeleton system).  Each row stores the compact-WY
+    Householder factors ``V``, ``T``, ``R`` of its skeleton basis, never the
+    square ``[U^R U^S]``: ``bases`` builds that on demand for inspection, and
+    ``partials`` (partial Cholesky factors per block row) are views into the
+    stacks.
     """
 
     def __post_init__(self) -> None:
@@ -61,13 +63,16 @@ class LeafULVSolveMixin:
 
     @property
     def bases(self) -> Dict[int, np.ndarray]:
-        """Square orthogonal ``[U^R U^S]`` per block row (views into the stacks)."""
-        return {i: u for i, (u, _) in enumerate(self.level.node_views())}
+        """Square ``[U^R U^S]`` per block row, built from the reflectors on demand."""
+        return {
+            i: square_basis(v, t, self.system.bases[i])
+            for i, (v, t, _, _) in enumerate(self.level.node_views())
+        }
 
     @property
     def partials(self) -> Dict[int, PartialCholeskyResult]:
         """Partial Cholesky factors per block row (views into the stacks)."""
-        return {i: part for i, (_, part) in enumerate(self.level.node_views())}
+        return {i: part for i, (_, _, _, part) in enumerate(self.level.node_views())}
 
     def _skeleton_offsets(self) -> List[int]:
         return self.level.skeleton_offsets.tolist()
@@ -124,8 +129,7 @@ def leaf_ulv_factorize_into(factor, system):
 
     schur: Dict[int, np.ndarray] = {}
     for i in range(nb):
-        u = level.set_basis(i, system.bases[i])
-        part = partial_cholesky(u.T @ system.diag[i] @ u, system.rank(i))
+        part = partial_cholesky(level.set_basis(i, system.bases[i], system.diag[i]), system.rank(i))
         schur[i] = level.set_partial(i, part)
 
     offsets = factor._skeleton_offsets()

@@ -6,12 +6,20 @@ unknowns with ``L^RR``, update the skeleton unknowns with ``L^SR`` -- and no
 node of a level depends on another.  A leaf-level factor (BLR2, HODLR,
 Alg. 1) is the one-level case of the same tree.
 
+The square ``U`` is never stored: only ``U^S`` carries information, so each
+node keeps the compact-WY Householder QR ``U^S = Q_S R`` (Schreiber & Van
+Loan; LAPACK ``dgeqrt``) -- reflectors ``V`` and ``T`` with
+``Q = [Q_S Q_R] = I - V T V^T``, and ``R`` -- and rotates with
+``[Q_R Q_S R]``, so the skeleton coordinates stay in the ``U^S`` basis the
+couplings and the merge use.
+
 :class:`LevelFactors` stores one level's factors as stacked arrays, the nodes
-grouped by shape ``(m, r)``: ``U`` as ``(g, m, m)``, ``L_rr`` as
-``(g, m - r, m - r)``, ``L_sr`` as ``(g, r, m - r)`` and the skeleton Schur
-complements as ``(g, r, r)``.  A uniform level (every leaf of an ``n = 2^p``
-problem, every node above a fixed-rank leaf level) is one group; a ragged
-level has one group per distinct shape.  Nothing is padded.
+grouped by shape ``(m, r)``: ``V`` as ``(g, m, r)``, ``T`` and ``R`` as
+``(g, r, r)``, ``L_rr`` as ``(g, m - r, m - r)``, ``L_sr`` as
+``(g, r, m - r)`` and the skeleton Schur complements as ``(g, r, r)``.  A
+uniform level (every leaf of an ``n = 2^p`` problem, every node above a
+fixed-rank leaf level) is one group; a ragged level has one group per
+distinct shape.  Nothing is padded.
 
 A level's right-hand side travels as one *flat* ``(rows, k)`` block holding
 the node blocks in node order.  Because a parent's working block is its two
@@ -25,9 +33,9 @@ sequential references (:meth:`HSSULVFactor.solve
 <repro.core.hss_ulv.HSSULVFactor.solve>`, :meth:`LeafULVSolveMixin.solve
 <repro.core.leaf_ulv.LeafULVSolveMixin.solve>`) run each level as one chunk;
 the task-graph solve builders of :mod:`repro.pipeline.solve` run a level as one
-task per owner chunk.  Each kernel does one ``np.matmul`` over transposed
+task per owner chunk.  Each product is one ``np.matmul`` over (transposed)
 *views* of the stacks, which numpy runs as one BLAS call per node with the
-same operands and strides as the per-node product ``U.T @ w``, plus one
+same operands and strides as the per-node product (``V.T @ w``), plus one
 LAPACK ``trtrs`` per node, so every chunking of a level yields the same bits.
 """
 
@@ -37,16 +45,16 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgeqrt, dtrtrs
 
 from repro.core.partial_cholesky import PartialCholeskyResult
-from repro.lowrank.qr import full_orthogonal_basis
 
 __all__ = [
     "NodeGroup",
     "LevelFactors",
     "check_finite",
     "solve_triangular",
+    "square_basis",
     "forward_level",
     "backward_level",
     "root_solve",
@@ -75,6 +83,18 @@ def solve_triangular(a: np.ndarray, b: np.ndarray, *, lower: bool) -> np.ndarray
     return x
 
 
+def square_basis(v: np.ndarray, t: np.ndarray, skeleton: np.ndarray) -> np.ndarray:
+    """The square ``[Q_R U^S]`` a node rotates with, built from its reflectors.
+
+    For inspection only: the factors never store it.  ``Q_R`` is the
+    trailing ``m - r`` columns of ``I - V T V^T``; the skeleton columns are
+    ``skeleton`` itself.
+    """
+    m, r = v.shape
+    q_r = np.eye(m)[:, r:] - v @ (t @ v[r:].T)
+    return np.hstack([q_r, skeleton])
+
+
 @dataclass
 class NodeGroup:
     """The stacked factors of the nodes of one level that share a shape.
@@ -86,7 +106,9 @@ class NodeGroup:
     nodes: np.ndarray
     size: int
     rank: int
-    U: np.ndarray
+    V: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
     L_rr: np.ndarray
     L_sr: np.ndarray
     schur: np.ndarray
@@ -98,11 +120,23 @@ class NodeGroup:
             nodes=np.asarray(nodes, dtype=np.intp),
             size=size,
             rank=rank,
-            U=np.empty((g, size, size)),
+            V=np.empty((g, size, rank)),
+            T=np.empty((g, rank, rank)),
+            R=np.empty((g, rank, rank)),
             L_rr=np.empty((g, nr, nr)),
             L_sr=np.empty((g, rank, nr)),
             schur=np.empty((g, rank, rank)),
         )
+
+    @property
+    def stacks(self) -> Tuple[np.ndarray, ...]:
+        """``(V, T, R, L_rr, L_sr, schur)``, the order of a node's arrays everywhere."""
+        return self.V, self.T, self.R, self.L_rr, self.L_sr, self.schur
+
+    @property
+    def solve_stacks(self) -> Tuple[np.ndarray, ...]:
+        """The stacks the solve reads: all but the Schur complements."""
+        return self.stacks[:5]
 
 
 class LevelFactors:
@@ -144,11 +178,34 @@ class LevelFactors:
         return f"LevelFactors({shapes})"
 
     # -- factorization writes ------------------------------------------------
-    def set_basis(self, i: int, skeleton: np.ndarray) -> np.ndarray:
-        """Write node ``i``'s square orthogonal ``[U^R U^S]`` (Eq. 3); returns the slot."""
+    def set_basis(self, i: int, skeleton: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Write ``U^S = Q_S R`` of node ``i`` (``dgeqrt``); return ``[Q_R U^S]^T D [Q_R U^S]``.
+
+        The diagonal product (Eq. 3-4) of the working block ``d``, ordered
+        redundant-first, from the symmetric two-sided update
+        ``Q^T D Q = D - (Z V^T + V Z^T)`` with ``Y = D V T`` and
+        ``Z = Y - V (T^T V^T Y) / 2``: ``O(m^2 r)`` flops, not two ``m^3`` GEMMs.
+        """
         group, pos = self._slot[i]
-        group.U[pos] = full_orthogonal_basis(skeleton)[0]
-        return group.U[pos]
+        r, nr = group.rank, group.size - group.rank
+        v, t, rr = group.V[pos], group.T[pos], group.R[pos]
+        if r:
+            qr, t[...], info = dgeqrt(r, skeleton)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"basis QR failed (geqrt info={info})")
+            rr[...] = np.triu(qr[:r])
+            v[...] = np.tril(qr, -1)
+            v[np.diag_indices(r)] = 1.0
+        y = d @ v @ t
+        z = y - 0.5 * (v @ (t.T @ (v.T @ y)))
+        w = z @ v.T
+        b = d - (w + w.T)  # Q^T D Q, skeleton rows/columns first
+        a_hat = np.empty_like(b)
+        a_hat[:nr, :nr] = b[r:, r:]
+        a_hat[nr:, :nr] = rr.T @ b[:r, r:]
+        a_hat[:nr, nr:] = a_hat[nr:, :nr].T
+        a_hat[nr:, nr:] = rr.T @ b[:r, :r] @ rr
+        return a_hat
 
     def set_partial(self, i: int, part: PartialCholeskyResult) -> np.ndarray:
         """Write node ``i``'s partial Cholesky factors; returns the Schur complement slot."""
@@ -159,24 +216,25 @@ class LevelFactors:
         return group.schur[pos]
 
     def store(self, i: int, arrays: Tuple[np.ndarray, ...]) -> None:
-        """Write ``(U, L_rr, L_sr, schur)`` of node ``i`` (a shipped fragment)."""
+        """Write ``(V, T, R, L_rr, L_sr, schur)`` of node ``i`` (a shipped fragment)."""
         group, pos = self._slot[i]
-        for stack, value in zip((group.U, group.L_rr, group.L_sr, group.schur), arrays):
+        for stack, value in zip(group.stacks, arrays):
             stack[pos] = value
 
     # -- views ---------------------------------------------------------------
     def node_arrays(self, i: int) -> Tuple[np.ndarray, ...]:
-        """``(U, L_rr, L_sr, schur)`` of node ``i`` as views into the stacks."""
+        """``(V, T, R, L_rr, L_sr, schur)`` of node ``i`` as views into the stacks."""
         group, pos = self._slot[i]
-        return group.U[pos], group.L_rr[pos], group.L_sr[pos], group.schur[pos]
+        return tuple(stack[pos] for stack in group.stacks)
 
-    def node_views(self) -> List[Tuple[np.ndarray, PartialCholeskyResult]]:
-        """``(U, partial)`` per node, as views into the stacks (built once, not pickled)."""
+    def node_views(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, PartialCholeskyResult]]:
+        """``(V, T, R, partial)`` per node, as views into the stacks (built once, not pickled)."""
         if self._views is None:
             self._views = []
             for i in range(self.num_nodes):
-                u, l_rr, l_sr, schur = self.node_arrays(i)
-                self._views.append((u, PartialCholeskyResult(L_rr=l_rr, L_sr=l_sr, schur_ss=schur)))
+                v, t, rr, l_rr, l_sr, schur = self.node_arrays(i)
+                part = PartialCholeskyResult(L_rr=l_rr, L_sr=l_sr, schur_ss=schur)
+                self._views.append((v, t, rr, part))
         return self._views
 
     def __getstate__(self) -> dict:
@@ -204,7 +262,7 @@ def check_finite(levels: Sequence[LevelFactors], root_chol: np.ndarray) -> None:
     Run once at the end of a factorization: the solve kernels skip
     per-call finiteness scans.
     """
-    stacks = [s for level in levels for g in level.groups for s in (g.U, g.L_rr, g.L_sr)]
+    stacks = [s for level in levels for g in level.groups for s in g.solve_stacks]
     for stack in stacks + [root_chol]:
         if not np.isfinite(stack).all():
             raise np.linalg.LinAlgError(
@@ -239,15 +297,19 @@ def forward_level(
     for group, a, b in parts:
         nodes, m, r = group.nodes[a:b], group.size, group.rank
         wg = w.reshape(b - a, m, k) if uniform else w[_block_rows(level.offsets, nodes, m, lo)]
-        bhat = np.matmul(group.U[a:b].transpose(0, 2, 1), wg)
-        nr = m - r
-        if nr:
-            zg = np.empty((b - a, nr, k))
+        v = group.V[a:b]
+        # y = Q^T w = w - V T^T (V^T w): rows r.. are Q_R^T w, rows ..r Q_S^T w.
+        vtw = np.matmul(v.transpose(0, 2, 1), wg)
+        y = wg - np.matmul(v, np.matmul(group.T[a:b].transpose(0, 2, 1), vtw))
+        # The skeleton part in the U^S basis: (Q_S R)^T w = R^T y[:r].
+        bs = np.matmul(group.R[a:b].transpose(0, 2, 1), y[:, :r])
+        if m - r:
+            zg = np.empty((b - a, m - r, k))
             for j in range(b - a):
-                zg[j] = solve_triangular(group.L_rr[a + j], bhat[j, :nr], lower=True)
-            sg = bhat[:, nr:] - np.matmul(group.L_sr[a:b], zg)
+                zg[j] = solve_triangular(group.L_rr[a + j], y[j, r:], lower=True)
+            sg = bs - np.matmul(group.L_sr[a:b], zg)
         else:
-            zg, sg = bhat[:, :0], bhat
+            zg, sg = y[:, :0], bs
         z.append(zg)
         if uniform:
             s = sg.reshape(-1, k)
@@ -285,7 +347,10 @@ def backward_level(
                 yr[j] = solve_triangular(group.L_rr[a + j].T, rhs[j], lower=False)
         else:
             yr = zg
-        xg = np.matmul(group.U[a:b], np.concatenate([yr, ys], axis=1))
+        # x = [Q_R Q_S R] [yr; ys] = Q u with u = [R ys; yr], Q u = u - V T (V^T u).
+        v = group.V[a:b]
+        u = np.concatenate([np.matmul(group.R[a:b], ys), yr], axis=1)
+        xg = u - np.matmul(v, np.matmul(group.T[a:b], np.matmul(v.transpose(0, 2, 1), u)))
         if uniform:
             x = xg.reshape(-1, k)
         else:

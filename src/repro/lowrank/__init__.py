@@ -2,7 +2,7 @@
 
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.svd import truncated_svd, compress_svd, svd_rank
-from repro.lowrank.qr import row_basis, orthogonal_complement, full_orthogonal_basis
+from repro.lowrank.qr import row_basis
 from repro.lowrank.aca import aca, compress_aca
 from repro.lowrank.rsvd import rsvd, compress_rsvd
 from repro.lowrank.interpolative import interpolative_rows
@@ -14,8 +14,6 @@ __all__ = [
     "compress_svd",
     "svd_rank",
     "row_basis",
-    "orthogonal_complement",
-    "full_orthogonal_basis",
     "aca",
     "compress_aca",
     "rsvd",

@@ -1,10 +1,10 @@
 """Pivoted-QR style shared-basis computation (paper Eq. 2-3).
 
 The BLR2/HSS construction computes, for each cluster, an orthonormal *skeleton*
-basis ``U^S`` spanning the row space of the concatenated admissible blocks,
-plus its orthogonal complement ``U^R`` (the *redundant* part).  The square
-orthogonal matrix ``U = [U^R U^S]`` is what the ULV factorization multiplies
-each row/column block with (Eq. 3-8).
+basis ``U^S`` spanning the row space of the concatenated admissible blocks.
+The ULV factorization completes it to the square ``U = [U^R U^S]`` of Eq. 3-8
+implicitly, from the Householder QR of ``U^S``
+(:meth:`repro.core.level_ulv.LevelFactors.set_basis`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = ["row_basis", "orthogonal_complement", "full_orthogonal_basis"]
+__all__ = ["row_basis"]
 
 
 def row_basis(
@@ -64,41 +64,3 @@ def row_basis(
         u, _, _ = np.linalg.svd(a, full_matrices=False)
         return u[:, :k]
     raise ValueError(f"unknown method {method!r}; use 'svd' or 'qr'")
-
-
-def orthogonal_complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis ``U^R`` of the orthogonal complement of ``span(basis)``.
-
-    ``basis`` must have orthonormal columns; the returned matrix has shape
-    ``(m, m - r)`` and ``[U^R basis]`` is square orthogonal.
-    """
-    basis = np.asarray(basis, dtype=np.float64)
-    m, r = basis.shape
-    if r == 0:
-        return np.eye(m)
-    if r >= m:
-        return np.zeros((m, 0))
-    # One complete QR: the trailing m - r columns of q are orthonormal and
-    # orthogonal to span(basis) to working precision.
-    q, _ = np.linalg.qr(basis, mode="complete")
-    return q[:, r:]
-
-
-def full_orthogonal_basis(skeleton: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(U, U_R, U_S)`` with ``U = [U_R U_S]`` square orthogonal (Eq. 3).
-
-    Parameters
-    ----------
-    skeleton:
-        The skeleton basis ``U^S`` with orthonormal columns (``m x r``).
-
-    Returns
-    -------
-    (U, U_R, U_S):
-        ``U`` is ``m x m`` orthogonal; ``U_R`` is the redundant part
-        (``m x (m-r)``), ``U_S`` the skeleton part (``m x r``).
-    """
-    u_s = np.asarray(skeleton, dtype=np.float64)
-    u_r = orthogonal_complement(u_s)
-    u = np.hstack([u_r, u_s])
-    return u, u_r, u_s

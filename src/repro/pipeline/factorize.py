@@ -111,8 +111,9 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                 )
 
     def seed(self) -> None:
+        # The task bodies replace D blocks, never write into them.
         for i in range(2**self.max_level):
-            self._diag[(self.max_level, i)] = self.hss.node(self.max_level, i).D.copy()
+            self._diag[(self.max_level, i)] = self.hss.node(self.max_level, i).D
 
     def record_tasks(self) -> None:
         hss, max_level = self.hss, self.max_level
@@ -125,8 +126,7 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                 m = hss.block_size(level, i)
 
                 def diag_product(level=level, i=i, node=node) -> None:
-                    u = factor.levels[level].set_basis(i, node.U)
-                    diag[(level, i)] = u.T @ diag[(level, i)] @ u
+                    diag[(level, i)] = factor.levels[level].set_basis(i, node.U, diag[(level, i)])
 
                 self.insert(
                     diag_product,
@@ -136,7 +136,7 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                     ],
                     name=f"DIAG_PRODUCT[{level};{i}]",
                     kind="DIAG_PRODUCT",
-                    flops=flops_diag_product(m),
+                    flops=flops_diag_product(m, node.rank),
                 )
 
                 def partial_factor(level=level, i=i, node=node) -> None:
@@ -278,7 +278,7 @@ def build_hss_ulv_taskgraph(
                 ],
                 name=f"DIAG_PRODUCT[{level};{i}]",
                 kind="DIAG_PRODUCT",
-                flops=flops_diag_product(m),
+                flops=flops_diag_product(m, r),
                 phase=phase,
             )
             rt.insert_task(
@@ -390,8 +390,9 @@ class LeafULVFactorizeBuilder(GraphBuilder):
         self._chol = self.handle("CHOL", 8 * offsets[-1] ** 2, level=0, row=0)
 
     def seed(self) -> None:
+        # The task bodies replace D blocks, never write into them.
         for i in range(self.system.nblocks):
-            self._diag[i] = self.system.diag[i].copy()
+            self._diag[i] = self.system.diag[i]
 
     def record_tasks(self) -> None:
         system, factor = self.system, self.factor
@@ -403,8 +404,7 @@ class LeafULVFactorizeBuilder(GraphBuilder):
         for i in range(nb):
 
             def diag_product(i=i) -> None:
-                u = factor.level.set_basis(i, system.bases[i])
-                diag[i] = u.T @ diag[i] @ u
+                diag[i] = factor.level.set_basis(i, system.bases[i], diag[i])
 
             rng = system.block_range(i)
             m = rng.stop - rng.start
@@ -413,7 +413,7 @@ class LeafULVFactorizeBuilder(GraphBuilder):
                 [(self._u[i], AccessMode.READ), (self._d[i], AccessMode.RW)],
                 name=f"DIAG_PRODUCT[{i}]",
                 kind="DIAG_PRODUCT",
-                flops=flops_diag_product(m),
+                flops=flops_diag_product(m, system.rank(i)),
             )
 
             def partial_factor(i=i) -> None:

@@ -185,8 +185,9 @@ class LevelULVSolveBuilder(SolveGraphBuilder):
         for t, (level, tag) in enumerate(zip(self.levels, self.tags)):
             for c, (lo, hi) in enumerate(self._chunks[t]):
                 nbytes = sum(
-                    g.U[a:b].nbytes + g.L_rr[a:b].nbytes + g.L_sr[a:b].nbytes
+                    stack[a:b].nbytes
                     for g, a, b in level.chunk_groups(lo, hi)
+                    for stack in g.solve_stacks
                 )
                 self._fac[(t, c)] = self.handle(f"ULV[{tag};{c}]", nbytes, level=tag, row=c)
         self._root = self.handle("ULV_ROOT", self.root_chol.nbytes, level=0, row=0)

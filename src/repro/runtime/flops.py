@@ -52,9 +52,18 @@ def flops_svd(m: int, n: int) -> float:
     return 4.0 * large * small**2 + 8.0 * small**3
 
 
-def flops_diag_product(n: int) -> float:
-    """The ULV diagonal product ``U^T A U`` for an ``n x n`` block (two GEMMs)."""
-    return 2.0 * flops_gemm(n, n, n)
+def flops_diag_product(m: int, rank: int) -> float:
+    """The ULV diagonal product of an ``m x m`` block with a rank-``rank`` basis.
+
+    ``geqrt`` of the basis (reflectors and ``T``), the two-sided update
+    ``D - (Z V^T + V Z^T)`` and the ``R`` rotation of the skeleton part
+    (:meth:`repro.core.level_ulv.LevelFactors.set_basis`).
+    """
+    r = rank
+    return (
+        flops_qr(m, r) + m * r * r + 2 * flops_gemm(m, m, r) + 3 * flops_gemm(m, r, r)
+        + flops_gemm(r, m - r, r) + 3 * flops_gemm(r, r, r)
+    )
 
 
 def flops_partial_factor(n: int, rank: int) -> float:
@@ -63,13 +72,18 @@ def flops_partial_factor(n: int, rank: int) -> float:
     return flops_potrf(nr) + flops_trsm(nr, rank) + flops_syrk(rank, nr)
 
 
+def _flops_rotation(n: int, rank: int, k: int) -> float:
+    """``k`` columns through a node's ``V^T``, ``T``, ``V`` and ``R``."""
+    return 2 * flops_gemm(rank, k, n) + 2 * flops_gemm(rank, k, rank)
+
+
 def flops_solve_forward(n: int, rank: int, k: int) -> float:
     """Forward elimination of one ULV block for ``k`` right-hand sides (Eq. 17).
 
     Rotate (``U^T b``), solve the redundant triangle, update the skeleton part.
     """
     nr = max(n - rank, 0)
-    return flops_gemm(n, k, n) + flops_trsm(nr, k) + flops_gemm(rank, k, nr)
+    return _flops_rotation(n, rank, k) + flops_trsm(nr, k) + flops_gemm(rank, k, nr)
 
 
 def flops_solve_root(n: int, k: int) -> float:
@@ -83,4 +97,4 @@ def flops_solve_backward(n: int, rank: int, k: int) -> float:
     Skeleton update, redundant triangular solve, rotate back (``U y``).
     """
     nr = max(n - rank, 0)
-    return flops_gemm(nr, k, rank) + flops_trsm(nr, k) + flops_gemm(n, k, n)
+    return flops_gemm(nr, k, rank) + flops_trsm(nr, k) + _flops_rotation(n, rank, k)

@@ -131,3 +131,22 @@ def test_import_repro_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_import_repro_leaves_service_and_obs_unloaded():
+    """The serving layer loads on first use of ``repro.SolverService``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['repro', 'service'], ['repro', 'obs']))\n"
+        "print(loaded())\n"
+        "from repro import SolverService\n"
+        "print(SolverService.__module__, 'repro.service' in loaded())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines() == ["[]", "repro.service.solver_service True"]

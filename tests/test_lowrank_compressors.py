@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.lowrank.aca import aca, compress_aca
 from repro.lowrank.interpolative import interpolative_rows
-from repro.lowrank.qr import full_orthogonal_basis, orthogonal_complement, row_basis
+from repro.lowrank.qr import row_basis
 from repro.lowrank.rsvd import compress_rsvd, random_range_finder, rsvd
 from repro.lowrank.svd import compress_svd, svd_rank, truncated_svd
 
@@ -88,41 +88,6 @@ class TestRowBasis:
     def test_empty_block(self):
         u = row_basis(np.zeros((5, 0)))
         assert u.shape == (5, 0)
-
-
-class TestOrthogonalComplement:
-    def test_full_orthogonal_basis_is_orthogonal(self):
-        a = smooth_block(24, 48, seed=5)
-        u_s = row_basis(a, rank=6)
-        u, u_r, u_s2 = full_orthogonal_basis(u_s)
-        assert u.shape == (24, 24)
-        np.testing.assert_allclose(u.T @ u, np.eye(24), atol=1e-10)
-        np.testing.assert_allclose(u[:, 24 - 6 :], u_s2, atol=1e-12)
-
-    def test_complement_orthogonal_to_basis(self):
-        a = smooth_block(16, 30, seed=6)
-        u_s = row_basis(a, rank=4)
-        u_r = orthogonal_complement(u_s)
-        np.testing.assert_allclose(u_r.T @ u_s, np.zeros((12, 4)), atol=1e-12)
-
-    def test_complement_of_empty_basis_is_identity(self):
-        comp = orthogonal_complement(np.zeros((5, 0)))
-        np.testing.assert_allclose(comp, np.eye(5))
-
-    def test_complement_of_full_basis_is_empty(self):
-        q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))
-        assert orthogonal_complement(q).shape == (6, 0)
-
-    @pytest.mark.parametrize("m, r", [(256, 60), (120, 60), (9, 0), (9, 8), (9, 9)])
-    def test_square_basis_orthogonal_to_1e13(self, m, r):
-        """``[U^R U^S]`` from the single-QR complement is orthogonal to <= 1e-13,
-        including the edge ranks r = 0, r = m - 1 and r = m."""
-        u_s = row_basis(smooth_block(m, 3 * m, seed=m + r), rank=r) if r else np.zeros((m, 0))
-        assert u_s.shape == (m, r)
-        u_r = orthogonal_complement(u_s)
-        assert u_r.shape == (m, m - r)
-        u = np.hstack([u_r, u_s])
-        assert np.abs(u.T @ u - np.eye(m)).max() <= 1e-13
 
 
 class TestAca:

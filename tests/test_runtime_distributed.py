@@ -65,6 +65,9 @@ class TestBitIdentity:
         assert set(dist.node_factors) == set(seq.node_factors)
         for key, nf in dist.node_factors.items():
             ref = seq.node_factors[key]
+            assert np.array_equal(nf.V, ref.V)
+            assert np.array_equal(nf.T, ref.T)
+            assert np.array_equal(nf.R, ref.R)
             assert np.array_equal(nf.U, ref.U)
             assert np.array_equal(nf.partial.L_rr, ref.partial.L_rr)
             assert np.array_equal(nf.partial.L_sr, ref.partial.L_sr)

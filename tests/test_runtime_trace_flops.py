@@ -38,9 +38,27 @@ class TestFlopModels:
         assert flops_svd(50, 20) > 0
         assert flops_svd(20, 50) == flops_svd(50, 20)
 
-    def test_diag_product_is_two_gemms(self):
-        n = 32
-        assert flops_diag_product(n) == pytest.approx(2 * flops_gemm(n, n, n))
+    def test_diag_product_counts_the_compact_wy_kernel(self):
+        """QR of the m x r basis, the O(m^2 r) two-sided update, the R rotation."""
+        m, r = 256, 60
+        update = (
+            flops_gemm(m, r, m) + flops_gemm(m, m, r) + 2 * flops_gemm(m, r, r)
+            + flops_gemm(r, r, m) + flops_gemm(r, r, r)
+        )
+        rotate = flops_gemm(r, m - r, r) + 2 * flops_gemm(r, r, r)
+        expected = flops_qr(m, r) + m * r * r + update + rotate
+        assert flops_diag_product(m, r) == pytest.approx(expected)
+        # well under the two square GEMMs of an explicit U^T A U at leaf ranks
+        assert flops_diag_product(m, r) < 0.5 * 2 * flops_gemm(m, m, m)
+
+    def test_diag_product_rank_zero_is_free(self):
+        assert flops_diag_product(64, 0) == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 256), r=st.integers(0, 255))
+    def test_diag_product_grows_with_rank(self, m, r):
+        r = min(r, m - 1)
+        assert 0 <= flops_diag_product(m, r) < flops_diag_product(m, r + 1)
 
     def test_partial_factor_degenerate_cases(self):
         # rank == n: nothing to eliminate.
@@ -97,3 +115,35 @@ class TestSimulationResult:
 
     def test_repr(self):
         assert "async" in repr(self._result())
+
+
+class TestFactorizeFlopAccounting:
+    """The symbolic graph, the recorded graph and ``factor_flops`` share one model."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, kmat_small):
+        from repro.formats.hss import build_hss
+        from repro.pipeline.factorize import HSSULVFactorizeBuilder
+        from repro.pipeline.policy import ExecutionPolicy
+
+        hss = build_hss(kmat_small, leaf_size=32, max_rank=12)
+        builder = HSSULVFactorizeBuilder(hss, policy=ExecutionPolicy(backend="deferred"))
+        return hss, builder.record()
+
+    def test_symbolic_graph_flops_equal_the_recorded_graph(self, recorded):
+        from repro.formats.hss import HSSStructure
+        from repro.pipeline.factorize import build_hss_ulv_taskgraph
+
+        hss, builder = recorded
+        symbolic = build_hss_ulv_taskgraph(HSSStructure.from_matrix(hss)).graph
+        real = {t.name: t.flops for t in builder.runtime.graph.tasks}
+        assert {t.name: t.flops for t in symbolic.tasks} == real
+        assert any(name.startswith("DIAG_PRODUCT") and f > 0 for name, f in real.items())
+
+    def test_factor_flops_equal_the_recorded_tasks(self, recorded):
+        _, builder = recorded
+        builder.execute()
+        tasks = builder.runtime.graph.tasks
+        assert builder.result().factor_flops() == pytest.approx(
+            sum(t.flops for t in tasks), rel=1e-12
+        )

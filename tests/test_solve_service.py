@@ -518,6 +518,28 @@ class TestPersistence:
             fresh.load_cache(path)
         assert fresh.cached_keys == []
 
+    def test_previous_layout_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A layout-2 snapshot (square ``U`` stacks) is refused by its magic.
+
+        The file is otherwise well formed -- a valid checksum over a valid
+        blob -- so only the version byte stops it, and nothing is unpickled.
+        """
+        from repro.service import persistence
+
+        assert persistence.MAGIC == b"RPSC\x03"
+        path = tmp_path / "factors.bin"
+        service = SolverService(backend="reference")
+        service.solve(_rhs(1), **KEY)
+        service.save_cache(path)
+        path.write_bytes(b"RPSC\x02" + path.read_bytes()[len(persistence.MAGIC) :])
+        unpickled = []
+        monkeypatch.setattr(persistence.pickle, "loads", lambda *a, **k: unpickled.append(a))
+        fresh = SolverService(backend="reference")
+        with pytest.raises(ValueError, match="bad magic"):
+            fresh.load_cache(path)
+        assert unpickled == []
+        assert fresh.cached_keys == []
+
     def test_load_respects_capacity(self, tmp_path):
         path = tmp_path / "factors.bin"
         big = SolverService(backend="reference", max_cached=4)
@@ -548,8 +570,9 @@ class TestPersistence:
             "hss": factor.hss,
             "root_chol": factor.root_chol,
             "node_factors": {
-                key: (nf.U.copy(), nf.rank, nf.partial.L_rr.copy(),
-                      nf.partial.L_sr.copy(), nf.partial.schur_ss.copy())
+                key: (nf.V.copy(), nf.T.copy(), nf.R.copy(), nf.rank,
+                      nf.partial.L_rr.copy(), nf.partial.L_sr.copy(),
+                      nf.partial.schur_ss.copy())
                 for key, nf in factor.node_factors.items()
             },
         }
