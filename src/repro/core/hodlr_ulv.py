@@ -1,178 +1,121 @@
-"""ULV factorization of a symmetric HODLR matrix through its exact leaf view.
+"""ULV factorization of a symmetric HODLR matrix through its exact HSS form.
 
-HODLR shares weak admissibility with HSS/BLR2 but carries *independent*
-low-rank factors per off-diagonal block and no nested bases, so Alg. 1/2 do
-not apply verbatim.  The key observation enabling a ULV factorization anyway:
-every off-diagonal entry of a leaf block row lives in the column space of the
-ancestor blocks' row factors restricted to that leaf.  Concatenating those
-restrictions and orthonormalizing yields an **exact** shared skeleton basis
-per leaf (rank at most the sum of the ancestor ranks, ~ r log N), which turns
-the HODLR matrix into a leaf-level shared-basis system -- precisely the
-interface of :mod:`repro.core.leaf_ulv` -- *without any further
-approximation*.  The factorization and solve are then the single-level ULV
-(Alg. 1), and the task graph is the same leaf-ULV graph the BLR2 format
-records, which is what gives HODLR every execution backend for free.
+HODLR carries an independent low-rank factorisation per off-diagonal block
+and no nested bases, so Alg. 2 does not apply to it verbatim.  It does apply
+to the same matrix written in HSS form, and that form is exact: restricted to
+a cluster ``c``, the row factor of every strict ancestor ``g`` (``g.upper.U``
+when ``c`` lies under ``g.left``, ``g.lower.U`` under ``g.right``) spans part
+of the block row of ``c``, and the restrictions of all ancestors span all of
+it.  :func:`hodlr_to_hss` orthonormalises those restrictions level by level:
 
-Requires a *symmetric* HODLR matrix (``lower == upper^T`` per node, as
-:func:`repro.formats.hodlr.build_hodlr` constructs) whose approximation is
-positive definite.
+* leaf ``i``: ``B_i`` = QR of the stacked factors ``G_i`` (nearest ancestor
+  first); the coordinates ``P_i[g] = B_i^T F_g|_i`` are the matching columns
+  of the QR's ``R``;
+* interior ``c`` with children ``a``, ``b``: transfer ``E_c`` = QR of
+  ``[P_a[g]; P_b[g]]`` stacked over the ancestors ``g`` of ``c``, and
+  ``P_c[g] = E_c^T [P_a[g]; P_b[g]]``, again columns of ``R``;
+* sibling coupling under ``p``: ``S_{2k+1,2k} = P_b[p] P_a[p]^T``.
+
+Ranks are ``min(sum of ancestor ranks, block size)``; nothing is truncated.
+A HODLR matrix then factorizes and solves with the HSS-ULV code
+(:func:`~repro.core.hss_ulv.hss_ulv_factorize` and the HSS graph builders):
+every dense step is one tree node's block, and no step factors a merged
+skeleton system of all the leaves.
+
+Requires a *symmetric* HODLR matrix (``lower == (upper.V, upper.U)`` per
+node, as :func:`repro.formats.hodlr.build_hodlr` constructs) whose
+approximation is positive definite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.leaf_ulv import LeafULVSolveMixin, leaf_ulv_factorize_into
-from repro.core.level_ulv import LevelFactors
+from repro.core.hss_ulv import HSSULVFactor, hss_ulv_factorize
 from repro.formats.hodlr import HODLRMatrix, HODLRNode
+from repro.formats.hss import HSSMatrix, HSSNode
 
-__all__ = ["HODLRLeafSystem", "HODLRULVFactor", "hodlr_ulv_factorize"]
+__all__ = ["hodlr_to_hss", "hodlr_ulv_factorize"]
 
 
-class HODLRLeafSystem:
-    """The exact leaf-level shared-basis view of a symmetric HODLR matrix.
+def _orthonormalise(stacked: List[np.ndarray], rows: int) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Reduced QR of the column stack ``[F_1, F_2, ...]``: ``Q`` and each ``F``'s block of ``R``."""
+    if not stacked:
+        return np.zeros((rows, 0)), []
+    q, r = np.linalg.qr(np.hstack(stacked))
+    bounds = np.cumsum([f.shape[1] for f in stacked])[:-1]
+    return q, np.split(r, bounds, axis=1)
 
-    Presents the leaf-system interface consumed by
-    :func:`repro.core.leaf_ulv.leaf_ulv_factorize_into` and the leaf-ULV graph
-    builder: ``n``, ``nblocks``, ``block_range``, ``rank``, ``diag``,
-    ``bases`` and ``coupling``.  Construction is deterministic (plain QR of
-    fixed column stacks), so independently built views of the same matrix are
-    bit-identical -- the property the cross-backend tests rely on.
-    """
 
-    def __init__(self, hodlr: HODLRMatrix) -> None:
-        self.hodlr = hodlr
-        self._leaves: List[HODLRNode] = []
-        # Per-leaf restricted ancestor row factors (deepest ancestor first),
-        # and per ordered leaf pair (i, j) the factors (R_i, C_j) of the
-        # common-ancestor block with A_{ij} = R_i @ C_j^T exactly.
-        contributions: Dict[int, List[np.ndarray]] = {}
-        self._pair: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-
-        def walk(node: HODLRNode) -> List[int]:
-            if node.is_leaf:
-                idx = len(self._leaves)
-                self._leaves.append(node)
-                contributions[idx] = []
-                return [idx]
-            left_ids = walk(node.left)
-            right_ids = walk(node.right)
-            lo, ro = node.left.start, node.right.start
-            for i in left_ids:
-                leaf = self._leaves[i]
-                rows = slice(leaf.start - lo, leaf.stop - lo)
-                contributions[i].append(node.upper.U[rows])
-                for j in right_ids:
-                    other = self._leaves[j]
-                    cols = slice(other.start - ro, other.stop - ro)
-                    self._pair[(i, j)] = (node.upper.U[rows], node.upper.V[cols])
-            for j in right_ids:
-                leaf = self._leaves[j]
-                rows = slice(leaf.start - ro, leaf.stop - ro)
-                contributions[j].append(node.lower.U[rows])
-                for i in left_ids:
-                    other = self._leaves[i]
-                    cols = slice(other.start - lo, other.stop - lo)
-                    self._pair[(j, i)] = (node.lower.U[rows], node.lower.V[cols])
-            return left_ids + right_ids
-
-        walk(hodlr.root)
-
-        #: Exact shared skeleton basis per leaf (orthonormal columns).
-        self.bases: Dict[int, np.ndarray] = {}
-        for i, leaf in enumerate(self._leaves):
-            gen = contributions[i]
-            if gen:
-                q, _ = np.linalg.qr(np.hstack(gen))
-            else:
-                q = np.zeros((leaf.size, 0))
-            self.bases[i] = q
-
-        #: Dense leaf diagonal blocks (referenced, not copied).
-        self.diag: Dict[int, np.ndarray] = {
-            i: leaf.dense for i, leaf in enumerate(self._leaves)
-        }
-
-        # Skeleton couplings, projected through the exact bases.  Eagerly
-        # computed: they are tiny (rank x rank) and the task bodies reading
-        # them stay pure BLAS.
-        self._couplings: Dict[Tuple[int, int], np.ndarray] = {}
-        for (i, j), (r_i, c_j) in self._pair.items():
-            self._couplings[(i, j)] = (self.bases[i].T @ r_i) @ (self.bases[j].T @ c_j).T
-
-    # -- leaf-system interface ----------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.hodlr.n
-
-    @property
-    def nblocks(self) -> int:
-        return len(self._leaves)
-
-    def block_range(self, i: int) -> slice:
-        leaf = self._leaves[i]
-        return slice(leaf.start, leaf.stop)
-
-    def rank(self, i: int) -> int:
-        """Skeleton rank of leaf row ``i`` (sum of restricted ancestor ranks)."""
-        return self.bases[i].shape[1]
-
-    def coupling(self, i: int, j: int) -> np.ndarray:
-        return self._couplings[(i, j)]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Delegates to the HODLR matrix (the represented operators are equal)."""
-        return self.hodlr.matvec(x)
-
-    def __repr__(self) -> str:
-        ranks = [self.rank(i) for i in range(self.nblocks)]
-        return (
-            f"HODLRLeafSystem(n={self.n}, nblocks={self.nblocks}, "
-            f"ranks=[{min(ranks)}..{max(ranks)}])"
+def _check_symmetric(node: HODLRNode) -> None:
+    if not (
+        np.array_equal(node.lower.U, node.upper.V) and np.array_equal(node.lower.V, node.upper.U)
+    ):
+        raise ValueError(
+            f"HODLR node [{node.start}, {node.stop}) is not symmetric: its lower "
+            "factors are not its upper factors swapped"
         )
 
 
-@dataclass
-class HODLRULVFactor(LeafULVSolveMixin):
-    """Factors of the HODLR-ULV factorization (leaf-level ULV over the exact view).
+def hodlr_to_hss(hodlr: HODLRMatrix) -> HSSMatrix:
+    """The exact HSS form of a symmetric HODLR matrix on the same cluster tree.
 
-    Attributes
-    ----------
-    hodlr:
-        The factorized HODLR matrix.
-    system:
-        The exact leaf view the factorization ran on.
-    level / merged_chol:
-        The leaf-ULV factor stores, as in
-        :class:`~repro.core.blr2_ulv.BLR2ULVFactor`.
-    """
-
-    hodlr: HODLRMatrix
-    system: HODLRLeafSystem
-    level: LevelFactors = None  # type: ignore[assignment]
-    merged_chol: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-
-def hodlr_ulv_factorize(
-    hodlr: HODLRMatrix, *, system: HODLRLeafSystem = None
-) -> HODLRULVFactor:
-    """Factorize a symmetric positive definite HODLR matrix with the ULV algorithm.
-
-    The sequential reference every task-graph backend is validated against.
-    Pass ``system`` to reuse an already-built leaf view (the DTD driver does
-    this so reference and task-graph runs share one view).
+    Each HSS leaf references its HODLR leaf's dense block (no copy).  The
+    construction is plain QR of fixed column stacks, so it is deterministic.
 
     Raises
     ------
+    ValueError
+        If a node's lower factors are not its upper factors swapped.
+    """
+    nodes: Dict[Tuple[int, int], HSSNode] = {}
+    couplings: Dict[Tuple[int, int, int], np.ndarray] = {}
+
+    def convert(node: HODLRNode, level: int, index: int, factors: List[np.ndarray]):
+        """Fill ``node``'s HSS data; return its coordinates ``P[g]`` per ancestor factor."""
+        hss_node = HSSNode(level=level, index=index, start=node.start, stop=node.stop)
+        nodes[(level, index)] = hss_node
+        if node.is_leaf:
+            hss_node.D = node.dense
+            hss_node.U, coords = _orthonormalise(factors, node.size)
+        else:
+            _check_symmetric(node)
+            split = node.left.size
+            left = convert(
+                node.left, level + 1, 2 * index, [node.upper.U] + [f[:split] for f in factors]
+            )
+            right = convert(
+                node.right, level + 1, 2 * index + 1, [node.lower.U] + [f[split:] for f in factors]
+            )
+            couplings[(level + 1, 2 * index + 1, 2 * index)] = right[0] @ left[0].T
+            if level == 0:
+                return []  # the root has no ancestors and hence no basis
+            width = left[0].shape[0] + right[0].shape[0]
+            stacked = [np.vstack([pa, pb]) for pa, pb in zip(left[1:], right[1:])]
+            hss_node.U, coords = _orthonormalise(stacked, width)
+        hss_node.rank = hss_node.U.shape[1]
+        return coords
+
+    convert(hodlr.root, 0, 0, [])
+    return HSSMatrix(tree=hodlr.tree, nodes=nodes, couplings=couplings)
+
+
+def hodlr_ulv_factorize(hodlr: HODLRMatrix) -> HSSULVFactor:
+    """Factorize a symmetric positive definite HODLR matrix with the ULV algorithm.
+
+    The HSS-ULV factorization (Alg. 2) of :func:`hodlr_to_hss`; the
+    sequential reference every task-graph backend is validated against.
+
+    Raises
+    ------
+    ValueError
+        If the HODLR matrix is not symmetric.
     numpy.linalg.LinAlgError
-        If a redundant diagonal block or the merged skeleton system is not
-        positive definite (the HODLR approximation of an SPD matrix can lose
+        If a redundant diagonal block or the root block is not positive
+        definite (the HODLR approximation of an SPD matrix can lose
         definiteness when the compression error exceeds the smallest
         eigenvalue).
     """
-    if system is None:
-        system = HODLRLeafSystem(hodlr)
-    return leaf_ulv_factorize_into(HODLRULVFactor(hodlr=hodlr, system=system), system)
+    return hss_ulv_factorize(hodlr_to_hss(hodlr))

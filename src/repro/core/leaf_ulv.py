@@ -1,12 +1,12 @@
-"""Shared sequential core of the leaf-level (single-level) ULV factorization.
+"""Sequential core of the leaf-level (single-level) ULV factorization.
 
 Paper Alg. 1 never looks inside the matrix format: it only needs, per block
 row ``i``, a dense diagonal block, a shared skeleton basis, and the coupling
-blocks ``S_{i,j}`` against every other row.  Any format that can present
-itself through that *leaf system* interface factorizes and solves through the
-single implementation below -- :class:`~repro.formats.blr2.BLR2Matrix` does
-so directly, and a HODLR matrix does so through the exact leaf view of
-:class:`repro.core.hodlr_ulv.HODLRLeafSystem`.
+blocks ``S_{i,j}`` against every other row.
+:class:`~repro.formats.blr2.BLR2Matrix` presents exactly that *leaf system*
+interface and factorizes and solves through the implementation below.
+(HODLR factorizes through its exact HSS form instead,
+:mod:`repro.core.hodlr_ulv`.)
 
 A leaf system provides::
 
@@ -33,17 +33,17 @@ __all__ = ["LeafULVSolveMixin", "assemble_merged_row", "leaf_ulv_factorize_into"
 
 
 class LeafULVSolveMixin:
-    """Storage, solve and logdet shared by every leaf-level ULV factor object.
+    """Storage, solve and logdet of a leaf-level ULV factor object.
 
     A leaf factor is a one-level tree: its per-row factors live stacked per
     block shape in one :class:`~repro.core.level_ulv.LevelFactors`
     (``level``), allocated empty from the leaf system and filled in place by
     the factorization, and the solve is one forward kernel, the merged root
-    solve and one backward kernel (:mod:`repro.core.level_ulv`).  Concrete
-    factor classes are dataclasses providing a ``system`` (the leaf system
-    that was factorized), a ``level`` field (None until
-    :meth:`__post_init__` allocates it) and ``merged_chol`` (Cholesky factor
-    of the permuted skeleton system).  Each row stores the compact-WY
+    solve and one backward kernel (:mod:`repro.core.level_ulv`).  The
+    concrete factor class (:class:`~repro.core.blr2_ulv.BLR2ULVFactor`) is a
+    dataclass providing a ``system`` (the leaf system that was factorized), a
+    ``level`` field (None until :meth:`__post_init__` allocates it) and
+    ``merged_chol`` (Cholesky factor of the permuted skeleton system).  Each row stores the compact-WY
     Householder factors ``V``, ``T``, ``R`` of its skeleton basis, never the
     square ``[U^R U^S]``: ``bases`` builds that on demand for inspection, and
     ``partials`` (partial Cholesky factors per block row) are views into the

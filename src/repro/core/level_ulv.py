@@ -3,7 +3,7 @@
 HSS-ULV is level-synchronous (Alg. 2): every node of a tree level does the
 same-shaped work -- rotate with ``U = [U^R U^S]``, eliminate the redundant
 unknowns with ``L^RR``, update the skeleton unknowns with ``L^SR`` -- and no
-node of a level depends on another.  A leaf-level factor (BLR2, HODLR,
+node of a level depends on another.  A leaf-level factor (BLR2,
 Alg. 1) is the one-level case of the same tree.
 
 The square ``U`` is never stored: only ``U^S`` carries information, so each

@@ -40,7 +40,7 @@ from typing import List
 import numpy as np
 
 from repro.core.blr2_ulv import BLR2ULVFactor
-from repro.core.hodlr_ulv import HODLRLeafSystem, HODLRULVFactor
+from repro.core.hodlr_ulv import hodlr_to_hss
 from repro.experiments.timing import best_of
 from repro.formats.blr2 import build_blr2
 from repro.formats.hodlr import build_hodlr
@@ -66,10 +66,8 @@ def _blr2_builder(blr2, policy):
 
 
 def _hodlr_builder(hodlr, policy):
-    system = HODLRLeafSystem(hodlr)
-    return LeafULVFactorizeBuilder(
-        system, HODLRULVFactor(hodlr=hodlr, system=system), policy=policy
-    )
+    # HODLR's factorize_dtd: the HSS-ULV graph of its exact HSS form.
+    return _hss_builder(hodlr_to_hss(hodlr), policy)
 
 
 @dataclass

@@ -13,8 +13,8 @@ where that promise is kept:
   assignment, distributed fragment collect/merge, comm-plan verification,
   RHS panel chaining) every format's graphs are built on.
 * :mod:`~repro.pipeline.factorize` / :mod:`~repro.pipeline.solve` -- the
-  concrete ULV factorize/solve builders: one multi-level (HSS) and one
-  leaf-level (BLR2, HODLR) of each.
+  concrete ULV factorize/solve builders: one multi-level (HSS, and HODLR
+  through its exact HSS form) and one leaf-level (BLR2) of each.
 * :mod:`~repro.pipeline.registry` -- :class:`FormatSpec` entries mapping a
   format name to (compressor, factorizer, solver); registering a spec gives
   the format every backend, the CLI ``--format`` flag and service caching

@@ -6,16 +6,17 @@ Two builders cover every format:
     The multi-level HSS-ULV graph (Fig. 8): per-node diagonal-product and
     partial-factorization tasks walking the tree from the leaves to the root,
     sibling Schur complements merged into the parent, one final root POTRF.
+    HODLR matrices use it through their exact HSS form
+    (:func:`~repro.core.hodlr_ulv.hodlr_to_hss`).
     :func:`build_hss_ulv_taskgraph` records the same graph *symbolically*
     from an :class:`~repro.formats.hss.HSSStructure` (sizes and ranks only)
     for the distributed-machine simulator.
 
 :class:`LeafULVFactorizeBuilder`
-    The single-level leaf-ULV graph (Alg. 1) over any *leaf system*
+    The single-level leaf-ULV graph (Alg. 1) over a *leaf system*
     (:mod:`repro.core.leaf_ulv`): per-row diagonal-product / partial-factor
     tasks, per-row merge of the permuted skeleton system, one merged POTRF.
-    BLR2 matrices use it directly; HODLR matrices use it through their exact
-    leaf view (:class:`~repro.core.hodlr_ulv.HODLRLeafSystem`).
+    BLR2 matrices use it.
 
 Every backend branch lives in :meth:`ExecutionPolicy.execute
 <repro.pipeline.policy.ExecutionPolicy.execute>`; these builders only record

@@ -192,31 +192,22 @@ def _blr2_factorize(matrix):
     return blr2_ulv_factorize(matrix)
 
 
-def _leaf_factorize_dtd(matrix_to_factor):
-    def factorize_dtd(matrix, *, policy):
-        from repro.pipeline.factorize import LeafULVFactorizeBuilder
+def _blr2_factorize_dtd(matrix, *, policy):
+    from repro.core.blr2_ulv import BLR2ULVFactor
+    from repro.pipeline.factorize import LeafULVFactorizeBuilder
 
-        system, factor = matrix_to_factor(matrix)
-        builder = LeafULVFactorizeBuilder(system, factor, policy=policy)
-        builder.execute()
-        return builder.result(), builder.runtime
-
-    return factorize_dtd
+    builder = LeafULVFactorizeBuilder(matrix, BLR2ULVFactor(blr2=matrix), policy=policy)
+    builder.execute()
+    return builder.result(), builder.runtime
 
 
-def _leaf_solve_dtd(factor, b, *, policy, refine=False, matvec=None, plans=None):
+def _blr2_solve_dtd(factor, b, *, policy, refine=False, matvec=None, plans=None):
     from repro.pipeline.solve import LeafULVSolveBuilder, solve_through_builder
 
     return solve_through_builder(
         LeafULVSolveBuilder, factor, b,
         policy=policy, refine=refine, matvec=matvec, default_op=factor.system, plans=plans,
     )
-
-
-def _blr2_system_and_factor(matrix):
-    from repro.core.blr2_ulv import BLR2ULVFactor
-
-    return matrix, BLR2ULVFactor(blr2=matrix)
 
 
 def _hodlr_build(kmat, *, leaf_size, max_rank, tol=None, method=None, seed=0):
@@ -252,11 +243,10 @@ def _hodlr_factorize(matrix):
     return hodlr_ulv_factorize(matrix)
 
 
-def _hodlr_system_and_factor(matrix):
-    from repro.core.hodlr_ulv import HODLRLeafSystem, HODLRULVFactor
+def _hodlr_factorize_dtd(matrix, *, policy):
+    from repro.core.hodlr_ulv import hodlr_to_hss
 
-    system = HODLRLeafSystem(matrix)
-    return system, HODLRULVFactor(hodlr=matrix, system=system)
+    return _hss_factorize_dtd(hodlr_to_hss(matrix), policy=policy)
 
 
 register_format(
@@ -278,8 +268,8 @@ register_format(
         title="BLR2",
         build=_blr2_build,
         factorize=_blr2_factorize,
-        factorize_dtd=_leaf_factorize_dtd(_blr2_system_and_factor),
-        solve_dtd=_leaf_solve_dtd,
+        factorize_dtd=_blr2_factorize_dtd,
+        solve_dtd=_blr2_solve_dtd,
         default_method="svd",
         compress_graph=_blr2_compress_graph,
     )
@@ -291,8 +281,8 @@ register_format(
         title="HODLR",
         build=_hodlr_build,
         factorize=_hodlr_factorize,
-        factorize_dtd=_leaf_factorize_dtd(_hodlr_system_and_factor),
-        solve_dtd=_leaf_solve_dtd,
+        factorize_dtd=_hodlr_factorize_dtd,
+        solve_dtd=_hss_solve_dtd,
         default_method="svd",
         compress_graph=_hodlr_compress_graph,
     )

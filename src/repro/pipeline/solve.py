@@ -10,12 +10,12 @@ the same code the sequential references run:
 
 :class:`HSSULVSolveBuilder`
     The multi-level graph (Eq. 17) over an
-    :class:`~repro.core.hss_ulv.HSSULVFactor`.
+    :class:`~repro.core.hss_ulv.HSSULVFactor` (of an HSS matrix, or of a
+    HODLR matrix's exact HSS form).
 
 :class:`LeafULVSolveBuilder`
-    The single-level graph (Eq. 15) over any leaf-ULV factor
-    (:class:`~repro.core.blr2_ulv.BLR2ULVFactor`,
-    :class:`~repro.core.hodlr_ulv.HODLRULVFactor`).
+    The single-level graph (Eq. 15) over a leaf-ULV factor
+    (:class:`~repro.core.blr2_ulv.BLR2ULVFactor`).
 
 Multi-RHS blocks are split into independent column panels, each carrying its
 own forward/root/backward task chain (scaffolded by
@@ -341,7 +341,7 @@ class HSSULVSolveBuilder(LevelULVSolveBuilder):
 class LeafULVSolveBuilder(LevelULVSolveBuilder):
     """The forward/root/backward leaf-ULV solve graph (Eq. 15) for one RHS block.
 
-    Works for any leaf-ULV factor (``system`` / ``level`` / ``merged_chol``):
+    Works for a leaf-ULV factor (``system`` / ``level`` / ``merged_chol``):
     the leaf factor is a one-level tree, so per panel one forward task, one
     root task against the merged Cholesky factor and one backward task (more
     only when the policy splits the block rows into owner chunks).

@@ -308,8 +308,8 @@ class SolveCase:
 
 
 #: The solve sweep: ragged leaves (n=1000: 62/63 rows, n=3000: 93/94 rows),
-#: tol-adaptive ranks, and the leaf formats (HODLR's exact leaf view has
-#: rank == block size, i.e. nothing redundant to eliminate).
+#: tol-adaptive ranks, the leaf format BLR2, and HODLR through its exact HSS
+#: form (125-row leaves of rank 120: ranks sum over the ancestors).
 SOLVE_CASES = (
     SolveCase("hss", 1000, 64, 30),
     SolveCase("hss", 1000, 64, 48, tol=1e-5),

@@ -518,20 +518,21 @@ class TestPersistence:
             fresh.load_cache(path)
         assert fresh.cached_keys == []
 
-    def test_previous_layout_refused_before_unpickling(self, tmp_path, monkeypatch):
-        """A layout-2 snapshot (square ``U`` stacks) is refused by its magic.
+    @staticmethod
+    def _refused_before_unpickling(tmp_path, monkeypatch, magic):
+        """Save a snapshot, restamp it with ``magic`` and check it is refused.
 
         The file is otherwise well formed -- a valid checksum over a valid
         blob -- so only the version byte stops it, and nothing is unpickled.
         """
         from repro.service import persistence
 
-        assert persistence.MAGIC == b"RPSC\x03"
+        assert persistence.MAGIC == b"RPSC\x04"
         path = tmp_path / "factors.bin"
         service = SolverService(backend="reference")
         service.solve(_rhs(1), **KEY)
         service.save_cache(path)
-        path.write_bytes(b"RPSC\x02" + path.read_bytes()[len(persistence.MAGIC) :])
+        path.write_bytes(magic + path.read_bytes()[len(persistence.MAGIC) :])
         unpickled = []
         monkeypatch.setattr(persistence.pickle, "loads", lambda *a, **k: unpickled.append(a))
         fresh = SolverService(backend="reference")
@@ -539,6 +540,33 @@ class TestPersistence:
             fresh.load_cache(path)
         assert unpickled == []
         assert fresh.cached_keys == []
+
+    def test_previous_layout_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A layout-2 snapshot (square ``U`` stacks) is refused by its magic."""
+        self._refused_before_unpickling(tmp_path, monkeypatch, b"RPSC\x02")
+
+    def test_layout_3_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A layout-3 snapshot (HODLR entries pickled as leaf-view factors) is refused."""
+        self._refused_before_unpickling(tmp_path, monkeypatch, b"RPSC\x03")
+
+    def test_hodlr_snapshot_stores_leaf_blocks_once(self, tmp_path):
+        """A HODLR factor's leaf blocks are the HODLR's own, before and after a reload."""
+        key = dict(KEY, format="hodlr")
+        path = tmp_path / "factors.bin"
+        service = SolverService(backend="reference")
+        x_before = service.solve(_rhs(1), **key)
+        service.save_cache(path)
+        fresh = SolverService(backend="reference")
+        assert fresh.load_cache(path) == 1
+        solver = fresh.solver_for(FactorKey.make(**key))
+        hss = solver.factor.hss
+
+        def leaves(node):
+            return [node] if node.is_leaf else leaves(node.left) + leaves(node.right)
+
+        for i, leaf in enumerate(leaves(solver.matrix.root)):
+            assert hss.node(hss.max_level, i).D is leaf.dense
+        np.testing.assert_array_equal(fresh.solve(_rhs(1), **key), x_before)
 
     def test_load_respects_capacity(self, tmp_path):
         path = tmp_path / "factors.bin"
