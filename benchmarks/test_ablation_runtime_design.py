@@ -19,9 +19,16 @@ from bench_utils import print_table
 
 from repro.distribution.strategies import BlockCyclicDistribution, RowCyclicDistribution
 from repro.formats.hss import HSSStructure
-from repro.pipeline.factorize import build_hss_ulv_taskgraph
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
 from repro.runtime.machine import fugaku_like
 from repro.runtime.simulator import simulate
+
+
+def _record(structure, nodes, distribution=None):
+    """The simulator's graph: the factorize builder's symbolic recording."""
+    policy = ExecutionPolicy(backend="deferred", nodes=nodes, distribution=distribution)
+    return HSSULVFactorizeBuilder(structure, policy=policy).record().runtime
 
 
 def _dtd_vs_ptg():
@@ -29,7 +36,7 @@ def _dtd_vs_ptg():
     for nodes in (16, 64, 128):
         n = 2048 * nodes
         structure = HSSStructure.synthetic(n, 512, 100)
-        graph = build_hss_ulv_taskgraph(structure, nodes=nodes).graph
+        graph = _record(structure, nodes=nodes).graph
         machine = fugaku_like(nodes)
         dtd = simulate(graph, machine, policy="async", dtd_mode="dtd")
         ptg = simulate(graph, machine, policy="async", dtd_mode="ptg")
@@ -59,10 +66,10 @@ def _row_vs_block_cyclic():
         n = 2048 * nodes
         structure = HSSStructure.synthetic(n, 512, 100)
         machine = fugaku_like(nodes)
-        g_row = build_hss_ulv_taskgraph(
+        g_row = _record(
             structure, nodes=nodes, distribution=RowCyclicDistribution(nodes, max_level=structure.max_level)
         ).graph
-        g_blk = build_hss_ulv_taskgraph(
+        g_blk = _record(
             structure, nodes=nodes, distribution=BlockCyclicDistribution(nodes)
         ).graph
         row = simulate(g_row, machine, policy="async")

@@ -14,7 +14,8 @@ from repro.core.hss_ulv import HSSULVFactor, hss_ulv_factorize
 from repro.distribution.strategies import BlockCyclicDistribution
 from repro.formats.hss import HSSMatrix, HSSStructure, build_hss
 from repro.kernels.assembly import KernelMatrix
-from repro.pipeline.factorize import build_hss_ulv_taskgraph
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
 from repro.runtime.dtd import DTDRuntime
 
 __all__ = ["build_strumpack_hss", "strumpack_factorize", "build_strumpack_taskgraph"]
@@ -66,6 +67,7 @@ def build_strumpack_taskgraph(
     The graph must be simulated with ``policy="forkjoin"`` to model the level
     barriers and collective communication of the bulk-synchronous execution.
     """
-    return build_hss_ulv_taskgraph(
-        structure, nodes=nodes, distribution=BlockCyclicDistribution(nodes)
+    policy = ExecutionPolicy(
+        backend="deferred", nodes=nodes, distribution=BlockCyclicDistribution(nodes)
     )
+    return HSSULVFactorizeBuilder(structure, policy=policy).record().runtime

@@ -45,6 +45,7 @@ class BLR2CompressBuilder(CompressGraphBuilder):
 
     def __init__(self, kernel_matrix, **kwargs) -> None:
         super().__init__(kernel_matrix, **kwargs)
+        self.tree.require_partitioned("BLR2")
         if self.method not in ("svd", "qr"):
             raise ValueError(f"unknown basis method {self.method!r}; use 'svd' or 'qr'")
         self.nblocks = len(self.tree.leaves)

@@ -35,6 +35,7 @@ class HODLRCompressBuilder(CompressGraphBuilder):
 
     def __init__(self, kernel_matrix, **kwargs) -> None:
         super().__init__(kernel_matrix, **kwargs)
+        self.tree.require_partitioned("HODLR")
         if self.method not in ("svd", "rsvd", "aca"):
             raise ValueError(f"unknown compression method {self.method!r}")
         self.max_level = self.tree.max_level

@@ -22,7 +22,8 @@ from repro.experiments.workloads import (
     lorapo_weak_scaling_schedule,
 )
 from repro.formats.hss import HSSStructure
-from repro.pipeline.factorize import build_hss_ulv_taskgraph
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
 from repro.runtime.machine import MachineConfig, fugaku_like
 from repro.runtime.simulator import simulate
 from repro.runtime.trace import SimulationResult
@@ -48,7 +49,8 @@ def simulate_hatrix(
     """Simulate HATRIX-DTD (HSS-ULV, asynchronous, row-cyclic) for one configuration."""
     machine = machine if machine is not None else fugaku_like(nodes)
     structure = HSSStructure.synthetic(n, leaf_size, rank)
-    graph = build_hss_ulv_taskgraph(structure, nodes=nodes).graph
+    policy = ExecutionPolicy(backend="deferred", nodes=nodes)
+    graph = HSSULVFactorizeBuilder(structure, policy=policy).record().runtime.graph
     return simulate(graph, machine.with_nodes(nodes), policy="async")
 
 

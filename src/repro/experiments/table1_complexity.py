@@ -18,7 +18,8 @@ from repro.baselines.dense_cholesky import build_dense_cholesky_taskgraph
 from repro.baselines.lorapo_like import build_blr_cholesky_taskgraph
 from repro.baselines.strumpack_like import build_strumpack_taskgraph
 from repro.formats.hss import HSSStructure
-from repro.pipeline.factorize import build_hss_ulv_taskgraph
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
+from repro.pipeline.policy import ExecutionPolicy
 
 __all__ = ["Table1Row", "run_table1", "format_table1"]
 
@@ -77,7 +78,8 @@ def run_table1(
 
     def hss_builder(n: int):
         structure = HSSStructure.synthetic(n, leaf_size, rank)
-        return build_hss_ulv_taskgraph(structure, nodes=nodes)
+        policy = ExecutionPolicy(backend="deferred", nodes=nodes)
+        return HSSULVFactorizeBuilder(structure, policy=policy).record().runtime
 
     def strumpack_builder(n: int):
         structure = HSSStructure.synthetic(n, leaf_size, rank)

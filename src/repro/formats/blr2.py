@@ -170,6 +170,7 @@ def build_blr2(
     """
     if tree is None:
         tree = build_cluster_tree(kernel_matrix.points, leaf_size=leaf_size)
+    tree.require_partitioned("BLR2")
     leaves = tree.leaves
 
     diag: Dict[int, np.ndarray] = {}

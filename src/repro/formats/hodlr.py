@@ -194,6 +194,7 @@ def build_hodlr(
     """
     if tree is None:
         tree = build_cluster_tree(kernel_matrix.points, leaf_size=leaf_size)
+    tree.require_partitioned("HODLR")
     if method not in ("svd", "rsvd", "aca"):
         raise ValueError(f"unknown compression method {method!r}")
 

@@ -299,11 +299,7 @@ def check_construction(
     tree: ClusterTree, method: str, max_rank: Optional[int], n_proxy: Optional[int]
 ) -> int:
     """Validate an HSS construction's tree and method; return its proxy count."""
-    if tree.max_level < 1:
-        raise ValueError(
-            "HSS requires at least one level of partitioning; "
-            "decrease leaf_size or increase N"
-        )
+    tree.require_partitioned("HSS")
     if method not in ("interpolative", "dense_rows"):
         raise ValueError(f"unknown construction method {method!r}")
     return n_proxy if n_proxy is not None else max(2 * (max_rank or 64), 128)
@@ -504,9 +500,12 @@ def build_hss(
 class HSSStructure:
     """Structural (rank/size only) description of an HSS matrix.
 
-    Used by the task-graph builders and the distributed-machine simulator to
-    generate the HSS-ULV task DAG for paper-scale problem sizes without doing
-    any numerical work.
+    The one interface :class:`~repro.pipeline.factorize.HSSULVFactorizeBuilder`
+    records from (:meth:`block_size` and :meth:`rank` of every node).  Built
+    from a matrix (:meth:`from_matrix`) it shapes the graph that executes;
+    passed to the builder directly, it yields the same graph symbolically, so
+    the distributed-machine simulator replays paper-scale problem sizes
+    without any numerical work.
 
     Attributes
     ----------
@@ -564,13 +563,11 @@ class HSSStructure:
         if size != leaf_size:
             raise ValueError("n must be leaf_size * 2**L")
         rank = min(rank, leaf_size)
-        ranks: Dict[Tuple[int, int], int] = {}
-        for level in range(1, max_level + 1):
-            for index in range(2**level):
-                if level == max_level:
-                    ranks[(level, index)] = min(rank, leaf_size)
-                else:
-                    ranks[(level, index)] = min(rank, 2 * rank)
+        ranks = {
+            (level, index): rank
+            for level in range(1, max_level + 1)
+            for index in range(2**level)
+        }
         return cls(n=n, leaf_size=leaf_size, max_level=max_level, ranks=ranks)
 
     def rank(self, level: int, index: int) -> int:
@@ -582,6 +579,3 @@ class HSSStructure:
         if level == self.max_level:
             return self.leaf_sizes.get(index, self.n // 2**self.max_level)
         return self.rank(level + 1, 2 * index) + self.rank(level + 1, 2 * index + 1)
-
-    def num_blocks(self, level: int) -> int:
-        return 2**level

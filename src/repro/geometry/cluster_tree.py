@@ -148,6 +148,14 @@ class ClusterTree:
         """Number of levels including the root."""
         return len(self._levels)
 
+    def require_partitioned(self, fmt: str) -> None:
+        """Refuse a single-leaf tree: every ULV format needs at least one split."""
+        if self.max_level < 1:
+            raise ValueError(
+                f"{fmt} requires at least one level of partitioning; "
+                "decrease leaf_size or increase N"
+            )
+
     def level_nodes(self, level: int) -> List[ClusterNode]:
         """All nodes at ``level`` ordered by index range."""
         return self._levels[level]

@@ -25,8 +25,10 @@ This is the one front door to the task graphs: a format's
 policy=ExecutionPolicy(...))``, or a builder constructed directly under a
 policy (``Builder(..., policy=ExecutionPolicy(backend="deferred")).record()``
 gives a recorded graph that has not run yet).  Every builder records into the
-runtime its policy makes.  The registry imports ``repro.pipeline.factorize``
-/ ``repro.pipeline.solve`` on first use.
+runtime its policy makes, except that the HSS-ULV factorize builder given an
+:class:`~repro.formats.hss.HSSStructure` records the same graph symbolically
+for the simulator.  The registry imports ``repro.pipeline.factorize`` /
+``repro.pipeline.solve`` on first use.
 """
 
 from repro.pipeline.panels import apply_operator, column_panels, refine_once

@@ -7,10 +7,10 @@ Two builders cover every format:
     partial-factorization tasks walking the tree from the leaves to the root,
     sibling Schur complements merged into the parent, one final root POTRF.
     HODLR matrices use it through their exact HSS form
-    (:func:`~repro.core.hodlr_ulv.hodlr_to_hss`).
-    :func:`build_hss_ulv_taskgraph` records the same graph *symbolically*
-    from an :class:`~repro.formats.hss.HSSStructure` (sizes and ranks only)
-    for the distributed-machine simulator.
+    (:func:`~repro.core.hodlr_ulv.hodlr_to_hss`).  Given an
+    :class:`~repro.formats.hss.HSSStructure` (sizes and ranks only) instead
+    of a matrix, the same builder records the same graph *symbolically*, for
+    the distributed-machine simulator.
 
 :class:`LeafULVFactorizeBuilder`
     The single-level leaf-ULV graph (Alg. 1) over a *leaf system*
@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.hss_ulv import HSSULVFactor, merge_siblings
 from repro.core.leaf_ulv import assemble_merged_row
 from repro.core.partial_cholesky import partial_cholesky
-from repro.distribution.strategies import DistributionStrategy, RowCyclicDistribution
 from repro.formats.hss import HSSStructure
 from repro.pipeline.builder import GraphBuilder
 from repro.runtime.dtd import DTDRuntime
@@ -46,7 +45,6 @@ from repro.runtime.task import AccessMode
 
 __all__ = [
     "HSSULVFactorizeBuilder",
-    "build_hss_ulv_taskgraph",
     "LeafULVFactorizeBuilder",
     "leaf_virtual_level",
 ]
@@ -63,13 +61,26 @@ def leaf_virtual_level(nblocks: int) -> int:
 
 
 class HSSULVFactorizeBuilder(GraphBuilder):
-    """Record (and execute) the HSS-ULV factorization task graph."""
+    """Record (and execute) the HSS-ULV factorization task graph.
+
+    ``hss`` is an :class:`~repro.formats.hss.HSSMatrix` or an
+    :class:`~repro.formats.hss.HSSStructure`.  Recording reads only the
+    structure (tree depth, block sizes, ranks); the task bodies read the
+    matrix.  Given a structure, the builder records the same graph into a
+    ``symbolic`` runtime, which drops the bodies and allocates no factor:
+    that is the graph the distributed-machine simulator replays at paper
+    scale (N up to 262,144).  A symbolic graph cannot execute.
+    """
 
     def __init__(self, hss, *, policy=None) -> None:
         super().__init__(policy=policy)
-        self.hss = hss
-        self.max_level = hss.max_level
-        self.factor = HSSULVFactor(hss=hss)
+        if isinstance(hss, HSSStructure):
+            self.hss, self.structure, self.factor = None, hss, None
+            self.runtime = DTDRuntime(execution="symbolic")
+        else:
+            self.hss, self.structure = hss, HSSStructure.from_matrix(hss)
+            self.factor = HSSULVFactor(hss=hss)
+        self.max_level = self.structure.max_level
         # Mutable stores the task bodies operate on.
         self._diag: Dict[Tuple[int, int], np.ndarray] = {}
         self._schur: Dict[Tuple[int, int], np.ndarray] = {}
@@ -82,52 +93,61 @@ class HSSULVFactorizeBuilder(GraphBuilder):
         self._u: Dict[Tuple[int, int], object] = {}
 
     def declare_handles(self) -> None:
-        hss, max_level = self.hss, self.max_level
+        st, max_level = self.structure, self.max_level
         for level in range(max_level, -1, -1):
             for i in range(2**level):
-                m = hss.block_size(level, i)
-                # The D/SCHUR handles are bound to the mutable stores so the
-                # distributed backend can move their values between processes.
-                self._d[(level, i)] = self.handle(
-                    f"D[{level};{i}]", 8 * m * m, level=level, row=i
-                ).bind_item(self._diag, (level, i))
+                m = st.block_size(level, i)
+                self._d[(level, i)] = self._bound(
+                    self.handle(f"D[{level};{i}]", 8 * m * m, level=level, row=i),
+                    self._diag,
+                    (level, i),
+                )
                 if level > 0:
-                    node = hss.node(level, i)
+                    r = st.rank(level, i)
                     self._u[(level, i)] = self.handle(
-                        f"U[{level};{i}]", 8 * m * node.rank, level=level, row=i
+                        f"U[{level};{i}]", 8 * m * r, level=level, row=i
                     )
-                    self._schur_h[(level, i)] = self.handle(
-                        f"SCHUR[{level};{i}]", 8 * node.rank**2, level=level, row=i
-                    ).bind_item(self._schur, (level, i))
+                    self._schur_h[(level, i)] = self._bound(
+                        self.handle(f"SCHUR[{level};{i}]", 8 * r * r, level=level, row=i),
+                        self._schur,
+                        (level, i),
+                    )
         for level in range(1, max_level + 1):
             for k in range(2 ** (level - 1)):
-                ri = hss.node(level, 2 * k + 1).rank
-                rj = hss.node(level, 2 * k).rank
                 self._s[(level, k)] = self.handle(
                     f"S[{level};{2 * k + 1},{2 * k}]",
-                    8 * ri * rj,
+                    8 * st.rank(level, 2 * k + 1) * st.rank(level, 2 * k),
                     level=level,
                     row=2 * k + 1,
                     col=2 * k,
                 )
 
+    def _bound(self, handle, store, key):
+        # The D/SCHUR handles are bound to the mutable stores so the
+        # distributed backend can move their values between processes; a
+        # symbolic graph has no values to move.
+        return handle if self.hss is None else handle.bind_item(store, key)
+
     def seed(self) -> None:
+        if self.hss is None:
+            return
         # The task bodies replace D blocks, never write into them.
         for i in range(2**self.max_level):
             self._diag[(self.max_level, i)] = self.hss.node(self.max_level, i).D
 
     def record_tasks(self) -> None:
-        hss, max_level = self.hss, self.max_level
+        hss, st, max_level = self.hss, self.structure, self.max_level
         factor, diag, schur, done = self.factor, self._diag, self._schur, self._done
         for level in range(max_level, 0, -1):
             # Phases increase as the factorization walks leaves -> root.
             self.set_phase(max_level - level)
             for i in range(2**level):
-                node = hss.node(level, i)
-                m = hss.block_size(level, i)
+                m, r = st.block_size(level, i), st.rank(level, i)
 
-                def diag_product(level=level, i=i, node=node) -> None:
-                    diag[(level, i)] = factor.levels[level].set_basis(i, node.U, diag[(level, i)])
+                def diag_product(level=level, i=i) -> None:
+                    diag[(level, i)] = factor.levels[level].set_basis(
+                        i, hss.node(level, i).U, diag[(level, i)]
+                    )
 
                 self.insert(
                     diag_product,
@@ -137,11 +157,11 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                     ],
                     name=f"DIAG_PRODUCT[{level};{i}]",
                     kind="DIAG_PRODUCT",
-                    flops=flops_diag_product(m, node.rank),
+                    flops=flops_diag_product(m, r),
                 )
 
-                def partial_factor(level=level, i=i, node=node) -> None:
-                    part = partial_cholesky(diag[(level, i)], node.rank)
+                def partial_factor(level=level, i=i, r=r) -> None:
+                    part = partial_cholesky(diag[(level, i)], r)
                     schur[(level, i)] = factor.levels[level].set_partial(i, part)
                     done.add((level, i))
 
@@ -153,7 +173,7 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                     ],
                     name=f"PARTIAL_FACTOR[{level};{i}]",
                     kind="PARTIAL_FACTOR",
-                    flops=flops_partial_factor(m, node.rank),
+                    flops=flops_partial_factor(m, r),
                 )
 
             for k in range(2 ** (level - 1)):
@@ -186,7 +206,7 @@ class HSSULVFactorizeBuilder(GraphBuilder):
             [(self._d[(0, 0)], AccessMode.RW)],
             name="ROOT_POTRF",
             kind="POTRF",
-            flops=flops_potrf(hss.block_size(0, 0)),
+            flops=flops_potrf(st.block_size(0, 0)),
         )
 
     # Runs inside each worker: ship back the factor pieces its local tasks
@@ -206,118 +226,21 @@ class HSSULVFactorizeBuilder(GraphBuilder):
             self.factor.root_chol = fragment["root_chol"]
 
     def execute(self, *, timeout: Optional[float] = None):
+        self._require_matrix()
         report = super().execute(timeout=timeout)
         self.factor.check_finite()
         return report
 
     def result(self) -> HSSULVFactor:
+        self._require_matrix()
         return self.factor
 
-
-def build_hss_ulv_taskgraph(
-    structure: HSSStructure,
-    *,
-    nodes: int = 1,
-    distribution: Optional[DistributionStrategy] = None,
-) -> DTDRuntime:
-    """Build the HSS-ULV task graph symbolically from a structural description.
-
-    The graph has exactly the same tasks, dependencies, flop counts, handle
-    sizes and owners as :class:`HSSULVFactorizeBuilder` records for the
-    matrix the structure describes, but no numerical payloads -- so the
-    distributed-machine simulator can replay paper-scale problems (N up to
-    262,144) without any numerical work.
-    """
-    rt = DTDRuntime(execution="symbolic")
-    max_level = structure.max_level
-
-    d_handle: Dict[Tuple[int, int], object] = {}
-    s_handle: Dict[Tuple[int, int], object] = {}
-    schur_handle: Dict[Tuple[int, int], object] = {}
-    u_handle: Dict[Tuple[int, int], object] = {}
-
-    for level in range(max_level, -1, -1):
-        for i in range(structure.num_blocks(level)):
-            m = structure.block_size(level, i)
-            d_handle[(level, i)] = rt.new_handle(
-                f"D[{level};{i}]", nbytes=8 * m * m, level=level, row=i, max_level=max_level
+    def _require_matrix(self) -> None:
+        if self.hss is None:
+            raise RuntimeError(
+                "a graph recorded from an HSSStructure is symbolic; it cannot run "
+                "and has no factor"
             )
-            if level > 0:
-                r = structure.rank(level, i)
-                u_handle[(level, i)] = rt.new_handle(
-                    f"U[{level};{i}]", nbytes=8 * m * r, level=level, row=i, max_level=max_level
-                )
-                schur_handle[(level, i)] = rt.new_handle(
-                    f"SCHUR[{level};{i}]", nbytes=8 * r * r, level=level, row=i, max_level=max_level
-                )
-    for level in range(1, max_level + 1):
-        for k in range(2 ** (level - 1)):
-            ri = structure.rank(level, 2 * k + 1)
-            rj = structure.rank(level, 2 * k)
-            s_handle[(level, k)] = rt.new_handle(
-                f"S[{level};{2 * k + 1},{2 * k}]",
-                nbytes=8 * ri * rj,
-                level=level,
-                row=2 * k + 1,
-                col=2 * k,
-                max_level=max_level,
-            )
-
-    strategy = distribution if distribution is not None else RowCyclicDistribution(nodes, max_level=max_level)
-    strategy.assign(rt.handles)
-
-    for level in range(max_level, 0, -1):
-        phase = max_level - level
-        for i in range(structure.num_blocks(level)):
-            m = structure.block_size(level, i)
-            r = structure.rank(level, i)
-            rt.insert_task(
-                None,
-                [
-                    (u_handle[(level, i)], AccessMode.READ),
-                    (d_handle[(level, i)], AccessMode.RW),
-                ],
-                name=f"DIAG_PRODUCT[{level};{i}]",
-                kind="DIAG_PRODUCT",
-                flops=flops_diag_product(m, r),
-                phase=phase,
-            )
-            rt.insert_task(
-                None,
-                [
-                    (d_handle[(level, i)], AccessMode.RW),
-                    (schur_handle[(level, i)], AccessMode.WRITE),
-                ],
-                name=f"PARTIAL_FACTOR[{level};{i}]",
-                kind="PARTIAL_FACTOR",
-                flops=flops_partial_factor(m, r),
-                phase=phase,
-            )
-        for k in range(2 ** (level - 1)):
-            rt.insert_task(
-                None,
-                [
-                    (schur_handle[(level, 2 * k)], AccessMode.READ),
-                    (schur_handle[(level, 2 * k + 1)], AccessMode.READ),
-                    (s_handle[(level, k)], AccessMode.READ),
-                    (d_handle[(level - 1, k)], AccessMode.WRITE),
-                ],
-                name=f"MERGE[{level - 1};{k}]",
-                kind="MERGE",
-                flops=0.0,
-                phase=phase,
-            )
-
-    m0 = structure.block_size(0, 0)
-    rt.insert_task(
-        None,
-        [(d_handle[(0, 0)], AccessMode.RW)],
-        name="ROOT_POTRF",
-        kind="POTRF",
-        flops=flops_potrf(m0),
-        phase=max_level,
-    )
-    return rt
 
 
 class LeafULVFactorizeBuilder(GraphBuilder):

@@ -40,8 +40,11 @@ A :class:`~repro.runtime.dtd.DTDRuntime` records in one of two modes:
     pool via :meth:`~repro.runtime.dtd.DTDRuntime.run_parallel`, or across
     worker processes via :meth:`~repro.runtime.dtd.DTDRuntime.run_distributed`.
 ``symbolic``
-    Bodies are never run; only the graph (block sizes, flops, bytes) is
-    recorded.  Used to generate paper-scale DAGs for the machine simulator.
+    Bodies are dropped, so nothing executes; only the graph's structure
+    (block sizes, flops, bytes, owners) is kept.  The HSS-ULV factorize builder
+    (:class:`~repro.pipeline.factorize.HSSULVFactorizeBuilder`) records into
+    it when given an :class:`~repro.formats.hss.HSSStructure` instead of a
+    matrix, so the machine simulator replays the same graph that executes.
 
 The graph builders of :mod:`repro.pipeline` select among these through an
 :class:`~repro.pipeline.policy.ExecutionPolicy` backend

@@ -22,8 +22,12 @@ Execution modes
     :meth:`DTDRuntime.run_distributed` (across forked worker processes, via
     :func:`repro.runtime.distributed.execute_graph_distributed`) is called.
 ``symbolic``
-    Bodies are never run; only the graph (block sizes, flops, bytes) is
-    recorded.  Used to generate paper-scale DAGs for the machine simulator.
+    Bodies are dropped at insertion, so nothing executes; only the graph's
+    structure (block sizes, flops, bytes, owners) is kept.
+    :class:`~repro.pipeline.factorize.HSSULVFactorizeBuilder` records into
+    this mode when given an :class:`~repro.formats.hss.HSSStructure`, so the
+    machine simulator replays the factorization graph that executes, at
+    paper scale.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from repro.compress.verify import assert_compressed_identical
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
 from repro.pipeline.panels import column_panels
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import available_formats, get_format
@@ -54,6 +55,8 @@ __all__ = [
     "SOLVE_CASES",
     "solve_case_solver",
     "factorize_graph",
+    "recorded_factorize",
+    "graph_census",
     "solve_graph",
 ]
 
@@ -339,6 +342,32 @@ def factorize_graph(fmt: str, matrix, backend: str = "deferred", **policy):
     return get_format(fmt).factorize_dtd(
         matrix, policy=ExecutionPolicy(backend=backend, **policy)
     )
+
+
+def recorded_factorize(hss, **policy):
+    """The recorded, unexecuted HSS-ULV factorize runtime under a ``deferred`` policy.
+
+    ``hss`` is an ``HSSMatrix`` or an ``HSSStructure`` (a symbolic graph).
+    """
+    return HSSULVFactorizeBuilder(
+        hss, policy=ExecutionPolicy(backend="deferred", **policy)
+    ).record().runtime
+
+
+def graph_census(runtime):
+    """Everything the simulator reads of a recorded graph, in a comparable form.
+
+    Returns ``(tasks, edges, handles)``: each task's name, kind, phase, flops
+    and owner in insertion order; the edge set as (predecessor name, task
+    name); each handle's name, byte size and owner in declaration order.
+    """
+    graph = runtime.graph
+    tasks = [(t.name, t.kind, t.phase, t.flops, t.owner_process()) for t in graph.tasks]
+    edges = {
+        (graph.task(p).name, t.name) for t in graph.tasks for p in graph.predecessors(t.tid)
+    }
+    handles = [(h.name, h.nbytes, h.owner) for h in runtime.handles]
+    return tasks, edges, handles
 
 
 def solve_graph(

@@ -87,10 +87,10 @@ class TestTaskGraph:
 
     def test_more_flops_than_hss(self):
         """The BLR tile Cholesky does asymptotically more work than HSS-ULV (Table 1)."""
-        from repro.pipeline.factorize import build_hss_ulv_taskgraph
+        from harness import recorded_factorize
         from repro.formats.hss import HSSStructure
 
         n = 32768
         blr = build_blr_cholesky_taskgraph(n, 2048, 256, nodes=4).graph.total_flops()
-        hss = build_hss_ulv_taskgraph(HSSStructure.synthetic(n, 512, 100), nodes=4).graph.total_flops()
+        hss = recorded_factorize(HSSStructure.synthetic(n, 512, 100), nodes=4).graph.total_flops()
         assert blr > 3 * hss

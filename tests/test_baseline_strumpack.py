@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from harness import recorded_factorize
 
 from repro.baselines.strumpack_like import (
     build_strumpack_hss,
@@ -9,7 +10,6 @@ from repro.baselines.strumpack_like import (
     strumpack_factorize,
 )
 from repro.formats.hss import HSSStructure
-from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.runtime.machine import fugaku_like
 from repro.runtime.simulator import simulate
 
@@ -43,7 +43,7 @@ class TestNumerics:
 class TestTaskGraph:
     def test_same_tasks_different_distribution(self):
         structure = HSSStructure.synthetic(8192, 256, 64)
-        rt_hatrix = build_hss_ulv_taskgraph(structure, nodes=8)
+        rt_hatrix = recorded_factorize(structure, nodes=8)
         rt_strumpack = build_strumpack_taskgraph(structure, nodes=8)
         assert rt_hatrix.num_tasks == rt_strumpack.num_tasks
         assert rt_hatrix.graph.total_flops() == pytest.approx(rt_strumpack.graph.total_flops())

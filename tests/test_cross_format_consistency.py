@@ -15,12 +15,15 @@ import numpy as np
 import pytest
 from harness import solve_graph
 
+from repro.api import StructuredSolver
 from repro.core.blr2_ulv import blr2_ulv_factorize
 from repro.core.hss_ulv import hss_ulv_factorize
 from repro.formats.blr import build_blr
 from repro.formats.blr2 import build_blr2
 from repro.formats.hodlr import build_hodlr
 from repro.formats.hss import build_hss
+from repro.pipeline.policy import BACKENDS
+from repro.pipeline.registry import available_formats
 
 LEAF_SIZES = (32, 64)
 MAX_RANK = 40
@@ -192,3 +195,16 @@ class TestMultiRHSSolveAcrossBackends:
         x_hss = hss_factor.solve(b)
         x_blr2 = blr2_factor.solve(b)
         assert np.linalg.norm(x_hss - x_blr2) / np.linalg.norm(x_hss) < 2 * SOLVE_TOL
+
+
+class TestSingleLeafRefused:
+    """n <= leaf_size has no partitioning: every format refuses it at build time."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("fmt", available_formats())
+    def test_typed_error_on_every_compress_backend(self, fmt, backend):
+        with pytest.raises(ValueError, match="at least one level of partitioning"):
+            StructuredSolver.from_kernel(
+                "yukawa", 100, format=fmt, leaf_size=128, max_rank=16,
+                compress_runtime=backend, compress_nodes=2, compress_workers=2,
+            )

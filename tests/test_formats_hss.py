@@ -119,7 +119,7 @@ class TestHSSStructure:
     def test_synthetic(self):
         s = HSSStructure.synthetic(n=4096, leaf_size=256, rank=50)
         assert s.max_level == 4
-        assert s.num_blocks(4) == 16
+        assert sum(1 for level, _ in s.ranks if level == 4) == 16
         assert s.rank(4, 3) == 50
         assert s.block_size(3, 0) == 100
         assert s.block_size(4, 0) == 256

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from harness import factorize_graph, solve_graph
+from harness import factorize_graph, graph_census, recorded_factorize, solve_graph
 
 from repro.compress.hodlr import build_hodlr_dtd
 from repro.core.hodlr_ulv import hodlr_to_hss, hodlr_ulv_factorize
@@ -17,7 +17,6 @@ from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import Yukawa
 from repro.lowrank.block import LowRankBlock
-from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.pipeline.registry import get_format
 
 needs_fork = pytest.mark.skipif(
@@ -195,28 +194,26 @@ class TestSequentialReference:
         assert hodlr_factor.logdet() == pytest.approx(ld, rel=1e-10)
 
 
+@pytest.fixture(scope="module", params=[1024, 1001], ids=lambda n: f"n{n}")
+def hodlr_sized(request):
+    """n = 1024 has uniform leaves; n = 1001 is ragged."""
+    kmat = KernelMatrix(Yukawa(), uniform_grid_2d(request.param))
+    return build_hodlr(kmat, leaf_size=128, max_rank=40)
+
+
 class TestGraph:
     """The HODLR graph is the HSS-ULV graph of the converted matrix."""
 
+    @pytest.mark.parametrize("distribution", ("row", "block"))
     @pytest.mark.parametrize("nodes", (1, 4))
-    def test_matches_symbolic_graph(self, hodlr, nodes):
-        _, rt = factorize_graph("hodlr", hodlr, nodes=nodes)
-        symbolic = build_hss_ulv_taskgraph(
-            HSSStructure.from_matrix(hodlr_to_hss(hodlr)), nodes=nodes
+    def test_matches_symbolic_graph(self, hodlr_sized, nodes, distribution):
+        _, rt = factorize_graph("hodlr", hodlr_sized, nodes=nodes, distribution=distribution)
+        symbolic = recorded_factorize(
+            HSSStructure.from_matrix(hodlr_to_hss(hodlr_sized)),
+            nodes=nodes,
+            distribution=distribution,
         )
-
-        def census(runtime):
-            graph = runtime.graph
-            tasks = [(t.name, t.kind, t.flops, t.owner_process()) for t in graph.tasks]
-            edges = {
-                (graph.task(p).name, t.name) for t in graph.tasks for p in graph.predecessors(t.tid)
-            }
-            return tasks, edges
-
-        assert census(symbolic) == census(rt)
-        assert [(h.name, h.owner) for h in symbolic.handles] == [
-            (h.name, h.owner) for h in rt.handles
-        ]
+        assert graph_census(symbolic) == graph_census(rt)
 
     def test_factor_flops_equal_the_recorded_tasks(self, hodlr):
         factor, rt = factorize_graph("hodlr", hodlr)

@@ -2,19 +2,18 @@
 
 import numpy as np
 import pytest
-from harness import factorize_graph
+from harness import factorize_graph, graph_census
 
 from repro.core.hss_ulv import hss_ulv_factorize
 from repro.distribution.strategies import (
     BlockCyclicDistribution,
     RowCyclicDistribution,
-    strategy_by_name,
 )
 from repro.formats.hss import HSSStructure, build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import Yukawa
-from repro.pipeline.factorize import HSSULVFactorizeBuilder, build_hss_ulv_taskgraph
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
 from repro.pipeline.policy import ExecutionPolicy
 
 
@@ -143,18 +142,25 @@ class TestSymbolicGraph:
     @pytest.mark.parametrize("nodes", [1, 2, 4])
     def test_matches_recorded_graph_exactly(self, hss_sized, nodes, distribution):
         """The simulator's graph is the recorded one, task by task and handle by handle."""
-        rt_num = recorded(hss_sized, nodes=nodes, distribution=distribution).runtime
-        structure = HSSStructure.from_matrix(hss_sized)
-        rt_sym = build_hss_ulv_taskgraph(
-            structure,
-            nodes=nodes,
-            distribution=strategy_by_name(distribution, nodes, max_level=structure.max_level),
+        numeric = recorded(hss_sized, nodes=nodes, distribution=distribution)
+        symbolic = recorded(
+            HSSStructure.from_matrix(hss_sized), nodes=nodes, distribution=distribution
         )
-        census = lambda rt: [(t.name, t.kind, t.phase, t.flops) for t in rt.graph.tasks]  # noqa: E731
-        handles = lambda rt: [(h.name, h.nbytes, h.owner) for h in rt.handles]  # noqa: E731
-        assert census(rt_sym) == census(rt_num)
-        assert rt_sym.graph.num_edges == rt_num.graph.num_edges
-        assert handles(rt_sym) == handles(rt_num)
+        assert symbolic.runtime.execution == "symbolic"
+        assert graph_census(symbolic.runtime) == graph_census(numeric.runtime)
+        assert symbolic.runtime.graph.num_edges == numeric.runtime.graph.num_edges
+
+    def test_handle_sizes_follow_the_matrix(self, hss_sized):
+        """Both recordings read HSSStructure, so tie it to the matrix's own nodes."""
+        rt = recorded(hss_sized).runtime
+        for level in range(hss_sized.max_level, -1, -1):
+            for i in range(2**level):
+                m = hss_sized.block_size(level, i)
+                assert rt.handle(f"D[{level};{i}]").nbytes == 8 * m * m
+                if level > 0:
+                    r = hss_sized.node(level, i).rank
+                    assert rt.handle(f"U[{level};{i}]").nbytes == 8 * m * r
+                    assert rt.handle(f"SCHUR[{level};{i}]").nbytes == 8 * r * r
 
     def test_ragged_leaf_sizes_are_kept(self, hss_sized):
         structure = HSSStructure.from_matrix(hss_sized)
@@ -165,16 +171,25 @@ class TestSymbolicGraph:
         assert sum(leaves) == hss_sized.n
 
     def test_symbolic_has_no_payloads(self):
-        structure = HSSStructure.synthetic(2048, 128, 30)
-        rt = build_hss_ulv_taskgraph(structure, nodes=8)
+        """Paper scale records bodiless, with no factor stacks, and refuses to run."""
+        builder = recorded(HSSStructure.synthetic(262144, 256, 64), nodes=128)
+        rt = builder.runtime
+        assert rt.num_tasks == 5116 and len(rt.handles) == 7162
         assert all(t.func is None for t in rt.graph.tasks)
         rt.validate()
+        assert builder.factor is None and builder.hss is None
+        assert not builder._diag and not builder._schur
+        assert not any(h.bound for h in rt.handles)
+        with pytest.raises(RuntimeError, match="symbolic"):
+            builder.execute()
+        with pytest.raises(RuntimeError, match="symbolic"):
+            builder.result()
 
     def test_flops_scale_linearly_with_n(self):
         flops = []
         for n in (2048, 4096, 8192):
             structure = HSSStructure.synthetic(n, 128, 30)
-            flops.append(build_hss_ulv_taskgraph(structure, nodes=4).graph.total_flops())
+            flops.append(recorded(structure, nodes=4).runtime.graph.total_flops())
         ratio1 = flops[1] / flops[0]
         ratio2 = flops[2] / flops[1]
         assert 1.8 < ratio1 < 2.2
@@ -182,8 +197,8 @@ class TestSymbolicGraph:
 
     def test_row_cyclic_vs_block_cyclic_ownership(self):
         structure = HSSStructure.synthetic(2048, 128, 30)
-        rt_row = build_hss_ulv_taskgraph(structure, nodes=4, distribution=RowCyclicDistribution(4))
-        rt_blk = build_hss_ulv_taskgraph(structure, nodes=4, distribution=BlockCyclicDistribution(4))
+        rt_row = recorded(structure, nodes=4, distribution=RowCyclicDistribution(4)).runtime
+        rt_blk = recorded(structure, nodes=4, distribution=BlockCyclicDistribution(4)).runtime
         owners_row = {h.name: h.owner for h in rt_row.handles}
         owners_blk = {h.name: h.owner for h in rt_blk.handles}
         assert owners_row != owners_blk

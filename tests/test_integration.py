@@ -9,7 +9,7 @@ Fig. 9-12).
 
 import numpy as np
 import pytest
-from harness import factorize_graph
+from harness import factorize_graph, recorded_factorize
 
 from repro.analysis.errors import construction_error, solve_error
 from repro.baselines.lorapo_like import blr_cholesky_factorize
@@ -20,7 +20,6 @@ from repro.formats.hss import HSSStructure, build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import PAPER_KERNELS
-from repro.pipeline.factorize import build_hss_ulv_taskgraph
 from repro.runtime.machine import fugaku_like
 from repro.runtime.simulator import simulate
 
@@ -85,7 +84,7 @@ class TestPerformancePipeline:
         for nodes in (2, 8, 32):
             n = 2048 * nodes
             structure = HSSStructure.synthetic(n, 512, 100)
-            graph = build_hss_ulv_taskgraph(structure, nodes=nodes).graph
+            graph = recorded_factorize(structure, nodes=nodes).graph
             res = simulate(graph, fugaku_like(nodes), policy="async")
             times.append(res.makespan)
         # Weak scaling: time grows far slower than the 16x problem growth.
@@ -102,8 +101,8 @@ class TestPerformancePipeline:
     def test_structure_from_real_matrix_matches_synthetic_cost(self, kmat_medium):
         """Symbolic cost from a constructed HSS is close to the synthetic model."""
         hss = build_hss(kmat_medium, leaf_size=128, max_rank=40)
-        real = build_hss_ulv_taskgraph(HSSStructure.from_matrix(hss), nodes=4).graph.total_flops()
-        synthetic = build_hss_ulv_taskgraph(
+        real = recorded_factorize(HSSStructure.from_matrix(hss), nodes=4).graph.total_flops()
+        synthetic = recorded_factorize(
             HSSStructure.synthetic(1024, 128, 40), nodes=4
         ).graph.total_flops()
         assert real <= synthetic * 1.1

@@ -132,10 +132,10 @@ class TestFactorizeFlopAccounting:
 
     def test_symbolic_graph_flops_equal_the_recorded_graph(self, recorded):
         from repro.formats.hss import HSSStructure
-        from repro.pipeline.factorize import build_hss_ulv_taskgraph
+        from harness import recorded_factorize
 
         hss, builder = recorded
-        symbolic = build_hss_ulv_taskgraph(HSSStructure.from_matrix(hss)).graph
+        symbolic = recorded_factorize(HSSStructure.from_matrix(hss)).graph
         real = {t.name: t.flops for t in builder.runtime.graph.tasks}
         assert {t.name: t.flops for t in symbolic.tasks} == real
         assert any(name.startswith("DIAG_PRODUCT") and f > 0 for name, f in real.items())
