@@ -25,18 +25,13 @@ from repro.runtime.machine import fugaku_like
 from repro.runtime.simulator import simulate
 
 
-def _record(structure, nodes, distribution=None):
-    """The simulator's graph: the factorize builder's symbolic recording."""
-    policy = ExecutionPolicy(backend="deferred", nodes=nodes, distribution=distribution)
-    return HSSULVFactorizeBuilder(structure, policy=policy).record().runtime
-
-
 def _dtd_vs_ptg():
     rows = []
     for nodes in (16, 64, 128):
         n = 2048 * nodes
         structure = HSSStructure.synthetic(n, 512, 100)
-        graph = _record(structure, nodes=nodes).graph
+        policy = ExecutionPolicy(backend="deferred", nodes=nodes)
+        graph = HSSULVFactorizeBuilder(structure, policy=policy).record().runtime.graph
         machine = fugaku_like(nodes)
         dtd = simulate(graph, machine, policy="async", dtd_mode="dtd")
         ptg = simulate(graph, machine, policy="async", dtd_mode="ptg")
@@ -66,12 +61,12 @@ def _row_vs_block_cyclic():
         n = 2048 * nodes
         structure = HSSStructure.synthetic(n, 512, 100)
         machine = fugaku_like(nodes)
-        g_row = _record(
-            structure, nodes=nodes, distribution=RowCyclicDistribution(nodes, max_level=structure.max_level)
-        ).graph
-        g_blk = _record(
-            structure, nodes=nodes, distribution=BlockCyclicDistribution(nodes)
-        ).graph
+        g_row, g_blk = (
+            HSSULVFactorizeBuilder(
+                structure, policy=ExecutionPolicy(backend="deferred", nodes=nodes, distribution=d)
+            ).record().runtime.graph
+            for d in (RowCyclicDistribution(nodes, max_level=structure.max_level), BlockCyclicDistribution(nodes))
+        )
         row = simulate(g_row, machine, policy="async")
         blk = simulate(g_blk, machine, policy="async")
         rows.append(

@@ -97,21 +97,19 @@ class HSSULVFactorizeBuilder(GraphBuilder):
         for level in range(max_level, -1, -1):
             for i in range(2**level):
                 m = st.block_size(level, i)
-                self._d[(level, i)] = self._bound(
-                    self.handle(f"D[{level};{i}]", 8 * m * m, level=level, row=i),
-                    self._diag,
-                    (level, i),
-                )
+                # The D/SCHUR handles are bound to the mutable stores so the
+                # distributed backend can move their values between processes.
+                self._d[(level, i)] = self.handle(
+                    f"D[{level};{i}]", 8 * m * m, level=level, row=i
+                ).bind_item(self._diag, (level, i))
                 if level > 0:
                     r = st.rank(level, i)
                     self._u[(level, i)] = self.handle(
                         f"U[{level};{i}]", 8 * m * r, level=level, row=i
                     )
-                    self._schur_h[(level, i)] = self._bound(
-                        self.handle(f"SCHUR[{level};{i}]", 8 * r * r, level=level, row=i),
-                        self._schur,
-                        (level, i),
-                    )
+                    self._schur_h[(level, i)] = self.handle(
+                        f"SCHUR[{level};{i}]", 8 * r * r, level=level, row=i
+                    ).bind_item(self._schur, (level, i))
         for level in range(1, max_level + 1):
             for k in range(2 ** (level - 1)):
                 self._s[(level, k)] = self.handle(
@@ -121,12 +119,6 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                     row=2 * k + 1,
                     col=2 * k,
                 )
-
-    def _bound(self, handle, store, key):
-        # The D/SCHUR handles are bound to the mutable stores so the
-        # distributed backend can move their values between processes; a
-        # symbolic graph has no values to move.
-        return handle if self.hss is None else handle.bind_item(store, key)
 
     def seed(self) -> None:
         if self.hss is None:

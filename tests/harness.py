@@ -345,13 +345,14 @@ def factorize_graph(fmt: str, matrix, backend: str = "deferred", **policy):
 
 
 def recorded_factorize(hss, **policy):
-    """The recorded, unexecuted HSS-ULV factorize runtime under a ``deferred`` policy.
+    """A recorded, not yet executed, HSS-ULV factorize builder under a ``deferred`` policy.
 
-    ``hss`` is an ``HSSMatrix`` or an ``HSSStructure`` (a symbolic graph).
+    ``hss`` is an ``HSSMatrix`` or an ``HSSStructure`` (a symbolic graph);
+    the recorded graph is ``.runtime``.
     """
     return HSSULVFactorizeBuilder(
         hss, policy=ExecutionPolicy(backend="deferred", **policy)
-    ).record().runtime
+    ).record()
 
 
 def graph_census(runtime):

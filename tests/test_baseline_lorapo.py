@@ -92,5 +92,5 @@ class TestTaskGraph:
 
         n = 32768
         blr = build_blr_cholesky_taskgraph(n, 2048, 256, nodes=4).graph.total_flops()
-        hss = recorded_factorize(HSSStructure.synthetic(n, 512, 100), nodes=4).graph.total_flops()
+        hss = recorded_factorize(HSSStructure.synthetic(n, 512, 100), nodes=4).runtime.graph.total_flops()
         assert blr > 3 * hss

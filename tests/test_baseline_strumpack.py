@@ -43,7 +43,7 @@ class TestNumerics:
 class TestTaskGraph:
     def test_same_tasks_different_distribution(self):
         structure = HSSStructure.synthetic(8192, 256, 64)
-        rt_hatrix = recorded_factorize(structure, nodes=8)
+        rt_hatrix = recorded_factorize(structure, nodes=8).runtime
         rt_strumpack = build_strumpack_taskgraph(structure, nodes=8)
         assert rt_hatrix.num_tasks == rt_strumpack.num_tasks
         assert rt_hatrix.graph.total_flops() == pytest.approx(rt_strumpack.graph.total_flops())

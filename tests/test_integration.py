@@ -84,7 +84,7 @@ class TestPerformancePipeline:
         for nodes in (2, 8, 32):
             n = 2048 * nodes
             structure = HSSStructure.synthetic(n, 512, 100)
-            graph = recorded_factorize(structure, nodes=nodes).graph
+            graph = recorded_factorize(structure, nodes=nodes).runtime.graph
             res = simulate(graph, fugaku_like(nodes), policy="async")
             times.append(res.makespan)
         # Weak scaling: time grows far slower than the 16x problem growth.
@@ -101,8 +101,8 @@ class TestPerformancePipeline:
     def test_structure_from_real_matrix_matches_synthetic_cost(self, kmat_medium):
         """Symbolic cost from a constructed HSS is close to the synthetic model."""
         hss = build_hss(kmat_medium, leaf_size=128, max_rank=40)
-        real = recorded_factorize(HSSStructure.from_matrix(hss), nodes=4).graph.total_flops()
+        real = recorded_factorize(HSSStructure.from_matrix(hss), nodes=4).runtime.graph.total_flops()
         synthetic = recorded_factorize(
             HSSStructure.synthetic(1024, 128, 40), nodes=4
-        ).graph.total_flops()
+        ).runtime.graph.total_flops()
         assert real <= synthetic * 1.1

@@ -146,7 +146,7 @@ class TestSimulator:
 
     def test_forkjoin_slower_than_async_on_level_graph(self):
         structure = HSSStructure.synthetic(8192, 256, 64)
-        g_async = recorded_factorize(structure, nodes=8).graph
+        g_async = recorded_factorize(structure, nodes=8).runtime.graph
         g_fj = build_strumpack_taskgraph(structure, nodes=8).graph
         m = fugaku_like(8)
         res_async = simulate(g_async, m, policy="async")
@@ -173,7 +173,7 @@ class TestSimulator:
     def test_ptg_mode_has_lower_overhead_than_dtd(self):
         """PTG only instantiates local tasks, so its discovery overhead is smaller."""
         structure = HSSStructure.synthetic(32768, 512, 100)
-        g = recorded_factorize(structure, nodes=16).graph
+        g = recorded_factorize(structure, nodes=16).runtime.graph
         m = fugaku_like(16)
         dtd = simulate(g, m, policy="async", dtd_mode="dtd")
         ptg = simulate(g, m, policy="async", dtd_mode="ptg")
@@ -192,8 +192,8 @@ class TestSimulator:
 
     def test_more_nodes_reduce_compute_bound_makespan(self):
         structure = HSSStructure.synthetic(16384, 256, 64)
-        g2 = recorded_factorize(structure, nodes=2).graph
-        g16 = recorded_factorize(structure, nodes=16).graph
+        g2 = recorded_factorize(structure, nodes=2).runtime.graph
+        g16 = recorded_factorize(structure, nodes=16).runtime.graph
         t2 = simulate(g2, fugaku_like(2), policy="async").makespan
         t16 = simulate(g16, fugaku_like(16), policy="async").makespan
         assert t16 < t2
@@ -206,7 +206,7 @@ class TestPaperShapes:
         hss_flops, blr_flops = [], []
         for n in (8192, 16384, 32768):
             hss_flops.append(
-                recorded_factorize(HSSStructure.synthetic(n, 256, 64), nodes=4).graph.total_flops()
+                recorded_factorize(HSSStructure.synthetic(n, 256, 64), nodes=4).runtime.graph.total_flops()
             )
             blr_flops.append(build_blr_cholesky_taskgraph(n, 2048, 256, nodes=4).graph.total_flops())
         hss_ratio = hss_flops[-1] / hss_flops[0]
@@ -219,7 +219,7 @@ class TestPaperShapes:
         nodes, n = 16, 32768
         m = fugaku_like(nodes)
         hatrix = simulate(
-            recorded_factorize(HSSStructure.synthetic(n, 512, 100), nodes=nodes).graph,
+            recorded_factorize(HSSStructure.synthetic(n, 512, 100), nodes=nodes).runtime.graph,
             m,
             policy="async",
         )
@@ -233,6 +233,6 @@ class TestPaperShapes:
         nodes, n = 64, 131072
         m = fugaku_like(nodes)
         structure = HSSStructure.synthetic(n, 512, 100)
-        hatrix = simulate(recorded_factorize(structure, nodes=nodes).graph, m, policy="async")
+        hatrix = simulate(recorded_factorize(structure, nodes=nodes).runtime.graph, m, policy="async")
         strumpack = simulate(build_strumpack_taskgraph(structure, nodes=nodes).graph, m, policy="forkjoin")
         assert hatrix.makespan < strumpack.makespan

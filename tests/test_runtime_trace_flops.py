@@ -135,7 +135,7 @@ class TestFactorizeFlopAccounting:
         from harness import recorded_factorize
 
         hss, builder = recorded
-        symbolic = recorded_factorize(HSSStructure.from_matrix(hss)).graph
+        symbolic = recorded_factorize(HSSStructure.from_matrix(hss)).runtime.graph
         real = {t.name: t.flops for t in builder.runtime.graph.tasks}
         assert {t.name: t.flops for t in symbolic.tasks} == real
         assert any(name.startswith("DIAG_PRODUCT") and f > 0 for name, f in real.items())
