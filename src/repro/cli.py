@@ -628,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_solve(args: argparse.Namespace) -> str:
+def _run_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
     """Run one compress/factorize/solve cycle and format a small report."""
     import numpy as np
 
@@ -644,15 +644,18 @@ def _run_solve(args: argparse.Namespace) -> str:
     exec_fusion = fusion and args.runtime != "off"
     compress_fusion = fusion and args.compress_runtime != "off"
     t0 = time.perf_counter()
-    solver = StructuredSolver.from_kernel(
-        args.kernel, n=args.n, format=args.format,
-        leaf_size=args.leaf_size, max_rank=args.max_rank,
-        compress_runtime=args.compress_runtime,
-        compress_nodes=args.nodes,
-        compress_workers=args.workers,
-        compress_distribution=compress_distribution,
-        compress_fusion=compress_fusion,
-    )
+    try:
+        solver = StructuredSolver.from_kernel(
+            args.kernel, n=args.n, format=args.format,
+            leaf_size=args.leaf_size, max_rank=args.max_rank,
+            compress_runtime=args.compress_runtime,
+            compress_nodes=args.nodes,
+            compress_workers=args.workers,
+            compress_distribution=compress_distribution,
+            compress_fusion=compress_fusion,
+        )
+    except ValueError as exc:  # a problem the format cannot build, e.g. n <= leaf_size
+        parser.error(str(exc))
     t_build = time.perf_counter() - t0
     t0 = time.perf_counter()
     solver.factorize(
@@ -918,7 +921,8 @@ def _run_benchreport(args: argparse.Namespace) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> str:
     """Run one experiment and return (and print) its formatted table."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "table1":
         sizes = (4096, 8192, 16384, 32768) if args.full else (2048, 4096, 8192)
@@ -947,7 +951,7 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
     elif args.command == "fig12":
         out = format_fig12(run_fig12(n=args.n, nodes=args.nodes))
     elif args.command == "solve":
-        out = _run_solve(args)
+        out = _run_solve(args, parser)
     elif args.command == "speedup":
         out = format_parallel_speedup(
             run_parallel_speedup(

@@ -19,9 +19,9 @@ Both task bodies call the step ``build_blr2`` calls
 :func:`~repro.formats.blr2.skeleton_coupling`), so the result is
 bit-identical to it on every backend.
 
-The flat block rows are mapped onto the same virtual tree level as the
-leaf-ULV factorize/solve graphs (:func:`repro.pipeline.factorize.leaf_virtual_level`),
-so all three phases of one BLR2 problem distribute identically.
+The block rows are the leaves of the cluster tree, tagged with its leaf
+level ``tree.max_level`` like the nodes of the factorize/solve graphs, so all
+three phases of one BLR2 problem distribute identically.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.compress.builder import CompressGraphBuilder, compress_through_builder
 from repro.formats.blr2 import BLR2Matrix, shared_basis, skeleton_coupling
-from repro.pipeline.factorize import leaf_virtual_level
 from repro.runtime.task import AccessMode
 
 __all__ = ["BLR2CompressBuilder", "build_blr2_dtd"]
@@ -49,7 +48,7 @@ class BLR2CompressBuilder(CompressGraphBuilder):
         if self.method not in ("svd", "qr"):
             raise ValueError(f"unknown basis method {self.method!r}; use 'svd' or 'qr'")
         self.nblocks = len(self.tree.leaves)
-        self.max_level = leaf_virtual_level(self.nblocks)
+        self.max_level = self.tree.max_level
         #: Result stores, filled by the task bodies (local-computation markers
         #: for the distributed fragment collection).
         self.diag: Dict[int, np.ndarray] = {}

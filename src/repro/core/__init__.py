@@ -7,12 +7,11 @@
   product and the level kernels: the one implementation of the ULV
   forward/backward substitution, run by every sequential reference and
   every solve graph.
-* :mod:`repro.core.leaf_ulv` -- the single-level ULV core (Alg. 1) over a
-  *leaf system* (shared bases + couplings per block row).
-* :mod:`repro.core.blr2_ulv` -- BLR2-ULV: the leaf-ULV core bound to
+* :mod:`repro.core.hss_ulv` -- the one ULV engine and its sequential
+  reference: multi-level HSS-ULV (Alg. 2), and BLR2-ULV (Alg. 1) as a
+  one-level tree whose root merges every block row.
+* :mod:`repro.core.blr2_ulv` -- BLR2-ULV: the engine on a
   :class:`~repro.formats.blr2.BLR2Matrix`.
-* :mod:`repro.core.hss_ulv` -- multi-level HSS-ULV (Alg. 2), the sequential
-  reference implementation.
 * :mod:`repro.core.hodlr_ulv` -- HODLR-ULV: the exact HSS form of a
   symmetric HODLR matrix, factorized by HSS-ULV.
 
@@ -24,16 +23,12 @@ every backend produces bit-identical results to these references.
 """
 
 from repro.core.partial_cholesky import partial_cholesky
-from repro.core.leaf_ulv import LeafULVSolveMixin, leaf_ulv_factorize_into
-from repro.core.blr2_ulv import BLR2ULVFactor, blr2_ulv_factorize
+from repro.core.blr2_ulv import blr2_ulv_factorize
 from repro.core.hss_ulv import HSSULVFactor, hss_ulv_factorize
 from repro.core.hodlr_ulv import hodlr_to_hss, hodlr_ulv_factorize
 
 __all__ = [
     "partial_cholesky",
-    "LeafULVSolveMixin",
-    "leaf_ulv_factorize_into",
-    "BLR2ULVFactor",
     "blr2_ulv_factorize",
     "HSSULVFactor",
     "hss_ulv_factorize",

@@ -3,8 +3,8 @@
 HSS-ULV is level-synchronous (Alg. 2): every node of a tree level does the
 same-shaped work -- rotate with ``U = [U^R U^S]``, eliminate the redundant
 unknowns with ``L^RR``, update the skeleton unknowns with ``L^SR`` -- and no
-node of a level depends on another.  A leaf-level factor (BLR2,
-Alg. 1) is the one-level case of the same tree.
+node of a level depends on another.  A BLR2 factor (Alg. 1) is the
+one-level case of the same tree.
 
 The square ``U`` is never stored: only ``U^S`` carries information, so each
 node keeps the compact-WY Householder QR ``U^S = Q_S R`` (Schreiber & Van
@@ -22,16 +22,15 @@ fixed-rank leaf level) is one group; a ragged level has one group per
 distinct shape.  Nothing is padded.
 
 A level's right-hand side travels as one *flat* ``(rows, k)`` block holding
-the node blocks in node order.  Because a parent's working block is its two
-children's skeleton blocks stacked (the merge of Alg. 2), the flat skeleton
-output of level ``l`` *is* the flat input of level ``l - 1``; for a uniform
+the node blocks in node order.  Because a parent's working block is its
+children's skeleton blocks stacked (the merge), the flat skeleton output of
+a factored level *is* the flat input of the next one up; for a uniform
 level the per-node blocks are zero-copy reshapes of the flat block.
 
 :func:`forward_level`, :func:`backward_level` and :func:`root_solve` are the
 substitution of Eq. 15/17 for a chunk of consecutive nodes of a level.  The
-sequential references (:meth:`HSSULVFactor.solve
-<repro.core.hss_ulv.HSSULVFactor.solve>`, :meth:`LeafULVSolveMixin.solve
-<repro.core.leaf_ulv.LeafULVSolveMixin.solve>`) run each level as one chunk;
+sequential reference (:meth:`HSSULVFactor.solve
+<repro.core.hss_ulv.HSSULVFactor.solve>`, every format) runs each level as one chunk;
 the task-graph solve builders of :mod:`repro.pipeline.solve` run a level as one
 task per owner chunk.  Each product is one ``np.matmul`` over (transposed)
 *views* of the stacks, which numpy runs as one BLAS call per node with the

@@ -39,7 +39,6 @@ from typing import List
 
 import numpy as np
 
-from repro.core.blr2_ulv import BLR2ULVFactor
 from repro.core.hodlr_ulv import hodlr_to_hss
 from repro.experiments.timing import best_of
 from repro.formats.blr2 import build_blr2
@@ -48,7 +47,7 @@ from repro.formats.hss import build_hss
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
-from repro.pipeline.factorize import HSSULVFactorizeBuilder, LeafULVFactorizeBuilder
+from repro.pipeline.factorize import HSSULVFactorizeBuilder
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import get_format
 
@@ -57,12 +56,9 @@ __all__ = ["SpeedupRow", "run_parallel_speedup", "format_parallel_speedup"]
 _BACKENDS = ("thread", "process", "distributed")
 
 
-def _hss_builder(hss, policy):
-    return HSSULVFactorizeBuilder(hss, policy=policy)
-
-
-def _blr2_builder(blr2, policy):
-    return LeafULVFactorizeBuilder(blr2, BLR2ULVFactor(blr2=blr2), policy=policy)
+def _hss_builder(matrix, policy):
+    # HSS and BLR2 (a one-level tree) share the builder.
+    return HSSULVFactorizeBuilder(matrix, policy=policy)
 
 
 def _hodlr_builder(hodlr, policy):
@@ -132,7 +128,7 @@ def run_parallel_speedup(
 
     algorithms = (
         ("HSS-ULV", "hss", build_hss, _hss_builder),
-        ("BLR2-ULV", "blr2", build_blr2, _blr2_builder),
+        ("BLR2-ULV", "blr2", build_blr2, _hss_builder),
         ("HODLR-ULV", "hodlr", build_hodlr, _hodlr_builder),
     )
     deferred = ExecutionPolicy(backend="deferred")

@@ -69,6 +69,21 @@ class BLR2Matrix:
             return self.couplings[(j, i)].T
         raise KeyError(f"no coupling stored for ({i}, {j})")
 
+    # -- what the ULV engine reads: a one-level tree whose block row i is
+    # -- leaf node (max_level, i), as HSSMatrix provides them ---------------
+    @property
+    def max_level(self) -> int:
+        return self.tree.max_level
+
+    def leaf_block(self, index: int) -> np.ndarray:
+        return self.diag[index]
+
+    def node_basis(self, level: int, index: int) -> np.ndarray:
+        return self.bases[index]
+
+    def node_coupling(self, level: int, i: int, j: int) -> np.ndarray:
+        return self.coupling(i, j)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product through the shared-basis representation."""
         x = np.asarray(x, dtype=np.float64)

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.formats.blr2 import shared_basis, skeleton_coupling
+from repro.formats.blr2 import BLR2Matrix, shared_basis, skeleton_coupling
 from repro.geometry.cluster_tree import ClusterTree, build_cluster_tree
 from repro.kernels.assembly import KernelMatrix
 from repro.lowrank.interpolative import interpolative_rows
@@ -147,6 +147,17 @@ class HSSMatrix:
         if (level, j, i) in self.couplings:
             return self.couplings[(level, j, i)].T
         raise KeyError(f"no coupling stored for level {level}, ({i}, {j})")
+
+    # -- what the ULV engine reads (BLR2Matrix provides the same three) -----
+    def leaf_block(self, index: int) -> np.ndarray:
+        """Dense diagonal block of leaf ``index``."""
+        return self.nodes[(self.max_level, index)].D
+
+    def node_basis(self, level: int, index: int) -> np.ndarray:
+        """Basis (leaf) or transfer matrix (interior) ``U`` of node ``(level, index)``."""
+        return self.nodes[(level, index)].U
+
+    node_coupling = coupling
 
     def block_size(self, level: int, index: int) -> int:
         """Row dimension of the ULV working block of node ``(level, index)``.
@@ -498,14 +509,18 @@ def build_hss(
 
 @dataclass
 class HSSStructure:
-    """Structural (rank/size only) description of an HSS matrix.
+    """Structural (rank/size only) description of a matrix the ULV engine factors.
 
     The one interface :class:`~repro.pipeline.factorize.HSSULVFactorizeBuilder`
-    records from (:meth:`block_size` and :meth:`rank` of every node).  Built
-    from a matrix (:meth:`from_matrix`) it shapes the graph that executes;
-    passed to the builder directly, it yields the same graph symbolically, so
-    the distributed-machine simulator replays paper-scale problem sizes
-    without any numerical work.
+    records from (:attr:`levels`, :meth:`block_size`, :meth:`rank` and
+    :meth:`merges`).  Built from a matrix (:meth:`from_matrix`) it shapes
+    the graph that executes; passed to the builder directly, it yields the
+    same graph symbolically, so the distributed-machine simulator replays
+    paper-scale problem sizes without any numerical work.
+
+    An HSS matrix factors every level ``max_level .. 1`` and merges sibling
+    pairs (Alg. 2).  A BLR2 matrix is a one-level tree: it factors its leaf
+    level only, and the root merges all of its rows (Alg. 1).
 
     Attributes
     ----------
@@ -516,12 +531,14 @@ class HSSStructure:
     max_level:
         Depth of the leaf level.
     ranks:
-        Mapping ``(level, index) -> skeleton rank``.
+        Mapping ``(level, index) -> skeleton rank`` of the factored levels.
     leaf_sizes:
         Mapping ``leaf index -> rows`` of a structure taken from a matrix
         (the cluster tree splits at index midpoints, so leaves of a ragged
         ``n`` differ in size); empty for a uniform structure, whose leaves
         all have ``n // 2**max_level`` rows.
+    levels:
+        The factored tree levels, leaves first (default: ``max_level .. 1``).
     """
 
     n: int
@@ -529,19 +546,26 @@ class HSSStructure:
     max_level: int
     ranks: Dict[Tuple[int, int], int] = field(default_factory=dict)
     leaf_sizes: Dict[int, int] = field(default_factory=dict)
+    levels: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.levels:
+            self.levels = tuple(range(self.max_level, 0, -1))
 
     @classmethod
-    def from_matrix(cls, hss: HSSMatrix) -> "HSSStructure":
-        """Extract the structure of a constructed :class:`HSSMatrix`."""
-        ranks = {
-            key: node.rank for key, node in hss.nodes.items() if key[0] > 0
-        }
-        leaf_sizes = {
-            i: hss.block_size(hss.max_level, i) for i in range(2**hss.max_level)
-        }
+    def from_matrix(cls, matrix) -> "HSSStructure":
+        """Extract the structure of a constructed :class:`HSSMatrix` or BLR2 matrix."""
+        tree = matrix.tree
+        levels = (tree.max_level,) if isinstance(matrix, BLR2Matrix) else ()
         return cls(
-            n=hss.n, leaf_size=hss.leaf_size, max_level=hss.max_level, ranks=ranks,
-            leaf_sizes=leaf_sizes,
+            n=tree.n, leaf_size=tree.leaf_size, max_level=tree.max_level,
+            ranks={
+                (level, i): matrix.node_basis(level, i).shape[1]
+                for level in levels or range(tree.max_level, 0, -1)
+                for i in range(2**level)
+            },
+            leaf_sizes={i: leaf.size for i, leaf in enumerate(tree.leaves)},
+            levels=levels,
         )
 
     @classmethod
@@ -574,8 +598,29 @@ class HSSStructure:
         """Skeleton rank of node ``(level, index)``."""
         return self.ranks[(level, index)]
 
+    def children(self, level: int, index: int) -> range:
+        """The nodes merged into node ``(level, index)``.
+
+        They are the nodes ``i`` of the next factored level ``l`` below
+        ``level`` with ``i >> (l - level) == index``: two siblings for HSS,
+        every block row for the BLR2 root.
+        """
+        shift = min(l for l in self.levels if l > level) - level
+        return range(index << shift, (index + 1) << shift)
+
+    def merges(self, level: int):
+        """``(parent, k, nodes)`` per merge of factored ``level``'s ``nodes`` into ``(parent, k)``.
+
+        ``parent`` is the next factored level up, or the root level 0.
+        """
+        parent = max((p for p in self.levels if p < level), default=0)
+        for k in range(2**parent):
+            yield parent, k, self.children(parent, k)
+
     def block_size(self, level: int, index: int) -> int:
-        """ULV working-block size of node ``(level, index)`` (see HSSMatrix.block_size)."""
+        """ULV working-block size of node ``(level, index)``: the leaf size, or
+        the sum of its children's ranks (the merged block)."""
         if level == self.max_level:
             return self.leaf_sizes.get(index, self.n // 2**self.max_level)
-        return self.rank(level + 1, 2 * index) + self.rank(level + 1, 2 * index + 1)
+        child = min(l for l in self.levels if l > level)
+        return sum(self.rank(child, i) for i in self.children(level, index))

@@ -156,7 +156,7 @@ def _hss_solve_dtd(factor, b, *, policy, refine=False, matvec=None, plans=None):
 
     return solve_through_builder(
         HSSULVSolveBuilder, factor, b,
-        policy=policy, refine=refine, matvec=matvec, default_op=factor.hss, plans=plans,
+        policy=policy, refine=refine, matvec=matvec, default_op=factor.matrix, plans=plans,
     )
 
 
@@ -190,24 +190,6 @@ def _blr2_factorize(matrix):
     from repro.core.blr2_ulv import blr2_ulv_factorize
 
     return blr2_ulv_factorize(matrix)
-
-
-def _blr2_factorize_dtd(matrix, *, policy):
-    from repro.core.blr2_ulv import BLR2ULVFactor
-    from repro.pipeline.factorize import LeafULVFactorizeBuilder
-
-    builder = LeafULVFactorizeBuilder(matrix, BLR2ULVFactor(blr2=matrix), policy=policy)
-    builder.execute()
-    return builder.result(), builder.runtime
-
-
-def _blr2_solve_dtd(factor, b, *, policy, refine=False, matvec=None, plans=None):
-    from repro.pipeline.solve import LeafULVSolveBuilder, solve_through_builder
-
-    return solve_through_builder(
-        LeafULVSolveBuilder, factor, b,
-        policy=policy, refine=refine, matvec=matvec, default_op=factor.system, plans=plans,
-    )
 
 
 def _hodlr_build(kmat, *, leaf_size, max_rank, tol=None, method=None, seed=0):
@@ -268,8 +250,8 @@ register_format(
         title="BLR2",
         build=_blr2_build,
         factorize=_blr2_factorize,
-        factorize_dtd=_blr2_factorize_dtd,
-        solve_dtd=_blr2_solve_dtd,
+        factorize_dtd=_hss_factorize_dtd,
+        solve_dtd=_hss_solve_dtd,
         default_method="svd",
         compress_graph=_blr2_compress_graph,
     )

@@ -1,21 +1,15 @@
-"""Solve graph builders on the shared scaffold (factorize once, solve many).
+"""The solve graph builder on the shared scaffold (factorize once, solve many).
 
 The three ULV solve phases -- forward elimination of the redundant unknowns,
 the small dense root solve, and back-substitution -- recorded as
 ``insert_task`` graphs that *read* the immutable factor pieces and read/write
-per-panel right-hand-side blocks.  :class:`LevelULVSolveBuilder` records one
-task per tree level (per owner chunk of a level when the policy has several
-nodes or workers) running the level kernels of :mod:`repro.core.level_ulv`,
-the same code the sequential references run:
-
-:class:`HSSULVSolveBuilder`
-    The multi-level graph (Eq. 17) over an
-    :class:`~repro.core.hss_ulv.HSSULVFactor` (of an HSS matrix, or of a
-    HODLR matrix's exact HSS form).
-
-:class:`LeafULVSolveBuilder`
-    The single-level graph (Eq. 15) over a leaf-ULV factor
-    (:class:`~repro.core.blr2_ulv.BLR2ULVFactor`).
+per-panel right-hand-side blocks.  :class:`HSSULVSolveBuilder` records one
+task per factored tree level (per owner chunk of a level when the policy has
+several nodes or workers) running the level kernels of
+:mod:`repro.core.level_ulv`, the same code the sequential reference runs, over
+an :class:`~repro.core.hss_ulv.HSSULVFactor` of any format: the multi-level
+graph (Eq. 17) of an HSS matrix or of a HODLR matrix's exact HSS form, and
+the one-level graph (Eq. 15) of a BLR2 matrix.
 
 Multi-RHS blocks are split into independent column panels, each carrying its
 own forward/root/backward task chain (scaffolded by
@@ -34,7 +28,6 @@ import numpy as np
 
 from repro.core.level_ulv import LevelFactors, backward_level, forward_level, root_solve
 from repro.pipeline.builder import SolveGraphBuilder
-from repro.pipeline.factorize import leaf_virtual_level
 from repro.pipeline.panels import refine_once
 from repro.pipeline.plans import SolvePlans
 from repro.pipeline.policy import ExecutionPolicy
@@ -46,12 +39,7 @@ from repro.runtime.flops import (
 )
 from repro.runtime.task import AccessMode
 
-__all__ = [
-    "LevelULVSolveBuilder",
-    "HSSULVSolveBuilder",
-    "LeafULVSolveBuilder",
-    "solve_through_builder",
-]
+__all__ = ["HSSULVSolveBuilder", "solve_through_builder"]
 
 
 def solve_through_builder(
@@ -126,26 +114,24 @@ def _take_rows(pieces: Sequence[np.ndarray], start: int, lo: int, hi: int) -> np
     return block[lo - start : hi - start]
 
 
-class LevelULVSolveBuilder(SolveGraphBuilder):
-    """The forward/root/backward ULV solve graph over a stack of levels.
+class HSSULVSolveBuilder(SolveGraphBuilder):
+    """The forward/root/backward ULV solve graph (Eq. 15/17) for one RHS block.
 
-    Per RHS panel: one forward task per level chunk (leaves first), one root
-    solve, one backward task per level chunk, each running the level kernel
-    of :mod:`repro.core.level_ulv` on its chunk.  A level is split into
-    contiguous owner chunks only when the policy has more than one node or
-    worker; a chunk's flat skeleton output is read directly by the parent
-    level's chunks covering the same rows, so there are no merge tasks.
-
-    Subclasses set ``levels`` (leaves first), ``tags`` (the tree level each
-    stacked level is recorded at: names and distribution metadata),
-    ``root_chol`` and ``max_level`` before calling this constructor.
+    Per RHS panel: one forward task per factored level chunk (leaves first),
+    one root solve, one backward task per level chunk, each running the
+    level kernel of :mod:`repro.core.level_ulv` on its chunk.  A level is
+    split into contiguous owner chunks only when the policy has more than
+    one node or worker; a chunk's flat skeleton output is read directly by
+    the parent level's chunks covering the same rows, so there are no merge
+    tasks.  Tasks and handles are tagged with the tree level they belong to
+    (names and distribution metadata).
     """
 
-    levels: List[LevelFactors]
-    tags: List[int]
-    root_chol: np.ndarray
-
     def __init__(self, factor, b, *, policy=None) -> None:
+        self.max_level = factor.matrix.max_level
+        self.tags = sorted(factor.levels, reverse=True)
+        self.levels = [factor.levels[level] for level in self.tags]
+        self.root_chol = factor.root_chol
         super().__init__(factor, b, policy=policy)
         policy = self.policy
         threads = policy.n_workers if policy.backend == "parallel" else 1
@@ -318,44 +304,6 @@ class LevelULVSolveBuilder(SolveGraphBuilder):
                 x[lo:hi, cols] = self.sol[(0, c, p)]
         return x
 
-
-class HSSULVSolveBuilder(LevelULVSolveBuilder):
-    """The forward/root/backward HSS-ULV solve graph (Eq. 17) for one RHS block.
-
-    One forward and one backward task per tree level and panel (more only
-    when the policy splits levels into owner chunks).
-    """
-
-    def __init__(self, factor, b, *, policy=None) -> None:
-        self.max_level = factor.hss.max_level
-        self.tags = list(range(self.max_level, 0, -1))
-        self.levels = [factor.levels[level] for level in self.tags]
-        self.root_chol = factor.root_chol
-        super().__init__(factor, b, policy=policy)
-
     @property
     def n(self) -> int:
-        return self.factor.hss.n
-
-
-class LeafULVSolveBuilder(LevelULVSolveBuilder):
-    """The forward/root/backward leaf-ULV solve graph (Eq. 15) for one RHS block.
-
-    Works for a leaf-ULV factor (``system`` / ``level`` / ``merged_chol``):
-    the leaf factor is a one-level tree, so per panel one forward task, one
-    root task against the merged Cholesky factor and one backward task (more
-    only when the policy splits the block rows into owner chunks).
-    """
-
-    def __init__(self, factor, b, *, policy=None) -> None:
-        # Same virtual tree level as the factorization graph, so the
-        # row-cyclic strategy spreads the flat block rows identically.
-        self.max_level = leaf_virtual_level(factor.system.nblocks)
-        self.tags = [self.max_level]
-        self.levels = [factor.level]
-        self.root_chol = factor.merged_chol
-        super().__init__(factor, b, policy=policy)
-
-    @property
-    def n(self) -> int:
-        return self.factor.system.n
+        return self.factor.matrix.n

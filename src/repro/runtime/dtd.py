@@ -22,8 +22,9 @@ Execution modes
     :meth:`DTDRuntime.run_distributed` (across forked worker processes, via
     :func:`repro.runtime.distributed.execute_graph_distributed`) is called.
 ``symbolic``
-    Bodies are dropped at insertion, so nothing executes; only the graph's
-    structure (block sizes, flops, bytes, owners) is kept.
+    Bodies are dropped at insertion, so nothing executes (every ``run*``
+    raises :class:`RuntimeError`); only the graph's structure (block sizes,
+    flops, bytes, owners) is kept.
     :class:`~repro.pipeline.factorize.HSSULVFactorizeBuilder` records into
     this mode when given an :class:`~repro.formats.hss.HSSStructure`, so the
     machine simulator replays the factorization graph that executes, at
@@ -249,7 +250,7 @@ class DTDRuntime:
     def run(self) -> None:
         """Execute all not-yet-executed task bodies in insertion (topological) order."""
         if self.execution == "symbolic":
-            return
+            raise RuntimeError("cannot run a symbolic graph; task bodies were discarded")
         if self._failed is not None:
             # A failed task may have left its outputs half-written; running
             # its dependents would propagate garbage silently.

@@ -28,6 +28,8 @@ import numpy as np
 
 from repro.api import StructuredSolver
 from repro.compress.verify import assert_compressed_identical
+from repro.core.hss_ulv import HSSULVFactor
+from repro.core.partial_cholesky import partial_cholesky
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
@@ -58,6 +60,7 @@ __all__ = [
     "recorded_factorize",
     "graph_census",
     "solve_graph",
+    "alg1_reference",
 ]
 
 #: Seed of the case generator; override with REPRO_HARNESS_SEED to explore
@@ -383,3 +386,30 @@ def solve_graph(
         factor, b, policy=ExecutionPolicy(backend=backend, **policy),
         refine=refine, matvec=matvec,
     )
+
+
+def alg1_reference(blr2):
+    """The per-row BLR2-ULV loop of Alg. 1, kept as the reference the engine must match.
+
+    Factors every block row, then assembles the permuted skeleton system
+    (Fig. 4) one block row at a time and Cholesky-factors it.  It shares the
+    factor storage and per-node kernels with the library but none of its
+    tree walk or merge code, so an engine that reorders or drops a coupling
+    block no longer matches it bit for bit.
+    """
+    factor = HSSULVFactor(matrix=blr2)
+    level = factor.levels[blr2.max_level]
+    schur = {}
+    for i in range(blr2.nblocks):
+        part = partial_cholesky(level.set_basis(i, blr2.bases[i], blr2.diag[i]), blr2.rank(i))
+        schur[i] = level.set_partial(i, part)
+    offsets = level.skeleton_offsets
+    merged = np.zeros((offsets[-1], offsets[-1]))
+    for i in range(blr2.nblocks):
+        rows = slice(offsets[i], offsets[i + 1])
+        merged[rows, rows] = schur[i]
+        for j in range(blr2.nblocks):
+            if j != i:
+                merged[rows, offsets[j] : offsets[j + 1]] = blr2.coupling(i, j)
+    factor.root_chol = np.linalg.cholesky(merged)
+    return factor

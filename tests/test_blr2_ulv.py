@@ -41,17 +41,23 @@ class TestBLR2ULV:
 
     def test_merged_factor_lower_triangular(self, blr2_and_factor):
         _, factor = blr2_and_factor
-        np.testing.assert_allclose(factor.merged_chol, np.tril(factor.merged_chol))
+        np.testing.assert_allclose(factor.root_chol, np.tril(factor.root_chol))
 
     def test_merged_size_equals_total_skeleton(self, blr2_and_factor):
         blr2, factor = blr2_and_factor
         total_rank = sum(blr2.rank(i) for i in range(blr2.nblocks))
-        assert factor.merged_chol.shape == (total_rank, total_rank)
+        assert factor.root_chol.shape == (total_rank, total_rank)
+
+    def test_one_factored_level(self, blr2_and_factor):
+        """A one-level tree: only the leaf level is factored, keyed by its tree level."""
+        blr2, factor = blr2_and_factor
+        assert list(factor.levels) == [blr2.tree.max_level]
+        assert factor.levels[blr2.tree.max_level].num_nodes == blr2.nblocks == 2**blr2.max_level
 
     def test_bases_square_orthogonal(self, blr2_and_factor):
         blr2, factor = blr2_and_factor
         for i in range(blr2.nblocks):
-            u = factor.bases[i]
+            u = factor.node_factors[(blr2.max_level, i)].U
             assert u.shape == (64, 64)
             np.testing.assert_allclose(u.T @ u, np.eye(64), atol=1e-10)
 

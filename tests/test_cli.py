@@ -145,6 +145,19 @@ class TestMain:
         assert "runtime=off" in out
         assert "solve error" in out
 
+    @pytest.mark.parametrize("fmt", ["hss", "blr2", "hodlr"])
+    def test_solve_single_leaf_is_a_one_line_error(self, fmt, capsys):
+        """n <= leaf_size is refused at build time with argparse's error, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--format", fmt, "--n", "100", "--leaf-size", "128"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("repro: error: ")
+        assert "at least one level of partitioning" in errors[0]
+
     def test_solve_parallel_smoke(self):
         """End-to-end solve through the thread-pool runtime path."""
         out = main(

@@ -1,7 +1,7 @@
 """Unit tests for the per-block construction and merge kernels.
 
 These are the functions that both the sequential builders (``build_hss``,
-``build_blr2``, ``hss_ulv_factorize``, the leaf ULV) and the task bodies of
+``build_blr2``, ``hss_ulv_factorize``) and the task bodies of
 the construction/factorization graphs call, so each is checked here on its
 own: its shape and orthogonality contract, the approximation it promises,
 and the RNG order of the proxy draw.
@@ -10,8 +10,7 @@ and the RNG order of the proxy draw.
 import numpy as np
 import pytest
 
-from repro.core.hss_ulv import merge_siblings
-from repro.core.leaf_ulv import assemble_merged_row
+from repro.core.hss_ulv import merge_children
 from repro.formats.blr2 import build_blr2, shared_basis, skeleton_coupling
 from repro.formats.hss import (
     HSSNode,
@@ -212,45 +211,31 @@ class TestBLR2Steps:
 
 
 class TestMergeKernels:
-    def test_merge_siblings_layout(self):
-        left = np.full((2, 2), 1.0)
-        right = np.full((3, 3), 2.0)
-        coupling = np.arange(6.0).reshape(3, 2)
-        m = merge_siblings(left, right, coupling)
-        assert m.shape == (5, 5)
-        np.testing.assert_array_equal(m[:2, :2], left)
-        np.testing.assert_array_equal(m[2:, 2:], right)
-        np.testing.assert_array_equal(m[2:, :2], coupling)
-        np.testing.assert_array_equal(m[:2, 2:], coupling.T)
+    @pytest.mark.parametrize("case", ["siblings", "blr2_rows"])
+    def test_merge_children_layout(self, case, kmat_small):
+        """Schur complements on the diagonal, ``coupling(i, j)`` at block ``(i, j)``.
 
-    def test_merge_siblings_of_symmetric_blocks_is_symmetric(self, spd_random):
-        a = 0.5 * (spd_random + spd_random.T)
-        m = merge_siblings(a[:40, :40], a[40:, 40:], a[40:, :40])
-        np.testing.assert_array_equal(m, a)
+        Two HSS siblings (nodes 6 and 7 of a level) and every block row of a
+        BLR2 matrix (its root merge).  The blocks are copied, so symmetric
+        inputs give a bit-symmetric block.
+        """
+        if case == "siblings":
+            s76 = np.arange(6.0).reshape(3, 2)
+            schurs, nodes = [np.full((2, 2), 1.0), np.full((3, 3), 2.0)], range(6, 8)
 
-    def test_assemble_merged_row_writes_one_block_row(self, kmat_small):
-        system = build_blr2(kmat_small, leaf_size=64, max_rank=MAX_RANK)
-        offsets = np.concatenate([[0], np.cumsum([system.rank(i) for i in range(system.nblocks)])])
-        offsets = [int(o) for o in offsets]
-        merged = np.zeros((offsets[-1], offsets[-1]))
-        schur = np.eye(system.rank(1))
-        assemble_merged_row(merged, offsets, 1, schur, system)
-        rows = slice(offsets[1], offsets[2])
-        np.testing.assert_array_equal(merged[rows, rows], schur)
-        for j in (0, 2, 3):
-            np.testing.assert_array_equal(
-                merged[rows, offsets[j] : offsets[j + 1]], system.coupling(1, j)
-            )
-        untouched = np.ones(offsets[-1], dtype=bool)
-        untouched[rows] = False
-        assert not merged[untouched].any()
+            def coupling(i, j):
+                return s76 if i > j else s76.T
 
-    def test_assembling_every_row_gives_a_symmetric_system(self, kmat_small):
-        system = build_blr2(kmat_small, leaf_size=64, max_rank=MAX_RANK)
-        ranks = [system.rank(i) for i in range(system.nblocks)]
-        offsets = [0] + [int(o) for o in np.cumsum(ranks)]
-        merged = np.zeros((offsets[-1], offsets[-1]))
-        for i, r in enumerate(ranks):
-            assemble_merged_row(merged, offsets, i, 2.0 * np.eye(r), system)
-        np.testing.assert_allclose(merged, merged.T, atol=1e-12)
-        np.testing.assert_array_equal(np.diag(merged), 2.0)
+        else:
+            system = build_blr2(kmat_small, leaf_size=64, max_rank=MAX_RANK)
+            nodes = range(system.nblocks)
+            schurs = [2.0 * np.eye(system.rank(i)) for i in nodes]
+            coupling = system.coupling
+        merged = merge_children(schurs, nodes, coupling)
+        offsets = np.cumsum([0] + [s.shape[0] for s in schurs])
+        assert merged.shape == (offsets[-1], offsets[-1])
+        for a, i in enumerate(nodes):
+            for b, j in enumerate(nodes):
+                block = merged[offsets[a] : offsets[a + 1], offsets[b] : offsets[b + 1]]
+                np.testing.assert_array_equal(block, schurs[a] if a == b else coupling(i, j))
+        np.testing.assert_array_equal(merged, merged.T)

@@ -185,7 +185,7 @@ class TestSequentialReference:
         assert resid < 1e-10  # exact HSS form: direct-solver accuracy
 
     def test_vector_rhs_shape(self, hodlr_factor):
-        b = _rhs(hodlr_factor.hss.n, 1)
+        b = _rhs(hodlr_factor.matrix.n, 1)
         assert hodlr_factor.solve(b).shape == b.shape
 
     def test_logdet_matches_dense(self, hodlr, hodlr_factor):

@@ -168,7 +168,7 @@ class TestSymbolicGraph:
         assert rt.num_tasks == 5116 and len(rt.handles) == 7162
         assert all(t.func is None for t in rt.graph.tasks)
         rt.validate()
-        assert builder.factor is None and builder.hss is None
+        assert builder.factor is None and builder.matrix is None
         assert not builder._diag and not builder._schur
         with pytest.raises(RuntimeError, match="symbolic"):
             builder.execute()

@@ -18,8 +18,9 @@ import pytest
 import scipy.linalg
 
 from repro.api import StructuredSolver
-from repro.core.blr2_ulv import BLR2ULVFactor
-from repro.core.leaf_ulv import leaf_ulv_factorize_into
+from repro.formats.blr2 import BLR2Matrix
+from repro.geometry.cluster_tree import ClusterNode, ClusterTree
+from repro.core.blr2_ulv import blr2_ulv_factorize
 from repro.core.level_ulv import (
     LevelFactors,
     backward_level,
@@ -103,7 +104,7 @@ class TestLevelFactors:
             for g in lf.groups
             for stack in g.stacks
         )
-        structure = len(pickle.dumps(ragged.hss)) + ragged.root_chol.nbytes
+        structure = len(pickle.dumps(ragged.matrix)) + ragged.root_chol.nbytes
         assert len(blob) < stacks + structure + 64 * 1024
         clone = pickle.loads(blob)
         b = np.random.default_rng(3).standard_normal(1000)
@@ -116,7 +117,7 @@ class TestChunkedKernels:
     @pytest.mark.parametrize("bounds", [(0, 16), (0, 5, 16), (0, 3, 8, 11, 16)])
     def test_chunks_reproduce_the_whole_level(self, ragged, k, bounds):
         """Any split of a level into consecutive chunks gives the same bits."""
-        level = ragged.levels[ragged.hss.max_level]
+        level = ragged.levels[ragged.matrix.max_level]
         w = np.random.default_rng(k).standard_normal((1000, k))
         z, s = forward_level(level, w)
         x = backward_level(level, z, s)  # any skeleton-shaped block will do
@@ -137,8 +138,8 @@ def _per_node_solve(factor, b, rotate, unrotate):
     ``rotate(nf, w)`` returns a node's ``(redundant, skeleton)`` rotated
     blocks and ``unrotate(nf, yr, ys)`` maps them back.
     """
-    max_level = factor.hss.max_level
-    leaves = [factor.hss.node(max_level, i) for i in range(2**max_level)]
+    max_level = factor.matrix.max_level
+    leaves = [factor.matrix.node(max_level, i) for i in range(2**max_level)]
     work = {(max_level, i): b[leaf.start : leaf.stop] for i, leaf in enumerate(leaves)}
     zs, ss = {}, {}
     for level in range(max_level, 0, -1):
@@ -249,12 +250,8 @@ def solvers():
 
 def _level_nodes(factor):
     """``(v, t, r, skeleton)`` of every node of a factor, for any format."""
-    if hasattr(factor, "hss"):
-        for (level, i), nf in factor.node_factors.items():
-            yield nf.V, nf.T, nf.R, factor.hss.node(level, i).U
-    else:
-        for i, (v, t, rr, _) in enumerate(factor.level.node_views()):
-            yield v, t, rr, factor.system.bases[i]
+    for (level, i), nf in factor.node_factors.items():
+        yield nf.V, nf.T, nf.R, factor.matrix.node_basis(level, i)
 
 
 class TestHouseholderBases:
@@ -277,16 +274,10 @@ class TestHouseholderBases:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_materialised_skeleton_columns_are_the_basis(self, solvers, name):
         factor = solvers[name].factor
-        if hasattr(factor, "hss"):
-            pairs = [
-                (nf.U, nf.rank, factor.hss.node(level, i).U)
-                for (level, i), nf in factor.node_factors.items()
-            ]
-        else:
-            pairs = [
-                (u, factor.system.rank(i), factor.system.bases[i])
-                for i, u in factor.bases.items()
-            ]
+        pairs = [
+            (nf.U, nf.rank, factor.matrix.node_basis(level, i))
+            for (level, i), nf in factor.node_factors.items()
+        ]
         for u, r, skeleton in pairs:
             assert u.shape == (skeleton.shape[0],) * 2
             assert np.array_equal(u[:, u.shape[0] - r :], skeleton)
@@ -301,46 +292,39 @@ class TestHouseholderBases:
         assert abs(residual - CASES[name][1]) <= 1e-12
 
 
-class _ProjectedLeafSystem:
-    """A leaf system cut from a dense SPD matrix with chosen block ranks.
+def _projected_blr2(sizes, ranks, seed=0):
+    """A BLR2 matrix cut from a dense SPD matrix with chosen block ranks.
 
     Block row ``i`` keeps its dense diagonal block; its off-diagonal blocks
     are projected onto a random orthonormal basis of rank ``ranks[i]``
-    (``0`` drops the row's couplings, ``m`` keeps them whole).
+    (``0`` drops the row's couplings, ``m`` keeps them whole).  Four rows
+    sit on the leaves of a two-level cluster tree.
     """
-
-    def __init__(self, sizes, ranks, seed=0):
-        rng = np.random.default_rng(seed)
-        self.n, self.nblocks = sum(sizes), len(sizes)
-        g = rng.standard_normal((self.n, self.n))
-        self._a = 0.1 * g @ g.T / self.n + np.eye(self.n)
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        self._ranges = [slice(int(lo), int(hi)) for lo, hi in zip(starts[:-1], starts[1:])]
-        self.bases = {
-            i: np.linalg.qr(rng.standard_normal((m, r)))[0] if r else np.zeros((m, 0))
-            for i, (m, r) in enumerate(zip(sizes, ranks))
-        }
-        self.diag = {i: self._a[s, s].copy() for i, s in enumerate(self._ranges)}
-
-    def block_range(self, i):
-        return self._ranges[i]
-
-    def rank(self, i):
-        return self.bases[i].shape[1]
-
-    def coupling(self, i, j):
-        return self.bases[i].T @ self._a[self._ranges[i], self._ranges[j]] @ self.bases[j]
-
-    def dense(self):
-        out = np.zeros((self.n, self.n))
-        for i, ri in enumerate(self._ranges):
-            for j, rj in enumerate(self._ranges):
-                out[ri, rj] = (
-                    self.diag[i]
-                    if i == j
-                    else self.bases[i] @ self.coupling(i, j) @ self.bases[j].T
-                )
-        return out
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    g = rng.standard_normal((n, n))
+    a = 0.1 * g @ g.T / n + np.eye(n)
+    starts = [0] + [int(s) for s in np.cumsum(sizes)]
+    leaves = [ClusterNode(2, i, lo, hi) for i, (lo, hi) in enumerate(zip(starts, starts[1:]))]
+    mid = starts[2]
+    halves = [ClusterNode(1, 0, 0, mid, children=leaves[:2]),
+              ClusterNode(1, 1, mid, n, children=leaves[2:])]
+    tree = ClusterTree(ClusterNode(0, 0, 0, n, children=halves))
+    rows = [slice(leaf.start, leaf.stop) for leaf in leaves]
+    bases = {
+        i: np.linalg.qr(rng.standard_normal((m, r)))[0] if r else np.zeros((m, 0))
+        for i, (m, r) in enumerate(zip(sizes, ranks))
+    }
+    return BLR2Matrix(
+        tree=tree,
+        diag={i: a[s, s].copy() for i, s in enumerate(rows)},
+        bases=bases,
+        couplings={
+            (i, j): bases[i].T @ a[rows[i], rows[j]] @ bases[j]
+            for i in range(len(sizes))
+            for j in range(i)
+        },
+    )
 
 
 class TestEdgeRanks:
@@ -349,12 +333,12 @@ class TestEdgeRanks:
 
     @pytest.fixture(scope="class")
     def edge(self):
-        system = _ProjectedLeafSystem([9, 8, 10, 7], [0, 8, 3, 7], seed=4)
-        return system, leaf_ulv_factorize_into(BLR2ULVFactor(blr2=system), system)
+        system = _projected_blr2([9, 8, 10, 7], [0, 8, 3, 7], seed=4)
+        return system, blr2_ulv_factorize(system)
 
     def test_factor_and_solve(self, edge):
         system, factor = edge
-        a = system.dense()
+        a = system.to_dense()
         b = np.random.default_rng(2).standard_normal((system.n, 3))
         x = factor.solve(b)
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-13
@@ -362,14 +346,14 @@ class TestEdgeRanks:
 
     def test_rank_zero_row_is_not_rotated(self, edge):
         system, factor = edge
-        v, t, rr, part = factor.level.node_views()[0]
+        v, t, rr, part = factor.levels[2].node_views()[0]
         assert v.shape == (9, 0) and t.shape == rr.shape == (0, 0)
-        assert np.array_equal(factor.bases[0], np.eye(9))
+        assert np.array_equal(factor.node_factors[(2, 0)].U, np.eye(9))
         np.testing.assert_array_equal(part.L_rr, np.linalg.cholesky(system.diag[0]))
 
     def test_full_rank_row_has_no_redundant_part(self, edge):
         system, factor = edge
-        v, t, rr, part = factor.level.node_views()[1]
+        v, t, rr, part = factor.levels[2].node_views()[1]
         assert v.shape == (8, 8) and part.L_rr.shape == (0, 0)
         q = np.eye(8) - v @ t @ v.T
         assert np.linalg.norm(q.T @ q - np.eye(8)) <= 1e-13

@@ -80,11 +80,12 @@ class TestBitIdentity:
         seq = blr2_ulv_factorize(blr2)
         dist, rt = factorize_graph("blr2", blr2, "distributed", nodes=nodes)
         assert rt.last_distributed_report.ok
-        assert np.array_equal(dist.merged_chol, seq.merged_chol)
-        assert set(dist.bases) == set(seq.bases)
-        for i in dist.bases:
-            assert np.array_equal(dist.bases[i], seq.bases[i])
-            assert np.array_equal(dist.partials[i].schur_ss, seq.partials[i].schur_ss)
+        assert np.array_equal(dist.root_chol, seq.root_chol)
+        dist_nodes, seq_nodes = dist.node_factors, seq.node_factors
+        assert set(dist_nodes) == set(seq_nodes)
+        for key, nf in dist_nodes.items():
+            assert np.array_equal(nf.U, seq_nodes[key].U)
+            assert np.array_equal(nf.partial.schur_ss, seq_nodes[key].partial.schur_ss)
         b = rng.standard_normal(blr2.n)
         assert np.array_equal(dist.solve(b), seq.solve(b))
 
@@ -340,14 +341,14 @@ class TestProcessBackend:
         return HSSULVSolveBuilder(factor, b, policy=policy).record()
 
     def _assert_fresh_solve_exact(self, factor, rng):
-        b = rng.standard_normal(factor.hss.n)
+        b = rng.standard_normal(factor.matrix.n)
         builder = self._solve_builder(factor, b)
         builder.execute(timeout=TIMEOUT)
         assert builder.runtime.last_distributed_report.ok
         assert np.array_equal(builder.result()[:, 0], factor.solve(b))
 
     def test_runs_one_rank_per_worker_and_matches_plan(self, factor, rng):
-        b = rng.standard_normal(factor.hss.n)
+        b = rng.standard_normal(factor.matrix.n)
         builder = self._solve_builder(factor, b)
         report = builder.execute(timeout=TIMEOUT)
         assert report.ok and report.nodes == 2
@@ -357,7 +358,7 @@ class TestProcessBackend:
 
     def test_task_error_raises_remote_task_error(self, factor, rng):
         before = _shm_segments()
-        builder = self._solve_builder(factor, rng.standard_normal(factor.hss.n))
+        builder = self._solve_builder(factor, rng.standard_normal(factor.matrix.n))
         tasks = builder.runtime.graph.tasks
 
         def boom():
@@ -371,7 +372,7 @@ class TestProcessBackend:
 
     def test_dead_worker_is_an_error_not_a_hang(self, factor, rng):
         before = _shm_segments()
-        builder = self._solve_builder(factor, rng.standard_normal(factor.hss.n))
+        builder = self._solve_builder(factor, rng.standard_normal(factor.matrix.n))
         tasks = builder.runtime.graph.tasks
         tasks[len(tasks) // 2].func = lambda: os._exit(3)
         with pytest.raises(RemoteTaskError, match="died without reporting"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pipeline.policy import ExecutionPolicy
 from repro.runtime.data import DataHandle
 from repro.runtime.dtd import DTDRuntime
 from repro.runtime.task import AccessMode, Task, TaskAccess
@@ -119,8 +120,12 @@ class TestDTDRuntime:
     def test_symbolic_never_runs(self):
         rt = DTDRuntime(execution="symbolic")
         h = rt.new_handle("a")
-        rt.insert_task(lambda: (_ for _ in ()).throw(RuntimeError), [(h, AccessMode.RW)])
-        rt.run()  # no-op
+        rt.insert_task(lambda: (_ for _ in ()).throw(ValueError), [(h, AccessMode.RW)])
+        for run in (rt.run, rt.run_parallel, rt.run_distributed):
+            with pytest.raises(RuntimeError, match="symbolic"):
+                run()
+        with pytest.raises(RuntimeError, match="symbolic"):
+            ExecutionPolicy(backend="deferred").execute(rt)
 
     def test_invalid_mode(self):
         assert DTDRuntime().execution == "deferred"

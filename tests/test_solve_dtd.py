@@ -74,7 +74,7 @@ class TestBitIdentitySharedMemory:
     @pytest.mark.parametrize("k", RHS_WIDTHS)
     @pytest.mark.parametrize("execution", ["deferred", "parallel"])
     def test_hss(self, hss_factor, execution, k):
-        b = _rhs(hss_factor.hss.n, k)
+        b = _rhs(hss_factor.matrix.n, k)
         x, rt = solve_graph("hss", hss_factor, b, execution)
         assert x.shape == b.shape
         assert np.array_equal(x, hss_factor.solve(b))
@@ -83,7 +83,7 @@ class TestBitIdentitySharedMemory:
     @pytest.mark.parametrize("k", RHS_WIDTHS)
     @pytest.mark.parametrize("execution", ["deferred", "parallel"])
     def test_blr2(self, blr2_factor, execution, k):
-        b = _rhs(blr2_factor.blr2.n, k)
+        b = _rhs(blr2_factor.matrix.n, k)
         x, rt = solve_graph("blr2", blr2_factor, b, execution)
         assert x.shape == b.shape
         assert np.array_equal(x, blr2_factor.solve(b))
@@ -95,7 +95,7 @@ class TestBitIdentityDistributed:
     @pytest.mark.parametrize("k", RHS_WIDTHS)
     @pytest.mark.parametrize("nodes", [1, 2, 4])
     def test_hss(self, hss_factor, nodes, k):
-        b = _rhs(hss_factor.hss.n, k)
+        b = _rhs(hss_factor.matrix.n, k)
         x, rt = solve_graph("hss", hss_factor, b, "distributed", nodes=nodes)
         assert rt.last_distributed_report.ok
         assert np.array_equal(x, hss_factor.solve(b))
@@ -103,7 +103,7 @@ class TestBitIdentityDistributed:
     @pytest.mark.parametrize("k", RHS_WIDTHS)
     @pytest.mark.parametrize("nodes", [1, 2, 4])
     def test_blr2(self, blr2_factor, nodes, k):
-        b = _rhs(blr2_factor.blr2.n, k)
+        b = _rhs(blr2_factor.matrix.n, k)
         x, rt = solve_graph("blr2", blr2_factor, b, "distributed", nodes=nodes)
         assert rt.last_distributed_report.ok
         assert np.array_equal(x, blr2_factor.solve(b))
@@ -115,7 +115,7 @@ class TestCommAccounting:
 
     @pytest.mark.parametrize("nodes", [2, 4])
     def test_hss_ledger_matches_plan(self, hss_factor, nodes):
-        b = _rhs(hss_factor.hss.n, 4)
+        b = _rhs(hss_factor.matrix.n, 4)
         _, rt = solve_graph("hss", hss_factor, b, "distributed", nodes=nodes)
         report = rt.last_distributed_report
         proc_of = resolve_owners(rt.graph, nodes)
@@ -126,7 +126,7 @@ class TestCommAccounting:
 
     @pytest.mark.parametrize("nodes", [2, 4])
     def test_blr2_ledger_matches_plan(self, blr2_factor, nodes):
-        b = _rhs(blr2_factor.blr2.n, 4)
+        b = _rhs(blr2_factor.matrix.n, 4)
         _, rt = solve_graph("blr2", blr2_factor, b, "distributed", nodes=nodes)
         report = rt.last_distributed_report
         proc_of = resolve_owners(rt.graph, nodes)
@@ -135,7 +135,7 @@ class TestCommAccounting:
         )
 
     def test_single_node_is_communication_free(self, hss_factor):
-        b = _rhs(hss_factor.hss.n, 4)
+        b = _rhs(hss_factor.matrix.n, 4)
         _, rt = solve_graph("hss", hss_factor, b, "distributed", nodes=1)
         assert rt.last_distributed_report.ledger.num_messages == 0
 
@@ -152,7 +152,7 @@ class TestPanels:
 
     @pytest.mark.parametrize("execution", ["deferred", "parallel"])
     def test_hss_panels_match_per_panel_reference(self, hss_factor, execution):
-        n = hss_factor.hss.n
+        n = hss_factor.matrix.n
         B = _rhs(n, 16)
         x, rt = solve_graph("hss", hss_factor, B, execution, panel_size=4)
         per_panel = np.hstack([hss_factor.solve(B[:, s]) for s in column_panels(16, 4)])
@@ -163,7 +163,7 @@ class TestPanels:
         assert len(roots) == 4
 
     def test_blr2_panels_match_per_panel_reference(self, blr2_factor):
-        n = blr2_factor.blr2.n
+        n = blr2_factor.matrix.n
         B = _rhs(n, 16)
         x, rt = solve_graph("blr2", blr2_factor, B, "parallel", panel_size=8)
         per_panel = np.hstack([blr2_factor.solve(B[:, s]) for s in column_panels(16, 8)])
@@ -173,7 +173,7 @@ class TestPanels:
 
     def test_panel_chains_are_independent(self, hss_factor):
         """No dependency edge may connect tasks of different panels."""
-        B = _rhs(hss_factor.hss.n, 8)
+        B = _rhs(hss_factor.matrix.n, 8)
         _, rt = solve_graph("hss", hss_factor, B, "deferred", panel_size=2)
         # every task name ends in "...p<panel>]" (e.g. FWD[3;1;p2], ROOT_SOLVE[p2])
         panel_of = {t.tid: t.name.rsplit("p", 1)[1].rstrip("]") for t in rt.graph.tasks}
@@ -227,9 +227,9 @@ class TestGraphShape:
 
     def test_hss_task_census(self, hss_factor):
         """One FWD and one BWD task per tree level, no merge tasks."""
-        b = _rhs(hss_factor.hss.n, 1)
+        b = _rhs(hss_factor.matrix.n, 1)
         _, rt = solve_graph("hss", hss_factor, b, "deferred")
-        max_level = hss_factor.hss.max_level
+        max_level = hss_factor.matrix.max_level
         assert self._kinds(rt) == {
             "SOLVE_FWD": max_level, "SOLVE_ROOT": 1, "SOLVE_BWD": max_level,
         }
@@ -247,22 +247,22 @@ class TestGraphShape:
 
     def test_hss_owner_chunks(self, hss_factor):
         """Two nodes split every level (each has at least two nodes) in two."""
-        b = _rhs(hss_factor.hss.n, 1)
+        b = _rhs(hss_factor.matrix.n, 1)
         _, rt = solve_graph("hss", hss_factor, b, "deferred", nodes=2)
-        max_level = hss_factor.hss.max_level
+        max_level = hss_factor.matrix.max_level
         assert self._kinds(rt) == {
             "SOLVE_FWD": 2 * max_level, "SOLVE_ROOT": 1, "SOLVE_BWD": 2 * max_level,
         }
 
     def test_blr2_task_census(self, blr2_factor):
-        b = _rhs(blr2_factor.blr2.n, 1)
+        b = _rhs(blr2_factor.matrix.n, 1)
         _, rt = solve_graph("blr2", blr2_factor, b, "deferred")
         assert self._kinds(rt) == {"SOLVE_FWD": 1, "SOLVE_ROOT": 1, "SOLVE_BWD": 1}
         _, rt = solve_graph("blr2", blr2_factor, b, "parallel", n_workers=3)
         assert self._kinds(rt) == {"SOLVE_FWD": 3, "SOLVE_ROOT": 1, "SOLVE_BWD": 3}
 
     def test_graph_is_valid(self, hss_factor):
-        _, rt = solve_graph("hss", hss_factor, _rhs(hss_factor.hss.n, 4), "deferred")
+        _, rt = solve_graph("hss", hss_factor, _rhs(hss_factor.matrix.n, 4), "deferred")
         rt.validate()
 
 
@@ -288,10 +288,10 @@ class TestRefinement:
 
     def test_refine_default_operator_matches_reference_iteration(self, hss_factor):
         """refine=True with the default (HSS) operator equals the hand-rolled step."""
-        b = _rhs(hss_factor.hss.n, 2, seed=9)
+        b = _rhs(hss_factor.matrix.n, 2, seed=9)
         x_refined, _ = solve_graph("hss", hss_factor, b, "deferred", refine=True)
         x0 = hss_factor.solve(b)
-        expected = x0 + hss_factor.solve(b - hss_factor.hss.matvec(x0))
+        expected = x0 + hss_factor.solve(b - hss_factor.matrix.matvec(x0))
         assert np.array_equal(x_refined, expected)
 
     def test_blr2_refine_improves(self, kmat_small, dense_small):
@@ -334,7 +334,7 @@ class TestValidation:
 
     def test_empty_rhs_block_rejected(self, hss_factor):
         with pytest.raises(ValueError, match="0 columns"):
-            solve_graph("hss", hss_factor, np.empty((hss_factor.hss.n, 0)))
+            solve_graph("hss", hss_factor, np.empty((hss_factor.matrix.n, 0)))
 
 
 FORMATS = ("hss", "blr2", "hodlr")
@@ -422,7 +422,7 @@ class TestReplay:
     def test_timeout_discards_the_plan(self, hss_factor):
         plans = SolvePlans()
         policy = ExecutionPolicy(backend="parallel", n_workers=2)
-        b = _rhs(hss_factor.hss.n, 1)
+        b = _rhs(hss_factor.matrix.n, 1)
         with plans.checkout(HSSULVSolveBuilder, hss_factor, b, policy) as plan:
             plan.run()
         assert len(plans) == 1

@@ -527,7 +527,7 @@ class TestPersistence:
         """
         from repro.service import persistence
 
-        assert persistence.MAGIC == b"RPSC\x04"
+        assert persistence.MAGIC == b"RPSC\x05"
         path = tmp_path / "factors.bin"
         service = SolverService(backend="reference")
         service.solve(_rhs(1), **KEY)
@@ -549,6 +549,10 @@ class TestPersistence:
         """A layout-3 snapshot (HODLR entries pickled as leaf-view factors) is refused."""
         self._refused_before_unpickling(tmp_path, monkeypatch, b"RPSC\x03")
 
+    def test_layout_4_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A layout-4 snapshot (BLR2 entries pickled as leaf-ULV factors) is refused."""
+        self._refused_before_unpickling(tmp_path, monkeypatch, b"RPSC\x04")
+
     def test_hodlr_snapshot_stores_leaf_blocks_once(self, tmp_path):
         """A HODLR factor's leaf blocks are the HODLR's own, before and after a reload."""
         key = dict(KEY, format="hodlr")
@@ -559,7 +563,7 @@ class TestPersistence:
         fresh = SolverService(backend="reference")
         assert fresh.load_cache(path) == 1
         solver = fresh.solver_for(FactorKey.make(**key))
-        hss = solver.factor.hss
+        hss = solver.factor.matrix
 
         def leaves(node):
             return [node] if node.is_leaf else leaves(node.left) + leaves(node.right)
@@ -595,7 +599,7 @@ class TestPersistence:
         factor = solver.factor
         assert factor.node_factors  # the view cache is populated
         per_node = {
-            "hss": factor.hss,
+            "hss": factor.matrix,
             "root_chol": factor.root_chol,
             "node_factors": {
                 key: (nf.V.copy(), nf.T.copy(), nf.R.copy(), nf.rank,
