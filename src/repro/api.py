@@ -129,8 +129,9 @@ class StructuredSolver:
 
         ``format`` names the compressed representation (any registered
         format); ``method`` selects its compression scheme (None: the
-        format's default, e.g. ``"interpolative"`` for HSS and ``"svd"`` for
-        BLR2/HODLR).
+        format's default, ``"interpolative"`` for HSS and the seeded
+        randomized SVD ``"rsvd"`` for BLR2/HODLR, whose ``"svd"`` is the
+        verification path).  ``seed`` seeds every randomized step.
 
         ``compress_runtime`` selects the execution path of the *construction*
         phase, with the same modes and semantics as ``use_runtime`` on

@@ -7,8 +7,10 @@ projecting every off-diagonal block onto the two row bases.
 
 ``ASSEMBLE_DIAG[i]`` / ``COMPRESS_BASIS[i]``
     Per block row: the dense diagonal block and the shared skeleton basis
-    ``U_i^S`` from the full admissible block row.  Independent across rows --
-    the embarrassingly parallel bulk of the construction.
+    ``U_i^S`` of the full admissible block row (randomized range finder by
+    default, seeded with the run's seed in every row; full SVD for
+    ``method="svd"``).  Independent across rows -- the embarrassingly
+    parallel bulk of the construction.
 ``COUPLING[i,j]``
     Skeleton coupling ``S_{i,j} = (U_i^S)^T A_{i,j} U_j^S`` for ``j < i``;
     depends on both rows' basis tasks, which is where the distributed
@@ -31,7 +33,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compress.builder import CompressGraphBuilder, compress_through_builder
-from repro.formats.blr2 import BLR2Matrix, shared_basis, skeleton_coupling
+from repro.formats.blr2 import (
+    DEFAULT_METHOD,
+    BLR2Matrix,
+    check_method,
+    shared_basis,
+    skeleton_coupling,
+)
 from repro.runtime.task import AccessMode
 
 __all__ = ["BLR2CompressBuilder", "build_blr2_dtd"]
@@ -40,13 +48,12 @@ __all__ = ["BLR2CompressBuilder", "build_blr2_dtd"]
 class BLR2CompressBuilder(CompressGraphBuilder):
     """Record (and execute) the BLR2 construction task graph."""
 
-    default_method = "svd"
+    default_method = DEFAULT_METHOD
 
     def __init__(self, kernel_matrix, **kwargs) -> None:
         super().__init__(kernel_matrix, **kwargs)
         self.tree.require_partitioned("BLR2")
-        if self.method not in ("svd", "qr"):
-            raise ValueError(f"unknown basis method {self.method!r}; use 'svd' or 'qr'")
+        check_method(self.method)
         self.nblocks = len(self.tree.leaves)
         self.max_level = self.tree.max_level
         #: Result stores, filled by the task bodies (local-computation markers
@@ -84,7 +91,7 @@ class BLR2CompressBuilder(CompressGraphBuilder):
     def record_tasks(self) -> None:
         kmat, n = self.kernel_matrix, self.n
         diag, bases, bx, couplings = self.diag, self.bases, self._bx, self.couplings
-        max_rank, tol, method = self.max_rank, self.tol, self.method
+        max_rank, tol, method, seed = self.max_rank, self.tol, self.method, self.rng_seed
         leaves = self.tree.leaves
 
         self.set_phase(0)
@@ -104,7 +111,7 @@ class BLR2CompressBuilder(CompressGraphBuilder):
             )
 
             def compress_row(i=i, leaf=leaf) -> None:
-                bases[i] = bx[i] = shared_basis(kmat, leaf, max_rank, tol, method)
+                bases[i] = bx[i] = shared_basis(kmat, leaf, max_rank, tol, method, seed)
 
             self.insert(
                 compress_row,
@@ -167,8 +174,9 @@ def build_blr2_dtd(
 ):
     """Task-graph BLR2 construction; returns ``(BLR2Matrix, DTDRuntime)``.
 
-    Bit-identical to :func:`repro.formats.blr2.build_blr2` (``method`` maps
-    onto its ``basis_method``) on every execution backend of the ``policy``.
+    Bit-identical to :func:`repro.formats.blr2.build_blr2` with the same
+    ``seed`` (``method`` maps onto its ``basis_method``) on every execution
+    backend of the ``policy``.
     """
     return compress_through_builder(
         BLR2CompressBuilder,

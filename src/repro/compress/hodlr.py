@@ -6,9 +6,10 @@ per leaf and one ``COMPRESS_LOWRANK`` task per internal node of the
 recursive 2x2 partition, with no dependency edges at all.  Each compression
 task evaluates its kernel block and factors it with
 :func:`repro.formats.hodlr.compress_offdiagonal`, the function the
-sequential :func:`~repro.formats.hodlr.build_hodlr` calls (truncated SVD,
-randomized SVD or ACA, randomized methods seeded per call), so the output is
-bit-identical on every backend regardless of execution order.
+sequential :func:`~repro.formats.hodlr.build_hodlr` calls (randomized SVD by
+default, truncated SVD or ACA; randomized methods seeded per call with the
+run's seed), so the output is bit-identical on every backend regardless of
+execution order.
 
 The symmetric lower blocks are derived from the upper factors during result
 assembly (``A_21 = A_12^T``), mirroring the sequential construction.
@@ -21,7 +22,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compress.builder import CompressGraphBuilder, compress_through_builder
-from repro.formats.hodlr import HODLRMatrix, HODLRNode, compress_offdiagonal
+from repro.formats.hodlr import (
+    DEFAULT_METHOD,
+    HODLRMatrix,
+    HODLRNode,
+    check_method,
+    compress_offdiagonal,
+)
 from repro.lowrank.block import LowRankBlock
 from repro.runtime.task import AccessMode
 
@@ -31,13 +38,12 @@ __all__ = ["HODLRCompressBuilder", "build_hodlr_dtd"]
 class HODLRCompressBuilder(CompressGraphBuilder):
     """Record (and execute) the HODLR construction task graph."""
 
-    default_method = "svd"
+    default_method = DEFAULT_METHOD
 
     def __init__(self, kernel_matrix, **kwargs) -> None:
         super().__init__(kernel_matrix, **kwargs)
         self.tree.require_partitioned("HODLR")
-        if self.method not in ("svd", "rsvd", "aca"):
-            raise ValueError(f"unknown compression method {self.method!r}")
+        check_method(self.method)
         self.max_level = self.tree.max_level
         #: Result stores keyed by cluster-tree position, filled by the tasks.
         self._dense: Dict[Tuple[int, int], np.ndarray] = {}

@@ -4,6 +4,11 @@ Every off-diagonal block of row ``i`` shares the same skeleton basis ``U_i^S``
 (Eq. 1-5): ``A_{i,j} ~= U_i^S @ S_{i,j} @ (U_j^S)^T``.  The shared basis is what
 enables the ULV factorization to nullify every off-diagonal block of a row at
 once (Sec. 3.1).
+
+The basis of a row spans its full admissible block row.  By default it comes
+from a seeded randomized range finder (``"rsvd"``, the sampling STRUMPACK
+builds its bases with); ``"svd"`` takes the optimal basis from a full SVD of
+the block row and is the verification path.
 """
 
 from __future__ import annotations
@@ -17,7 +22,20 @@ from repro.geometry.cluster_tree import ClusterTree, build_cluster_tree
 from repro.kernels.assembly import KernelMatrix
 from repro.lowrank.qr import row_basis
 
-__all__ = ["BLR2Matrix", "build_blr2", "shared_basis", "skeleton_coupling"]
+__all__ = [
+    "BLR2Matrix", "build_blr2", "shared_basis", "skeleton_coupling", "DEFAULT_METHOD", "METHODS",
+]
+
+#: Basis methods of :func:`build_blr2` (see :func:`repro.lowrank.qr.row_basis`).
+METHODS = ("svd", "rsvd")
+#: The basis method every BLR2 construction path uses when none is named.
+DEFAULT_METHOD = "rsvd"
+
+
+def check_method(method: str) -> None:
+    """Raise ``ValueError`` unless ``method`` is one of :data:`METHODS`."""
+    if method not in METHODS:
+        raise ValueError(f"unknown basis method {method!r}; use one of {METHODS}")
 
 
 @dataclass
@@ -131,19 +149,26 @@ class BLR2Matrix:
 
 
 def shared_basis(
-    kernel_matrix: KernelMatrix, cluster, max_rank: Optional[int], tol: Optional[float], method: str
+    kernel_matrix: KernelMatrix,
+    cluster,
+    max_rank: Optional[int],
+    tol: Optional[float],
+    method: str,
+    seed: int = 0,
 ) -> np.ndarray:
     """Shared skeleton basis ``U_i^S`` of one block row (Eq. 2).
 
     Computed from the concatenation of every admissible (off-diagonal) block
-    of the row of ``cluster`` (anything with ``start`` / ``stop``).  Shared
-    by :func:`build_blr2` and the construction task graph.
+    of the row of ``cluster`` (anything with ``start`` / ``stop``) by
+    :func:`~repro.lowrank.qr.row_basis` with ``method`` (``seed`` seeds the
+    randomized one).  Shared by :func:`build_blr2` and the construction task
+    graph.
     """
     far_cols = np.concatenate(
         [np.arange(0, cluster.start), np.arange(cluster.stop, kernel_matrix.n)]
     )
     block_row = kernel_matrix.block(slice(cluster.start, cluster.stop), far_cols)
-    return row_basis(block_row, rank=max_rank, tol=tol, method=method)
+    return row_basis(block_row, rank=max_rank, tol=tol, method=method, seed=seed)
 
 
 def skeleton_coupling(
@@ -161,12 +186,14 @@ def build_blr2(
     max_rank: Optional[int] = 100,
     tol: Optional[float] = None,
     tree: Optional[ClusterTree] = None,
-    basis_method: str = "svd",
+    basis_method: str = DEFAULT_METHOD,
+    seed: int = 0,
 ) -> BLR2Matrix:
     """Construct a weak-admissibility BLR2 matrix with shared row bases (Eq. 2).
 
     The basis of row ``i`` is computed from the concatenation of all admissible
-    (off-diagonal) blocks of that row, exactly as in Eq. 2 of the paper.
+    (off-diagonal) blocks of that row, as in Eq. 2 of the paper, and every
+    coupling is ``S_{i,j} = (U_i^S)^T A_{i,j} U_j^S``.
 
     Parameters
     ----------
@@ -181,8 +208,12 @@ def build_blr2(
     tree:
         Reuse an existing cluster tree.
     basis_method:
-        ``"svd"`` or ``"qr"`` (pivoted QR, Eq. 2).
+        One of :data:`METHODS`: ``"rsvd"`` (default, randomized range finder)
+        or ``"svd"`` (full SVD of each block row, the optimal basis).
+    seed:
+        RNG seed of the randomized basis; every row's sketch uses it.
     """
+    check_method(basis_method)
     if tree is None:
         tree = build_cluster_tree(kernel_matrix.points, leaf_size=leaf_size)
     tree.require_partitioned("BLR2")
@@ -195,7 +226,7 @@ def build_blr2(
     for i, li in enumerate(leaves):
         rows = slice(li.start, li.stop)
         diag[i] = kernel_matrix.block(rows, rows)
-        bases[i] = shared_basis(kernel_matrix, li, max_rank, tol, basis_method)
+        bases[i] = shared_basis(kernel_matrix, li, max_rank, tol, basis_method, seed)
 
     for i, li in enumerate(leaves):
         for j in range(i):

@@ -6,6 +6,10 @@ with HODLR: both are weak-admissibility hierarchical formats, but HODLR does
 2x2 partition carries its own low-rank factorisation.  The format is provided
 for completeness (and for the memory/complexity comparisons in the examples);
 its recursive structure makes the contrast with the HSS nested bases explicit.
+
+Each off-diagonal block is factored on its own.  By default that is a seeded
+randomized SVD (``"rsvd"``); ``"svd"`` (the optimal truncation, the
+verification path) and ``"aca"`` are the alternatives.
 """
 
 from __future__ import annotations
@@ -22,7 +26,20 @@ from repro.lowrank.block import LowRankBlock
 from repro.lowrank.rsvd import compress_rsvd
 from repro.lowrank.svd import compress_svd
 
-__all__ = ["HODLRNode", "HODLRMatrix", "build_hodlr", "compress_offdiagonal"]
+__all__ = [
+    "HODLRNode", "HODLRMatrix", "build_hodlr", "compress_offdiagonal", "DEFAULT_METHOD", "METHODS",
+]
+
+#: Off-diagonal compression methods of :func:`build_hodlr`.
+METHODS = ("svd", "rsvd", "aca")
+#: The method every HODLR construction path uses when none is named.
+DEFAULT_METHOD = "rsvd"
+
+
+def check_method(method: str) -> None:
+    """Raise ``ValueError`` unless ``method`` is one of :data:`METHODS`."""
+    if method not in METHODS:
+        raise ValueError(f"unknown compression method {method!r}; use one of {METHODS}")
 
 
 def compress_offdiagonal(
@@ -170,7 +187,7 @@ def build_hodlr(
     leaf_size: int = 256,
     max_rank: Optional[int] = 100,
     tol: Optional[float] = None,
-    method: str = "svd",
+    method: str = DEFAULT_METHOD,
     tree: Optional[ClusterTree] = None,
     seed: int = 0,
 ) -> HODLRMatrix:
@@ -184,19 +201,19 @@ def build_hodlr(
         Partition and compression parameters (each off-diagonal block is
         compressed independently -- no shared bases).
     method:
-        ``"svd"`` (exact truncated SVD of each block), ``"rsvd"`` (randomized
-        SVD, cheaper for large off-diagonal blocks) or ``"aca"`` (adaptive
-        cross approximation, touches only a few rows/columns per block).
+        One of :data:`METHODS`: ``"rsvd"`` (default, randomized SVD, cheap
+        for the large off-diagonal blocks near the root), ``"svd"`` (exact
+        truncated SVD of each block) or ``"aca"`` (adaptive cross
+        approximation, touches only a few rows/columns per block).
     tree:
         Reuse an existing cluster tree.
     seed:
-        RNG seed for the randomized compression.
+        RNG seed for the randomized compression; every block's call uses it.
     """
     if tree is None:
         tree = build_cluster_tree(kernel_matrix.points, leaf_size=leaf_size)
     tree.require_partitioned("HODLR")
-    if method not in ("svd", "rsvd", "aca"):
-        raise ValueError(f"unknown compression method {method!r}")
+    check_method(method)
 
     def recurse(cnode: ClusterNode) -> HODLRNode:
         if cnode.is_leaf:

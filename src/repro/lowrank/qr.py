@@ -1,7 +1,7 @@
-"""Pivoted-QR style shared-basis computation (paper Eq. 2-3).
+"""Shared-basis computation of one block row (paper Eq. 2-3).
 
 The BLR2/HSS construction computes, for each cluster, an orthonormal *skeleton*
-basis ``U^S`` spanning the row space of the concatenated admissible blocks.
+basis ``U^S`` spanning the column space of the concatenated admissible blocks.
 The ULV factorization completes it to the square ``U = [U^R U^S]`` of Eq. 3-8
 implicitly, from the Householder QR of ``U^S``
 (:meth:`repro.core.level_ulv.LevelFactors.set_basis`).
@@ -10,7 +10,9 @@ implicitly, from the Householder QR of ``U^S``
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+
+from repro.lowrank.rsvd import rsvd
+from repro.lowrank.svd import truncated_svd
 
 __all__ = ["row_basis"]
 
@@ -21,6 +23,7 @@ def row_basis(
     rank: int | None = None,
     tol: float | None = None,
     method: str = "svd",
+    seed: int = 0,
 ) -> np.ndarray:
     """Orthonormal column basis ``U^S`` (shape ``m x r``) of a block row ``(m, n)``.
 
@@ -32,35 +35,22 @@ def row_basis(
     rank:
         Hard cap on the basis rank (paper "max rank").
     tol:
-        Relative tolerance on the singular values / pivot magnitudes.
+        Relative tolerance on the singular values.
     method:
-        ``"svd"`` (default, most accurate) or ``"qr"`` (column-pivoted QR of
-        the transpose, exactly Eq. 2 of the paper).
+        ``"svd"`` (full SVD of the block row: the optimal basis, the
+        verification path) or ``"rsvd"`` (the randomized range finder of
+        :func:`repro.lowrank.rsvd.rsvd`, seeded with ``seed``: one Gaussian
+        sketch of ``rank + 10`` columns and one power iteration, so it never
+        factors the full block row).
+    seed:
+        RNG seed of the ``"rsvd"`` sketch.
     """
     a = np.asarray(block_row, dtype=np.float64)
     m = a.shape[0]
     if a.size == 0:
         return np.zeros((m, 0))
     if method == "svd":
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
-        from repro.lowrank.svd import svd_rank
-
-        k = svd_rank(s, rank=rank, tol=tol)
-        return u[:, :k]
-    if method == "qr":
-        # Pivoted QR of A^T: A^T P = Q R  =>  columns of Q span the row space of A^T,
-        # i.e. the column space of A.
-        q, r, _ = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        if diag.size == 0:
-            return np.zeros((m, 0))
-        k = diag.size
-        if tol is not None:
-            k = max(int(np.count_nonzero(diag > tol * diag[0])), 1)
-        if rank is not None:
-            k = min(k, int(rank))
-        # q has shape (n, min(m, n)) from A^T; we need a basis in R^m, so use the
-        # SVD path for the actual basis but keep the QR-determined rank.
-        u, _, _ = np.linalg.svd(a, full_matrices=False)
-        return u[:, :k]
-    raise ValueError(f"unknown method {method!r}; use 'svd' or 'qr'")
+        return truncated_svd(a, rank=rank, tol=tol)[0]
+    if method == "rsvd":
+        return rsvd(a, rank or min(a.shape), tol=tol, seed=seed)[0]
+    raise ValueError(f"unknown method {method!r}; use 'svd' or 'rsvd'")

@@ -67,7 +67,6 @@ class FormatSpec:
     factorize: Callable[[Any], Any]
     factorize_dtd: Callable[..., Tuple[Any, Any]]
     solve_dtd: Callable[..., Tuple[Any, Any]]
-    default_method: Optional[str] = None
     compress_graph: Optional[Callable[..., Tuple[Any, Any]]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -161,14 +160,15 @@ def _hss_solve_dtd(factor, b, *, policy, refine=False, matvec=None, plans=None):
 
 
 def _blr2_build(kmat, *, leaf_size, max_rank, tol=None, method=None, seed=0):
-    from repro.formats.blr2 import build_blr2
+    from repro.formats.blr2 import DEFAULT_METHOD, build_blr2
 
     return build_blr2(
         kmat,
         leaf_size=leaf_size,
         max_rank=max_rank,
         tol=tol,
-        basis_method=method if method is not None else "svd",
+        basis_method=method if method is not None else DEFAULT_METHOD,
+        seed=seed,
     )
 
 
@@ -193,14 +193,14 @@ def _blr2_factorize(matrix):
 
 
 def _hodlr_build(kmat, *, leaf_size, max_rank, tol=None, method=None, seed=0):
-    from repro.formats.hodlr import build_hodlr
+    from repro.formats.hodlr import DEFAULT_METHOD, build_hodlr
 
     return build_hodlr(
         kmat,
         leaf_size=leaf_size,
         max_rank=max_rank,
         tol=tol,
-        method=method if method is not None else "svd",
+        method=method if method is not None else DEFAULT_METHOD,
         seed=seed,
     )
 
@@ -239,7 +239,6 @@ register_format(
         factorize=_hss_factorize,
         factorize_dtd=_hss_factorize_dtd,
         solve_dtd=_hss_solve_dtd,
-        default_method="interpolative",
         compress_graph=_hss_compress_graph,
     )
 )
@@ -252,7 +251,6 @@ register_format(
         factorize=_blr2_factorize,
         factorize_dtd=_hss_factorize_dtd,
         solve_dtd=_hss_solve_dtd,
-        default_method="svd",
         compress_graph=_blr2_compress_graph,
     )
 )
@@ -265,7 +263,6 @@ register_format(
         factorize=_hodlr_factorize,
         factorize_dtd=_hodlr_factorize_dtd,
         solve_dtd=_hss_solve_dtd,
-        default_method="svd",
         compress_graph=_hodlr_compress_graph,
     )
 )

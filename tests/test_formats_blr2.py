@@ -56,8 +56,8 @@ class TestConstruction:
     def test_memory_less_than_dense(self, blr2, dense_small):
         assert blr2.memory_bytes() < dense_small.nbytes
 
-    def test_qr_basis_method(self, kmat_small, dense_small):
-        blr2 = build_blr2(kmat_small, leaf_size=64, max_rank=30, basis_method="qr")
+    def test_rsvd_basis_method(self, kmat_small, dense_small):
+        blr2 = build_blr2(kmat_small, leaf_size=64, max_rank=30, basis_method="rsvd")
         rel = np.linalg.norm(blr2.to_dense() - dense_small) / np.linalg.norm(dense_small)
         assert rel < 1e-4
 
@@ -83,11 +83,11 @@ class TestStructureInvariants:
             assert i > j  # lower triangle only; symmetry provides the rest
             assert s.shape == (blr2.rank(i), blr2.rank(j))
 
-    @pytest.mark.parametrize("method", ["svd", "qr"])
+    @pytest.mark.parametrize("method", ["svd", "rsvd"])
     def test_sequential_build(self, kmat_small, method):
         self._check(build_blr2(kmat_small, leaf_size=64, max_rank=self.MAX_RANK, basis_method=method))
 
-    @pytest.mark.parametrize("method", ["svd", "qr"])
+    @pytest.mark.parametrize("method", ["svd", "rsvd"])
     def test_graph_build(self, kmat_small, method):
         from repro.compress import build_blr2_dtd
         from repro.pipeline.policy import ExecutionPolicy

@@ -219,7 +219,9 @@ class TestAgainstPerNodeLoop:
 # b = standard_normal(n) with seed 11, as the square-``U`` factorization that
 # the compact-WY bases replaced computed them.  They are dominated by the
 # compression error, which the bases do not change; the rotation itself may
-# only move them by rounding.
+# only move them by rounding.  The BLR2 and HODLR cases name ``method="svd"``:
+# their values were computed with SVD bases, and the randomized default
+# would move them by more than that rounding.
 CASES = {
     "hss_uniform": (dict(kernel_name="yukawa", n=1024, leaf_size=128, max_rank=40), 2.5342675950065475e-08),
     "hss_ragged": (dict(kernel_name="yukawa", n=1000, leaf_size=64, max_rank=30), 4.187313449157917e-08),
@@ -228,11 +230,11 @@ CASES = {
         1.5683250211490089e-06,
     ),
     "blr2": (
-        dict(kernel_name="yukawa", n=1024, leaf_size=128, max_rank=40, format="blr2"),
+        dict(kernel_name="yukawa", n=1024, leaf_size=128, max_rank=40, format="blr2", method="svd"),
         3.190398270108027e-09,
     ),
     "hodlr": (
-        dict(kernel_name="yukawa", n=1024, leaf_size=128, max_rank=20, format="hodlr"),
+        dict(kernel_name="yukawa", n=1024, leaf_size=128, max_rank=20, format="hodlr", method="svd"),
         2.5069944216101965e-09,
     ),
 }

@@ -75,9 +75,9 @@ class TestRowBasis:
         residual = a - u @ (u.T @ a)
         assert np.linalg.norm(residual) / np.linalg.norm(a) < 1e-10
 
-    def test_qr_method(self):
+    def test_rsvd_method(self):
         a = smooth_block(20, 40, seed=4)
-        u = row_basis(a, rank=6, method="qr")
+        u = row_basis(a, rank=6, method="rsvd")
         assert u.shape == (20, 6)
         np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
 
