@@ -2,10 +2,10 @@
 
 Compression is the last phase of the compress -> factorize -> solve pipeline
 to be expressed as a task graph: the per-block low-rank approximations
-(ACA / interpolative decomposition / SVD row bases), the parent-level basis
-translations of the nested formats and the skeleton couplings all become
-``insert_task`` calls against the DTD runtime, exactly as the paper demands
-for *every* phase of the solver (Sec. 4.2).
+(ACA / interpolative decomposition / randomized or full SVD), the
+parent-level basis translations of the nested formats and the skeleton
+couplings all become ``insert_task`` calls against the DTD runtime, exactly
+as the paper demands for *every* phase of the solver (Sec. 4.2).
 
 :class:`CompressGraphBuilder` extends the pipeline layer's
 :class:`~repro.pipeline.builder.GraphBuilder` with what every format's

@@ -1,4 +1,4 @@
-"""Low-rank compression tools: truncated SVD, pivoted QR bases, ACA, RSVD."""
+"""Low-rank compression tools: truncated SVD, shared row bases, ACA, RSVD."""
 
 from repro.lowrank.block import LowRankBlock
 from repro.lowrank.svd import truncated_svd, compress_svd, svd_rank
