@@ -96,7 +96,7 @@ def bench_json_path() -> Path:
 def record_bench(section: str, payload: Dict[str, Any]) -> Path:
     """Merge one benchmark's measurements into ``BENCH_runtime.json``.
 
-    ``section`` names the benchmark (e.g. ``"parallel_speedup"``); ``payload``
+    ``section`` names the benchmark (e.g. ``"compress_scaling"``); ``payload``
     must be JSON-serializable (floats/ints/strings/lists/dicts).  Existing
     sections from earlier benchmarks in the same run are preserved; a corrupt
     or missing file is replaced.  The scale flag is recorded per section, so

@@ -3,20 +3,16 @@
 Thin CLI over :mod:`repro.obs.trajectory`: compares a freshly measured
 benchmark artifact (written by the benchmark suite under
 ``REPRO_BENCH_JSON``) against the committed ``benchmarks/BENCH_runtime.json``
-and fails when a parallel/process speedup, a concurrent-backend solve
-throughput (``solve_throughput`` rows, solves/sec) or an end-to-end HTTP
-serving throughput (``serve_load`` rows, solves/sec through the running
-``repro serve`` server) regressed past the tolerance, when a recorded
-observability overhead fraction (traced, traced+metered) exceeds
-``--max-trace-overhead``, or when the zero-copy data plane's wire-byte
-savings over the pickle plane (``distributed_weak_scaling`` per-plane rows)
-drop below ``--min-comm-savings``.  Used by the ``speedup-smoke`` /
-``trace-smoke`` / ``metrics-smoke`` / ``distributed-smoke`` /
-``serve-smoke`` CI jobs::
+and fails when a parallel/process compression speedup
+(``compress_scaling`` rows) regressed past the tolerance, or when the
+zero-copy data plane's wire-byte savings over the pickle plane
+(``distributed_weak_scaling`` per-plane rows) drop below
+``--min-comm-savings``.  Factorize/solve timings, serving throughput and
+observability overhead are measured by ``bench/``, not gated here.  Used
+by the ``speedup-smoke`` / ``distributed-smoke`` CI jobs::
 
     REPRO_BENCH_JSON=/tmp/bench-current.json PYTHONPATH=src \
-        python -m pytest benchmarks/test_compress_scaling.py \
-                         benchmarks/test_runtime_parallel_speedup.py -q
+        python -m pytest benchmarks/test_compress_scaling.py -q
     python benchmarks/check_speedup_trajectory.py /tmp/bench-current.json
 
 See the trajectory module for the matching and tolerance semantics (rows
@@ -26,9 +22,8 @@ at ``--tolerance``, anything cross-size or cross-machine at the lenient
 Failures print a readable diff of every offending row before the non-zero
 exit.
 
-The committed baseline itself is validated on every run (overhead
-fractions within the limit, raw-sample spreads within
-``--max-sample-spread``): a disturbed run committed as the baseline fails
+The committed baseline itself is validated on every run (raw-sample
+spreads within ``--max-sample-spread``): a disturbed run committed as the baseline fails
 every gate run loudly instead of silently lowering the floors.  Before
 *replacing* ``benchmarks/BENCH_runtime.json`` with a freshly recorded
 artifact, validate the refresh::
@@ -84,13 +79,6 @@ def main(argv=None) -> int:
         "or a different core count",
     )
     parser.add_argument(
-        "--max-trace-overhead",
-        type=float,
-        default=0.03,
-        help="largest tolerated observability overhead fraction (applies to "
-        "both the traced and the traced+metered measurements)",
-    )
-    parser.add_argument(
         "--min-comm-savings",
         type=float,
         default=10.0,
@@ -126,7 +114,6 @@ def main(argv=None) -> int:
             args.baseline,
             refresh_tolerance=args.refresh_tolerance,
             cross_size_tolerance=args.cross_size_tolerance,
-            max_trace_overhead=args.max_trace_overhead,
             min_comm_savings=args.min_comm_savings,
             max_sample_spread=args.max_sample_spread,
         )
@@ -136,7 +123,6 @@ def main(argv=None) -> int:
             args.baseline,
             tolerance=args.tolerance,
             cross_size_tolerance=args.cross_size_tolerance,
-            max_trace_overhead=args.max_trace_overhead,
             min_comm_savings=args.min_comm_savings,
             max_sample_spread=args.max_sample_spread,
         )

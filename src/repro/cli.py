@@ -13,9 +13,7 @@ Usage::
     python -m repro solve --n 2048 --runtime distributed --nodes 4 --distribution row
     python -m repro solve --format hodlr --runtime parallel --workers 4
     python -m repro solve --n 2048 --runtime parallel --compress-runtime parallel
-    python -m repro speedup --backend process --workers 4
     python -m repro weakscale --base-n 512 --max-nodes 4
-    python -m repro servebench --n 1024 --requests 32 --batch 1 --batch 8
     python -m repro compresscale --n 2048 --workers 4 --nodes 2
     python -m repro trace --phase factorize --runtime parallel --chrome-json trace.json
     python -m repro metrics --phase factorize --runtime process
@@ -52,10 +50,6 @@ The argparse choices for ``--format``, ``--runtime`` and ``--distribution``
 are derived from the format registry, :data:`repro.pipeline.policy.BACKENDS`
 and the distribution-strategy registry -- registering a new format or
 strategy updates every sub-command at once.
-
-``servebench`` measures the serving throughput of the caching/batching
-:class:`~repro.service.SolverService`: solves/sec vs batch size vs backend,
-from one cached factorization per backend.
 
 ``weakscale`` runs the distributed weak-scaling experiment: the same recorded
 task graph is executed on the real multi-process backend and replayed through
@@ -104,18 +98,14 @@ from repro.experiments import (
     format_fig10,
     format_fig11,
     format_fig12,
-    format_parallel_speedup,
     format_table1,
     format_table2,
-    format_solve_throughput,
     run_compress_scaling,
     run_distributed_weak_scaling,
     run_fig9,
     run_fig10,
     run_fig11,
     run_fig12,
-    run_parallel_speedup,
-    run_solve_throughput,
     run_table1,
     run_table2,
 )
@@ -253,35 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "speedup", help="sequential vs parallel execution of the recorded ULV task graphs"
-    )
-    p.add_argument("--n", type=int, default=2048, help="problem size")
-    p.add_argument("--kernel", default="yukawa", help="kernel name")
-    p.add_argument("--leaf-size", type=int, default=256, help="leaf cluster size")
-    p.add_argument("--max-rank", type=int, default=60, help="skeleton rank cap")
-    p.add_argument("--workers", type=int, default=4, help="thread/process count for the parallel run")
-    p.add_argument(
-        "--backend",
-        choices=("thread", "process", "distributed"),
-        default="thread",
-        help="parallel substrate: thread = shared-memory thread pool, "
-        "process = --workers forked worker processes (GIL-free), "
-        "distributed = the same owner-computes rank loop, ranks counted as nodes",
-    )
-    p.add_argument(
-        "--fusion",
-        choices=("on", "off"),
-        default="off",
-        help="record-time task fusion/batching of the timed graphs",
-    )
-    p.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=3,
-        help="best-of-N warmed timing repeats per side",
-    )
-
-    p = sub.add_parser(
         "weakscale",
         help="distributed weak scaling: measured (multi-process) vs simulated makespan and comm volume",
     )
@@ -305,65 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="data plane to measure (repeatable; default: shm and pickle, "
         "so the report shows the zero-copy byte savings)",
     )
-
-    p = sub.add_parser(
-        "servebench",
-        help="SolverService throughput: solves/sec vs batch size vs backend",
-    )
-    p.add_argument("--n", type=int, default=1024, help="problem size")
-    p.add_argument("--kernel", default="yukawa", help="kernel name")
-    p.add_argument(
-        "--format",
-        choices=format_choices,
-        default="hss",
-        help="structured matrix format served by the service",
-    )
-    p.add_argument("--leaf-size", type=int, default=128, help="leaf cluster size")
-    p.add_argument("--max-rank", type=int, default=30, help="skeleton rank cap")
-    p.add_argument(
-        "--requests",
-        type=_positive_int,
-        default=32,
-        help="right-hand sides streamed per sweep",
-    )
-    p.add_argument(
-        "--batch",
-        action="append",
-        dest="batch_sizes",
-        type=_positive_int,
-        help="batch size (repeatable; default: 1, 4, 16)",
-    )
-    p.add_argument(
-        "--backend",
-        action="append",
-        dest="backends",
-        choices=("reference", "sequential", "parallel", "process", "distributed"),
-        help="service backend (repeatable; default: reference, sequential, parallel)",
-    )
-    p.add_argument("--workers", type=int, default=4, help="thread count for the parallel backend")
-    p.add_argument(
-        "--nodes", type=int, default=2, help="worker processes for the distributed backend"
-    )
-    p.add_argument(
-        "--panel-size",
-        type=_positive_int,
-        default=None,
-        help="RHS-panel width of the task-graph backends (default: one panel)",
-    )
-    p.add_argument(
-        "--distribution",
-        choices=distribution_choices,
-        default=None,
-        help="placement strategy for the task-graph backends",
-    )
-    p.add_argument(
-        "--compress-runtime",
-        choices=RUNTIME_CHOICES,
-        default="off",
-        help="execution path of the construction phase on factorization-cache "
-        "misses (off = sequential build)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for the right-hand sides")
 
     p = sub.add_parser(
         "compresscale",
@@ -952,19 +854,6 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
         out = format_fig12(run_fig12(n=args.n, nodes=args.nodes))
     elif args.command == "solve":
         out = _run_solve(args, parser)
-    elif args.command == "speedup":
-        out = format_parallel_speedup(
-            run_parallel_speedup(
-                n=args.n,
-                kernel=args.kernel,
-                leaf_size=args.leaf_size,
-                max_rank=args.max_rank,
-                n_workers=args.workers,
-                backend=args.backend,
-                fusion=args.fusion == "on",
-                repeats=args.repeats,
-            )
-        )
     elif args.command == "weakscale":
         node_counts = []
         nodes = 1
@@ -980,27 +869,6 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
                 max_rank=args.max_rank,
                 distributions=tuple(args.distributions) if args.distributions else ("row", "block"),
                 data_planes=tuple(args.data_planes) if args.data_planes else ("shm", "pickle"),
-            )
-        )
-    elif args.command == "servebench":
-        out = format_solve_throughput(
-            run_solve_throughput(
-                n=args.n,
-                kernel=args.kernel,
-                leaf_size=args.leaf_size,
-                max_rank=args.max_rank,
-                requests=args.requests,
-                batch_sizes=tuple(args.batch_sizes) if args.batch_sizes else (1, 4, 16),
-                backends=tuple(args.backends)
-                if args.backends
-                else ("reference", "sequential", "parallel"),
-                n_workers=args.workers,
-                nodes=args.nodes,
-                distribution=args.distribution,
-                panel_size=args.panel_size,
-                format_name=args.format,
-                compress_runtime=args.compress_runtime,
-                seed=args.seed,
             )
         )
     elif args.command == "compresscale":

@@ -22,12 +22,13 @@ tasks of the DTD runtime (HATRIX-DTD, Sec. 4.2) are the graph builders of
 every backend produces bit-identical results to these references.
 """
 
-from repro.core.partial_cholesky import partial_cholesky
+from repro.core.partial_cholesky import NotPositiveDefinite, partial_cholesky
 from repro.core.blr2_ulv import blr2_ulv_factorize
 from repro.core.hss_ulv import HSSULVFactor, hss_ulv_factorize
 from repro.core.hodlr_ulv import hodlr_to_hss, hodlr_ulv_factorize
 
 __all__ = [
+    "NotPositiveDefinite",
     "partial_cholesky",
     "blr2_ulv_factorize",
     "HSSULVFactor",

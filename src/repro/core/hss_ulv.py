@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.core.level_ulv import LevelFactors, check_finite, square_basis, ulv_solve
-from repro.core.partial_cholesky import PartialCholeskyResult, partial_cholesky
+from repro.core.partial_cholesky import PartialCholeskyResult, cholesky, partial_cholesky
 from repro.core.rhs import validate_rhs
 from repro.formats.hss import HSSStructure
 from repro.runtime.flops import flops_diag_product, flops_partial_factor, flops_potrf
@@ -211,11 +211,13 @@ def hss_ulv_factorize(matrix) -> HSSULVFactor:
 
     Raises
     ------
-    numpy.linalg.LinAlgError
-        If a redundant diagonal block is not positive definite (the
+    NotPositiveDefinite
+        If a redundant or root diagonal block is not positive definite (the
         approximation of an SPD matrix can lose definiteness when the
-        compression error exceeds the smallest eigenvalue), or if the
-        factors come out non-finite (checked once, at the end).
+        compression error exceeds the smallest eigenvalue); it names the
+        node and the failing pivot.
+    numpy.linalg.LinAlgError
+        If the factors come out non-finite (checked once, at the end).
     """
     st = HSSStructure.from_matrix(matrix)
     factor = HSSULVFactor(matrix=matrix)
@@ -230,7 +232,10 @@ def hss_ulv_factorize(matrix) -> HSSULVFactor:
         schur: Dict[int, np.ndarray] = {}
         for i in range(2**level):
             part = partial_cholesky(
-                lf.set_basis(i, matrix.node_basis(level, i), diag[(level, i)]), st.rank(level, i)
+                lf.set_basis(i, matrix.node_basis(level, i), diag[(level, i)]),
+                st.rank(level, i),
+                level=level,
+                node=i,
             )
             schur[i] = lf.set_partial(i, part)
         for parent, k, nodes in st.merges(level):
@@ -240,6 +245,6 @@ def hss_ulv_factorize(matrix) -> HSSULVFactor:
                 lambda i, j, level=level: matrix.node_coupling(level, i, j),
             )
 
-    factor.root_chol = np.linalg.cholesky(diag[(0, 0)])
+    factor.root_chol = cholesky(diag[(0, 0)], level=0, node=0)
     factor.check_finite()
     return factor

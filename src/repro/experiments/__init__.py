@@ -1,10 +1,13 @@
 """Experiment drivers: one module per table/figure of the paper's evaluation.
 
 Every driver exposes a ``run_*`` function returning plain data (lists of row
-dictionaries) plus a ``format_table`` helper that prints the same rows/series
+dictionaries) plus a ``format_*`` helper that prints the same rows/series
 the paper reports.  The benchmark harness under ``benchmarks/`` and the
-examples call into these drivers; ``EXPERIMENTS.md`` records the
-paper-reported vs. measured values.
+examples call into these drivers.  Besides the paper's tables and figures
+there are the compression-scaling and distributed weak-scaling sweeps, and
+:mod:`~repro.experiments.serve_load`, the concurrent-client driver of the
+CI serve smoke.  Factorize/solve speedups and serving throughput are
+measured by ``bench/``, not by a driver here.
 """
 
 from repro.experiments.workloads import (
@@ -26,52 +29,27 @@ from repro.experiments.fig10_breakdown import (
 )
 from repro.experiments.fig11_problem_size import run_fig11, format_fig11
 from repro.experiments.fig12_leaf_size import run_fig12, format_fig12
-from repro.experiments.parallel_speedup import (
-    SpeedupRow,
-    format_parallel_speedup,
-    run_parallel_speedup,
-)
 from repro.experiments.distributed_weak_scaling import (
     DistributedWeakScalingRow,
     comm_plane_savings,
     format_distributed_weak_scaling,
     run_distributed_weak_scaling,
 )
-from repro.experiments.solve_throughput import (
-    ThroughputRow,
-    format_solve_throughput,
-    run_solve_throughput,
-)
-from repro.experiments.serve_load import (
-    ServeLoadRow,
-    drive_concurrent_clients,
-    format_serve_load,
-    run_serve_load,
-)
+from repro.experiments.serve_load import drive_concurrent_clients
 from repro.experiments.compress_scaling import (
     CompressScalingRow,
     format_compress_scaling,
     run_compress_scaling,
 )
-from repro.experiments.timing import bench_repeats, best_of, best_of_pair
+from repro.experiments.timing import bench_repeats, best_of_pair
 
 __all__ = [
     "bench_repeats",
-    "best_of",
     "best_of_pair",
     "CompressScalingRow",
     "run_compress_scaling",
     "format_compress_scaling",
-    "ThroughputRow",
-    "run_solve_throughput",
-    "format_solve_throughput",
-    "ServeLoadRow",
-    "run_serve_load",
-    "format_serve_load",
     "drive_concurrent_clients",
-    "SpeedupRow",
-    "run_parallel_speedup",
-    "format_parallel_speedup",
     "DistributedWeakScalingRow",
     "run_distributed_weak_scaling",
     "format_distributed_weak_scaling",

@@ -1,24 +1,19 @@
-"""HTTP serving load generator: concurrent clients against the solver server.
+"""Concurrent-client smoke driver for a running ``repro serve``.
 
-The end-to-end counterpart of :mod:`repro.experiments.solve_throughput`: that
-driver measures the :class:`~repro.service.SolverService` in-process, this one
-measures the whole serving stack -- HTTP parse, auth, ticket queue, the
-flush-on-arrival loop, JSON marshalling -- by booting a
-:class:`~repro.service.http_server.SolverHTTPServer` and driving it with
-``clients`` concurrent keep-alive connections issuing blocking
-``POST /v1/solve`` requests.
+The client side of CI's serve-smoke job.  It drives an already-running
+:class:`~repro.service.http_server.SolverHTTPServer` with ``--clients``
+concurrent keep-alive connections issuing blocking ``POST /v1/solve``
+requests, and checks that every served solution is **bit-identical** to the
+sequential reference solve of the same right-hand side (the smoke server
+solves with ``--panel-size 1``, whose per-column batched solves are exactly
+the single-RHS reference solves): no ticket may be lost, duplicated or
+silently wrong under concurrency.  ``--expect-429`` / ``--expect-503`` then
+burst-probe admission control and require the rate-limit and backpressure
+rejections.  The storm's wall time is printed, never gated: serving
+latency and throughput are measured by ``bench/``'s ``serve_blocking``
+workload.
 
-Every served solution is checked **bit-identical** to the sequential
-reference solve of the same right-hand side (the service solves with
-``panel_size=1``, whose per-column batched solves are exactly the single-RHS
-reference solves), so the load test doubles as a correctness gate: no ticket
-may be lost, duplicated or silently wrong under concurrency.
-
-The resulting end-to-end solves/sec rows land in ``BENCH_runtime.json``
-under the gated ``serve_load`` section (see
-:data:`repro.obs.trajectory.SERVE_SECTION`).
-
-Run as a module against an already-running server (the CI smoke job)::
+Usage::
 
     python -m repro.experiments.serve_load --host 127.0.0.1 --port 8080 \\
         --clients 4 --requests 8 --expect-429 --expect-503
@@ -30,51 +25,15 @@ import http.client
 import json
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.kernels.greens import kernel_by_name
-from repro.service import FactorKey, SolverService
-from repro.service.http_server import SolverHTTPServer
+from repro.service import SolverService
 
-__all__ = [
-    "ServeLoadRow",
-    "drive_concurrent_clients",
-    "run_serve_load",
-    "format_serve_load",
-]
-
-
-@dataclass
-class ServeLoadRow:
-    """One measured (backend, clients) point of the serving load sweep."""
-
-    format: str
-    backend: str
-    clients: int
-    requests: int
-    wall_seconds: float
-    solves_per_sec: float
-    errors: int
-    status_counts: Dict[str, int]
-    bit_identical: bool
-    n: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "format": self.format,
-            "backend": self.backend,
-            "clients": self.clients,
-            "requests": self.requests,
-            "wall_seconds": self.wall_seconds,
-            "solves_per_sec": self.solves_per_sec,
-            "errors": self.errors,
-            "status_counts": dict(self.status_counts),
-            "bit_identical": self.bit_identical,
-            "n": self.n,
-        }
+__all__ = ["drive_concurrent_clients"]
 
 
 def _post_json(
@@ -177,119 +136,6 @@ def drive_concurrent_clients(
         "status_counts": status_counts,
         "solutions": solutions,
     }
-
-
-def run_serve_load(
-    *,
-    n: int = 256,
-    kernel: str = "yukawa",
-    leaf_size: int = 64,
-    max_rank: int = 20,
-    format_name: str = "hss",
-    backends: Tuple[str, ...] = ("sequential", "parallel"),
-    clients: int = 4,
-    requests_per_client: int = 4,
-    n_workers: int = 4,
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """Boot a server per backend, drive it concurrently, verify bit-identity.
-
-    The service solves with ``panel_size=1`` so every served column is
-    bit-identical to the sequential reference solve of that column -- the
-    acceptance criterion of the serving layer.  Returns the problem
-    description plus one :class:`ServeLoadRow` per backend.
-    """
-    rng = np.random.default_rng(seed)
-    total = clients * requests_per_client
-    rhs = rng.standard_normal((n, total))
-    key = FactorKey.make(
-        kernel, n, leaf_size=leaf_size, max_rank=max_rank, format=format_name
-    )
-
-    # Per-column sequential reference solutions (the bit-identity oracle).
-    ref_service = SolverService(backend="reference")
-    ref_service.solver_for(key)
-    reference = [
-        ref_service.solve(
-            rhs[:, j], kernel=kernel, n=n, leaf_size=leaf_size,
-            max_rank=max_rank, format=format_name,
-        )
-        for j in range(total)
-    ]
-
-    rows: List[ServeLoadRow] = []
-    for backend in backends:
-        service = SolverService(
-            backend=backend,
-            n_workers=n_workers,
-            panel_size=None if backend == "reference" else 1,
-        )
-        service.solver_for(key)  # warm: measure serving, not factorization
-        server = SolverHTTPServer(
-            service, max_pending=4 * total, request_timeout=120.0,
-        )
-        host, port = server.start_in_thread()
-        try:
-            outcome = drive_concurrent_clients(
-                host, port,
-                rhs=rhs, kernel=kernel, n=n, leaf_size=leaf_size,
-                max_rank=max_rank, format_name=format_name, clients=clients,
-            )
-        finally:
-            server.shutdown()
-            server.join(10)
-        solutions = outcome["solutions"]
-        solved = [x for x in solutions if x is not None]
-        bit_identical = len(solved) == total and all(
-            np.array_equal(x, ref) for x, ref in zip(solutions, reference)
-        )
-        wall = outcome["wall_seconds"]
-        rows.append(
-            ServeLoadRow(
-                format=format_name,
-                backend=backend,
-                clients=clients,
-                requests=total,
-                wall_seconds=wall,
-                solves_per_sec=len(solved) / wall if wall > 0 else float("inf"),
-                errors=total - len(solved),
-                status_counts=outcome["status_counts"],
-                bit_identical=bit_identical,
-                n=n,
-            )
-        )
-    return {
-        "n": n,
-        "format": format_name,
-        "kernel": kernel,
-        "leaf_size": leaf_size,
-        "max_rank": max_rank,
-        "clients": clients,
-        "requests": total,
-        "rows": rows,
-    }
-
-
-def format_serve_load(result: Dict[str, Any]) -> str:
-    """Render the serving load sweep as a printable table."""
-    lines = [
-        f"HTTP serving load: format={result['format']} kernel={result['kernel']} "
-        f"n={result['n']} leaf_size={result['leaf_size']} "
-        f"max_rank={result['max_rank']} clients={result['clients']} "
-        f"requests={result['requests']}",
-        "(concurrent keep-alive clients, blocking POST /v1/solve, "
-        "panel_size=1 bit-identity vs the sequential reference)",
-        "",
-        f"{'backend':>12} {'clients':>8} {'wall [s]':>10} {'solves/s':>10} "
-        f"{'errors':>7} {'bit-identical':>14}",
-    ]
-    for row in result["rows"]:
-        lines.append(
-            f"{row.backend:>12} {row.clients:>8d} {row.wall_seconds:>10.4f} "
-            f"{row.solves_per_sec:>10.1f} {row.errors:>7d} "
-            f"{str(row.bit_identical):>14}"
-        )
-    return "\n".join(lines)
 
 
 def _probe_admission_control(

@@ -1,4 +1,4 @@
-"""Warmed best-of-N timing shared by the experiment drivers and benchmarks.
+"""Warmed, interleaved best-of-N timing for the compression-scaling sweep.
 
 Every speedup the repository reports divides two wall times; measuring the
 baseline once and cold (first-touch allocation, lazy imports, BLAS thread
@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List
 
 __all__ = [
     "bench_repeats",
-    "best_of",
     "best_of_pair",
-    "TimingResult",
     "PairTimingResult",
 ]
 
@@ -34,22 +32,6 @@ def bench_repeats(default: int = 3) -> int:
     if value <= 0:
         raise ValueError(f"{_REPEATS_ENV} must be a positive integer, got {raw!r}")
     return value
-
-
-class TimingResult(tuple):
-    """The ``(best_seconds, last_result)`` pair of :func:`best_of`.
-
-    Unpacks exactly like the 2-tuple it always was; additionally carries the
-    per-repeat raw wall times as :attr:`samples`, so bench artifacts can
-    record the full evidence behind every "best" claim.
-    """
-
-    samples: List[float]
-
-    def __new__(cls, best: float, result: Any, samples: List[float]) -> "TimingResult":
-        self = super().__new__(cls, (best, result))
-        self.samples = list(samples)
-        return self
 
 
 class PairTimingResult(tuple):
@@ -77,31 +59,6 @@ class PairTimingResult(tuple):
         self.baseline_samples = list(baseline_samples)
         self.candidate_samples = list(candidate_samples)
         return self
-
-
-def best_of(
-    run: Callable[..., Any], *, repeats: int = 3, setup: Optional[Callable[[], Any]] = None
-) -> TimingResult:
-    """Best-of-``repeats`` wall time of ``run`` over fresh states.
-
-    Each repeat optionally calls ``setup`` (untimed -- e.g. recording a fresh
-    task graph, since an executed graph cannot run again) and times one call
-    of ``run`` (receiving ``setup``'s return value when given).  Returns a
-    :class:`TimingResult` unpacking as ``(best_seconds, last_result)``: the
-    minimum discards cold-start effects, the last repeat's result serves the
-    caller's correctness checks, and ``.samples`` carries every repeat's raw
-    wall time for auditability.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    samples: List[float] = []
-    result: Any = None
-    for _ in range(repeats):
-        state = setup() if setup is not None else None
-        t0 = time.perf_counter()
-        result = run(state) if setup is not None else run()
-        samples.append(time.perf_counter() - t0)
-    return TimingResult(min(samples), result, samples)
 
 
 def best_of_pair(

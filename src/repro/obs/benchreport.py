@@ -27,7 +27,6 @@ from repro.obs.trajectory import (
     load_artifact,
     machine_stamp,
     speedup_rows,
-    throughput_rows,
 )
 
 __all__ = ["sparkline", "render_markdown", "render_html", "main"]
@@ -81,25 +80,17 @@ def _stamp_line(section: Mapping[str, Any]) -> str:
     return "*" + ", ".join(parts) + "*" if parts else ""
 
 
-def _speedup_section(
-    out: List[str],
-    title: str,
-    name: str,
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    *,
-    seq_key: str,
-    par_key: str,
-    samples_key: str,
+def _compress_section(
+    out: List[str], current: Mapping[str, Any], baseline: Mapping[str, Any]
 ) -> None:
-    section = current.get(name)
+    section = current.get("compress_scaling")
     if not isinstance(section, dict):
         return
-    base_section = baseline.get(name)
+    base_section = baseline.get("compress_scaling")
     base_rows: Dict[Any, float] = {}
     if isinstance(base_section, dict):
         base_rows = {key: s for key, s, _n in speedup_rows(base_section)}
-    out.append(f"## {title}")
+    out.append("## Compression scaling")
     stamp = _stamp_line(section)
     if stamp:
         out.append(stamp)
@@ -114,10 +105,10 @@ def _speedup_section(
             str(row.get("backend", "-")),
             "on" if row.get("fusion") else "off",
             str(row.get("n", n_default)),
-            _fmt_seconds(row.get(seq_key)),
-            _fmt_seconds(row.get(par_key)),
+            _fmt_seconds(row.get("sequential_seconds")),
+            _fmt_seconds(row.get("wall_seconds")),
             f"{speedup:.2f}x" if isinstance(speedup, (int, float)) else "-",
-            sparkline(row.get(samples_key, ())) or "-",
+            sparkline(row.get("wall_samples", ())) or "-",
             _fmt_delta(speedup, base_rows.get(key))
             if isinstance(speedup, (int, float)) else "-",
         ])
@@ -129,108 +120,14 @@ def _speedup_section(
     out.append("")
 
 
-def _overhead_section(out: List[str], current: Mapping[str, Any]) -> None:
-    section = current.get("trace_overhead")
-    if not isinstance(section, dict):
-        return
-    out.append("## Observability overhead")
-    stamp = _stamp_line(section)
-    if stamp:
-        out.append(stamp)
-    out.append("")
-    rows: List[List[str]] = []
-    untraced = section.get("untraced_best")
-    rows.append([
-        "bare", _fmt_seconds(untraced), "-",
-        sparkline(section.get("untraced_samples", ())) or "-",
-    ])
-    for label, best_key, samples_key, frac_key in (
-        ("traced", "traced_best", "traced_samples", "overhead_fraction"),
-        ("traced+metered", "metered_best", "metered_samples",
-         "metered_overhead_fraction"),
-    ):
-        if best_key not in section:
-            continue
-        frac = section.get(frac_key)
-        rows.append([
-            label,
-            _fmt_seconds(section.get(best_key)),
-            f"{frac * 100:+.2f}%" if isinstance(frac, (int, float)) else "-",
-            sparkline(section.get(samples_key, ())) or "-",
-        ])
-    out.extend(_table(
-        [f"run (n={section.get('n')}, best of {section.get('repeats')})",
-         "best s", "overhead", "samples"],
-        rows,
-    ))
-    out.append("")
-
-
-def _throughput_section(
-    out: List[str], current: Mapping[str, Any], baseline: Mapping[str, Any]
-) -> None:
-    section = current.get("solve_throughput")
-    if not isinstance(section, dict):
-        return
-    base_section = baseline.get("solve_throughput")
-    base_rows: Dict[Any, float] = {}
-    if isinstance(base_section, dict):
-        base_rows = {key: s for key, s, _n in throughput_rows(base_section)}
-    out.append("## Serving throughput")
-    stamp = _stamp_line(section)
-    if stamp:
-        out.append(stamp)
-    out.append("")
-    rows = []
-    for row in section.get("rows", ()):
-        # Same row key as the gate: only the concurrent backends carry a
-        # baseline entry, so serial rows render "-" in the delta column.
-        key = (
-            row.get("format"),
-            row.get("backend"),
-            int(row.get("n_workers", 1)),
-            int(row.get("batch_size", 1)),
-        )
-        solves = row.get("solves_per_sec")
-        rows.append([
-            str(row.get("backend", "-")),
-            str(row.get("batch_size", "-")),
-            str(row.get("requests", "-")),
-            f"{solves:.1f}" if isinstance(solves, (int, float)) else "-",
-            _fmt_seconds(row.get("wall_seconds")),
-            _fmt_delta(solves, base_rows.get(key))
-            if isinstance(solves, (int, float)) else "-",
-        ])
-    out.extend(_table(
-        ["backend", "batch", "requests", "solves/s", "wall s", "vs baseline"],
-        rows,
-    ))
-    out.append("")
-
-
 def render_markdown(
     current: Mapping[str, Any], baseline: Optional[Mapping[str, Any]] = None
 ) -> str:
     """The benchmark artifact as a markdown report (sparklines + deltas)."""
     baseline = baseline or {}
     out: List[str] = ["# Benchmark trajectory report", ""]
-    _speedup_section(
-        out, "Parallel speedup (factorize + solve)", "parallel_speedup",
-        current, baseline,
-        seq_key="seq_seconds", par_key="par_seconds", samples_key="par_samples",
-    )
-    _speedup_section(
-        out, "Compression scaling", "compress_scaling", current, baseline,
-        seq_key="sequential_seconds", par_key="wall_seconds",
-        samples_key="wall_samples",
-    )
-    _overhead_section(out, current)
-    _throughput_section(out, current, baseline)
-    rendered = {
-        "parallel_speedup", "compress_scaling", "trace_overhead",
-        "solve_throughput",
-    }
-    other = sorted(set(current) - rendered)
+    _compress_section(out, current, baseline)
+    other = sorted(set(current) - {"compress_scaling"})
     if other:
         out.append("## Other recorded sections")
         out.append("")

@@ -1,4 +1,4 @@
-"""The benchmark-trajectory gate: compare bench artifacts, bound overheads.
+"""The benchmark-trajectory gate: compare bench artifacts, bound spreads.
 
 The library behind ``benchmarks/check_speedup_trajectory.py`` (the CI gate)
 and the ``repro benchreport`` renderer: loads ``BENCH_runtime.json``-shaped
@@ -6,13 +6,12 @@ artifacts, matches speedup rows between a freshly measured artifact and the
 committed trajectory, and produces a structured :class:`GateResult` instead
 of printing directly -- the CLI wrapper prints, the report renders.
 
-Speedup rows match on ``(section, format, backend, fusion)``, throughput
-rows (:data:`THROUGHPUT_SECTION`, gated on ``solves_per_sec``) on
-``(format, backend, n_workers, batch_size)``, and HTTP serving rows
-(:data:`SERVE_SECTION`, end-to-end solves/sec through the running server)
-on ``(format, backend, clients)``; only the concurrent backends
-(:data:`GATED_BACKENDS`) gate, since that is the trajectory the
-north star tracks.  Absolute numbers are machine- and size-dependent, so
+Speedup rows (the :data:`SECTIONS`, i.e. ``compress_scaling``) match on
+``(section, format, backend, fusion)``; only the concurrent backends
+(:data:`GATED_BACKENDS`) gate, since that is the trajectory the north star
+tracks.  Factorize/solve wall times, serving throughput and observability
+overhead are not gated here: ``bench/`` measures them as interleaved
+parent/change pairs.  Absolute numbers are machine- and size-dependent, so
 the check is deliberately lenient: a current row must reach ``tolerance``
 (default 0.5) of the stored value when both runs measured the same problem
 size *on the same core count*, and the looser ``cross_size_tolerance``
@@ -21,13 +20,6 @@ size *on the same core count*, and the looser ``cross_size_tolerance``
 is read backfill-tolerantly, so pre-stamp artifacts compare exactly as
 before.  Missing baselines, sections or rows are reported but never fail
 the check -- the gate only ever compares what both artifacts measured.
-
-When the current artifact carries a ``trace_overhead`` section, every
-recorded overhead fraction in :data:`OVERHEAD_FIELDS` is additionally gated
-against ``max_trace_overhead``: plain tracing (``overhead_fraction``) and
-tracing combined with the metrics registry
-(``metered_overhead_fraction``) must both stay cheap enough to leave the
-timings they explain unperturbed.
 
 When the current artifact carries per-data-plane rows in
 :data:`COMM_SECTION` (``distributed_weak_scaling``, recorded since the
@@ -38,10 +30,9 @@ plane, and matching shm rows must not regress past a small slack over the
 committed baseline.  Pre-plane artifacts carry no ``data_plane`` field and
 skip the gate entirely.
 
-The *committed baseline itself* is validated on every run: its recorded
-overhead fractions must pass ``max_trace_overhead`` and every raw
+The *committed baseline itself* is validated on every run: every raw
 ``*_samples`` list it stores must have a max/min spread within
-``max_sample_spread`` (default 2x) -- a baseline violating either was
+``max_sample_spread`` (default 2x) -- a baseline violating that was
 recorded on a disturbed machine, and committing it would silently lower
 every regression floor derived from it.  The same spread bound is applied
 to the freshly measured artifact as a ``NOISY`` warning only (CI boxes are
@@ -49,8 +40,7 @@ noisy; the lenient floors absorb that), so a disturbed measurement is
 visible without flaking the gate.
 
 :func:`check_refresh` guards the act of *replacing* the baseline: a
-proposed refresh must itself be baseline-clean (hard spread + overhead
-checks) and at parity or better with the committed trajectory
+proposed refresh must itself be baseline-clean (hard spread check) and at parity or better with the committed trajectory
 (``refresh_tolerance``, default 0.9 of every stored gated value on the
 same machine class), so repeated refreshes after slower runs cannot
 ratchet the floors looser.
@@ -65,17 +55,12 @@ from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
 __all__ = [
     "SECTIONS",
-    "THROUGHPUT_SECTION",
-    "SERVE_SECTION",
     "COMM_SECTION",
     "GATED_BACKENDS",
-    "OVERHEAD_FIELDS",
     "GateResult",
     "load_artifact",
     "machine_stamp",
     "speedup_rows",
-    "throughput_rows",
-    "serve_rows",
     "comm_plane_rows",
     "sample_spreads",
     "check_trajectory",
@@ -83,31 +68,14 @@ __all__ = [
 ]
 
 #: Sections carrying speedup rows, with the per-row key fields.
-SECTIONS = ("parallel_speedup", "compress_scaling")
-
-#: Section carrying batched-solve throughput rows, gated on ``solves_per_sec``.
-THROUGHPUT_SECTION = "solve_throughput"
-
-#: Section carrying HTTP-serving load-generator rows (concurrent clients
-#: against the running server), gated on end-to-end ``solves_per_sec``.
-SERVE_SECTION = "serve_load"
+SECTIONS = ("compress_scaling",)
 
 #: Section carrying per-data-plane physical-byte rows of the distributed
 #: weak-scaling bench, gated on the zero-copy savings factor.
 COMM_SECTION = "distributed_weak_scaling"
 
 #: Backends whose speedup trajectory gates the check.
-GATED_BACKENDS = ("thread", "parallel", "process")
-
-#: Overhead fractions gated in the ``trace_overhead`` section:
-#: ``(field, label)`` pairs.  ``overhead_fraction`` is measured tracing
-#: alone; ``metered_overhead_fraction`` is tracing plus the metrics registry
-#: (the combined observability cost).
-OVERHEAD_FIELDS = (
-    ("overhead_fraction", "traced"),
-    ("metered_overhead_fraction", "traced+metered"),
-)
-
+GATED_BACKENDS = ("parallel", "process")
 
 def load_artifact(path: Path) -> Dict[str, Any]:
     """Load one ``BENCH_runtime.json``-shaped artifact (a JSON object)."""
@@ -140,43 +108,6 @@ def speedup_rows(section: Mapping[str, Any]) -> Iterator[Tuple[Tuple, float, int
         yield key, float(row["speedup"]), int(row.get("n", n))
 
 
-def throughput_rows(section: Mapping[str, Any]) -> Iterator[Tuple[Tuple, float, int]]:
-    """Yield ``(key, solves_per_sec, n)`` per gated row of ``solve_throughput``."""
-    n = int(section.get("n", 0))
-    for row in section.get("rows", ()):
-        backend = row.get("backend")
-        if backend not in GATED_BACKENDS or "solves_per_sec" not in row:
-            continue
-        key = (
-            row.get("format"),
-            backend,
-            int(row.get("n_workers", 1)),
-            int(row.get("batch_size", 1)),
-        )
-        yield key, float(row["solves_per_sec"]), int(row.get("n", n))
-
-
-def serve_rows(section: Mapping[str, Any]) -> Iterator[Tuple[Tuple, float, int]]:
-    """Yield ``(key, solves_per_sec, n)`` per gated row of ``serve_load``.
-
-    Rows are end-to-end HTTP measurements (client -> server -> batched graph
-    solve -> response), keyed by the serving configuration.  Every service
-    backend gates here -- unlike the raw speedup sections, the serving
-    trajectory matters even on the sequential backends, since the HTTP and
-    batching overhead is what the row measures.
-    """
-    n = int(section.get("n", 0))
-    for row in section.get("rows", ()):
-        if "solves_per_sec" not in row:
-            continue
-        key = (
-            row.get("format"),
-            row.get("backend"),
-            int(row.get("clients", 1)),
-        )
-        yield key, float(row["solves_per_sec"]), int(row.get("n", n))
-
-
 def comm_plane_rows(
     section: Mapping[str, Any],
 ) -> Dict[Tuple[str, int, str], Tuple[int, int]]:
@@ -202,7 +133,7 @@ def comm_plane_rows(
 #: Row fields used to describe a sample-spread finding in log lines.
 _ROW_ID_FIELDS = (
     "format", "backend", "fusion", "distribution", "data_plane",
-    "n_workers", "batch_size", "nodes", "n",
+    "n_workers", "nodes", "n",
 )
 
 
@@ -217,8 +148,7 @@ def sample_spreads(
     """Yield ``(section, where, field, max/min spread)`` per raw-sample list.
 
     Walks every section generically: raw per-repeat timing lists are any
-    ``*_samples`` key, either on the section itself (``trace_overhead``) or
-    on its rows.  Lists shorter than two samples or containing non-positive
+    ``*_samples`` key, either on the section itself or on its rows.  Lists shorter than two samples or containing non-positive
     timings are skipped -- the spread of a timing list is only meaningful
     for repeated positive wall times.
     """
@@ -395,8 +325,6 @@ def _gate_section(
     name: str,
     cur_section: Mapping[str, Any],
     base_section: Mapping[str, Any],
-    rows_fn,
-    unit: str,
     *,
     tolerance: float,
     cross_size_tolerance: float,
@@ -410,8 +338,8 @@ def _gate_section(
     same_machine_class = (
         cur_cpus is None or base_cpus is None or cur_cpus == base_cpus
     )
-    base_rows = {key: (s, n) for key, s, n in rows_fn(base_section)}
-    for key, cur_value, cur_n in rows_fn(cur_section):
+    base_rows = {key: (s, n) for key, s, n in speedup_rows(base_section)}
+    for key, cur_value, cur_n in speedup_rows(cur_section):
         if key not in base_rows:
             continue
         base_value, base_n = base_rows[key]
@@ -426,15 +354,15 @@ def _gate_section(
             "" if same_machine_class else f", cpus {base_cpus}->{cur_cpus}"
         )
         result.log(
-            f"{name} {key}: current {cur_value:.2f}{unit} (n={cur_n}) vs "
-            f"stored {base_value:.2f}{unit} (n={base_n}{cpus_note}), "
-            f"floor {floor:.2f}{unit} -> {verdict}"
+            f"{name} {key}: current {cur_value:.2f}x (n={cur_n}) vs "
+            f"stored {base_value:.2f}x (n={base_n}{cpus_note}), "
+            f"floor {floor:.2f}x -> {verdict}"
         )
         if cur_value < floor:
             result.fail(
                 f"{name}: {key}: "
-                f"n={cur_n}: current {cur_value:.2f}{unit} < floor "
-                f"{floor:.2f}{unit} (stored {base_value:.2f}{unit} at "
+                f"n={cur_n}: current {cur_value:.2f}x < floor "
+                f"{floor:.2f}x (stored {base_value:.2f}x at "
                 f"n={base_n}, short by {(floor - cur_value) / floor * 100:.0f}%)"
             )
 
@@ -447,69 +375,15 @@ def _check_speedups(
     tolerance: float,
     cross_size_tolerance: float,
 ) -> None:
-    gated = [(name, speedup_rows, "x") for name in SECTIONS]
-    gated.append((THROUGHPUT_SECTION, throughput_rows, "/s"))
-    gated.append((SERVE_SECTION, serve_rows, "/s"))
-    for name, rows_fn, unit in gated:
+    for name in SECTIONS:
         cur_section = current.get(name)
         base_section = baseline.get(name)
         if not isinstance(cur_section, dict) or not isinstance(base_section, dict):
             result.log(f"section {name!r}: missing on one side, skipped")
             continue
         _gate_section(
-            result, name, cur_section, base_section, rows_fn, unit,
+            result, name, cur_section, base_section,
             tolerance=tolerance, cross_size_tolerance=cross_size_tolerance,
-        )
-
-
-def _check_overheads(
-    result: GateResult,
-    artifact: Mapping[str, Any],
-    max_overhead: float,
-    *,
-    role: str = "current",
-) -> None:
-    """Gate the recorded observability overhead fractions of one artifact.
-
-    Applied to the freshly measured artifact (``role="current"``, as always)
-    and to the committed/proposed baseline (``role="baseline"``/
-    ``"refresh"``): a stored trajectory whose own overhead measurement
-    breaches the limit was recorded on a disturbed machine and would make
-    every fresh run fail against it, so it must never be committed.
-    """
-    prefix = "" if role == "current" else f"{role} "
-    section = artifact.get("trace_overhead")
-    if not isinstance(section, dict):
-        result.log(
-            f"section 'trace_overhead': not in the {role} artifact, skipped"
-        )
-        return
-    checked = False
-    for fraction_key, label in OVERHEAD_FIELDS:
-        fraction = section.get(fraction_key)
-        if not isinstance(fraction, (int, float)):
-            continue
-        checked = True
-        best_key = "traced_best" if label == "traced" else "metered_best"
-        verdict = "ok" if fraction <= max_overhead else "TOO EXPENSIVE"
-        result.log(
-            f"{prefix}trace_overhead[{label}]: measured {fraction * 100:+.2f}% "
-            f"(untraced {section.get('untraced_best', float('nan')):.4f}s vs "
-            f"{label} {section.get(best_key, float('nan')):.4f}s, "
-            f"n={section.get('n')}, best of {section.get('repeats')}) "
-            f"<= limit {max_overhead * 100:.1f}% -> {verdict}"
-        )
-        if fraction > max_overhead:
-            result.fail(
-                f"{prefix}trace_overhead[{label}]: {fraction * 100:+.2f}% "
-                f"exceeds the {max_overhead * 100:.1f}% limit "
-                f"(untraced {section.get('untraced_best')}s, "
-                f"{label} {section.get(best_key)}s)"
-            )
-    if not checked:
-        result.log(
-            f"section 'trace_overhead': no overhead fraction recorded in the "
-            f"{role} artifact, skipped"
         )
 
 
@@ -519,7 +393,6 @@ def check_trajectory(
     *,
     tolerance: float = 0.5,
     cross_size_tolerance: float = 0.25,
-    max_trace_overhead: float = 0.03,
     min_comm_savings: float = 10.0,
     max_sample_spread: float = 2.0,
 ) -> GateResult:
@@ -532,8 +405,7 @@ def check_trajectory(
     plane (see :func:`comm_plane_rows`).
 
     Besides comparing the two artifacts, the committed baseline is itself
-    validated (overhead fractions within ``max_trace_overhead``, raw-sample
-    spreads within ``max_sample_spread``) so that a disturbed run committed
+    validated (raw-sample spreads within ``max_sample_spread``) so that a disturbed run committed
     as the trajectory fails every subsequent gate run loudly instead of
     silently lowering the floors; the current artifact's spreads only warn.
     """
@@ -551,13 +423,9 @@ def check_trajectory(
         result, current, baseline,
         tolerance=tolerance, cross_size_tolerance=cross_size_tolerance,
     )
-    _check_overheads(result, current, max_trace_overhead)
     _check_comm_plane(result, current, baseline, min_comm_savings)
     _check_sample_spreads(result, current, max_sample_spread, role="current")
     if baseline:
-        _check_overheads(
-            result, baseline, max_trace_overhead, role="baseline"
-        )
         _check_sample_spreads(
             result, baseline, max_sample_spread, role="baseline"
         )
@@ -570,7 +438,6 @@ def check_refresh(
     *,
     refresh_tolerance: float = 0.9,
     cross_size_tolerance: float = 0.25,
-    max_trace_overhead: float = 0.03,
     min_comm_savings: float = 10.0,
     max_sample_spread: float = 2.0,
 ) -> GateResult:
@@ -581,8 +448,7 @@ def check_refresh(
     failures:
 
     * **baseline-clean** -- the proposed artifact must satisfy everything
-      demanded of a committed baseline: overhead fractions within
-      ``max_trace_overhead`` and every raw-sample spread within
+      demanded of a committed baseline: every raw-sample spread within
       ``max_sample_spread`` (a disturbed run must not become the floor
       generator);
     * **parity or better** -- every gated value must reach
@@ -610,7 +476,6 @@ def check_refresh(
         result, proposed, committed,
         tolerance=refresh_tolerance, cross_size_tolerance=cross_size_tolerance,
     )
-    _check_overheads(result, proposed, max_trace_overhead, role="refresh")
     _check_comm_plane(result, proposed, committed, min_comm_savings)
     _check_sample_spreads(result, proposed, max_sample_spread, role="refresh")
     return result

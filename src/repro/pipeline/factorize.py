@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.hss_ulv import HSSULVFactor, merge_children
-from repro.core.partial_cholesky import partial_cholesky
+from repro.core.partial_cholesky import cholesky, partial_cholesky
 from repro.formats.hss import HSSStructure
 from repro.pipeline.builder import GraphBuilder
 from repro.runtime.dtd import DTDRuntime
@@ -134,7 +134,7 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                 )
 
                 def partial_factor(level=level, i=i, r=r) -> None:
-                    part = partial_cholesky(diag[(level, i)], r)
+                    part = partial_cholesky(diag[(level, i)], r, level=level, node=i)
                     schur[(level, i)] = factor.levels[level].set_partial(i, part)
                     done.add((level, i))
 
@@ -172,7 +172,7 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                 )
 
         def root_factor() -> None:
-            factor.root_chol = np.linalg.cholesky(diag[(0, 0)])
+            factor.root_chol = cholesky(diag[(0, 0)], level=0, node=0)
 
         self.set_phase(len(st.levels))
         self.insert(

@@ -24,6 +24,11 @@ Endpoints
     (or ``request_timeout`` elapses -> 504; the ticket stays claimable via
     the ticket route).  Flushed immediately when the solver is idle; solves
     that arrive during a running flush are batched into one graph solve.
+    A solve that fails answers 400 when the request was invalid
+    (``ValueError`` / ``TypeError``), 422 when the problem is numerically
+    unsolvable (``numpy.linalg.LinAlgError``, e.g.
+    :class:`~repro.core.NotPositiveDefinite`) and 500 otherwise, each with
+    a JSON ``{"error": ...}`` body.
 ``POST /v1/submit`` / ``GET /v1/tickets/<id>``
     The asynchronous path: submit returns ``202`` with a ticket id
     immediately; poll the ticket for ``pending`` / ``done`` (solution
@@ -112,12 +117,23 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    422: "Unprocessable Entity",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+def _solve_failure(exc: BaseException) -> HTTPError:
+    """The HTTP error for a ticket whose solve raised ``exc``."""
+    # LinAlgError subclasses ValueError, so it is tested first.
+    if isinstance(exc, np.linalg.LinAlgError):
+        return HTTPError(422, f"solve failed: {type(exc).__name__}: {exc}")
+    if isinstance(exc, (ValueError, TypeError)):
+        return HTTPError(400, f"solve failed: {exc}")
+    return HTTPError(500, f"solve failed: internal error: {exc!r}")
 
 
 class _TicketRecord:
@@ -667,7 +683,7 @@ class SolverHTTPServer:
         self._tickets.pop(ticket_id, None)
         ticket = record.ticket
         if ticket.error is not None:
-            raise HTTPError(400, f"solve failed: {ticket.error}")
+            raise _solve_failure(ticket.error)
         x = ticket.result
         return 200, json.dumps({"x": x.tolist()}).encode(), {}, route
 

@@ -31,6 +31,7 @@ import numpy as np
 from repro.api import StructuredSolver
 from repro.core.rhs import validate_rhs
 from repro.distribution.strategies import DistributionStrategy
+from repro.kernels.greens import kernel_by_name
 from repro.obs.metrics import COUNT_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.runtime_metrics import service_queue_wait
 from repro.pipeline.policy import ExecutionPolicy
@@ -76,8 +77,13 @@ class FactorKey:
         cls, kernel: str, n: int, *, leaf_size: int = 256, max_rank: int = 100,
         format: str = "hss", **params: float,
     ) -> "FactorKey":
-        # Resolve through the registry so unknown formats fail at submit
-        # time (with the registered choices) instead of at factorization.
+        # Resolve the kernel and format names through their registries so
+        # unknown ones fail at submit time (with the known choices) instead
+        # of at factorization.
+        try:
+            kernel_by_name(kernel)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         return cls(
             kernel=str(kernel), n=int(n), leaf_size=int(leaf_size),
             max_rank=int(max_rank), params=tuple(sorted(params.items())),

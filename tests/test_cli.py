@@ -1,5 +1,7 @@
 """Tests for the experiment command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -14,23 +16,22 @@ class TestParser:
         parser = build_parser()
         for cmd in (
             "table1", "table2", "fig9", "fig10", "fig11", "fig12",
-            "solve", "speedup", "weakscale", "servebench",
+            "solve", "weakscale", "compresscale",
         ):
             args = parser.parse_args([cmd])
             assert args.command == cmd
 
-    def test_speedup_defaults_and_flags(self):
-        args = build_parser().parse_args(["speedup"])
-        assert args.n == 2048 and args.workers == 4 and args.kernel == "yukawa"
-        assert args.backend == "thread"
-        args = build_parser().parse_args(["speedup", "--n", "4096", "--workers", "8"])
-        assert args.n == 4096 and args.workers == 8
-
-    def test_speedup_backend_flag(self):
-        args = build_parser().parse_args(["speedup", "--backend", "process"])
-        assert args.backend == "process"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["speedup", "--backend", "gpu"])
+    def test_command_set_is_exact(self):
+        # Timing sweeps live in bench/; no other subcommand (or alias) exists.
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(sub.choices) == {
+            "table1", "table2", "fig9", "fig10", "fig11", "fig12", "solve",
+            "weakscale", "compresscale", "trace", "metrics", "serve",
+            "benchreport",
+        }
 
     def test_solve_distributed_flags(self):
         args = build_parser().parse_args(
@@ -66,8 +67,9 @@ class TestParser:
         assert args.n == 512
 
     def test_solve_runtime_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["solve", "--runtime", "bogus"])
+        for bad in ("bogus", "immediate"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["solve", "--runtime", bad])
 
     def test_solve_nrhs_and_refine_flags(self):
         args = build_parser().parse_args(["solve"])
@@ -77,27 +79,6 @@ class TestParser:
         for bad in ("0", "-4"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["solve", "--nrhs", bad])
-
-    def test_servebench_defaults_and_flags(self):
-        args = build_parser().parse_args(["servebench"])
-        assert args.n == 1024 and args.requests == 32
-        assert args.batch_sizes is None and args.backends is None
-        args = build_parser().parse_args(
-            ["servebench", "--batch", "1", "--batch", "8",
-             "--backend", "reference", "--backend", "parallel"]
-        )
-        assert args.batch_sizes == [1, 8]
-        assert args.backends == ["reference", "parallel"]
-        for bad_args in (
-            ["servebench", "--backend", "gpu"],
-            ["servebench", "--backend", "immediate"],
-            ["solve", "--runtime", "immediate"],
-            ["servebench", "--batch", "0"],
-            ["servebench", "--batch", "-4"],
-            ["servebench", "--requests", "0"],
-        ):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(bad_args)
 
     def test_solve_help_documents_runtime_modes(self, capsys):
         with pytest.raises(SystemExit):
@@ -218,21 +199,3 @@ class TestMain:
         assert "solves/s" in out
         err = float(out.split("solve error")[1].split()[0])
         assert err < 1e-10
-
-    def test_servebench_smoke(self):
-        out = main(
-            [
-                "servebench",
-                "--n", "256",
-                "--leaf-size", "64",
-                "--max-rank", "20",
-                "--requests", "4",
-                "--batch", "1",
-                "--batch", "4",
-                "--backend", "reference",
-                "--backend", "parallel",
-            ]
-        )
-        assert "Solve throughput" in out
-        assert "reference" in out and "parallel" in out
-        assert "solves/s" in out

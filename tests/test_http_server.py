@@ -14,6 +14,8 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core import NotPositiveDefinite
+from repro.experiments.serve_load import drive_concurrent_clients
 from repro.obs.exposition import parse_prometheus
 from repro.service import (
     Authenticator,
@@ -97,8 +99,8 @@ class GatedService(SolverService):
     before the server's flush loop gets control back.
     """
 
-    def __init__(self, *, held: bool = True) -> None:
-        super().__init__(backend="sequential", panel_size=1)
+    def __init__(self, *, held: bool = True, backend: str = "sequential") -> None:
+        super().__init__(backend=backend, n_workers=2, panel_size=1)
         self.entered = threading.Event()
         self.gate = threading.Event()
         if not held:
@@ -115,6 +117,17 @@ class GatedService(SolverService):
         if self.after_flush is not None:
             self.after_flush()
         return flushed
+
+
+class FailingService(GatedService):
+    """A service whose every flush fails with ``error`` where it would factorize."""
+
+    def __init__(self, error: BaseException) -> None:
+        super().__init__(held=False)
+        self.error = error
+
+    def solver_for(self, key):
+        raise self.error
 
 
 def _stop(srv) -> None:
@@ -189,6 +202,49 @@ class TestEndpoints:
             base, "/v1/solve", _solve_doc(kernel="no-such-kernel")
         )
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "error, status",
+        [
+            (ValueError("bad right-hand side"), 400),
+            (TypeError("not a number"), 400),
+            (np.linalg.LinAlgError("singular block"), 422),
+            (NotPositiveDefinite(3, -0.25, 2, 1), 422),
+            (RuntimeError("worker died"), 500),
+        ],
+    )
+    def test_failed_solve_status_follows_the_error(self, error, status):
+        service = FailingService(error)
+        srv = SolverHTTPServer(service, request_timeout=60.0)
+        srv.start_in_thread()
+        base = f"http://{srv.host}:{srv.port}"
+        try:
+            code, doc, headers = _request(base, "/v1/solve", _solve_doc())
+            assert code == status
+            assert headers["Content-Type"].startswith("application/json")
+            assert str(error) in doc["error"]
+            # the failure is the request's, not the server's
+            assert _request(base, "/healthz")[0] == 200
+        finally:
+            _stop(srv)
+
+    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
+    def test_concurrent_clients_bit_identical(self, backend):
+        # Four keep-alive connections storming blocking /v1/solve: every
+        # answer is served and bit-identical to the reference solve.
+        service = SolverService(backend=backend, n_workers=2, panel_size=1)
+        srv = SolverHTTPServer(service, request_timeout=60.0)
+        srv.start_in_thread()
+        rhs = np.column_stack([_rhs(seed) for seed in range(8)])
+        try:
+            outcome = drive_concurrent_clients(
+                srv.host, srv.port, rhs=rhs, clients=4, **KEY
+            )
+        finally:
+            _stop(srv)
+        assert outcome["status_counts"] == {"200": 8}
+        for seed, x in enumerate(outcome["solutions"]):
+            np.testing.assert_array_equal(x, _reference(seed))
 
     def test_stats_endpoint(self, base):
         _request(base, "/v1/solve", _solve_doc())
@@ -348,8 +404,9 @@ class TestAdmissionControl:
 class TestFlushOnArrival:
     """The event-driven flush loop: no window, batching from load, no lost wake-up."""
 
-    def test_arrivals_during_a_flush_go_out_as_one_batch(self):
-        service = GatedService()
+    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
+    def test_arrivals_during_a_flush_go_out_as_one_batch(self, backend):
+        service = GatedService(backend=backend)
         srv = SolverHTTPServer(service)
         srv.start_in_thread()
         base = f"http://{srv.host}:{srv.port}"

@@ -517,20 +517,20 @@ def _speedup_section(speedup, n=1024, cpu_count=None, backend="parallel"):
 class TestTrajectoryGate:
     def test_within_tolerance_passes(self, tmp_path):
         cur = _artifact(tmp_path, "cur.json", {
-            "parallel_speedup": _speedup_section(1.6),
+            "compress_scaling": _speedup_section(1.6),
         })
         base = _artifact(tmp_path, "base.json", {
-            "parallel_speedup": _speedup_section(2.0),
+            "compress_scaling": _speedup_section(2.0),
         })
         result = check_trajectory(cur, base)
         assert result.ok and result.compared == 1
 
     def test_regression_fails(self, tmp_path):
         cur = _artifact(tmp_path, "cur.json", {
-            "parallel_speedup": _speedup_section(0.8),
+            "compress_scaling": _speedup_section(0.8),
         })
         base = _artifact(tmp_path, "base.json", {
-            "parallel_speedup": _speedup_section(2.0),
+            "compress_scaling": _speedup_section(2.0),
         })
         result = check_trajectory(cur, base)
         assert not result.ok and result.exit_code == 1
@@ -541,77 +541,40 @@ class TestTrajectoryGate:
         # but passes the cross tolerance (floor 0.5) when the stamps show
         # different core counts
         cur = _artifact(tmp_path, "cur.json", {
-            "parallel_speedup": _speedup_section(0.8, cpu_count=1),
+            "compress_scaling": _speedup_section(0.8, cpu_count=1),
         })
         base = _artifact(tmp_path, "base.json", {
-            "parallel_speedup": _speedup_section(2.0, cpu_count=8),
+            "compress_scaling": _speedup_section(2.0, cpu_count=8),
         })
         assert check_trajectory(cur, base).ok
         # unknown stamps (pre-stamp artifacts) stay strict
         cur2 = _artifact(tmp_path, "cur2.json", {
-            "parallel_speedup": _speedup_section(0.8),
+            "compress_scaling": _speedup_section(0.8),
         })
         base2 = _artifact(tmp_path, "base2.json", {
-            "parallel_speedup": _speedup_section(2.0),
+            "compress_scaling": _speedup_section(2.0),
         })
         assert not check_trajectory(cur2, base2).ok
 
     def test_ungated_backend_ignored(self, tmp_path):
         cur = _artifact(tmp_path, "cur.json", {
-            "parallel_speedup": _speedup_section(0.1, backend="distributed"),
+            "compress_scaling": _speedup_section(0.1, backend="distributed"),
         })
         base = _artifact(tmp_path, "base.json", {
-            "parallel_speedup": _speedup_section(2.0, backend="distributed"),
+            "compress_scaling": _speedup_section(2.0, backend="distributed"),
         })
         result = check_trajectory(cur, base)
         assert result.ok and result.compared == 0
 
-    def test_overhead_fields_both_gated(self, tmp_path):
-        cur = _artifact(tmp_path, "cur.json", {
-            "trace_overhead": {
-                "n": 2048, "repeats": 5,
-                "untraced_best": 1.0, "traced_best": 1.01, "metered_best": 1.08,
-                "overhead_fraction": 0.01,
-                "metered_overhead_fraction": 0.08,
-            },
-        })
-        base = _artifact(tmp_path, "base.json", {})
-        result = check_trajectory(cur, base, max_trace_overhead=0.03)
-        assert not result.ok
-        assert any("traced+metered" in f for f in result.failures)
-        assert not any(
-            "traced]" in f or "[traced]" in f for f in result.failures
-        )
-        # raising the limit clears it
-        assert check_trajectory(cur, base, max_trace_overhead=0.10).ok
-
     def test_missing_baseline_never_fails(self, tmp_path):
         cur = _artifact(tmp_path, "cur.json", {
-            "parallel_speedup": _speedup_section(0.1),
+            "compress_scaling": _speedup_section(0.1),
         })
         result = check_trajectory(cur, tmp_path / "nope.json")
         assert result.ok and result.compared == 0
 
     # -- baseline health: a disturbed run committed as the trajectory must
     #    fail every subsequent gate run, not silently lower the floors
-
-    def test_noisy_baseline_overhead_fails_even_with_clean_current(
-        self, tmp_path
-    ):
-        clean = {
-            "n": 2048, "repeats": 5,
-            "untraced_best": 1.0, "traced_best": 1.01, "metered_best": 1.01,
-            "overhead_fraction": 0.01, "metered_overhead_fraction": 0.01,
-        }
-        cur = _artifact(tmp_path, "cur.json", {"trace_overhead": dict(clean)})
-        base = _artifact(tmp_path, "base.json", {
-            "trace_overhead": {**clean, "metered_overhead_fraction": 0.0377},
-        })
-        result = check_trajectory(cur, base, max_trace_overhead=0.03)
-        assert not result.ok
-        assert any(
-            f.startswith("baseline trace_overhead") for f in result.failures
-        )
 
     @staticmethod
     def _noisy_speedup_section(samples):
@@ -621,10 +584,10 @@ class TestTrajectoryGate:
 
     def test_noisy_baseline_samples_fail(self, tmp_path):
         cur = _artifact(tmp_path, "cur.json", {
-            "parallel_speedup": _speedup_section(1.0),
+            "compress_scaling": _speedup_section(1.0),
         })
         base = _artifact(tmp_path, "base.json", {
-            "parallel_speedup": self._noisy_speedup_section(
+            "compress_scaling": self._noisy_speedup_section(
                 [0.435, 0.382, 0.136]  # 3.2x spread: a disturbed run
             ),
         })
@@ -634,18 +597,18 @@ class TestTrajectoryGate:
                    for f in result.failures)
         # a tight spread passes
         base2 = _artifact(tmp_path, "base2.json", {
-            "parallel_speedup": self._noisy_speedup_section([0.40, 0.42, 0.41]),
+            "compress_scaling": self._noisy_speedup_section([0.40, 0.42, 0.41]),
         })
         assert check_trajectory(cur, base2).ok
 
     def test_noisy_current_samples_warn_only(self, tmp_path):
         cur = _artifact(tmp_path, "cur.json", {
-            "parallel_speedup": self._noisy_speedup_section(
+            "compress_scaling": self._noisy_speedup_section(
                 [0.435, 0.382, 0.136]
             ),
         })
         base = _artifact(tmp_path, "base.json", {
-            "parallel_speedup": _speedup_section(1.0),
+            "compress_scaling": _speedup_section(1.0),
         })
         result = check_trajectory(cur, base)
         assert result.ok
@@ -656,14 +619,14 @@ class TestTrajectoryGate:
 
     def test_refresh_parity_ok_and_regression_fails(self, tmp_path):
         committed = _artifact(tmp_path, "committed.json", {
-            "parallel_speedup": _speedup_section(1.0),
+            "compress_scaling": _speedup_section(1.0),
         })
         at_parity = _artifact(tmp_path, "parity.json", {
-            "parallel_speedup": _speedup_section(0.95),
+            "compress_scaling": _speedup_section(0.95),
         })
         assert check_refresh(at_parity, committed).ok
         slower = _artifact(tmp_path, "slower.json", {
-            "parallel_speedup": _speedup_section(0.8),
+            "compress_scaling": _speedup_section(0.8),
         })
         result = check_refresh(slower, committed)
         assert not result.ok
@@ -672,10 +635,10 @@ class TestTrajectoryGate:
 
     def test_refresh_rejects_noisy_candidate(self, tmp_path):
         committed = _artifact(tmp_path, "committed.json", {
-            "parallel_speedup": _speedup_section(1.0),
+            "compress_scaling": _speedup_section(1.0),
         })
         noisy = _artifact(tmp_path, "noisy.json", {
-            "parallel_speedup": self._noisy_speedup_section(
+            "compress_scaling": self._noisy_speedup_section(
                 [0.435, 0.382, 0.136]
             ),
         })
@@ -685,8 +648,8 @@ class TestTrajectoryGate:
 
     def test_committed_baseline_is_clean(self):
         # The artifact every regression floor is derived from must itself
-        # satisfy the baseline health checks (overhead within the limit,
-        # sample spreads within the sanity bound) -- this makes a disturbed
+        # satisfy the baseline health check (sample spreads within the
+        # sanity bound) -- this makes a disturbed
         # re-record uncommittable at the plain-pytest tier, not only in the
         # gate jobs.
         path = (
@@ -698,104 +661,16 @@ class TestTrajectoryGate:
 
     def test_sample_spreads_iterator_skips_short_and_nonpositive(self):
         spreads = list(sample_spreads({
-            "trace_overhead": {
-                "untraced_samples": [1.0, 2.0],
+            "fig10_measured": {
+                "wall_samples": [1.0, 2.0],
                 "one_samples": [1.0],          # too short
                 "zero_samples": [0.0, 1.0],    # non-positive
                 "text_samples": ["a", "b"],    # non-numeric
             },
         }))
         assert spreads == [
-            ("trace_overhead", "<section>", "untraced_samples", 2.0),
+            ("fig10_measured", "<section>", "wall_samples", 2.0),
         ]
-
-    @staticmethod
-    def _throughput_section(solves_per_sec, backend="parallel", n=1024):
-        return {
-            "n": n,
-            "rows": [{
-                "format": "hss", "backend": backend,
-                "n_workers": 4, "batch_size": 4,
-                "solves_per_sec": solves_per_sec,
-            }],
-        }
-
-    def test_solve_throughput_gated(self, tmp_path):
-        # a >50% throughput drop on a concurrent backend fails the gate
-        cur = _artifact(tmp_path, "cur.json", {
-            "solve_throughput": self._throughput_section(101.0),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "solve_throughput": self._throughput_section(230.0),
-        })
-        result = check_trajectory(cur, base)
-        assert not result.ok and result.compared == 1
-        assert any("solve_throughput" in f for f in result.failures)
-        # within tolerance passes
-        cur2 = _artifact(tmp_path, "cur2.json", {
-            "solve_throughput": self._throughput_section(200.0),
-        })
-        assert check_trajectory(cur2, base).ok
-
-    def test_solve_throughput_serial_backends_ungated(self, tmp_path):
-        # reference/sequential rows never gate: absolute single-thread
-        # throughput is not part of the concurrency trajectory
-        cur = _artifact(tmp_path, "cur.json", {
-            "solve_throughput": self._throughput_section(10.0, backend="reference"),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "solve_throughput": self._throughput_section(230.0, backend="reference"),
-        })
-        result = check_trajectory(cur, base)
-        assert result.ok and result.compared == 0
-
-    @staticmethod
-    def _serve_section(solves_per_sec, backend="sequential", n=256, clients=4):
-        return {
-            "n": n,
-            "rows": [{
-                "format": "hss", "backend": backend,
-                "clients": clients,
-                "solves_per_sec": solves_per_sec,
-            }],
-        }
-
-    def test_serve_load_gated(self, tmp_path):
-        # a >50% end-to-end serving throughput drop fails the gate
-        cur = _artifact(tmp_path, "cur.json", {
-            "serve_load": self._serve_section(90.0),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "serve_load": self._serve_section(200.0),
-        })
-        result = check_trajectory(cur, base)
-        assert not result.ok and result.compared == 1
-        assert any("serve_load" in f for f in result.failures)
-        # within tolerance passes
-        cur2 = _artifact(tmp_path, "cur2.json", {
-            "serve_load": self._serve_section(180.0),
-        })
-        assert check_trajectory(cur2, base).ok
-
-    def test_serve_load_gates_sequential_backends_too(self, tmp_path):
-        # unlike solve_throughput, serving throughput gates every backend:
-        # the HTTP/batching overhead being measured exists regardless of the
-        # executor behind the service, so a sequential-backend regression is
-        # just as real
-        cur = _artifact(tmp_path, "cur.json", {
-            "serve_load": self._serve_section(10.0, backend="sequential"),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "serve_load": self._serve_section(230.0, backend="sequential"),
-        })
-        result = check_trajectory(cur, base)
-        assert not result.ok and result.compared == 1
-        # rows match on the client count: a different concurrency level is a
-        # different row, not a regression
-        cur2 = _artifact(tmp_path, "cur2.json", {
-            "serve_load": self._serve_section(10.0, clients=8),
-        })
-        assert check_trajectory(cur2, base).compared == 0
 
     @staticmethod
     def _comm_section(shm_bytes, pickle_bytes, nodes=2, n=512):
@@ -886,36 +761,31 @@ class TestBenchreport:
 
     def test_render_markdown_synthetic_artifact(self):
         current = {
-            "parallel_speedup": {
+            "compress_scaling": {
                 "n": 2048,
                 "machine": {"git_sha": "abc1234", "cpu_count": 4},
                 "rows": [{
-                    "format": "hss", "backend": "thread", "fusion": False,
-                    "seq_seconds": 0.2, "par_seconds": 0.1, "speedup": 2.0,
-                    "par_samples": [0.1, 0.11, 0.1],
+                    "format": "hss", "backend": "parallel", "fusion": False,
+                    "sequential_seconds": 0.2, "wall_seconds": 0.1,
+                    "speedup": 2.0, "wall_samples": [0.1, 0.11, 0.1],
                 }],
             },
-            "trace_overhead": {
-                "n": 2048, "repeats": 5,
-                "untraced_best": 1.0, "traced_best": 1.01, "metered_best": 1.02,
-                "overhead_fraction": 0.01, "metered_overhead_fraction": 0.02,
-                "untraced_samples": [1.0, 1.1], "traced_samples": [1.01, 1.2],
-                "metered_samples": [1.02, 1.1],
-            },
+            "fig10_measured": {"n": 512, "rows": []},
         }
         baseline = {
-            "parallel_speedup": {
+            "compress_scaling": {
                 "n": 2048,
                 "rows": [{
-                    "format": "hss", "backend": "thread", "fusion": False,
+                    "format": "hss", "backend": "parallel", "fusion": False,
                     "speedup": 1.6,
                 }],
             },
         }
         md = render_markdown(current, baseline)
         assert "2.00x" in md and "+25%" in md  # delta vs the 1.6x baseline
-        assert "traced+metered" in md and "+2.00%" in md
+        assert "0.2000" in md and "0.1000" in md
         assert "git `abc1234`" in md and "4 cpu(s)" in md
+        assert "`fig10_measured`" in md  # listed, not tabled
         html = render_html(current, baseline)
         assert "<table>" in html and "2.00x" in html
 
@@ -926,5 +796,5 @@ class TestBenchreport:
         path = Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH_runtime.json"
         md = render_markdown(load_artifact(path))
         assert md.startswith("# Benchmark trajectory report")
-        assert "## Observability overhead" in md
-        assert "traced+metered" in md  # the committed artifact has the new arm
+        assert "## Compression scaling" in md
+        assert "`distributed_weak_scaling`" in md and "`fig10_measured`" in md

@@ -159,17 +159,25 @@ class TestStructuredSolverFormats:
         assert resid < 1e-8
         assert solver.solve_error(nrhs=2) < 1e-8
 
-    @pytest.mark.parametrize("fmt", ("blr2", "hodlr"))
-    def test_facade_parallel_backend_bit_identical(self, fmt):
+    @pytest.mark.parametrize("fusion", (False, True))
+    @pytest.mark.parametrize("fmt", ("hss", "blr2", "hodlr"))
+    def test_facade_parallel_backend_bit_identical(self, fmt, fusion):
         seq = StructuredSolver.from_kernel("yukawa", n=256, format=fmt, leaf_size=64, max_rank=24)
         par = StructuredSolver.from_kernel("yukawa", n=256, format=fmt, leaf_size=64, max_rank=24)
         seq.factorize()
-        par.factorize(use_runtime="parallel", n_workers=2)
+        par.factorize(use_runtime="parallel", n_workers=2, fusion=fusion)
         rng = np.random.default_rng(5)
         b = rng.standard_normal((256, 3))
         np.testing.assert_array_equal(
             par.solve(b, use_runtime="parallel", n_workers=2), seq.solve(b)
         )
+        if fusion:
+            # fusion only ever shrinks the factorize graph's task census
+            unfused = StructuredSolver.from_kernel(
+                "yukawa", n=256, format=fmt, leaf_size=64, max_rank=24
+            )
+            unfused.factorize(use_runtime="parallel", n_workers=2)
+            assert par.factorize_runtime.num_tasks <= unfused.factorize_runtime.num_tasks
 
     def test_compressed_matrix_is_required(self):
         solver = StructuredSolver.from_kernel("yukawa", n=256, leaf_size=64, max_rank=24)

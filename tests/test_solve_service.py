@@ -129,14 +129,20 @@ class TestBatching:
         assert t2.result.shape == (256, 3)
         assert service.stats.solves == 4
 
-    def test_same_batch_is_bit_identical_across_backends(self):
-        B = _rhs(4)
+    @pytest.mark.parametrize("k", (1, 4, 16))
+    def test_same_batch_is_bit_identical_across_backends(self, k):
+        B = _rhs(k)
         results = {}
         for backend in ("reference", "sequential", "parallel"):
-            results[backend] = SolverService(backend=backend, n_workers=2).solve(B, **KEY)
+            service = SolverService(backend=backend, n_workers=2)
+            results[backend] = service.solve(B, **KEY)
         ref = results.pop("reference")
         for backend, x in results.items():
             assert np.array_equal(x, ref), backend
+        # and the served solution is at direct-solver accuracy
+        matvec = service.solver_for(FactorKey.make(**KEY)).matvec
+        residual = np.linalg.norm(matvec(ref) - B) / np.linalg.norm(B)
+        assert residual < 1e-10
 
     def test_ticket_unresolved_until_flush(self, service):
         ticket = service.submit(_rhs(1), **KEY)
