@@ -35,7 +35,6 @@ from repro.experiments.distributed_weak_scaling import (
     format_distributed_weak_scaling,
     run_distributed_weak_scaling,
 )
-from repro.experiments.serve_load import drive_concurrent_clients
 from repro.experiments.compress_scaling import (
     CompressScalingRow,
     format_compress_scaling,
@@ -75,3 +74,13 @@ __all__ = [
     "run_fig12",
     "format_fig12",
 ]
+
+
+def __getattr__(name):
+    # Imported on first use so ``python -m repro.experiments.serve_load``
+    # does not find its own module already imported by this package.
+    if name == "drive_concurrent_clients":
+        from repro.experiments.serve_load import drive_concurrent_clients
+
+        return drive_concurrent_clients
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -289,20 +289,24 @@ def _proxy_indices(
     Half of the sample is taken from the complement indices nearest to the
     cluster (where radial kernels vary the fastest) and the rest uniformly at
     random from the remaining complement.
+
+    The near part is the run ``[lo, start) u [stop, hi)``, so the remaining
+    complement is ``[0, lo) u [hi, n)`` and a draw of positions in it maps to
+    indices without ever building it.  ``Generator.choice(a, ...)`` returns
+    ``a[choice(len(a), ...)]``, so these are the columns -- and the RNG
+    stream -- of choosing from the materialised complement, while the index
+    work is O(n_proxy) per cluster: from more than 10 000 candidates numpy
+    draws a small sample by Floyd's algorithm, without an index array.
     """
-    complement = _complement(start, stop, n)
-    if complement.size <= n_proxy:
-        return complement
-    n_near = min(n_proxy // 2, complement.size)
-    near_left = np.arange(max(0, start - n_near // 2), start)
-    near_right = np.arange(stop, min(n, stop + (n_near - near_left.size)))
-    near = np.concatenate([near_left, near_right])[:n_near]
-    remaining = np.setdiff1d(complement, near, assume_unique=False)
-    n_far = n_proxy - near.size
-    if remaining.size > n_far:
-        far = rng.choice(remaining, size=n_far, replace=False)
-    else:
-        far = remaining
+    if n - (stop - start) <= n_proxy:
+        return _complement(start, stop, n)
+    n_near = n_proxy // 2
+    lo = max(0, start - n_near // 2)
+    hi = min(n, stop + n_near - (start - lo))
+    near = np.concatenate([np.arange(lo, start), np.arange(stop, hi)])
+    # The complement outnumbers n_proxy, so the rest outnumbers n_far.
+    pos = rng.choice(lo + (n - hi), size=n_proxy - near.size, replace=False)
+    far = np.where(pos < lo, pos, pos + (hi - lo))
     return np.sort(np.concatenate([near, far]))
 
 

@@ -25,13 +25,19 @@ __all__ = ["KernelMatrix", "build_dense", "estimate_spd_shift"]
 
 IndexLike = Union[slice, Sequence[int], np.ndarray]
 
+#: Rows of kernel values :func:`estimate_spd_shift` holds at a time.
+_SHIFT_PANEL_ROWS = 32
+
 
 def estimate_spd_shift(kernel: RadialKernel, points: PointCloud, *, sample: int = 256, seed: int = 0) -> float:
     """Estimate a diagonal shift that makes the kernel matrix diagonally dominant.
 
     The shift is the maximum (over a random sample of rows) of the sum of
     absolute off-diagonal kernel values, which by Gershgorin's theorem
-    guarantees positive definiteness once added to the diagonal.
+    guarantees positive definiteness once added to the diagonal.  The sampled
+    rows are evaluated in panels of 32 (as :meth:`KernelMatrix.matvec` does),
+    so the peak temporary is one ``32 x N`` panel, not ``sample x N``; each
+    row is summed on its own, so the panel size does not change the result.
 
     Parameters
     ----------
@@ -48,12 +54,32 @@ def estimate_spd_shift(kernel: RadialKernel, points: PointCloud, *, sample: int 
     n = points.n
     rng = np.random.default_rng(seed)
     rows = np.arange(n) if n <= sample else np.sort(rng.choice(n, size=sample, replace=False))
-    block = kernel.matrix(points.coords[rows], points.coords)
+    row_sums = np.empty(rows.size)
+    for start in range(0, rows.size, _SHIFT_PANEL_ROWS):
+        panel = rows[start : start + _SHIFT_PANEL_ROWS]
+        block = kernel.matrix(points.coords[panel], points.coords)
+        np.sum(np.abs(block, out=block), axis=1, out=row_sums[start : start + panel.size])
     # Off-diagonal row sums: subtract the self-interaction term of each sampled row.
-    self_val = np.abs(kernel.value_at_zero())
-    row_sums = np.sum(np.abs(block), axis=1) - self_val
+    row_sums -= np.abs(kernel.value_at_zero())
     # 10% safety margin over the largest sampled row sum
     return float(1.1 * np.max(row_sums))
+
+
+def _equal_pairs(r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position ``(i, j)`` with ``r[i] == c[j]``, without an ``m x n`` mask.
+
+    Each ``r[i]`` is looked up in the sorted ``c`` (repeats included), so the
+    cost is O((m + n) log n) plus the number of matches.
+    """
+    order = np.argsort(c, kind="stable")
+    sorted_c = c[order]
+    first = np.searchsorted(sorted_c, r, side="left")
+    counts = np.searchsorted(sorted_c, r, side="right") - first
+    i = np.repeat(np.arange(r.size), counts)
+    # Position k of the matches of r[i] is sorted_c[first[i] + k].
+    run_starts = np.cumsum(counts) - counts
+    j = order[np.arange(i.size) + np.repeat(first - run_starts, counts)]
+    return i, j
 
 
 class KernelMatrix:
@@ -107,9 +133,8 @@ class KernelMatrix:
         c = self._resolve(cols)
         block = self.kernel.matrix(self.points.coords[r], self.points.coords[c])
         if self.shift != 0.0:
-            eq = r[:, None] == c[None, :]
-            if np.any(eq):
-                block = block + self.shift * eq
+            i, j = _equal_pairs(r, c)
+            block[i, j] += self.shift
         return block
 
     def diagonal_block(self, start: int, stop: int) -> np.ndarray:

@@ -16,14 +16,19 @@ __all__ = ["Kernel", "RadialKernel", "pairwise_distance"]
 def pairwise_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dense Euclidean distance matrix between rows of ``x`` (m, d) and ``y`` (n, d).
 
-    Uses the expanded form ``|x|^2 + |y|^2 - 2 x.y`` so the dominant cost is a
-    single GEMM, with clipping to guard against negative round-off.
+    Uses the expanded form ``(|x|^2 + |y|^2) - 2 x.y`` so the dominant cost is
+    a single GEMM, with clipping to guard against negative round-off.  The
+    result is built in place in two m x n buffers (the GEMM and the returned
+    array), in the association order above.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     x_sq = np.sum(x * x, axis=1)[:, None]
     y_sq = np.sum(y * y, axis=1)[None, :]
-    d2 = x_sq + y_sq - 2.0 * (x @ y.T)
+    xy = x @ y.T
+    xy *= 2.0
+    d2 = x_sq + y_sq
+    d2 -= xy
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2, out=d2)
 

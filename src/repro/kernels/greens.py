@@ -43,7 +43,9 @@ class Laplace2D(RadialKernel):
     name: str = "laplace2d"
 
     def evaluate(self, dist: np.ndarray) -> np.ndarray:
-        return -np.log(self.eps + np.asarray(dist, dtype=np.float64))
+        out = np.add(self.eps, np.asarray(dist, dtype=np.float64))
+        np.log(out, out=out)
+        return np.negative(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,10 @@ class Yukawa(RadialKernel):
     name: str = "yukawa"
 
     def evaluate(self, dist: np.ndarray) -> np.ndarray:
-        r = self.theta + np.asarray(dist, dtype=np.float64)
-        return np.exp(-self.alpha * r) / r
+        r = np.add(self.theta, np.asarray(dist, dtype=np.float64))
+        out = np.multiply(-self.alpha, r)
+        np.exp(out, out=out)
+        return np.divide(out, r, out=out)
 
 
 @dataclass(frozen=True)
@@ -74,16 +78,17 @@ class Matern(RadialKernel):
     name: str = "matern"
 
     def evaluate(self, dist: np.ndarray) -> np.ndarray:
-        r = np.asarray(dist, dtype=np.float64)
-        scaled = r / self.mu
-        out = np.full(r.shape, self.sigma**2, dtype=np.float64)
+        out = np.divide(np.asarray(dist, dtype=np.float64), self.mu)
         # Below this threshold x^rho * K_rho(x) is numerically unstable (K_rho
-        # overflows); the analytic limit for x -> 0 is sigma^2, already set.
-        nz = scaled > 1e-10
-        if np.any(nz):
-            coef = self.sigma**2 / (2.0 ** (self.rho - 1.0) * gamma_fn(self.rho))
-            vals = coef * np.power(scaled[nz], self.rho) * bessel_kv(self.rho, scaled[nz])
-            out[nz] = vals
+        # overflows); the analytic limit for x -> 0 is sigma^2, set last.
+        small = out <= 1e-10
+        coef = self.sigma**2 / (2.0 ** (self.rho - 1.0) * gamma_fn(self.rho))
+        k = bessel_kv(self.rho, out)
+        np.power(out, self.rho, out=out)
+        np.multiply(coef, out, out=out)
+        with np.errstate(invalid="ignore"):
+            np.multiply(out, k, out=out)
+        out[small] = self.sigma**2
         return out
 
 
@@ -96,8 +101,11 @@ class Gaussian(RadialKernel):
     name: str = "gaussian"
 
     def evaluate(self, dist: np.ndarray) -> np.ndarray:
-        r = np.asarray(dist, dtype=np.float64)
-        return self.sigma**2 * np.exp(-0.5 * (r / self.length_scale) ** 2)
+        out = np.divide(np.asarray(dist, dtype=np.float64), self.length_scale)
+        np.square(out, out=out)
+        np.multiply(-0.5, out, out=out)
+        np.exp(out, out=out)
+        return np.multiply(self.sigma**2, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,10 @@ class Exponential(RadialKernel):
     name: str = "exponential"
 
     def evaluate(self, dist: np.ndarray) -> np.ndarray:
-        r = np.asarray(dist, dtype=np.float64)
-        return self.sigma**2 * np.exp(-r / self.length_scale)
+        out = np.negative(np.asarray(dist, dtype=np.float64))
+        np.divide(out, self.length_scale, out=out)
+        np.exp(out, out=out)
+        return np.multiply(self.sigma**2, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -121,7 +131,8 @@ class InverseDistance(RadialKernel):
     name: str = "inverse_distance"
 
     def evaluate(self, dist: np.ndarray) -> np.ndarray:
-        return 1.0 / (self.eps + np.asarray(dist, dtype=np.float64))
+        out = np.add(self.eps, np.asarray(dist, dtype=np.float64))
+        return np.divide(1.0, out, out=out)
 
 
 #: The three kernels evaluated in the paper, with the paper's constants.

@@ -45,8 +45,9 @@ def interpolative_rows(
     if n == 0 or (rank is not None and rank <= 0):
         return np.zeros(0, dtype=np.intp), np.zeros((m, 0))
 
-    # Column-pivoted QR of a^T selects columns of a^T == rows of a.
-    _, r, piv = scipy.linalg.qr(a.T, mode="economic", pivoting=True)
+    # Column-pivoted QR of a^T selects columns of a^T == rows of a; only R
+    # and the pivots are read, so Q is never formed.
+    r, piv = scipy.linalg.qr(a.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     kmax = diag.size
     k = kmax

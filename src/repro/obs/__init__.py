@@ -11,7 +11,6 @@ not here.  See README "Observability" for the metric names and label
 conventions.
 """
 
-from repro.obs.exposition import ExpositionError, parse_prometheus, render_prometheus
 from repro.obs.memory import (
     MemoryStats,
     estimate_nbytes,
@@ -48,3 +47,16 @@ __all__ = [
     "estimate_nbytes",
     "handle_table_bytes",
 ]
+
+#: Names re-exported from :mod:`repro.obs.exposition`, imported on first use
+#: so ``python -m repro.obs.exposition`` does not find its own module
+#: already imported by this package.
+_EXPOSITION_NAMES = frozenset({"ExpositionError", "parse_prometheus", "render_prometheus"})
+
+
+def __getattr__(name):
+    if name in _EXPOSITION_NAMES:
+        from repro.obs import exposition
+
+        return getattr(exposition, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -707,8 +707,9 @@ class SolverHTTPServer:
             return 200, json.dumps({"id": ticket_id, "status": "pending"}).encode(), {}, route
         del self._tickets[ticket_id]
         if ticket.error is not None:
-            payload = {"id": ticket_id, "status": "error", "error": str(ticket.error)}
-            return 200, json.dumps(payload).encode(), {}, route
+            failure = _solve_failure(ticket.error)
+            payload = {"id": ticket_id, "status": "error", "error": failure.message}
+            return failure.status, json.dumps(payload).encode(), {}, route
         payload = {"id": ticket_id, "status": "done", "x": ticket.result.tolist()}
         return 200, json.dumps(payload).encode(), {}, route
 

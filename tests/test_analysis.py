@@ -150,3 +150,32 @@ def test_import_repro_leaves_service_and_obs_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines() == ["[]", "repro.service.solver_service True"]
+
+
+@pytest.mark.parametrize("module", ["repro.obs.exposition", "repro.experiments.serve_load"])
+def test_module_runs_without_runpy_warning(module):
+    """``python -m`` of a module its package re-exports must not warn that
+    the module was imported before it ran (its package resolves it lazily)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "usage:" in out.stdout
+
+
+def test_lazy_package_names_resolve():
+    from repro import experiments, obs
+    from repro.experiments.serve_load import drive_concurrent_clients
+    from repro.obs.exposition import ExpositionError, parse_prometheus, render_prometheus
+
+    assert experiments.drive_concurrent_clients is drive_concurrent_clients
+    assert (obs.ExpositionError, obs.parse_prometheus, obs.render_prometheus) == (
+        ExpositionError, parse_prometheus, render_prometheus,
+    )
+    assert {"drive_concurrent_clients"} <= set(experiments.__all__)
+    assert {"ExpositionError", "parse_prometheus", "render_prometheus"} <= set(obs.__all__)
+    with pytest.raises(AttributeError):
+        obs.no_such_name

@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix, build_dense, estimate_spd_shift
-from repro.kernels.greens import Laplace2D, Yukawa
+from repro.kernels.greens import Gaussian, Laplace2D, Matern, Yukawa
 
 
 class TestKernelMatrix:
@@ -86,3 +86,55 @@ class TestShiftEstimation:
         full = estimate_spd_shift(Yukawa(), pts, sample=400)
         sampled = estimate_spd_shift(Yukawa(), pts, sample=128)
         assert sampled == pytest.approx(full, rel=0.25)
+
+
+def _one_block_shift(kernel, points, sample=256, seed=0):
+    """The shift estimate from one ``sample x N`` block of kernel values."""
+    n = points.n
+    rng = np.random.default_rng(seed)
+    rows = np.arange(n) if n <= sample else np.sort(rng.choice(n, size=sample, replace=False))
+    block = kernel.matrix(points.coords[rows], points.coords)
+    row_sums = np.sum(np.abs(block), axis=1) - np.abs(kernel.value_at_zero())
+    return float(1.1 * np.max(row_sums))
+
+
+class TestShiftEstimationBits:
+    @pytest.mark.parametrize("kernel", [Yukawa(), Laplace2D(), Matern(), Gaussian()], ids=repr)
+    @pytest.mark.parametrize("n", [200, 225, 256, 4096])
+    def test_panels_equal_one_block(self, kernel, n):
+        # n <= 256 evaluates every row (225 leaves a one-row last panel);
+        # n = 4096 evaluates a seeded sample of 256.
+        pts = uniform_grid_2d(n)
+        assert estimate_spd_shift(kernel, pts) == _one_block_shift(kernel, pts)
+        assert estimate_spd_shift(kernel, pts, seed=3) == _one_block_shift(kernel, pts, seed=3)
+
+
+class TestBlockShiftBits:
+    """The shift lands exactly where the ``r == c`` mask formula puts it."""
+
+    @pytest.fixture(scope="class")
+    def kmat(self):
+        return KernelMatrix(Laplace2D(), uniform_grid_2d(128), shift=3.25)
+
+    @staticmethod
+    def _mask_formula(kmat, rows, cols):
+        r, c = kmat._resolve(rows), kmat._resolve(cols)
+        block = kmat.kernel.matrix(kmat.points.coords[r], kmat.points.coords[c])
+        return block + kmat.shift * (r[:, None] == c[None, :])
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (slice(16, 48), slice(16, 48)),  # diagonal block
+            (slice(16, 48), slice(32, 64)),  # overlapping ranges
+            (np.array([7, 3, 90, 3, 41]), np.array([3, 41, 0, 3, 8, 7])),  # repeats
+            (np.array([5, 1, 9]), slice(0, 12)),
+            (slice(0, 32), slice(64, 96)),  # disjoint
+            (np.array([], dtype=np.intp), slice(0, 8)),  # empty
+        ],
+    )
+    def test_matches_the_mask_formula(self, kmat, rows, cols):
+        got = kmat.block(rows, cols)
+        want = self._mask_formula(kmat, rows, cols)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

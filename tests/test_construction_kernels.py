@@ -7,6 +7,8 @@ own: its shape and orthogonality contract, the approximation it promises,
 and the RNG order of the proxy draw.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,79 @@ class TestDrawProxies:
         leaf = (tree.max_level, 0)
         assert all(np.array_equal(a[k], b[k]) for k in a)
         assert not np.array_equal(a[leaf], c[leaf])
+
+
+def _setdiff1d_proxy_indices(start, stop, n, n_proxy, rng):
+    """Reference sampler: materialise the complement, drop the near part by
+    ``setdiff1d`` and choose from what is left.  ``_proxy_indices`` must
+    reproduce its columns and its RNG stream bit for bit."""
+    complement = np.concatenate([np.arange(0, start), np.arange(stop, n)])
+    if complement.size <= n_proxy:
+        return complement
+    n_near = min(n_proxy // 2, complement.size)
+    near_left = np.arange(max(0, start - n_near // 2), start)
+    near_right = np.arange(stop, min(n, stop + (n_near - near_left.size)))
+    near = np.concatenate([near_left, near_right])[:n_near]
+    remaining = np.setdiff1d(complement, near, assume_unique=False)
+    n_far = n_proxy - near.size
+    if remaining.size > n_far:
+        far = rng.choice(remaining, size=n_far, replace=False)
+    else:
+        far = remaining
+    return np.sort(np.concatenate([near, far]))
+
+
+class TestProxySampler:
+    @pytest.mark.parametrize(
+        "start, stop, n, n_proxy",
+        [
+            (0, 64, 1024, 128),  # cluster at 0: no left neighbours
+            (960, 1024, 1024, 128),  # cluster at n: no right neighbours
+            (448, 576, 1024, 128),  # cluster in the middle
+            (10, 74, 1024, 128),  # left neighbours cut short by 0
+            (900, 1000, 1024, 128),  # right neighbours cut short by n
+            (448, 576, 1024, 130),  # odd n_near
+            (0, 200, 256, 128),  # complement <= n_proxy
+            (50, 121, 200, 128),  # complement = n_proxy + 1: one spare index
+            (0, 128, 256, 1),  # no near part
+            (5000, 5256, 20_000, 128),  # > 10 000 candidates: Floyd's draw
+            (0, 256, 20_000, 200),
+            (2**19, 2**19 + 256, 2**20, 128),
+            (2**20 - 256, 2**20, 2**20, 128),
+        ],
+    )
+    def test_matches_the_setdiff1d_reference(self, start, stop, n, n_proxy):
+        ours, ref = np.random.default_rng(11), np.random.default_rng(11)
+        got = _proxy_indices(start, stop, n, n_proxy, ours)
+        want = _setdiff1d_proxy_indices(start, stop, n, n_proxy, ref)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_one_stream_over_every_cluster_matches_the_reference(self):
+        # A whole tree's worth of draws from one stream, leaves first.
+        n, n_proxy = 12_288, 96
+        ours, ref = np.random.default_rng(2), np.random.default_rng(2)
+        for size in (96, 192, 384, 768, 1536, 3072, 6144):
+            for start in range(0, n, size):
+                got = _proxy_indices(start, start + size, n, n_proxy, ours)
+                want = _setdiff1d_proxy_indices(start, start + size, n, n_proxy, ref)
+                assert np.array_equal(got, want)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("start", [0, 2**19, 2**20 - 256])
+    def test_index_work_does_not_grow_with_n(self, start):
+        # At n = 2**20 the complement alone is 8 MB; the sampler must hold
+        # O(n_proxy) bytes, whatever the cluster's place.
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            cols = _proxy_indices(start, start + 256, 2**20, 128, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cols.size == 128
+        assert peak <= 64 * 1024
 
 
 class TestInterpolativeSteps:

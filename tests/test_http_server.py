@@ -228,6 +228,41 @@ class TestEndpoints:
         finally:
             _stop(srv)
 
+    @pytest.mark.parametrize(
+        "error, status",
+        [
+            (ValueError("bad right-hand side"), 400),
+            (np.linalg.LinAlgError("singular block"), 422),
+            (NotPositiveDefinite(3, -0.25, 2, 1), 422),
+            (RuntimeError("worker died"), 500),
+        ],
+    )
+    def test_failed_ticket_status_follows_the_error(self, error, status):
+        # The async route answers a failed solve like the blocking one, with
+        # the ticket's id and status in the body, and the poll claims it.
+        service = FailingService(error)
+        srv = SolverHTTPServer(service, request_timeout=60.0)
+        srv.start_in_thread()
+        base = f"http://{srv.host}:{srv.port}"
+        try:
+            code, doc, _ = _request(base, "/v1/submit", _solve_doc())
+            assert code == 202
+            ticket_id = doc["id"]
+            deadline = time.monotonic() + 60
+            while True:
+                code, doc, headers = _request(base, f"/v1/tickets/{ticket_id}")
+                if code != 200 or doc["status"] != "pending":
+                    break
+                assert time.monotonic() < deadline, "ticket still pending"
+                time.sleep(0.01)
+            assert code == status
+            assert headers["Content-Type"].startswith("application/json")
+            assert doc["id"] == ticket_id and doc["status"] == "error"
+            assert str(error) in doc["error"]
+            assert _request(base, f"/v1/tickets/{ticket_id}")[0] == 404
+        finally:
+            _stop(srv)
+
     @pytest.mark.parametrize("backend", ["sequential", "parallel"])
     def test_concurrent_clients_bit_identical(self, backend):
         # Four keep-alive connections storming blocking /v1/solve: every

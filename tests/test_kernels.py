@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma as gamma_fn
+from scipy.special import kv as bessel_kv
 
+from repro.geometry.points import uniform_grid_2d
 from repro.kernels.base import pairwise_distance
 from repro.kernels.greens import (
     PAPER_KERNELS,
@@ -138,3 +141,50 @@ class TestProperties:
         k = Matern(sigma=1.5)
         val = k.evaluate(np.array([r]))[0]
         assert 0 <= val <= 1.5**2 + 1e-9
+
+
+def _textbook_distance(x, y):
+    d2 = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :] - 2.0 * (x @ y.T)
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def _textbook_matern(r, sigma=1.0, mu=0.03, rho=0.5):
+    scaled = r / mu
+    out = np.full(r.shape, sigma**2)
+    nz = scaled > 1e-10
+    coef = sigma**2 / (2.0 ** (rho - 1.0) * gamma_fn(rho))
+    out[nz] = coef * np.power(scaled[nz], rho) * bessel_kv(rho, scaled[nz])
+    return out
+
+
+#: Each registered kernel (default constants) as one plain numpy expression.
+TEXTBOOK = {
+    "laplace2d": lambda r: -np.log(1e-9 + r),
+    "yukawa": lambda r: np.exp(-1.0 * (1e-9 + r)) / (1e-9 + r),
+    "matern": _textbook_matern,
+    "gaussian": lambda r: 1.0**2 * np.exp(-0.5 * (r / 0.1) ** 2),
+    "exponential": lambda r: 1.0**2 * np.exp(-r / 0.1),
+    "inverse_distance": lambda r: 1.0 / (1e-9 + r),
+}
+
+
+class TestBitsMatchTheTextbookExpression:
+    """In-place evaluation keeps every bit of the plain expression."""
+
+    @pytest.fixture(scope="class")
+    def coords(self):
+        return uniform_grid_2d(8192).coords
+
+    @pytest.mark.parametrize("name", sorted(TEXTBOOK))
+    @pytest.mark.parametrize("m", [0, 1, 256])
+    def test_matrix(self, coords, name, m):
+        # The first m points are among the columns, so zero distances occur.
+        x = coords[:m]
+        got = kernel_by_name(name).matrix(x, coords)
+        want = TEXTBOOK[name](_textbook_distance(x, coords))
+        assert got.shape == (m, coords.shape[0])
+        assert np.array_equal(got, want)
+
+    def test_pairwise_distance(self, coords):
+        x = coords[100:356]
+        assert np.array_equal(pairwise_distance(x, coords), _textbook_distance(x, coords))
