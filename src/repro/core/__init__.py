@@ -12,7 +12,7 @@
   one-level tree whose root merges every block row.
 * :mod:`repro.core.blr2_ulv` -- BLR2-ULV: the engine on a
   :class:`~repro.formats.blr2.BLR2Matrix`.
-* :mod:`repro.core.hodlr_ulv` -- HODLR-ULV: the exact HSS form of a
+* :mod:`repro.core.hodlr_ulv` -- HODLR-ULV: the truncated HSS form of a
   symmetric HODLR matrix, factorized by HSS-ULV.
 
 These are the sequential references.  The same factorizations and solves as

@@ -80,7 +80,7 @@ class HSSNodeFactor:
 
 @dataclass
 class HSSULVFactor:
-    """The complete ULV factorization of an HSS, HODLR (exact HSS form) or BLR2 matrix.
+    """The complete ULV factorization of an HSS, HODLR (truncated HSS form) or BLR2 matrix.
 
     The node factors of each factored level are stored stacked per node
     shape (:class:`~repro.core.level_ulv.LevelFactors`: reflectors ``V`` as

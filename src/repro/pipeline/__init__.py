@@ -14,7 +14,7 @@ where that promise is kept:
   RHS panel chaining) every format's graphs are built on.
 * :mod:`~repro.pipeline.factorize` / :mod:`~repro.pipeline.solve` -- the
   one ULV factorize builder and the one solve builder, for every format:
-  HSS, HODLR through its exact HSS form, and BLR2 as a one-level tree.
+  HSS, HODLR through its truncated HSS form, and BLR2 as a one-level tree.
 * :mod:`~repro.pipeline.registry` -- :class:`FormatSpec` entries mapping a
   format name to (compressor, factorizer, solver); registering a spec gives
   the format every backend, the CLI ``--format`` flag and service caching

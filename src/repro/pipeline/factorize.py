@@ -5,7 +5,7 @@
 the factored levels from the leaves to the root, one MERGE task per parent
 assembling its children's Schur complements and couplings, one final root
 POTRF.  HSS factors every level and merges sibling pairs (Alg. 2); HODLR
-uses it through its exact HSS form
+uses it through its truncated HSS form
 (:func:`~repro.core.hodlr_ulv.hodlr_to_hss`); BLR2 is a one-level tree whose
 single ``MERGE[0;0]`` assembles every block row (Alg. 1).  Given an
 :class:`~repro.formats.hss.HSSStructure` (sizes and ranks only) instead of a
@@ -203,6 +203,12 @@ class HSSULVFactorizeBuilder(GraphBuilder):
         self._require_matrix()
         report = super().execute(timeout=timeout)
         self.factor.check_finite()
+        # The D blocks are scratch (each DIAG_PRODUCT's rotated block, each
+        # merged parent block): the factor holds all a solve reads.  Drop them
+        # so a runtime kept for tracing does not keep them alive; seeding
+        # again restores the state an execution starts from.
+        self._diag.clear()
+        self.seed()
         return report
 
     def result(self) -> HSSULVFactor:

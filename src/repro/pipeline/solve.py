@@ -8,7 +8,7 @@ task per factored tree level (per owner chunk of a level when the policy has
 several nodes or workers) running the level kernels of
 :mod:`repro.core.level_ulv`, the same code the sequential reference runs, over
 an :class:`~repro.core.hss_ulv.HSSULVFactor` of any format: the multi-level
-graph (Eq. 17) of an HSS matrix or of a HODLR matrix's exact HSS form, and
+graph (Eq. 17) of an HSS matrix or of a HODLR matrix's truncated HSS form, and
 the one-level graph (Eq. 15) of a BLR2 matrix.
 
 Multi-RHS blocks are split into independent column panels, each carrying its

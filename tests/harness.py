@@ -30,6 +30,7 @@ from repro.api import StructuredSolver
 from repro.compress.verify import assert_compressed_identical
 from repro.core.hss_ulv import HSSULVFactor
 from repro.core.partial_cholesky import partial_cholesky
+from repro.formats.hss import HSSMatrix, HSSNode
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
@@ -314,8 +315,8 @@ class SolveCase:
 
 
 #: The solve sweep: ragged leaves (n=1000: 62/63 rows, n=3000: 93/94 rows),
-#: tol-adaptive ranks, the leaf format BLR2, and HODLR through its exact HSS
-#: form (125-row leaves of rank 120: ranks sum over the ancestors).
+#: tol-adaptive ranks, the leaf format BLR2, and HODLR through its truncated
+#: HSS form (125-row leaves of ranks 34-68, a different rank per node).
 SOLVE_CASES = (
     SolveCase("hss", 1000, 64, 30),
     SolveCase("hss", 1000, 64, 48, tol=1e-5),
@@ -413,3 +414,49 @@ def alg1_reference(blr2):
                 merged[rows, offsets[j] : offsets[j + 1]] = blr2.coupling(i, j)
     factor.root_chol = np.linalg.cholesky(merged)
     return factor
+
+
+def _orthonormalise(stacked, rows):
+    """Reduced QR of the column stack ``[F_1, F_2, ...]``: ``Q`` and each ``F``'s block of ``R``."""
+    if not stacked:
+        return np.zeros((rows, 0)), []
+    q, r = np.linalg.qr(np.hstack(stacked))
+    bounds = np.cumsum([f.shape[1] for f in stacked])[:-1]
+    return q, np.split(r, bounds, axis=1)
+
+
+def exact_hodlr_to_hss(hodlr):
+    """The exact HSS form of a symmetric HODLR matrix, kept as the reference
+    the truncated :func:`repro.core.hodlr_ulv.hodlr_to_hss` is checked against.
+
+    Orthonormalises every ancestor factor restricted to a cluster, so ranks
+    are the sums of the ancestor ranks (capped by the block size) and
+    nothing is truncated.
+    """
+    nodes, couplings = {}, {}
+
+    def convert(node, level, index, factors):
+        hss_node = HSSNode(level=level, index=index, start=node.start, stop=node.stop)
+        nodes[(level, index)] = hss_node
+        if node.is_leaf:
+            hss_node.D = node.dense
+            hss_node.U, coords = _orthonormalise(factors, node.size)
+        else:
+            split = node.left.size
+            left = convert(
+                node.left, level + 1, 2 * index, [node.upper.U] + [f[:split] for f in factors]
+            )
+            right = convert(
+                node.right, level + 1, 2 * index + 1, [node.lower.U] + [f[split:] for f in factors]
+            )
+            couplings[(level + 1, 2 * index + 1, 2 * index)] = right[0] @ left[0].T
+            if level == 0:
+                return []
+            width = left[0].shape[0] + right[0].shape[0]
+            stacked = [np.vstack([pa, pb]) for pa, pb in zip(left[1:], right[1:])]
+            hss_node.U, coords = _orthonormalise(stacked, width)
+        hss_node.rank = hss_node.U.shape[1]
+        return coords
+
+    convert(hodlr.root, 0, 0, [])
+    return HSSMatrix(tree=hodlr.tree, nodes=nodes, couplings=couplings)

@@ -1,21 +1,25 @@
-"""Tests for the HODLR-ULV factorization: the exact HODLR -> HSS conversion,
-the sequential reference, the recorded graph against the symbolic one, and
+"""Tests for the HODLR-ULV factorization: the truncated HODLR -> HSS
+conversion against the exact one (``harness.exact_hodlr_to_hss``), the
+sequential reference, the recorded graph against the symbolic one, and
 bit-identity of the task-graph backends."""
 
 import os
 
 import numpy as np
 import pytest
-from harness import factorize_graph, graph_census, recorded_factorize, solve_graph
+from harness import (
+    exact_hodlr_to_hss, factorize_graph, graph_census, recorded_factorize, solve_graph,
+)
 
 from repro.compress.hodlr import build_hodlr_dtd
 from repro.core.hodlr_ulv import hodlr_to_hss, hodlr_ulv_factorize
+from repro.core.hss_ulv import hss_ulv_factorize
 from repro.formats.hodlr import HODLRMatrix, HODLRNode, build_hodlr
-from repro.formats.hss import HSSStructure
+from repro.formats.hss import HSSStructure, build_hss
 from repro.geometry.cluster_tree import build_cluster_tree
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
-from repro.kernels.greens import Yukawa
+from repro.kernels.greens import Yukawa, kernel_by_name
 from repro.lowrank.block import LowRankBlock
 from repro.pipeline.registry import get_format
 
@@ -56,9 +60,25 @@ RANK_CASES = {
 
 
 @pytest.fixture(scope="module", params=sorted(RANK_CASES))
-def converted(request):
-    hodlr = _yukawa_hodlr(**RANK_CASES[request.param])
-    return hodlr, hodlr_to_hss(hodlr)
+def rank_case(request):
+    return _yukawa_hodlr(**RANK_CASES[request.param])
+
+
+@pytest.fixture(scope="module")
+def converted(rank_case):
+    """A HODLR matrix and its exact HSS form (the reference conversion)."""
+    return rank_case, exact_hodlr_to_hss(rank_case)
+
+
+#: Both conversions: the library's truncated one and the exact reference.
+CONVERSIONS = {"truncated": hodlr_to_hss, "exact": exact_hodlr_to_hss}
+
+
+@pytest.fixture(scope="module", params=sorted(CONVERSIONS))
+def any_form(request, rank_case):
+    """A HODLR matrix, its HSS form by either conversion, and the conversion."""
+    convert = CONVERSIONS[request.param]
+    return rank_case, convert(rank_case), convert
 
 
 def _walk(node, level=0, index=0):
@@ -89,7 +109,8 @@ def _leaf_blocks(hodlr):
 
 
 class TestConversion:
-    """``hodlr_to_hss`` writes the same operator in HSS form, with no approximation."""
+    """Both conversions give a valid HSS form on the HODLR's tree; the exact
+    reference writes the same operator, with no approximation."""
 
     def test_off_diagonal_blocks_exact(self, converted):
         hodlr, hss = converted
@@ -97,8 +118,8 @@ class TestConversion:
         expected = hodlr.to_dense()[off]
         assert np.linalg.norm(hss.to_dense()[off] - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    def test_diagonal_blocks_are_the_hodlr_blocks(self, converted):
-        hodlr, hss = converted
+    def test_diagonal_blocks_are_the_hodlr_blocks(self, any_form):
+        hodlr, hss, _ = any_form
         leaves = [node for _, _, node in _walk(hodlr.root) if node.is_leaf]
         assert len(leaves) == 2**hss.max_level
         for i, leaf in enumerate(leaves):
@@ -107,8 +128,8 @@ class TestConversion:
             # Referenced, not copied: a snapshot pickles each leaf block once.
             assert np.shares_memory(d, leaf.dense)
 
-    def test_bases_and_transfers_orthonormal(self, converted):
-        _, hss = converted
+    def test_bases_and_transfers_orthonormal(self, any_form):
+        _, hss, _ = any_form
         for (level, _), node in hss.nodes.items():
             if level > 0:
                 u = node.U
@@ -124,13 +145,13 @@ class TestConversion:
 
     def test_saturated_leaves_keep_every_row(self):
         hodlr = _yukawa_hodlr(**RANK_CASES["saturated"])
-        hss = hodlr_to_hss(hodlr)
+        hss = exact_hodlr_to_hss(hodlr)
         assert hss.max_level >= 3
         assert all(r == 64 for r in hss.level_ranks(hss.max_level))
 
-    def test_deterministic(self, converted):
-        hodlr, hss = converted
-        again = hodlr_to_hss(hodlr)
+    def test_deterministic(self, any_form):
+        hodlr, hss, convert = any_form
+        again = convert(hodlr)
         for key, node in hss.nodes.items():
             if key[0] > 0:
                 np.testing.assert_array_equal(again.node(*key).U, node.U)
@@ -138,13 +159,56 @@ class TestConversion:
         for key, s in hss.couplings.items():
             np.testing.assert_array_equal(again.couplings[key], s)
 
-    def test_same_cluster_tree(self, converted):
-        hodlr, hss = converted
+    def test_same_cluster_tree(self, any_form):
+        hodlr, hss, _ = any_form
         assert hss.tree is hodlr.tree
         for level, index, node in _walk(hodlr.root):
             assert (hss.node(level, index).start, hss.node(level, index).stop) == (
                 node.start, node.stop,
             )
+
+
+#: HODLR builds (n = 1024) whose truncated HSS form must stay at the HODLR's
+#: own error: every kernel at a rank cap, tolerance-only ranks, ACA blocks
+#: (general triangular weights instead of column norms).
+ERROR_CASES = {
+    **{name: dict(kernel=name) for name in ("yukawa", "laplace", "gaussian", "matern")},
+    "tol": dict(kernel="yukawa", max_rank=None, tol=1e-6),
+    "aca": dict(kernel="yukawa", method="aca"),
+}
+
+
+class TestTruncatedConversion:
+    """``hodlr_to_hss`` keeps each basis at the HODLR's own error level."""
+
+    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
+    def test_construction_error_is_the_hodlr_error(self, case):
+        params = dict(ERROR_CASES[case])
+        kmat = KernelMatrix(kernel_by_name(params.pop("kernel")), uniform_grid_2d(1024))
+        hodlr = build_hodlr(kmat, leaf_size=128, **{"max_rank": 40, **params})
+        dense = kmat.dense()
+        hss_error = np.linalg.norm(dense - hodlr_to_hss(hodlr).to_dense(), 2)
+        assert hss_error <= 1.1 * np.linalg.norm(dense - hodlr.to_dense(), 2)
+
+    def test_ranks_at_most_the_exact_ranks(self, converted):
+        hodlr, exact = converted
+        hss = hodlr_to_hss(hodlr)
+        for key, node in hss.nodes.items():
+            if key[0] > 0:
+                assert node.rank <= exact.node(*key).rank
+
+    @pytest.mark.parametrize("n", (2048, 4096))
+    def test_factor_flops_near_hss(self, n):
+        """The HODLR factor costs what the HSS factor of the same kernel costs.
+
+        The exact form's ranks grow with depth (6.1x and 12.5x HSS's flops
+        at these sizes); the truncated form's do not.
+        """
+        kmat = KernelMatrix(Yukawa(), uniform_grid_2d(n))
+        hodlr = build_hodlr(kmat, leaf_size=256, max_rank=60)
+        hss = build_hss(kmat, leaf_size=256, max_rank=60)
+        ratio = hodlr_ulv_factorize(hodlr).factor_flops() / hss_ulv_factorize(hss).factor_flops()
+        assert ratio <= 1.5
 
 
 class TestNonSymmetric:
@@ -177,21 +241,32 @@ class TestNonSymmetric:
         assert hodlr_to_hss(hodlr).n == hodlr.n
 
 
+@pytest.fixture(scope="module")
+def exact_factor(hodlr):
+    return hss_ulv_factorize(exact_hodlr_to_hss(hodlr))
+
+
 class TestSequentialReference:
-    def test_solve_at_machine_precision_vs_hodlr(self, hodlr, hodlr_factor):
+    def test_solve_at_machine_precision_vs_hodlr(self, hodlr, exact_factor):
         b = _rhs(hodlr.n, 4)
-        x = hodlr_factor.solve(b)
+        x = exact_factor.solve(b)
         resid = np.linalg.norm(hodlr.matvec(x) - b) / np.linalg.norm(b)
         assert resid < 1e-10  # exact HSS form: direct-solver accuracy
+
+    def test_solve_at_machine_precision_vs_hss_form(self, hodlr_factor):
+        b = _rhs(hodlr_factor.matrix.n, 4)
+        x = hodlr_factor.solve(b)
+        resid = np.linalg.norm(hodlr_factor.matrix.matvec(x) - b) / np.linalg.norm(b)
+        assert resid < 1e-10
 
     def test_vector_rhs_shape(self, hodlr_factor):
         b = _rhs(hodlr_factor.matrix.n, 1)
         assert hodlr_factor.solve(b).shape == b.shape
 
-    def test_logdet_matches_dense(self, hodlr, hodlr_factor):
+    def test_logdet_matches_dense(self, hodlr, exact_factor):
         sign, ld = np.linalg.slogdet(hodlr.to_dense())
         assert sign > 0
-        assert hodlr_factor.logdet() == pytest.approx(ld, rel=1e-10)
+        assert exact_factor.logdet() == pytest.approx(ld, rel=1e-10)
 
 
 @pytest.fixture(scope="module", params=[1024, 1001], ids=lambda n: f"n{n}")
@@ -283,6 +358,8 @@ class TestBitIdentityAcrossBackends:
         ref = hodlr_factor.solve(b)
         x, _ = solve_graph("hodlr", hodlr_factor, b, "parallel", panel_size=3)
         np.testing.assert_allclose(x, ref, atol=1e-10)
-        xr, _ = solve_graph("hodlr", hodlr_factor, b, "deferred", refine=True)
+        # Refined against the HODLR itself: the factorized operator is its
+        # truncated HSS form, which differs from it at the HODLR's error level.
+        xr, _ = solve_graph("hodlr", hodlr_factor, b, "deferred", refine=True, matvec=hodlr.matvec)
         resid = np.linalg.norm(hodlr.matvec(xr) - b) / np.linalg.norm(b)
         assert resid < 1e-10

@@ -1,9 +1,12 @@
 """Tests for the DTD (task-based) HSS-ULV: HATRIX-DTD (Sec. 4.2)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from harness import factorize_graph, graph_census, recorded_factorize
 
+from repro.api import StructuredSolver
 from repro.core.hss_ulv import hss_ulv_factorize
 from repro.distribution.strategies import (
     BlockCyclicDistribution,
@@ -193,3 +196,43 @@ class TestSymbolicGraph:
         owners_blk = {h.name: h.owner for h in rt_blk.handles}
         assert owners_row != owners_blk
         assert set(owners_row.values()) <= {0, 1, 2, 3}
+
+
+class TestScratchReleased:
+    """A runtime-backed factorization keeps no D-block scratch alive.
+
+    Each DIAG_PRODUCT's rotated block and each merged parent block is
+    scratch; the runtime the solver keeps for tracing must not hold them.
+    """
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        return StructuredSolver.from_kernel("yukawa", n=2048, leaf_size=128, max_rank=40)
+
+    @staticmethod
+    def _retained(solver, **kwargs) -> int:
+        """Bytes allocated by one factorize and still alive after it."""
+        solver.factor = solver.factorize_runtime = None
+        tracemalloc.start()
+        try:
+            solver.factorize(force=True, **kwargs)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    def test_parallel_retains_what_off_retains(self, solver):
+        off = self._retained(solver)
+        parallel = self._retained(solver, use_runtime="parallel", n_workers=2)
+        assert solver.factorize_runtime is not None
+        assert parallel - off <= 1_000_000
+
+    def test_refactorize_and_distributed_bit_identical(self, solver, rng):
+        b = rng.standard_normal(solver.n)
+        ref = solver.factorize(force=True).solve(b)
+        for kwargs in (
+            dict(use_runtime="parallel", n_workers=2),
+            dict(use_runtime="parallel", n_workers=2),
+            dict(use_runtime="distributed", nodes=2),
+        ):
+            factor = solver.factorize(force=True, **kwargs)
+            np.testing.assert_array_equal(factor.solve(b), ref)
