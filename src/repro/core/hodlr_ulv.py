@@ -13,10 +13,9 @@ the part of it above the HODLR's own error level, level by level:
 * every ancestor factor ``F_g`` carries the weight ``R_g``, the triangular
   factor of the *far* side of ``g``'s block (``F_g W_g^T = F_g R_g^T Q_g^T``
   with ``Q_g`` orthonormal), so ``F_g R_g^T`` has the singular values of the
-  block row it stands for.  A block in SVD form (``U = u diag(s)``, ``V``
-  orthonormal, as ``"svd"`` and ``"rsvd"`` build it) has diagonal weights
-  read off its columns' norms; any other block (``"aca"``) takes the ``R`` of
-  a QR;
+  block row it stands for.  ``R_g`` is the ``R`` of a QR of the far factor
+  (``diag(+-s)`` for a block in SVD form, ``U = u diag(s)`` with ``V``
+  orthonormal, as ``"svd"`` and ``"rsvd"`` build it);
 * leaf ``i``: ``B_i`` = the leading columns of the column-pivoted QR of the
   weighted stack ``[F_g R_g^T]`` (nearest ancestor first) whose ``|R_kk|``
   exceed ``tau``; the coordinates are ``P_i[g] = B_i^T F_g|_i``, from the
@@ -27,7 +26,8 @@ the part of it above the HODLR's own error level, level by level:
 * sibling coupling under ``p``: ``S_{2k+1,2k} = P_b[p] P_a[p]^T``.
 
 ``tau`` is :data:`TRUNCATION_FACTOR` times the largest, over the HODLR's
-blocks, of the smallest singular value each block kept: a fixed fraction of
+truncated blocks (those below full rank), of the smallest singular value
+each block kept (``0`` when no block was truncated): a fixed fraction of
 the HODLR's own truncation level, so the HSS form adds an error well below
 the HODLR's and its ranks stay near the block ranks instead of their sums.
 No kernel entry is evaluated again.  A HODLR matrix then factorizes and
@@ -54,36 +54,20 @@ from repro.formats.hss import HSSMatrix, HSSNode
 __all__ = ["TRUNCATION_FACTOR", "hodlr_to_hss", "hodlr_ulv_factorize"]
 
 #: ``tau`` relative to the HODLR's own truncation level (the largest of its
-#: blocks' smallest kept singular values).  One tenth keeps the HSS form's
-#: construction error at the HODLR's own: at 1.0 it was 1.9-3.3x the HODLR's
-#: error, while 0.1 measured 1.00x on yukawa, laplace, gaussian and matern.
+#: truncated blocks' smallest kept singular values).  One tenth keeps the HSS
+#: form's construction error at the HODLR's own: at 1.0 it was 1.9-3.3x the
+#: HODLR's error, while 0.1 measured 1.00x on yukawa, laplace, gaussian and
+#: matern.
 TRUNCATION_FACTOR = 0.1
 
-#: A factor whose Gram matrix has off-diagonal entries below this fraction of
-#: its column norms' products has orthogonal columns: its ``R`` is diagonal.
-_ORTHOGONAL = 1e-8
-
-#: A weighted factor: ``F`` and the weight ``R_g`` of its ancestor's far side,
-#: a vector (diagonal ``R``) or an upper-triangular matrix.
+#: A weighted factor: ``F`` and the upper-triangular weight ``R_g`` of its
+#: ancestor's far side.
 Weighted = Tuple[np.ndarray, np.ndarray]
-
-
-def _triangular_factor(f: np.ndarray) -> np.ndarray:
-    """``R`` of ``f = Q R``: the column norms when the columns are orthogonal."""
-    gram = f.T @ f
-    norms = np.sqrt(np.diag(gram))
-    off = gram - np.diag(np.diag(gram))
-    if np.all(np.abs(off) <= _ORTHOGONAL * np.outer(norms, norms)):
-        return norms
-    return np.linalg.qr(f, mode="r")
 
 
 def _smallest_singular_value(r_u: np.ndarray, r_v: np.ndarray) -> float:
     """Smallest singular value of ``U V^T`` from the triangular factors of ``U`` and ``V``."""
-    if r_u.ndim == 1 and r_v.ndim == 1:
-        return float(np.min(r_u * r_v))
-    full = [np.diag(r) if r.ndim == 1 else r for r in (r_u, r_v)]
-    return float(np.linalg.svd(full[0] @ full[1].T, compute_uv=False)[-1])
+    return float(np.linalg.svd(r_u @ r_v.T, compute_uv=False)[-1])
 
 
 def _truncate(
@@ -94,11 +78,14 @@ def _truncate(
     stack = np.empty((rows, sum(widths)), order="F")
     col = 0
     for (f, weight), width in zip(factors, widths):
-        stack[:, col : col + width] = f * weight if weight.ndim == 1 else f @ weight.T
+        stack[:, col : col + width] = f @ weight.T
         col += width
     k = 0
     if stack.shape[1]:
-        qr, _, taus, _, info = dgeqp3(stack, overwrite_a=True)
+        # scipy's default workspace selects LAPACK's unblocked path: query the
+        # blocked path's workspace instead.
+        lwork = int(dgeqp3(stack, lwork=-1, overwrite_a=True)[3][0])
+        qr, _, taus, _, info = dgeqp3(stack, lwork=lwork, overwrite_a=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
         k = int(np.count_nonzero(np.abs(np.diag(qr)) > tau))
@@ -132,9 +119,9 @@ def _block_weights(root: HODLRNode) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndar
             continue
         _check_symmetric(node)
         block = node.upper
-        r_u, r_v = _triangular_factor(block.U), _triangular_factor(block.V)
+        r_u, r_v = np.linalg.qr(block.U, mode="r"), np.linalg.qr(block.V, mode="r")
         weights[id(node)] = (r_u, r_v)
-        if block.rank:
+        if 0 < block.rank < min(block.shape):  # a full-rank block was not truncated
             level = max(level, _smallest_singular_value(r_u, r_v))
         stack += [node.left, node.right]
     return weights, TRUNCATION_FACTOR * level
@@ -191,8 +178,9 @@ def hodlr_to_hss(hodlr: HODLRMatrix) -> HSSMatrix:
 def hodlr_ulv_factorize(hodlr: HODLRMatrix) -> HSSULVFactor:
     """Factorize a symmetric positive definite HODLR matrix with the ULV algorithm.
 
-    The HSS-ULV factorization (Alg. 2) of :func:`hodlr_to_hss`; the
-    sequential reference every task-graph backend is validated against.
+    The HSS-ULV factorization (Alg. 2) of :func:`hodlr_to_hss`, whose
+    ``operator`` is ``hodlr`` so that refinement corrects toward the HODLR;
+    the sequential reference every task-graph backend is validated against.
 
     Raises
     ------
@@ -204,4 +192,6 @@ def hodlr_ulv_factorize(hodlr: HODLRMatrix) -> HSSULVFactor:
         definiteness when the compression error exceeds the smallest
         eigenvalue).
     """
-    return hss_ulv_factorize(hodlr_to_hss(hodlr))
+    factor = hss_ulv_factorize(hodlr_to_hss(hodlr))
+    factor.operator = hodlr
+    return factor

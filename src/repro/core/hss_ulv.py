@@ -101,11 +101,16 @@ class HSSULVFactor:
         ``max_level .. 1`` for HSS, the leaf level alone for BLR2.
     root_chol:
         Lower-triangular Cholesky factor of the final merged block ``A_0``.
+    operator:
+        The matrix the factor stands for, which refinement applies when the
+        caller names no operator: the HODLR matrix whose truncated HSS form
+        ``matrix`` is, or ``None`` for ``matrix`` itself.
     """
 
     matrix: Any
     levels: Dict[int, LevelFactors] = None  # type: ignore[assignment]
     root_chol: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    operator: Any = None
 
     def __post_init__(self) -> None:
         if self.levels is None:

@@ -155,7 +155,8 @@ def _hss_solve_dtd(factor, b, *, policy, refine=False, matvec=None, plans=None):
 
     return solve_through_builder(
         HSSULVSolveBuilder, factor, b,
-        policy=policy, refine=refine, matvec=matvec, default_op=factor.matrix, plans=plans,
+        policy=policy, refine=refine, matvec=matvec,
+        default_op=factor.matrix if factor.operator is None else factor.operator, plans=plans,
     )
 
 
@@ -228,7 +229,9 @@ def _hodlr_factorize(matrix):
 def _hodlr_factorize_dtd(matrix, *, policy):
     from repro.core.hodlr_ulv import hodlr_to_hss
 
-    return _hss_factorize_dtd(hodlr_to_hss(matrix), policy=policy)
+    factor, runtime = _hss_factorize_dtd(hodlr_to_hss(matrix), policy=policy)
+    factor.operator = matrix
+    return factor, runtime
 
 
 register_format(

@@ -170,25 +170,42 @@ class TestConversion:
 
 #: HODLR builds (n = 1024) whose truncated HSS form must stay at the HODLR's
 #: own error: every kernel at a rank cap, tolerance-only ranks, ACA blocks
-#: (general triangular weights instead of column norms).
+#: (non-orthogonal far factors), and leaves smaller than the rank cap (the
+#: deepest blocks stored at full rank, which set no truncation level).
 ERROR_CASES = {
     **{name: dict(kernel=name) for name in ("yukawa", "laplace", "gaussian", "matern")},
     "tol": dict(kernel="yukawa", max_rank=None, tol=1e-6),
     "aca": dict(kernel="yukawa", method="aca"),
+    "full_rank_leaves": dict(kernel="yukawa", leaf_size=32),
 }
+
+
+@pytest.fixture(scope="module", params=sorted(ERROR_CASES))
+def error_case(request):
+    """The dense kernel matrix of an ``ERROR_CASES`` entry and its HODLR."""
+    params = dict(ERROR_CASES[request.param])
+    kmat = KernelMatrix(kernel_by_name(params.pop("kernel")), uniform_grid_2d(1024))
+    hodlr = build_hodlr(kmat, **{"leaf_size": 128, "max_rank": 40, **params})
+    return kmat.dense(), hodlr
 
 
 class TestTruncatedConversion:
     """``hodlr_to_hss`` keeps each basis at the HODLR's own error level."""
 
-    @pytest.mark.parametrize("case", sorted(ERROR_CASES))
-    def test_construction_error_is_the_hodlr_error(self, case):
-        params = dict(ERROR_CASES[case])
-        kmat = KernelMatrix(kernel_by_name(params.pop("kernel")), uniform_grid_2d(1024))
-        hodlr = build_hodlr(kmat, leaf_size=128, **{"max_rank": 40, **params})
-        dense = kmat.dense()
+    def test_construction_error_is_the_hodlr_error(self, error_case):
+        dense, hodlr = error_case
         hss_error = np.linalg.norm(dense - hodlr_to_hss(hodlr).to_dense(), 2)
         assert hss_error <= 1.1 * np.linalg.norm(dense - hodlr.to_dense(), 2)
+
+    def test_residual_against_dense_within_twice_the_exact_form(self, error_case):
+        dense, hodlr = error_case
+        b = _rhs(hodlr.n, 4)
+
+        def residual(factor):
+            return np.linalg.norm(dense @ factor.solve(b) - b) / np.linalg.norm(b)
+
+        exact = residual(hss_ulv_factorize(exact_hodlr_to_hss(hodlr)))
+        assert residual(hodlr_ulv_factorize(hodlr)) <= 2 * exact
 
     def test_ranks_at_most_the_exact_ranks(self, converted):
         hodlr, exact = converted
@@ -258,6 +275,12 @@ class TestSequentialReference:
         x = hodlr_factor.solve(b)
         resid = np.linalg.norm(hodlr_factor.matrix.matvec(x) - b) / np.linalg.norm(b)
         assert resid < 1e-10
+
+    def test_refinement_operator_is_the_hodlr(self, hodlr, hodlr_factor):
+        """Refinement without an explicit operator corrects toward the HODLR."""
+        assert hodlr_factor.operator is hodlr
+        factor, _ = factorize_graph("hodlr", hodlr, "deferred")
+        assert factor.operator is hodlr
 
     def test_vector_rhs_shape(self, hodlr_factor):
         b = _rhs(hodlr_factor.matrix.n, 1)
@@ -358,8 +381,6 @@ class TestBitIdentityAcrossBackends:
         ref = hodlr_factor.solve(b)
         x, _ = solve_graph("hodlr", hodlr_factor, b, "parallel", panel_size=3)
         np.testing.assert_allclose(x, ref, atol=1e-10)
-        # Refined against the HODLR itself: the factorized operator is its
-        # truncated HSS form, which differs from it at the HODLR's error level.
-        xr, _ = solve_graph("hodlr", hodlr_factor, b, "deferred", refine=True, matvec=hodlr.matvec)
+        xr, _ = solve_graph("hodlr", hodlr_factor, b, "deferred", refine=True)
         resid = np.linalg.norm(hodlr.matvec(xr) - b) / np.linalg.norm(b)
         assert resid < 1e-10
