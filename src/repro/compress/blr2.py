@@ -1,25 +1,29 @@
 """BLR2 construction as a task graph (shared row bases, paper Eq. 1-5).
 
-The sequential :func:`repro.formats.blr2.build_blr2` does one pass computing
-the dense diagonal blocks and the shared row bases (Eq. 2), then one pass
-projecting every off-diagonal block onto the two row bases.
+The sequential :func:`repro.formats.blr2.build_blr2` walks the block rows
+once: the dense diagonal block, the shared row basis (Eq. 2) with the row's
+projection ``P_i = (U_i^S)^T A_{i,<}``, then the row's couplings sliced out
+of that projection -- every kernel entry is evaluated once.
 :class:`BLR2CompressBuilder` records the same operations as DTD tasks:
 
 ``ASSEMBLE_DIAG[i]`` / ``COMPRESS_BASIS[i]``
-    Per block row: the dense diagonal block and the shared skeleton basis
+    Per block row: the dense diagonal block, and the shared skeleton basis
     ``U_i^S`` of the full admissible block row (randomized range finder by
-    default, seeded with the run's seed in every row; full SVD for
-    ``method="svd"``).  Independent across rows -- the embarrassingly
+    default, seeded with the run's seed, rows of one width sharing the
+    build's test matrix; full SVD for ``method="svd"``) together with the
+    projection ``P_i``.  Independent across rows -- the embarrassingly
     parallel bulk of the construction.
 ``COUPLING[i,j]``
-    Skeleton coupling ``S_{i,j} = (U_i^S)^T A_{i,j} U_j^S`` for ``j < i``;
-    depends on both rows' basis tasks, which is where the distributed
+    Skeleton coupling ``S_{i,j} = P_i[:, J_j] U_j^S`` for ``j < i``; reads
+    row ``i``'s projection (written by the same owner under row-cyclic
+    distribution) and row ``j``'s basis, which is where the distributed
     backend's basis transfers come from.
 
 Both task bodies call the step ``build_blr2`` calls
 (:func:`~repro.formats.blr2.shared_basis`,
 :func:`~repro.formats.blr2.skeleton_coupling`), so the result is
-bit-identical to it on every backend.
+bit-identical to it on every backend.  The projections and test matrices are
+scratch, dropped once the graph has executed.
 
 The block rows are the leaves of the cluster tree, tagged with its leaf
 level ``tree.max_level`` like the nodes of the factorize/solve graphs, so all
@@ -61,12 +65,15 @@ class BLR2CompressBuilder(CompressGraphBuilder):
         self.diag: Dict[int, np.ndarray] = {}
         self.bases: Dict[int, np.ndarray] = {}
         self.couplings: Dict[Tuple[int, int], np.ndarray] = {}
-        # Handle-bound transport store: the shared bases read by the coupling
-        # tasks (the only cross-task -- and cross-process -- data).
+        # Handle-bound transport stores: the shared bases and the row
+        # projections read by the coupling tasks (the only cross-task -- and
+        # cross-process -- data).
         self._bx: Dict[int, np.ndarray] = {}
+        self._px: Dict[int, np.ndarray] = {}
         # Data handles.
         self._d: Dict[int, object] = {}
         self._b: Dict[int, object] = {}
+        self._p: Dict[int, object] = {}
         self._s: Dict[Tuple[int, int], object] = {}
 
     def declare_handles(self) -> None:
@@ -77,6 +84,9 @@ class BLR2CompressBuilder(CompressGraphBuilder):
             self._b[i] = self.handle(
                 f"B[{i}]", self.basis_nbytes(m), level=level, row=i
             ).bind_item(self._bx, i)
+            self._p[i] = self.handle(
+                f"P[{i}]", 8 * self.rank_cap(m) * leaf.start, level=level, row=i
+            ).bind_item(self._px, i)
         for i, li in enumerate(self.tree.leaves):
             for j in range(i):
                 lj = self.tree.leaves[j]
@@ -90,8 +100,9 @@ class BLR2CompressBuilder(CompressGraphBuilder):
 
     def record_tasks(self) -> None:
         kmat, n = self.kernel_matrix, self.n
-        diag, bases, bx, couplings = self.diag, self.bases, self._bx, self.couplings
+        diag, bases, bx, px, couplings = self.diag, self.bases, self._bx, self._px, self.couplings
         max_rank, tol, method, seed = self.max_rank, self.tol, self.method, self.rng_seed
+        sketches = self.sketches
         leaves = self.tree.leaves
 
         self.set_phase(0)
@@ -111,14 +122,16 @@ class BLR2CompressBuilder(CompressGraphBuilder):
             )
 
             def compress_row(i=i, leaf=leaf) -> None:
-                bases[i] = bx[i] = shared_basis(kmat, leaf, max_rank, tol, method, seed)
+                bx[i], px[i] = shared_basis(kmat, leaf, max_rank, tol, method, seed, sketches)
+                bases[i] = bx[i]
 
+            r = self.rank_cap(m)
             self.insert(
                 compress_row,
-                [(self._b[i], AccessMode.WRITE)],
+                [(self._b[i], AccessMode.WRITE), (self._p[i], AccessMode.WRITE)],
                 name=f"COMPRESS_BASIS[{i}]",
                 kind="COMPRESS_BASIS",
-                flops=float(2 * m * (n - m) * self.rank_cap(m)),
+                flops=float(2 * m * (n - m) * r + 2 * r * m * leaf.start),
             )
 
         self.set_phase(1)
@@ -126,21 +139,26 @@ class BLR2CompressBuilder(CompressGraphBuilder):
             for j in range(i):
                 lj = leaves[j]
 
-                def coupling(i=i, j=j, li=li, lj=lj) -> None:
-                    couplings[(i, j)] = skeleton_coupling(kmat, li, lj, bx[i], bx[j])
+                def coupling(i=i, j=j, lj=lj) -> None:
+                    couplings[(i, j)] = skeleton_coupling(px[i], lj, bx[j])
 
-                mi, mj = li.stop - li.start, lj.stop - lj.start
+                mj = lj.stop - lj.start
                 self.insert(
                     coupling,
                     [
-                        (self._b[i], AccessMode.READ),
+                        (self._p[i], AccessMode.READ),
                         (self._b[j], AccessMode.READ),
                         (self._s[(i, j)], AccessMode.WRITE),
                     ],
                     name=f"COUPLING[{i},{j}]",
                     kind="COUPLING",
-                    flops=float(2 * mi * mj * self.rank_cap(mi)),
+                    flops=float(2 * self.rank_cap(li.stop - li.start) * mj * self.rank_cap(mj)),
                 )
+
+    def execute(self, *, timeout: Optional[float] = None):
+        report = super().execute(timeout=timeout)
+        self._px.clear()
+        return report
 
     # -- distributed fragments ------------------------------------------------
     def collect_local(self):

@@ -17,7 +17,10 @@ construction graph shares:
 * the cluster tree and the compression parameters (``leaf_size`` /
   ``max_rank`` / ``tol`` / ``method`` / ``seed``),
 * a static byte-size model for basis/coupling handles (used by the
-  distribution strategies and the communication plan).
+  distribution strategies and the communication plan),
+* the build's :class:`~repro.lowrank.rsvd.GaussianSketches` (one test
+  matrix per block width for the randomized methods), dropped once the graph
+  has executed.
 
 Concrete builders (:class:`~repro.compress.hss.HSSCompressBuilder`,
 :class:`~repro.compress.blr2.BLR2CompressBuilder`,
@@ -35,6 +38,7 @@ from typing import Optional
 
 from repro.geometry.cluster_tree import ClusterTree, build_cluster_tree
 from repro.kernels.assembly import KernelMatrix
+from repro.lowrank.rsvd import GaussianSketches
 from repro.pipeline.builder import GraphBuilder
 from repro.pipeline.policy import ExecutionPolicy
 
@@ -97,11 +101,19 @@ class CompressGraphBuilder(GraphBuilder):
             if tree is not None
             else build_cluster_tree(kernel_matrix.points, leaf_size=leaf_size)
         )
+        #: Test matrices of the randomized methods, shared by the tasks.
+        self.sketches = GaussianSketches()
 
     @property
     def n(self) -> int:
         """Matrix dimension."""
         return self.kernel_matrix.n
+
+    def execute(self, *, timeout: Optional[float] = None):
+        report = super().execute(timeout=timeout)
+        # Scratch of the build: a runtime kept for tracing must not keep it alive.
+        self.sketches.clear()
+        return report
 
     def rank_cap(self, m: int) -> int:
         """Static rank bound of a size-``m`` block (for handle byte sizes).

@@ -8,8 +8,8 @@ task evaluates its kernel block and factors it with
 :func:`repro.formats.hodlr.compress_offdiagonal`, the function the
 sequential :func:`~repro.formats.hodlr.build_hodlr` calls (randomized SVD by
 default, truncated SVD or ACA; randomized methods seeded per call with the
-run's seed), so the output is bit-identical on every backend regardless of
-execution order.
+run's seed, blocks of one width sharing the build's test matrix), so the
+output is bit-identical on every backend regardless of execution order.
 
 The symmetric lower blocks are derived from the upper factors during result
 assembly (``A_21 = A_12^T``), mirroring the sequential construction.
@@ -76,6 +76,7 @@ class HODLRCompressBuilder(CompressGraphBuilder):
         kmat = self.kernel_matrix
         dense, upper = self._dense, self._upper
         method, max_rank, tol, seed = self.method, self.max_rank, self.tol, self.rng_seed
+        sketches = self.sketches
 
         for cnode in self.tree:
             key = (cnode.level, cnode.index)
@@ -102,7 +103,9 @@ class HODLRCompressBuilder(CompressGraphBuilder):
                 block = kmat.block(
                     slice(left.start, left.stop), slice(right.start, right.stop)
                 )
-                upper[key] = compress_offdiagonal(block, method, max_rank, tol, seed)
+                upper[key] = compress_offdiagonal(
+                    block, method, max_rank, tol, seed, sketches
+                )
 
             mi = left.stop - left.start
             mj = right.stop - right.start

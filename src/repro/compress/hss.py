@@ -40,11 +40,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.compress.builder import CompressGraphBuilder, compress_through_builder
-from repro.formats.blr2 import skeleton_coupling
 from repro.formats.hss import (
     HSSMatrix,
     HSSNode,
     check_construction,
+    dense_coupling,
     dense_leaf_basis,
     dense_translation,
     draw_proxies,
@@ -198,7 +198,7 @@ class HSSCompressBuilder(CompressGraphBuilder):
 
                 def coupling(level=level, i=i, j=j, ki=ki, kj=kj) -> None:
                     if dense:
-                        s = skeleton_coupling(kmat, nodes[ki], nodes[kj], basis[ki], basis[kj])
+                        s = dense_coupling(kmat, nodes[ki], nodes[kj], basis[ki], basis[kj])
                     else:
                         s = interpolative_coupling(kmat, basis[ki], basis[kj])
                     couplings[(level, i, j)] = s

@@ -9,6 +9,12 @@ The basis of a row spans its full admissible block row.  By default it comes
 from a seeded randomized range finder (``"rsvd"``, the sampling STRUMPACK
 builds its bases with); ``"svd"`` takes the optimal basis from a full SVD of
 the block row and is the verification path.
+
+Each kernel entry is evaluated once.  The basis step of row ``i`` also
+projects the part of its block row left of the diagonal,
+``P_i = (U_i^S)^T A_{i,<}``, and every coupling ``S_{i,j}`` (``j < i``) is
+``P_i``'s columns of block ``j`` times ``U_j^S``: no ``A_{i,j}`` is
+evaluated a second time.
 """
 
 from __future__ import annotations
@@ -21,9 +27,11 @@ import numpy as np
 from repro.geometry.cluster_tree import ClusterTree, build_cluster_tree
 from repro.kernels.assembly import KernelMatrix
 from repro.lowrank.qr import row_basis
+from repro.lowrank.rsvd import GaussianSketches
 
 __all__ = [
-    "BLR2Matrix", "build_blr2", "shared_basis", "skeleton_coupling", "DEFAULT_METHOD", "METHODS",
+    "BLR2Matrix", "build_blr2", "far_block_row", "shared_basis", "skeleton_coupling",
+    "DEFAULT_METHOD", "METHODS",
 ]
 
 #: Basis methods of :func:`build_blr2` (see :func:`repro.lowrank.qr.row_basis`).
@@ -148,6 +156,14 @@ class BLR2Matrix:
         )
 
 
+def far_block_row(kernel_matrix: KernelMatrix, cluster) -> np.ndarray:
+    """The admissible block row ``A_{i,+}`` of ``cluster``: every column outside it, in order."""
+    far_cols = np.concatenate(
+        [np.arange(0, cluster.start), np.arange(cluster.stop, kernel_matrix.n)]
+    )
+    return kernel_matrix.block(slice(cluster.start, cluster.stop), far_cols)
+
+
 def shared_basis(
     kernel_matrix: KernelMatrix,
     cluster,
@@ -155,28 +171,32 @@ def shared_basis(
     tol: Optional[float],
     method: str,
     seed: int = 0,
-) -> np.ndarray:
-    """Shared skeleton basis ``U_i^S`` of one block row (Eq. 2).
+    sketches: Optional[GaussianSketches] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Shared skeleton basis ``U_i^S`` of one block row (Eq. 2) and its projection.
 
-    Computed from the concatenation of every admissible (off-diagonal) block
-    of the row of ``cluster`` (anything with ``start`` / ``stop``) by
-    :func:`~repro.lowrank.qr.row_basis` with ``method`` (``seed`` seeds the
-    randomized one).  Shared by :func:`build_blr2` and the construction task
-    graph.
+    The basis comes from the concatenation of every admissible (off-diagonal)
+    block of the row of ``cluster`` (anything with ``start`` / ``stop``) by
+    :func:`~repro.lowrank.qr.row_basis` with ``method`` (``seed`` and the
+    build's ``sketches`` serve the randomized one).  The projection is
+    ``P_i = (U_i^S)^T A_{i,<}``, the first ``cluster.start`` columns of the
+    block row -- everything :func:`skeleton_coupling` needs of this row.
+    Shared by :func:`build_blr2` and the construction task graph.
     """
-    far_cols = np.concatenate(
-        [np.arange(0, cluster.start), np.arange(cluster.stop, kernel_matrix.n)]
+    block_row = far_block_row(kernel_matrix, cluster)
+    basis = row_basis(
+        block_row, rank=max_rank, tol=tol, method=method, seed=seed, sketches=sketches
     )
-    block_row = kernel_matrix.block(slice(cluster.start, cluster.stop), far_cols)
-    return row_basis(block_row, rank=max_rank, tol=tol, method=method, seed=seed)
+    return basis, basis.T @ block_row[:, : cluster.start]
 
 
-def skeleton_coupling(
-    kernel_matrix: KernelMatrix, ci, cj, u_i: np.ndarray, u_j: np.ndarray
-) -> np.ndarray:
-    """Skeleton coupling ``S_{i,j} = (U_i^S)^T A_{i,j} U_j^S`` of clusters ``ci``, ``cj``."""
-    block = kernel_matrix.block(slice(ci.start, ci.stop), slice(cj.start, cj.stop))
-    return u_i.T @ block @ u_j
+def skeleton_coupling(projection: np.ndarray, cj, u_j: np.ndarray) -> np.ndarray:
+    """Skeleton coupling ``S_{i,j} = (U_i^S)^T A_{i,j} U_j^S`` from row ``i``'s projection.
+
+    ``projection`` is ``P_i`` of :func:`shared_basis` and ``cj`` (``j < i``)
+    the column cluster, so ``P_i[:, J_j] = (U_i^S)^T A_{i,j}``.
+    """
+    return projection[:, cj.start : cj.stop] @ u_j
 
 
 def build_blr2(
@@ -193,7 +213,9 @@ def build_blr2(
 
     The basis of row ``i`` is computed from the concatenation of all admissible
     (off-diagonal) blocks of that row, as in Eq. 2 of the paper, and every
-    coupling is ``S_{i,j} = (U_i^S)^T A_{i,j} U_j^S``.
+    coupling is ``S_{i,j} = (U_i^S)^T A_{i,j} U_j^S``, taken from the row's
+    projection (:func:`skeleton_coupling`), so the build evaluates each of
+    the ``n^2`` kernel entries once.
 
     Parameters
     ----------
@@ -211,7 +233,7 @@ def build_blr2(
         One of :data:`METHODS`: ``"rsvd"`` (default, randomized range finder)
         or ``"svd"`` (full SVD of each block row, the optimal basis).
     seed:
-        RNG seed of the randomized basis; every row's sketch uses it.
+        RNG seed of the randomized basis; rows of one width share one sketch.
     """
     check_method(basis_method)
     if tree is None:
@@ -223,15 +245,14 @@ def build_blr2(
     bases: Dict[int, np.ndarray] = {}
     couplings: Dict[Tuple[int, int], np.ndarray] = {}
 
+    sketches = GaussianSketches()
     for i, li in enumerate(leaves):
         rows = slice(li.start, li.stop)
         diag[i] = kernel_matrix.block(rows, rows)
-        bases[i] = shared_basis(kernel_matrix, li, max_rank, tol, basis_method, seed)
-
-    for i, li in enumerate(leaves):
+        bases[i], projection = shared_basis(
+            kernel_matrix, li, max_rank, tol, basis_method, seed, sketches
+        )
         for j in range(i):
-            couplings[(i, j)] = skeleton_coupling(
-                kernel_matrix, li, leaves[j], bases[i], bases[j]
-            )
+            couplings[(i, j)] = skeleton_coupling(projection, leaves[j], bases[j])
 
     return BLR2Matrix(tree=tree, diag=diag, bases=bases, couplings=couplings)

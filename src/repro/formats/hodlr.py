@@ -23,7 +23,7 @@ from repro.geometry.cluster_tree import ClusterNode, ClusterTree, build_cluster_
 from repro.kernels.assembly import KernelMatrix
 from repro.lowrank.aca import compress_aca
 from repro.lowrank.block import LowRankBlock
-from repro.lowrank.rsvd import compress_rsvd
+from repro.lowrank.rsvd import GaussianSketches, compress_rsvd
 from repro.lowrank.svd import compress_svd
 
 __all__ = [
@@ -48,18 +48,22 @@ def compress_offdiagonal(
     max_rank: Optional[int],
     tol: Optional[float],
     seed: int,
+    sketches: Optional[GaussianSketches] = None,
 ) -> LowRankBlock:
     """Low-rank factorisation of one off-diagonal block with ``method``.
 
     Shared by :func:`build_hodlr` and the task-graph construction, so both
-    factor every block identically (randomized methods seeded per call).
+    factor every block identically (randomized methods seeded per call; the
+    randomized SVD takes its test matrix from the build's ``sketches``).
     """
     if method == "svd":
         return compress_svd(block, rank=max_rank, tol=tol)
     if method == "aca":
         aca_tol = tol if tol is not None else 1e-10
         return compress_aca(block, tol=aca_tol, max_rank=max_rank, seed=seed)
-    return compress_rsvd(block, max_rank or min(block.shape), tol=tol, seed=seed)
+    return compress_rsvd(
+        block, max_rank or min(block.shape), tol=tol, seed=seed, sketches=sketches
+    )
 
 
 @dataclass
@@ -208,12 +212,14 @@ def build_hodlr(
     tree:
         Reuse an existing cluster tree.
     seed:
-        RNG seed for the randomized compression; every block's call uses it.
+        RNG seed for the randomized compression; every block's call uses it,
+        so blocks of one width share one test matrix.
     """
     if tree is None:
         tree = build_cluster_tree(kernel_matrix.points, leaf_size=leaf_size)
     tree.require_partitioned("HODLR")
     check_method(method)
+    sketches = GaussianSketches()
 
     def recurse(cnode: ClusterNode) -> HODLRNode:
         if cnode.is_leaf:
@@ -223,7 +229,7 @@ def build_hodlr(
         block = kernel_matrix.block(
             slice(left_c.start, left_c.stop), slice(right_c.start, right_c.stop)
         )
-        upper = compress_offdiagonal(block, method, max_rank, tol, seed)
+        upper = compress_offdiagonal(block, method, max_rank, tol, seed, sketches)
         lower = LowRankBlock(upper.V.copy(), upper.U.copy())  # symmetry: A_21 = A_12^T
         return HODLRNode(
             start=cnode.start,

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.formats.blr2 import BLR2Matrix, shared_basis, skeleton_coupling
+from repro.formats.blr2 import BLR2Matrix, far_block_row
 from repro.geometry.cluster_tree import ClusterTree, build_cluster_tree
 from repro.kernels.assembly import KernelMatrix
 from repro.lowrank.interpolative import interpolative_rows
@@ -45,6 +45,7 @@ __all__ = [
     "interpolative_coupling",
     "dense_leaf_basis",
     "dense_translation",
+    "dense_coupling",
     "HSSStructure",
 ]
 
@@ -344,8 +345,8 @@ def draw_proxies(tree: ClusterTree, n_proxy: int, seed: int) -> Dict[Tuple[int, 
 # its parent's translation and its sibling coupling read: a ``(skeleton, G)`` pair
 # for the interpolative construction (``G`` the row-weight factor with
 # ``E^T A[I, J] ~= G A[skeleton, J]``), the expanded cluster basis for
-# ``dense_rows`` (whose sibling coupling ``E_i^T A[I_i, I_j] E_j`` is the
-# BLR2 :func:`~repro.formats.blr2.skeleton_coupling`).  :func:`build_hss` and
+# ``dense_rows`` (whose sibling coupling is ``E_i^T A[I_i, I_j] E_j``,
+# :func:`dense_coupling`).  :func:`build_hss` and
 # the construction task graph (:class:`repro.compress.hss.HSSCompressBuilder`)
 # both call these.
 
@@ -390,7 +391,7 @@ def interpolative_coupling(
 
 def dense_leaf_basis(kernel_matrix: KernelMatrix, node: HSSNode, max_rank, tol) -> np.ndarray:
     """Leaf basis from the full off-diagonal block row: the BLR2 shared basis (Eq. 2)."""
-    u = shared_basis(kernel_matrix, node, max_rank, tol, "svd")
+    u = row_basis(far_block_row(kernel_matrix, node), rank=max_rank, tol=tol)
     node.U, node.rank = u, u.shape[1]
     return u
 
@@ -411,6 +412,14 @@ def dense_translation(
     node.U, node.rank = u, u.shape[1]
     r1 = e1.shape[1]
     return np.vstack([e1 @ u[:r1], e2 @ u[r1:]])
+
+
+def dense_coupling(
+    kernel_matrix: KernelMatrix, ci, cj, e_i: np.ndarray, e_j: np.ndarray
+) -> np.ndarray:
+    """Sibling coupling ``E_i^T A[I_i, I_j] E_j`` of clusters ``ci``, ``cj``."""
+    block = kernel_matrix.block(slice(ci.start, ci.stop), slice(cj.start, cj.stop))
+    return e_i.T @ block @ e_j
 
 
 def build_hss(
@@ -503,7 +512,7 @@ def build_hss(
         for k in range(2 ** (level - 1)):
             ki, kj = (level, 2 * k + 1), (level, 2 * k)
             if dense:
-                s = skeleton_coupling(kernel_matrix, nodes[ki], nodes[kj], info[ki], info[kj])
+                s = dense_coupling(kernel_matrix, nodes[ki], nodes[kj], info[ki], info[kj])
             else:
                 s = interpolative_coupling(kernel_matrix, info[ki], info[kj])
             couplings[(level, 2 * k + 1, 2 * k)] = s

@@ -9,9 +9,11 @@ implicitly, from the Householder QR of ``U^S``
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from repro.lowrank.rsvd import rsvd
+from repro.lowrank.rsvd import GaussianSketches, rsvd_basis
 from repro.lowrank.svd import truncated_svd
 
 __all__ = ["row_basis"]
@@ -24,6 +26,7 @@ def row_basis(
     tol: float | None = None,
     method: str = "svd",
     seed: int = 0,
+    sketches: Optional[GaussianSketches] = None,
 ) -> np.ndarray:
     """Orthonormal column basis ``U^S`` (shape ``m x r``) of a block row ``(m, n)``.
 
@@ -38,12 +41,15 @@ def row_basis(
         Relative tolerance on the singular values.
     method:
         ``"svd"`` (full SVD of the block row: the optimal basis, the
-        verification path) or ``"rsvd"`` (the randomized range finder of
-        :func:`repro.lowrank.rsvd.rsvd`, seeded with ``seed``: one Gaussian
-        sketch of ``rank + 10`` columns and one power iteration, so it never
-        factors the full block row).
+        verification path) or ``"rsvd"`` (:func:`repro.lowrank.rsvd.rsvd_basis`,
+        seeded with ``seed``: one Gaussian sketch of ``rank + 10`` columns
+        and one power iteration, so it never factors the full block row, and
+        only the left singular vectors of the sketched row are formed).
     seed:
         RNG seed of the ``"rsvd"`` sketch.
+    sketches:
+        The build's :class:`~repro.lowrank.rsvd.GaussianSketches`, so rows
+        of one width share one test matrix (default: drawn for this call).
     """
     a = np.asarray(block_row, dtype=np.float64)
     m = a.shape[0]
@@ -52,5 +58,5 @@ def row_basis(
     if method == "svd":
         return truncated_svd(a, rank=rank, tol=tol)[0]
     if method == "rsvd":
-        return rsvd(a, rank or min(a.shape), tol=tol, seed=seed)[0]
+        return rsvd_basis(a, rank or min(a.shape), tol=tol, seed=seed, sketches=sketches)
     raise ValueError(f"unknown method {method!r}; use 'svd' or 'rsvd'")

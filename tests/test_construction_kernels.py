@@ -242,7 +242,7 @@ class TestDenseRowsSteps:
         node = _node(cnode, tree.max_level, 3)
         u = dense_leaf_basis(kmat_small, node, MAX_RANK, TOL)
         assert node.U is u and node.rank == u.shape[1]
-        np.testing.assert_array_equal(u, shared_basis(kmat_small, cnode, MAX_RANK, TOL, "svd"))
+        np.testing.assert_array_equal(u, shared_basis(kmat_small, cnode, MAX_RANK, TOL, "svd")[0])
 
     def test_translation_returns_an_orthonormal_expanded_basis(self, kmat_small, tree):
         level = tree.max_level
@@ -266,23 +266,26 @@ class TestBLR2Steps:
     def test_shared_basis_uses_the_whole_far_block_row(self, kmat_small, tree):
         leaf = tree.leaves[2]
         far = np.concatenate([np.arange(0, leaf.start), np.arange(leaf.stop, kmat_small.n)])
-        ref = row_basis(
-            kmat_small.block(slice(leaf.start, leaf.stop), far), rank=MAX_RANK, tol=TOL
-        )
-        np.testing.assert_array_equal(shared_basis(kmat_small, leaf, MAX_RANK, TOL, "svd"), ref)
+        row = kmat_small.block(slice(leaf.start, leaf.stop), far)
+        ref = row_basis(row, rank=MAX_RANK, tol=TOL)
+        u, projection = shared_basis(kmat_small, leaf, MAX_RANK, TOL, "svd")
+        np.testing.assert_array_equal(u, ref)
+        # The projection is the basis applied to the columns left of the diagonal.
+        assert projection.shape == (u.shape[1], leaf.start)
+        np.testing.assert_allclose(projection, u.T @ row[:, : leaf.start], atol=1e-12)
 
     def test_skeleton_coupling_reproduces_the_block(self, kmat_small, tree):
         li, lj = tree.leaves[5], tree.leaves[1]
-        ui = shared_basis(kmat_small, li, MAX_RANK, TOL, "svd")
-        uj = shared_basis(kmat_small, lj, MAX_RANK, TOL, "svd")
-        s = skeleton_coupling(kmat_small, li, lj, ui, uj)
+        ui, projection = shared_basis(kmat_small, li, MAX_RANK, TOL, "svd")
+        uj = shared_basis(kmat_small, lj, MAX_RANK, TOL, "svd")[0]
+        s = skeleton_coupling(projection, lj, uj)
         assert s.shape == (ui.shape[1], uj.shape[1])
         exact = kmat_small.block(slice(li.start, li.stop), slice(lj.start, lj.stop))
         # U_i S U_j^T is the block projected onto both shared bases.
         projected = (ui @ ui.T) @ exact @ (uj @ uj.T)
         np.testing.assert_allclose(ui @ s @ uj.T, projected, atol=1e-12)
         assert _rel_err(ui @ s @ uj.T, exact) < 1e-3
-        np.testing.assert_allclose(skeleton_coupling(kmat_small, lj, li, uj, ui), s.T, atol=1e-12)
+        np.testing.assert_allclose(s, ui.T @ exact @ uj, atol=1e-12)
 
 
 class TestMergeKernels:

@@ -1,5 +1,8 @@
 """Tests for SVD / QR-basis / ACA / RSVD / interpolative compression."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,14 @@ from hypothesis import strategies as st
 from repro.lowrank.aca import aca, compress_aca
 from repro.lowrank.interpolative import interpolative_rows
 from repro.lowrank.qr import row_basis
-from repro.lowrank.rsvd import compress_rsvd, random_range_finder, rsvd
+from repro.lowrank.rsvd import (
+    GaussianSketches,
+    compress_rsvd,
+    random_range_finder,
+    rsvd,
+    rsvd_basis,
+    thin_qr,
+)
 from repro.lowrank.svd import compress_svd, svd_rank, truncated_svd
 
 
@@ -167,3 +177,132 @@ class TestInterpolative:
         assert len(set(sel.tolist())) == len(sel)
         assert np.all(sel < m)
         assert p.shape[0] == m
+
+
+def _decaying(m, n, seed):
+    """A dense ``m x n`` matrix with singular values from 1 down to 1e-14."""
+    rng = np.random.default_rng(seed)
+    k = min(m, n)
+    u, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    return (u * np.logspace(0, -14, k)) @ v.T
+
+
+#: Tall (the power-iteration blocks), square, wide and zero-column inputs.
+QR_SHAPES = [(1792, 70), (256, 70), (70, 70), (70, 256), (9, 4), (4, 9), (7, 0), (0, 5)]
+#: The same values as a C-ordered array, an F-ordered one and two transposed views.
+QR_LAYOUTS = {
+    "C": lambda a: np.ascontiguousarray(a),
+    "F": lambda a: np.asfortranarray(a),
+    "T_of_C": lambda a: np.ascontiguousarray(a.T).T,
+    "T_of_F": lambda a: np.asfortranarray(a.T).T,
+}
+
+
+class TestThinQR:
+    @pytest.mark.parametrize("layout", list(QR_LAYOUTS))
+    @pytest.mark.parametrize("decay", [False, True], ids=["full", "decaying"])
+    @pytest.mark.parametrize("shape", QR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_bit_identical_to_numpy(self, shape, decay, layout):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        if decay and min(shape):
+            a = _decaying(*shape, seed=sum(shape))
+        a = QR_LAYOUTS[layout](a)
+        q_ref, r_ref = np.linalg.qr(a)
+        q, r = thin_qr(a)
+        assert q.shape == q_ref.shape and r.shape == r_ref.shape
+        assert np.array_equal(q, q_ref)
+        assert np.array_equal(r, r_ref)
+        r_only = thin_qr(a, mode="r")
+        assert r_only.shape == r_ref.shape and np.array_equal(r_only, np.linalg.qr(a, mode="r"))
+
+    def test_input_left_untouched(self):
+        a = np.asfortranarray(smooth_block(40, 12, seed=1))
+        before = a.copy()
+        thin_qr(a)
+        assert np.array_equal(a, before)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="'reduced' or 'r'"):
+            thin_qr(np.ones((3, 2)), mode="complete")
+
+
+class TestGaussianSketches:
+    def test_one_draw_per_width_size_and_seed(self):
+        sketches = GaussianSketches()
+        omega = sketches.get(50, 7, 3)
+        assert sketches.get(50, 7, 3) is omega
+        assert np.array_equal(omega, np.random.default_rng(3).standard_normal((50, 7)))
+        assert sketches.get(50, 7, 4) is not omega
+        sketches.clear()
+        assert sketches.get(50, 7, 3) is not omega
+
+    def test_threads_share_one_draw_per_key(self):
+        """Racing threads get one array per key: no draw is lost or repeated."""
+        sketches = GaussianSketches()
+        keys = [(64, 5, seed) for seed in range(4)]
+        seen = []
+        barrier = threading.Barrier(8)
+
+        def worker():
+            barrier.wait(timeout=10)
+            seen.append([id(sketches.get(*key)) for key in keys])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8 and all(ids == seen[0] for ids in seen)
+
+    def test_shared_sketch_changes_no_bits(self):
+        sketches = GaussianSketches()
+        for seed in (0, 1):
+            a = smooth_block(30, 45, seed=seed)
+            alone = rsvd(a, 6, seed=2)
+            shared = rsvd(a, 6, seed=2, sketches=sketches)
+            assert all(np.array_equal(x, y) for x, y in zip(alone, shared))
+
+
+def _projector(u):
+    return u @ u.T
+
+
+class TestRsvdBasis:
+    """The U-only basis has the shapes and the column space of ``rsvd``'s ``U``."""
+
+    CASES = {
+        # A far side with no columns: nothing to span.
+        "empty_far_side": (np.zeros((5, 0)), dict(rank=3)),
+        # rank + oversample exceeds the width: the sketch is the whole row.
+        "k_at_width": (smooth_block(20, 6, seed=5), dict(rank=10)),
+        # A tolerance and no cap: the rank is the tolerance's.
+        "tol_only": (smooth_block(30, 60, seed=6), dict(rank=30, tol=1e-8)),
+        # A zero cap keeps nothing.
+        "rank_0": (smooth_block(30, 60, seed=7), dict(rank=0)),
+        "rank_capped": (smooth_block(40, 90, seed=8), dict(rank=6)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_rsvd_u(self, case):
+        a, kwargs = self.CASES[case]
+        u_ref = rsvd(a, seed=4, **kwargs)[0]
+        u = rsvd_basis(a, seed=4, **kwargs)
+        assert u.shape == u_ref.shape
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(_projector(u), _projector(u_ref), atol=1e-8)
+
+    @pytest.mark.parametrize("rank", [None, 0, 6])
+    def test_row_basis_shapes_unchanged(self, rank):
+        """``row_basis`` maps a missing or zero cap onto the full width, as before."""
+        a = smooth_block(20, 40, seed=9)
+        u = row_basis(a, rank=rank, tol=1e-10, method="rsvd", seed=1)
+        u_ref = rsvd(a, rank or min(a.shape), tol=1e-10, seed=1)[0]
+        assert u.shape == u_ref.shape
+        assert row_basis(np.zeros((5, 0)), rank=rank, method="rsvd").shape == (5, 0)

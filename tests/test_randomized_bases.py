@@ -9,12 +9,17 @@ These tests pin what the default must keep:
 * the seed reaches every build path, the facade's included;
 * each BLR2 row basis and the HODLR root block stay within 1.1x of the
   SVD-optimal Frobenius error at the same rank;
-* methods outside each format's choices are refused by name.
+* methods outside each format's choices are refused by name;
+* a BLR2 build evaluates each kernel entry once, its couplings are the
+  per-block ``U_i^T A_ij U_j``, and no sketch or projection outlives it.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
 from repro.lowrank.qr import row_basis
+from repro.lowrank.rsvd import GaussianSketches
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import get_format
 
@@ -162,3 +168,96 @@ class TestRefusedMethods:
     def test_hodlr_names_its_choices(self):
         with pytest.raises(ValueError, match=r"\('svd', 'rsvd', 'aca'\)"):
             f_hodlr.build_hodlr(_kmat(256), leaf_size=64, method="qr")
+
+
+def _blr2_build(kmat, backend, leaf, max_rank):
+    if backend == "off":
+        return f_blr2.build_blr2(kmat, leaf_size=leaf, max_rank=max_rank, seed=SEED)
+    policy = ExecutionPolicy(backend=backend, n_workers=2)
+    return get_format("blr2").compress_graph(
+        kmat, leaf_size=leaf, max_rank=max_rank, seed=SEED, policy=policy
+    )[0]
+
+
+class TestBLR2EvaluatesEachEntryOnce:
+    @pytest.mark.parametrize("backend", ["off", "parallel"])
+    @pytest.mark.parametrize(
+        "n,leaf", [(2048, 256), (2000, 256), (1000, 100)], ids=["n2048", "n2000", "ragged"]
+    )
+    def test_kernel_entries_are_n_squared(self, n, leaf, backend, monkeypatch):
+        kmat = _kmat(n)
+        entries, lock = [0], threading.Lock()
+        block = KernelMatrix.block
+
+        def counted(self, rows, cols):
+            out = block(self, rows, cols)
+            with lock:
+                entries[0] += out.size
+            return out
+
+        monkeypatch.setattr(KernelMatrix, "block", counted)
+        matrix = _blr2_build(kmat, backend, leaf, 60)
+        assert matrix.nblocks in (8, 16)
+        assert entries[0] == n * n
+
+    @pytest.mark.parametrize("method", f_blr2.METHODS)
+    @pytest.mark.parametrize("n,leaf", [(1024, 128), (1000, 100)], ids=["uniform", "ragged"])
+    def test_couplings_are_the_per_block_projections(self, n, leaf, method):
+        kmat = _kmat(n)
+        matrix = f_blr2.build_blr2(kmat, leaf_size=leaf, max_rank=40, basis_method=method, seed=SEED)
+        leaves = matrix.tree.leaves
+        for (i, j), s in matrix.couplings.items():
+            block = kmat.block(matrix.block_range(i), matrix.block_range(j))
+            ref = matrix.bases[i].T @ block @ matrix.bases[j]
+            assert j < i and s.shape == ref.shape
+            assert np.linalg.norm(s - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert len(matrix.couplings) == len(leaves) * (len(leaves) - 1) // 2
+
+
+def _live_bytes(snapshot, func, lines=None):
+    """Bytes still allocated by ``func``'s source lines (or just ``lines`` of it)."""
+    source, first = inspect.getsourcelines(func)
+    filename = inspect.getsourcefile(func)
+    span = set(range(first, first + len(source))) if lines is None else set(lines)
+    return sum(
+        trace.size
+        for trace in snapshot.traces
+        if trace.traceback[0].filename == filename and trace.traceback[0].lineno in span
+    )
+
+
+def _projection_lines():
+    """The line(s) of :func:`~repro.formats.blr2.shared_basis` that allocate ``P_i``."""
+    source, first = inspect.getsourcelines(f_blr2.shared_basis)
+    return [first + k for k, line in enumerate(source) if "block_row[:, :" in line]
+
+
+class TestBLR2ScratchIsDropped:
+    def test_filters_see_live_scratch(self):
+        """Positive control: a kept sketch and a kept projection are counted."""
+        kmat = _kmat(512)
+        leaf = f_blr2.build_blr2(kmat, leaf_size=64, max_rank=24).tree.leaves[3]
+        tracemalloc.start()
+        try:
+            sketches = GaussianSketches()
+            _, projection = f_blr2.shared_basis(kmat, leaf, 24, None, "rsvd", SEED, sketches)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert _live_bytes(snapshot, GaussianSketches.get) >= 8 * (512 - 64) * 34
+        assert _live_bytes(snapshot, f_blr2.shared_basis, _projection_lines()) >= projection.nbytes
+
+    def test_no_sketch_or_projection_survives_a_parallel_compress(self):
+        kmat = _kmat(1024)
+        tracemalloc.start()
+        try:
+            matrix, runtime = get_format("blr2").compress_graph(
+                kmat, leaf_size=128, max_rank=40, seed=SEED,
+                policy=ExecutionPolicy(backend="parallel", n_workers=2),
+            )
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert runtime.num_tasks and matrix.nblocks == 8
+        assert _live_bytes(snapshot, GaussianSketches.get) == 0
+        assert _live_bytes(snapshot, f_blr2.shared_basis, _projection_lines()) == 0

@@ -533,7 +533,7 @@ class TestPersistence:
         """
         from repro.service import persistence
 
-        assert persistence.MAGIC == b"RPSC\x07"
+        assert persistence.MAGIC == b"RPSC\x08"
         path = tmp_path / "factors.bin"
         service = SolverService(backend="reference")
         service.solve(_rhs(1), **KEY)
@@ -566,6 +566,10 @@ class TestPersistence:
     def test_layout_6_refused_before_unpickling(self, tmp_path, monkeypatch):
         """A layout-6 snapshot (HODLR factors of the exact HSS form) is refused."""
         self._refused_before_unpickling(tmp_path, monkeypatch, b"RPSC\x06")
+
+    def test_layout_7_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A layout-7 snapshot (BLR2 couplings from a second kernel evaluation) is refused."""
+        self._refused_before_unpickling(tmp_path, monkeypatch, b"RPSC\x07")
 
     def test_hodlr_snapshot_stores_leaf_blocks_once(self, tmp_path):
         """A HODLR factor's leaf blocks are the HODLR's own, before and after a reload."""
