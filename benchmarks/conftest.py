@@ -7,12 +7,3 @@ minutes; set ``REPRO_FULL=1`` to run closer to paper scale (the simulated
 performance figures run at full paper scale either way, since the machine
 simulator is cheap -- only the numerical accuracy study is size-limited).
 """
-
-import pytest
-
-from bench_utils import full_scale
-
-
-@pytest.fixture(scope="session")
-def repro_full() -> bool:
-    return full_scale()

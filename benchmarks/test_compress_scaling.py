@@ -1,22 +1,22 @@
 """Benchmark: compression-phase speedup and comm volume of the task graphs.
 
 The construction phase was the last serial phase of the pipeline; this
-benchmark measures it running through the DTD runtime for every registered
-format (sequential reference vs deferred/parallel/distributed task graphs,
-plus the fused parallel and forked process configurations) and records
-the wall times, speedups, task counts and distributed communication volume
-into ``BENCH_runtime.json``, so the compression-phase trajectory is tracked
-across PRs like the factorize/solve numbers.  Both sides of every speedup
-use best-of-N warmed timings.
+benchmark runs it through the DTD runtime for every registered format
+(sequential reference vs deferred/parallel/distributed task graphs, plus the
+fused parallel and forked process configurations) and prints the wall
+times, speedups, task counts and distributed communication volume.  Both
+sides of every speedup use best-of-N warmed timings.
 
 Absolute speedups depend on the machine (python-level task bodies at bench
 sizes mostly measure runtime overhead), so only the correctness contracts
 are asserted: bit-identity with the sequential ``formats.build_*`` output on
 every backend, a distributed comm ledger that matches the static transfer
-plan exactly, and a task census that fusion only ever shrinks.
+plan exactly, and a task census that fusion only ever shrinks.  Compression
+wall time is gated by the repository benchmark (``bench/``'s ``compress_s``
+on the ``direct_graph`` and ``direct_formats`` workloads), not here.
 """
 
-from bench_utils import bench_repeats, full_scale, print_table, record_bench
+from bench_utils import full_scale, print_table
 
 from repro.experiments.compress_scaling import (
     format_compress_scaling,
@@ -27,7 +27,7 @@ N = 4096 if full_scale() else 1024
 BACKENDS = ("deferred", "parallel", "distributed")
 #: Swept a second time with fusion on.
 FUSED_BACKENDS = ("parallel", "process")
-REPEATS = bench_repeats()
+REPEATS = 2
 
 
 def _run():
@@ -63,19 +63,6 @@ def test_compress_scaling(benchmark):
         f"Task-graph compression scaling (N={N}, best of {REPEATS})",
         format_compress_scaling(result),
     )
-    record_bench(
-        "compress_scaling",
-        {
-            "n": result["n"],
-            "kernel": result["kernel"],
-            "leaf_size": result["leaf_size"],
-            "max_rank": result["max_rank"],
-            "n_workers": result["n_workers"],
-            "nodes": result["nodes"],
-            "repeats": result["repeats"],
-            "rows": [row.as_dict() for row in result["rows"]],
-        },
-    )
 
     rows = result["rows"]
     assert {r.backend for r in rows} == set(BACKENDS) | set(FUSED_BACKENDS)
@@ -85,10 +72,6 @@ def test_compress_scaling(benchmark):
         assert row.wall_seconds > 0 and row.sequential_seconds > 0
         assert row.tasks > 0
         assert row.repeats == REPEATS
-        # the recorded raw samples are the evidence behind the best-of claim
-        assert len(row.sequential_samples) == len(row.wall_samples) == REPEATS
-        assert min(row.sequential_samples) == row.sequential_seconds
-        assert min(row.wall_samples) == row.wall_seconds
         # rows carry the concurrency they actually used
         if row.backend in ("parallel", "process"):
             assert row.n_workers == (1 if row.fusion else 4) and row.nodes == 1

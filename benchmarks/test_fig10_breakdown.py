@@ -11,7 +11,7 @@ Paper reference (Fig. 10a/b/c):
   task count.
 """
 
-from bench_utils import full_scale, print_table, record_bench
+from bench_utils import full_scale, print_table
 
 from repro.experiments.fig10_breakdown import (
     format_fig10,
@@ -49,8 +49,7 @@ def test_fig10_measured_breakdown(benchmark):
 
     Every backend's point appears twice -- the measured trace-derived
     breakdown and the simulator's prediction for the same recorded graph --
-    and the pairs land in ``BENCH_runtime.json`` so the model can be
-    cross-validated against reality across PRs.
+    so the printed pairs cross-validate the model against reality.
     """
     n = 1024 if full_scale() else 512
     rows = benchmark.pedantic(
@@ -63,7 +62,6 @@ def test_fig10_measured_breakdown(benchmark):
         "of real traced executions",
         format_fig10_measured(rows),
     )
-    record_bench("fig10_measured", {"n": n, "rows": [r.as_dict() for r in rows]})
 
     backends = {"deferred", "parallel", "process", "distributed"}
     assert {r.backend for r in rows} == backends

@@ -18,7 +18,6 @@ Usage::
     python -m repro trace --phase factorize --runtime parallel --chrome-json trace.json
     python -m repro metrics --phase factorize --runtime process
     python -m repro metrics --phase solve --runtime distributed --nodes 2 --json
-    python -m repro benchreport --html report.html
     python -m repro serve --port 8080 --backend parallel --workers 4
     python -m repro serve --auth-file tenants.json --cache-file factors.bin --ttl 600
 
@@ -68,10 +67,6 @@ accumulated task/comm/memory metrics in Prometheus text exposition format
 (``--json``: the registry snapshot as JSON instead); every runtime backend
 reports the same metric vocabulary (see README "Observability").
 
-``benchreport`` renders the benchmark artifact ``BENCH_runtime.json`` into a
-markdown report (``--html``: additionally a self-contained HTML file) with
-per-row timing sparklines and regression deltas against a baseline artifact.
-
 ``serve`` runs the always-on HTTP front end
 (:class:`~repro.service.http_server.SolverHTTPServer`): ``POST /v1/solve``
 (blocking; flushed on arrival, batched under load), ``POST /v1/submit`` + ``GET /v1/tickets/<id>`` (async),
@@ -86,7 +81,7 @@ from __future__ import annotations
 
 import argparse
 import time
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.distribution.strategies import available_distributions
 from repro.pipeline.policy import BACKENDS
@@ -121,6 +116,49 @@ def _positive_int(value: str) -> int:
     if ivalue <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
     return ivalue
+
+
+def _add_phase_arguments(
+    p: argparse.ArgumentParser,
+    format_choices: Sequence[str],
+    distribution_choices: Sequence[str],
+    verb: str,
+    participle: str,
+) -> None:
+    """The problem, phase and backend flags ``trace`` and ``metrics`` share."""
+    p.add_argument("--n", type=int, default=512, help="problem size")
+    p.add_argument("--kernel", default="yukawa", help="kernel name")
+    p.add_argument(
+        "--format",
+        choices=format_choices,
+        default="hss",
+        help="structured matrix format",
+    )
+    p.add_argument("--leaf-size", type=int, default=128, help="leaf cluster size")
+    p.add_argument("--max-rank", type=int, default=30, help="skeleton rank cap")
+    p.add_argument(
+        "--phase",
+        choices=("compress", "factorize", "solve"),
+        default="factorize",
+        help=f"pipeline phase to {verb}",
+    )
+    p.add_argument(
+        "--runtime",
+        choices=tuple(b for b in RUNTIME_CHOICES if b != "off"),
+        default="parallel",
+        help=f"execution backend of the {participle} phase",
+    )
+    p.add_argument("--workers", type=int, default=4, help="thread/process count")
+    p.add_argument(
+        "--nodes", type=int, default=2, help="worker processes for the distributed backend"
+    )
+    p.add_argument(
+        "--distribution",
+        choices=distribution_choices,
+        default="row",
+        help="placement strategy for the distributed backend",
+    )
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for the right-hand side")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,39 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="measured task-level trace of one phase on one runtime backend",
     )
-    p.add_argument("--n", type=int, default=512, help="problem size")
-    p.add_argument("--kernel", default="yukawa", help="kernel name")
-    p.add_argument(
-        "--format",
-        choices=format_choices,
-        default="hss",
-        help="structured matrix format",
-    )
-    p.add_argument("--leaf-size", type=int, default=128, help="leaf cluster size")
-    p.add_argument("--max-rank", type=int, default=30, help="skeleton rank cap")
-    p.add_argument(
-        "--phase",
-        choices=("compress", "factorize", "solve"),
-        default="factorize",
-        help="pipeline phase to trace",
-    )
-    p.add_argument(
-        "--runtime",
-        choices=tuple(b for b in RUNTIME_CHOICES if b != "off"),
-        default="parallel",
-        help="execution backend of the traced phase",
-    )
-    p.add_argument("--workers", type=int, default=4, help="thread/process count")
-    p.add_argument(
-        "--nodes", type=int, default=2, help="worker processes for the distributed backend"
-    )
-    p.add_argument(
-        "--distribution",
-        choices=distribution_choices,
-        default="row",
-        help="placement strategy for the distributed backend",
-    )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for the right-hand side")
+    _add_phase_arguments(p, format_choices, distribution_choices, "trace", "traced")
     p.add_argument(
         "--chrome-json",
         default=None,
@@ -355,39 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics",
         help="runtime metrics of one phase on one backend, in Prometheus text format",
     )
-    p.add_argument("--n", type=int, default=512, help="problem size")
-    p.add_argument("--kernel", default="yukawa", help="kernel name")
-    p.add_argument(
-        "--format",
-        choices=format_choices,
-        default="hss",
-        help="structured matrix format",
-    )
-    p.add_argument("--leaf-size", type=int, default=128, help="leaf cluster size")
-    p.add_argument("--max-rank", type=int, default=30, help="skeleton rank cap")
-    p.add_argument(
-        "--phase",
-        choices=("compress", "factorize", "solve"),
-        default="factorize",
-        help="pipeline phase to meter",
-    )
-    p.add_argument(
-        "--runtime",
-        choices=tuple(b for b in RUNTIME_CHOICES if b != "off"),
-        default="parallel",
-        help="execution backend of the metered phase",
-    )
-    p.add_argument("--workers", type=int, default=4, help="thread/process count")
-    p.add_argument(
-        "--nodes", type=int, default=2, help="worker processes for the distributed backend"
-    )
-    p.add_argument(
-        "--distribution",
-        choices=distribution_choices,
-        default="row",
-        help="placement strategy for the distributed backend",
-    )
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for the right-hand side")
+    _add_phase_arguments(p, format_choices, distribution_choices, "meter", "metered")
     p.add_argument(
         "--json",
         action="store_true",
@@ -496,37 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="token-bucket burst capacity (default: max(1, rate))",
     )
 
-    p = sub.add_parser(
-        "benchreport",
-        help="render BENCH_runtime.json into a markdown/HTML trajectory report",
-    )
-    p.add_argument(
-        "artifact",
-        nargs="?",
-        default=None,
-        metavar="PATH",
-        help="benchmark artifact to render (default: the committed one)",
-    )
-    p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline artifact for regression deltas (default: the committed "
-        "artifact when rendering another one)",
-    )
-    p.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the markdown to PATH instead of stdout",
-    )
-    p.add_argument(
-        "--html",
-        default=None,
-        metavar="PATH",
-        help="additionally write a self-contained HTML report to PATH",
-    )
-
     return parser
 
 
@@ -628,8 +571,13 @@ def _run_solve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str
     return "\n".join(lines)
 
 
-def _run_trace(args: argparse.Namespace) -> str:
-    """Trace one pipeline phase on one runtime backend and format the report."""
+def _run_phase(args: argparse.Namespace, *, trace: bool = False, metrics: Any = None) -> Any:
+    """Run ``args.phase`` on ``args.runtime`` under one observer; return the solver.
+
+    The observer is ``trace`` (a measured task-level trace) or ``metrics``
+    (a :class:`~repro.obs.metrics.MetricsRegistry`); it watches only the
+    requested phase.
+    """
     import numpy as np
 
     from repro.api import StructuredSolver
@@ -646,29 +594,31 @@ def _run_trace(args: argparse.Namespace) -> str:
         compress_nodes=args.nodes,
         compress_workers=args.workers,
         compress_distribution=distribution if compress else None,
-        compress_trace=compress,
+        compress_trace=trace and compress,
+        compress_metrics=metrics if compress else None,
+    )
+    execution = dict(
+        use_runtime=args.runtime,
+        nodes=args.nodes,
+        n_workers=args.workers,
+        distribution=distribution,
+        trace=trace,
+        metrics=metrics,
     )
     if args.phase == "factorize":
-        solver.factorize(
-            use_runtime=args.runtime,
-            nodes=args.nodes,
-            n_workers=args.workers,
-            distribution=distribution,
-            trace=True,
-        )
+        solver.factorize(**execution)
     elif args.phase == "solve":
         # The factorization is the sequential cached reference; only the
-        # solve runs (traced) through the requested backend.
+        # solve runs (observed) through the requested backend.
         solver.factorize()
         b = np.random.default_rng(args.seed).standard_normal(args.n)
-        solver.solve(
-            b,
-            use_runtime=args.runtime,
-            nodes=args.nodes,
-            n_workers=args.workers,
-            distribution=distribution,
-            trace=True,
-        )
+        solver.solve(b, **execution)
+    return solver
+
+
+def _run_trace(args: argparse.Namespace) -> str:
+    """Trace one pipeline phase on one runtime backend and format the report."""
+    solver = _run_phase(args, trace=True)
     trace = solver.last_traces().get(args.phase)
     if trace is None:
         raise SystemExit(
@@ -693,47 +643,10 @@ def _run_metrics(args: argparse.Namespace) -> str:
     """Meter one pipeline phase on one runtime backend; emit the registry."""
     import json
 
-    import numpy as np
-
-    from repro.api import StructuredSolver
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
-    distribution = args.distribution if args.runtime == "distributed" else None
-    compress = args.phase == "compress"
-    solver = StructuredSolver.from_kernel(
-        args.kernel,
-        n=args.n,
-        format=args.format,
-        leaf_size=args.leaf_size,
-        max_rank=args.max_rank,
-        compress_runtime=args.runtime if compress else "off",
-        compress_nodes=args.nodes,
-        compress_workers=args.workers,
-        compress_distribution=distribution if compress else None,
-        compress_metrics=registry if compress else None,
-    )
-    if args.phase == "factorize":
-        solver.factorize(
-            use_runtime=args.runtime,
-            nodes=args.nodes,
-            n_workers=args.workers,
-            distribution=distribution,
-            metrics=registry,
-        )
-    elif args.phase == "solve":
-        # The factorization is the sequential cached reference; only the
-        # solve runs (metered) through the requested backend.
-        solver.factorize()
-        b = np.random.default_rng(args.seed).standard_normal(args.n)
-        solver.solve(
-            b,
-            use_runtime=args.runtime,
-            nodes=args.nodes,
-            n_workers=args.workers,
-            distribution=distribution,
-            metrics=registry,
-        )
+    _run_phase(args, metrics=registry)
     if args.json:
         out = json.dumps(registry.as_dict(), indent=2, sort_keys=True)
     else:
@@ -792,33 +705,6 @@ def _run_serve(args: argparse.Namespace) -> str:
         server.shutdown()
         server.join(10)
     return f"repro-solver stopped ({service.stats.solves} solves served)"
-
-
-def _run_benchreport(args: argparse.Namespace) -> str:
-    """Render the benchmark artifact into markdown (and optionally HTML)."""
-    from pathlib import Path
-
-    from repro.obs import benchreport
-
-    artifact = Path(args.artifact) if args.artifact else benchreport._default_artifact()
-    current = benchreport.load_artifact(artifact)
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is None and artifact.resolve() != benchreport._default_artifact():
-        baseline_path = benchreport._default_artifact()
-    baseline = (
-        benchreport.load_artifact(baseline_path)
-        if baseline_path is not None and baseline_path.exists()
-        else None
-    )
-    markdown = benchreport.render_markdown(current, baseline)
-    if args.html:
-        Path(args.html).write_text(
-            benchreport.render_html(current, baseline), encoding="utf-8"
-        )
-    if args.output:
-        Path(args.output).write_text(markdown, encoding="utf-8")
-        return f"benchreport: {artifact} -> {args.output}"
-    return markdown.rstrip("\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> str:
@@ -895,8 +781,6 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
         out = _run_metrics(args)
     elif args.command == "serve":
         out = _run_serve(args)
-    elif args.command == "benchreport":
-        out = _run_benchreport(args)
     else:  # pragma: no cover - argparse enforces the choices
         raise ValueError(f"unknown command {args.command!r}")
 

@@ -40,11 +40,8 @@ from repro.experiments.compress_scaling import (
     format_compress_scaling,
     run_compress_scaling,
 )
-from repro.experiments.timing import bench_repeats, best_of_pair
 
 __all__ = [
-    "bench_repeats",
-    "best_of_pair",
     "CompressScalingRow",
     "run_compress_scaling",
     "format_compress_scaling",

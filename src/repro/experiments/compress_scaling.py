@@ -21,13 +21,13 @@ reference path and on each requested runtime backend, and reports
   (the subsystem's correctness contract).
 
 Run via ``python -m repro compresscale`` or the benchmark harness
-(``benchmarks/test_compress_scaling.py``, which records the rows into
-``benchmarks/BENCH_runtime.json``).
+(``benchmarks/test_compress_scaling.py``, which prints the rows and asserts
+their correctness contracts).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.compress.verify import compressed_identical
@@ -60,30 +60,6 @@ class CompressScalingRow:
     comm_matches_plan: bool = True
     fusion: bool = False
     repeats: int = 1
-    # Per-repeat raw wall times behind the best-of figures, in repeat order
-    # (the interleaved protocol pairs sample i of both lists back to back).
-    sequential_samples: List[float] = field(default_factory=list)
-    wall_samples: List[float] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "format": self.format,
-            "backend": self.backend,
-            "nodes": self.nodes,
-            "n_workers": self.n_workers,
-            "wall_seconds": self.wall_seconds,
-            "sequential_seconds": self.sequential_seconds,
-            "speedup": self.speedup,
-            "tasks": self.tasks,
-            "bit_identical": self.bit_identical,
-            "comm_messages": self.comm_messages,
-            "comm_bytes": self.comm_bytes,
-            "comm_matches_plan": self.comm_matches_plan,
-            "fusion": self.fusion,
-            "repeats": self.repeats,
-            "sequential_samples": self.sequential_samples,
-            "wall_samples": self.wall_samples,
-        }
 
 
 def run_compress_scaling(
@@ -129,7 +105,7 @@ def run_compress_scaling(
             # (not once per format): on a drifting machine a block of
             # baseline timings taken minutes before the graph timings would
             # put all the drift on one side of the speedup.
-            pair = best_of_pair(
+            t_seq, reference, wall, (matrix, rt) = best_of_pair(
                 lambda: spec.build(
                     kmat, leaf_size=leaf_size, max_rank=max_rank, tol=None,
                     method=None, seed=seed,
@@ -140,7 +116,6 @@ def run_compress_scaling(
                 ),
                 repeats=repeats,
             )
-            t_seq, reference, wall, (matrix, rt) = pair
 
             comm_messages = comm_bytes = 0
             comm_matches = True
@@ -170,8 +145,6 @@ def run_compress_scaling(
                     comm_matches_plan=comm_matches,
                     fusion=policy.fusion,
                     repeats=repeats,
-                    sequential_samples=pair.baseline_samples,
-                    wall_samples=pair.candidate_samples,
                 )
             )
     return {

@@ -140,8 +140,8 @@ def comm_plane_savings(
     """Physical-byte savings factor of the shm plane per (distribution, nodes).
 
     ``pickle_physical / shm_physical`` for every multi-node configuration
-    measured under both planes -- the quantity the trajectory gate asserts
-    stays >= its floor.  Single-node rows (no transfers) are skipped.
+    measured under both planes -- the quantity the weak-scaling benchmark
+    asserts stays >= its floor.  Single-node rows (no transfers) are skipped.
     """
     physical: Dict[Tuple[str, int, str], int] = {}
     for r in rows:

@@ -21,7 +21,7 @@ cross-validated against reality instead of only against the machine model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.fig9_weak_scaling import (
     simulate_hatrix,
@@ -144,22 +144,6 @@ class MeasuredBreakdownRow:
     comm_time: float
     idle_time: float
     makespan: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "source": self.source,
-            "format": self.format,
-            "n": self.n,
-            "n_workers": self.n_workers,
-            "nodes": self.nodes,
-            "num_tasks": self.num_tasks,
-            "compute_time": self.compute_time,
-            "overhead_time": self.overhead_time,
-            "comm_time": self.comm_time,
-            "idle_time": self.idle_time,
-            "makespan": self.makespan,
-        }
 
 
 def run_fig10_measured(

@@ -3,12 +3,9 @@
 The aggregating counterpart of :mod:`repro.runtime.tracing` (which records
 per-run timelines): a mergeable :class:`MetricsRegistry` threaded through the
 four execution backends and the :class:`~repro.service.SolverService`,
-Prometheus text exposition, memory/byte accounting, the benchmark trajectory
-gate (compression speedups, zero-copy wire bytes and baseline sample
-spreads), and the ``repro benchreport`` renderer.  Factorize/solve timings,
-serving throughput and observability overhead are measured by ``bench/``,
-not here.  See README "Observability" for the metric names and label
-conventions.
+Prometheus text exposition and memory/byte accounting.  Timings, serving
+throughput and observability overhead are measured by ``bench/``, not here.
+See README "Observability" for the metric names and label conventions.
 """
 
 from repro.obs.memory import (

@@ -30,7 +30,6 @@ class TestParser:
         assert set(sub.choices) == {
             "table1", "table2", "fig9", "fig10", "fig11", "fig12", "solve",
             "weakscale", "compresscale", "trace", "metrics", "serve",
-            "benchreport",
         }
 
     def test_solve_distributed_flags(self):
@@ -88,6 +87,19 @@ class TestParser:
         assert "--workers" in help_text
         for mode in ("off", "deferred", "parallel", "distributed"):
             assert mode in help_text
+
+    @pytest.mark.parametrize("cmd", ["trace", "metrics"])
+    def test_phase_command_defaults(self, cmd):
+        args = build_parser().parse_args([cmd])
+        assert (args.n, args.kernel, args.format) == (512, "yukawa", "hss")
+        assert (args.leaf_size, args.max_rank) == (128, 30)
+        assert (args.phase, args.runtime) == ("factorize", "parallel")
+        assert (args.workers, args.nodes, args.distribution) == (4, 2, "row")
+        assert args.seed == 0
+        if cmd == "trace":
+            assert args.chrome_json is None
+        else:
+            assert args.json is False and args.output is None
 
     def test_table2_options(self):
         args = build_parser().parse_args(["table2", "--n", "1024", "--kernel", "yukawa"])
@@ -199,3 +211,19 @@ class TestMain:
         assert "solves/s" in out
         err = float(out.split("solve error")[1].split()[0])
         assert err < 1e-10
+
+    def test_trace_prints_breakdown(self):
+        out = main(["trace", "--runtime", "deferred", "--n", "512", "--leaf-size", "128", "--max-rank", "30"])
+        assert out.startswith("Measured trace: phase=factorize runtime=deferred")
+        assert "compute [s]" in out and "idle [s]" in out
+        assert "-- by task kind --" in out
+
+    def test_metrics_output_is_prometheus_text(self):
+        from repro.obs import parse_prometheus
+
+        out = main(["metrics", "--runtime", "deferred", "--n", "512", "--leaf-size", "128", "--max-rank", "30"])
+        families = parse_prometheus(out + "\n")
+        tasks = families["repro_tasks_executed_total"]
+        assert tasks["kind"] == "counter"
+        # the 512 / 128 tree factorizes in 16 tasks
+        assert sum(value for _, _, value in tasks["samples"]) == 16

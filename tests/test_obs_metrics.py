@@ -5,8 +5,7 @@ commutative, lossless against a single registry), histogram reconciliation
 against the ExecutionTrace spans built from the same stamps, metrics on the
 error/cancellation paths, logical-vs-physical comm bytes reconciling with the
 distributed CommLedger, the SolverService's two metric surfaces agreeing,
-strict Prometheus exposition round-trips, the benchmark-trajectory gate, and
-the benchreport renderer.
+and strict Prometheus exposition round-trips.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import itertools
 import json
 import math
 import os
-from pathlib import Path
 
 import pytest
 
@@ -27,8 +25,6 @@ from repro.obs import (
     merge_snapshots,
     parse_prometheus,
 )
-from repro.obs.benchreport import render_html, render_markdown, sparkline
-from repro.obs.trajectory import check_refresh, check_trajectory, sample_spreads
 from repro.pipeline.factorize import HSSULVFactorizeBuilder
 from repro.pipeline.policy import ExecutionPolicy
 from repro.runtime.dtd import DTDRuntime
@@ -490,311 +486,3 @@ class TestExposition:
                 'repro_h_bucket{le="+Inf"} 3\n'
                 "repro_h_sum 1\nrepro_h_count 3\n"
             )
-
-
-# ---------------------------------------------------------------------------
-# trajectory gate
-# ---------------------------------------------------------------------------
-def _artifact(tmp_path, name, payload):
-    path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    return path
-
-
-def _speedup_section(speedup, n=1024, cpu_count=None, backend="parallel"):
-    section = {
-        "n": n,
-        "rows": [{
-            "format": "hss", "backend": backend, "fusion": False,
-            "speedup": speedup,
-        }],
-    }
-    if cpu_count is not None:
-        section["machine"] = {"cpu_count": cpu_count}
-    return section
-
-
-class TestTrajectoryGate:
-    def test_within_tolerance_passes(self, tmp_path):
-        cur = _artifact(tmp_path, "cur.json", {
-            "compress_scaling": _speedup_section(1.6),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "compress_scaling": _speedup_section(2.0),
-        })
-        result = check_trajectory(cur, base)
-        assert result.ok and result.compared == 1
-
-    def test_regression_fails(self, tmp_path):
-        cur = _artifact(tmp_path, "cur.json", {
-            "compress_scaling": _speedup_section(0.8),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "compress_scaling": _speedup_section(2.0),
-        })
-        result = check_trajectory(cur, base)
-        assert not result.ok and result.exit_code == 1
-        assert "REGRESSED" in "\n".join(result.lines)
-
-    def test_cross_cpu_count_uses_lenient_tolerance(self, tmp_path):
-        # 0.8 vs stored 2.0 fails at the same-machine tolerance (floor 1.0)
-        # but passes the cross tolerance (floor 0.5) when the stamps show
-        # different core counts
-        cur = _artifact(tmp_path, "cur.json", {
-            "compress_scaling": _speedup_section(0.8, cpu_count=1),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "compress_scaling": _speedup_section(2.0, cpu_count=8),
-        })
-        assert check_trajectory(cur, base).ok
-        # unknown stamps (pre-stamp artifacts) stay strict
-        cur2 = _artifact(tmp_path, "cur2.json", {
-            "compress_scaling": _speedup_section(0.8),
-        })
-        base2 = _artifact(tmp_path, "base2.json", {
-            "compress_scaling": _speedup_section(2.0),
-        })
-        assert not check_trajectory(cur2, base2).ok
-
-    def test_ungated_backend_ignored(self, tmp_path):
-        cur = _artifact(tmp_path, "cur.json", {
-            "compress_scaling": _speedup_section(0.1, backend="distributed"),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "compress_scaling": _speedup_section(2.0, backend="distributed"),
-        })
-        result = check_trajectory(cur, base)
-        assert result.ok and result.compared == 0
-
-    def test_missing_baseline_never_fails(self, tmp_path):
-        cur = _artifact(tmp_path, "cur.json", {
-            "compress_scaling": _speedup_section(0.1),
-        })
-        result = check_trajectory(cur, tmp_path / "nope.json")
-        assert result.ok and result.compared == 0
-
-    # -- baseline health: a disturbed run committed as the trajectory must
-    #    fail every subsequent gate run, not silently lower the floors
-
-    @staticmethod
-    def _noisy_speedup_section(samples):
-        section = _speedup_section(1.0)
-        section["rows"][0]["seq_samples"] = list(samples)
-        return section
-
-    def test_noisy_baseline_samples_fail(self, tmp_path):
-        cur = _artifact(tmp_path, "cur.json", {
-            "compress_scaling": _speedup_section(1.0),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "compress_scaling": self._noisy_speedup_section(
-                [0.435, 0.382, 0.136]  # 3.2x spread: a disturbed run
-            ),
-        })
-        result = check_trajectory(cur, base)
-        assert not result.ok
-        assert any("sample spread" in f and "baseline" in f
-                   for f in result.failures)
-        # a tight spread passes
-        base2 = _artifact(tmp_path, "base2.json", {
-            "compress_scaling": self._noisy_speedup_section([0.40, 0.42, 0.41]),
-        })
-        assert check_trajectory(cur, base2).ok
-
-    def test_noisy_current_samples_warn_only(self, tmp_path):
-        cur = _artifact(tmp_path, "cur.json", {
-            "compress_scaling": self._noisy_speedup_section(
-                [0.435, 0.382, 0.136]
-            ),
-        })
-        base = _artifact(tmp_path, "base.json", {
-            "compress_scaling": _speedup_section(1.0),
-        })
-        result = check_trajectory(cur, base)
-        assert result.ok
-        assert any("NOISY" in line for line in result.lines)
-
-    # -- refresh validation: replacing the baseline requires a clean run at
-    #    parity or better, so refreshes cannot ratchet the floors looser
-
-    def test_refresh_parity_ok_and_regression_fails(self, tmp_path):
-        committed = _artifact(tmp_path, "committed.json", {
-            "compress_scaling": _speedup_section(1.0),
-        })
-        at_parity = _artifact(tmp_path, "parity.json", {
-            "compress_scaling": _speedup_section(0.95),
-        })
-        assert check_refresh(at_parity, committed).ok
-        slower = _artifact(tmp_path, "slower.json", {
-            "compress_scaling": _speedup_section(0.8),
-        })
-        result = check_refresh(slower, committed)
-        assert not result.ok
-        # the same 0.8 run would pass the ordinary (0.5-tolerance) gate
-        assert check_trajectory(slower, committed).ok
-
-    def test_refresh_rejects_noisy_candidate(self, tmp_path):
-        committed = _artifact(tmp_path, "committed.json", {
-            "compress_scaling": _speedup_section(1.0),
-        })
-        noisy = _artifact(tmp_path, "noisy.json", {
-            "compress_scaling": self._noisy_speedup_section(
-                [0.435, 0.382, 0.136]
-            ),
-        })
-        result = check_refresh(noisy, committed)
-        assert not result.ok
-        assert any("sample spread" in f for f in result.failures)
-
-    def test_committed_baseline_is_clean(self):
-        # The artifact every regression floor is derived from must itself
-        # satisfy the baseline health check (sample spreads within the
-        # sanity bound) -- this makes a disturbed
-        # re-record uncommittable at the plain-pytest tier, not only in the
-        # gate jobs.
-        path = (
-            Path(__file__).resolve().parent.parent
-            / "benchmarks" / "BENCH_runtime.json"
-        )
-        result = check_trajectory(path, path)
-        assert result.ok, result.summary()
-
-    def test_sample_spreads_iterator_skips_short_and_nonpositive(self):
-        spreads = list(sample_spreads({
-            "fig10_measured": {
-                "wall_samples": [1.0, 2.0],
-                "one_samples": [1.0],          # too short
-                "zero_samples": [0.0, 1.0],    # non-positive
-                "text_samples": ["a", "b"],    # non-numeric
-            },
-        }))
-        assert spreads == [
-            ("fig10_measured", "<section>", "wall_samples", 2.0),
-        ]
-
-    @staticmethod
-    def _comm_section(shm_bytes, pickle_bytes, nodes=2, n=512):
-        return {
-            "base_n": n // nodes,
-            "rows": [
-                {
-                    "distribution": "row", "nodes": nodes, "n": n,
-                    "data_plane": "shm", "physical_bytes": shm_bytes,
-                    "mapped_bytes": 10 * shm_bytes,
-                },
-                {
-                    "distribution": "row", "nodes": nodes, "n": n,
-                    "data_plane": "pickle", "physical_bytes": pickle_bytes,
-                    "mapped_bytes": 0,
-                },
-            ],
-        }
-
-    def test_comm_savings_floor_gated(self, tmp_path):
-        # 30x savings clears the default 10x floor ...
-        cur = _artifact(tmp_path, "cur.json", {
-            "distributed_weak_scaling": self._comm_section(1000, 30000),
-        })
-        result = check_trajectory(cur, tmp_path / "nope.json")
-        assert result.ok and result.compared == 1
-        # ... 2x does not (array payloads leaked back onto the wire)
-        cur2 = _artifact(tmp_path, "cur2.json", {
-            "distributed_weak_scaling": self._comm_section(15000, 30000),
-        })
-        result2 = check_trajectory(cur2, tmp_path / "nope.json")
-        assert not result2.ok
-        assert any("zero-copy savings" in f for f in result2.failures)
-        # a raised floor fails the 30x artifact too
-        assert not check_trajectory(
-            cur, tmp_path / "nope.json", min_comm_savings=50.0
-        ).ok
-
-    def test_comm_shm_bytes_regression_gated(self, tmp_path):
-        base = _artifact(tmp_path, "base.json", {
-            "distributed_weak_scaling": self._comm_section(1000, 30000),
-        })
-        # same wire bytes at the same n: both checks pass
-        cur_ok = _artifact(tmp_path, "cur_ok.json", {
-            "distributed_weak_scaling": self._comm_section(1000, 30000),
-        })
-        result = check_trajectory(cur_ok, base)
-        assert result.ok and result.compared == 2
-        # descriptor bloat past the slack fails even when savings still clear
-        cur_bad = _artifact(tmp_path, "cur_bad.json", {
-            "distributed_weak_scaling": self._comm_section(2000, 30000),
-        })
-        result2 = check_trajectory(cur_bad, base)
-        assert not result2.ok
-        assert any("shm wire bytes grew" in f for f in result2.failures)
-
-    def test_comm_gate_skips_preplane_artifacts(self, tmp_path):
-        # rows recorded before the zero-copy plane carry no data_plane /
-        # physical_bytes fields: the gate must skip them, not crash or fail
-        cur = _artifact(tmp_path, "cur.json", {
-            "distributed_weak_scaling": {
-                "base_n": 256,
-                "rows": [{"distribution": "row", "nodes": 2, "n": 512,
-                          "measured_bytes": 32256}],
-            },
-        })
-        result = check_trajectory(cur, tmp_path / "nope.json")
-        assert result.ok and result.compared == 0
-
-    def test_comm_gate_ignores_single_node_rows(self, tmp_path):
-        # one node means no transfers: 0B/0B rows never gate
-        cur = _artifact(tmp_path, "cur.json", {
-            "distributed_weak_scaling": self._comm_section(0, 0, nodes=1),
-        })
-        result = check_trajectory(cur, tmp_path / "nope.json")
-        assert result.ok and result.compared == 0
-
-
-# ---------------------------------------------------------------------------
-# benchreport renderer
-# ---------------------------------------------------------------------------
-class TestBenchreport:
-    def test_sparkline(self):
-        assert sparkline([1, 2, 3]) == "▁▄█"
-        assert sparkline([5, 5]) == "▁▁"
-        assert sparkline([]) == ""
-        assert sparkline(["junk"]) == ""
-
-    def test_render_markdown_synthetic_artifact(self):
-        current = {
-            "compress_scaling": {
-                "n": 2048,
-                "machine": {"git_sha": "abc1234", "cpu_count": 4},
-                "rows": [{
-                    "format": "hss", "backend": "parallel", "fusion": False,
-                    "sequential_seconds": 0.2, "wall_seconds": 0.1,
-                    "speedup": 2.0, "wall_samples": [0.1, 0.11, 0.1],
-                }],
-            },
-            "fig10_measured": {"n": 512, "rows": []},
-        }
-        baseline = {
-            "compress_scaling": {
-                "n": 2048,
-                "rows": [{
-                    "format": "hss", "backend": "parallel", "fusion": False,
-                    "speedup": 1.6,
-                }],
-            },
-        }
-        md = render_markdown(current, baseline)
-        assert "2.00x" in md and "+25%" in md  # delta vs the 1.6x baseline
-        assert "0.2000" in md and "0.1000" in md
-        assert "git `abc1234`" in md and "4 cpu(s)" in md
-        assert "`fig10_measured`" in md  # listed, not tabled
-        html = render_html(current, baseline)
-        assert "<table>" in html and "2.00x" in html
-
-    def test_render_committed_artifact(self):
-        from repro.obs.trajectory import load_artifact
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH_runtime.json"
-        md = render_markdown(load_artifact(path))
-        assert md.startswith("# Benchmark trajectory report")
-        assert "## Compression scaling" in md
-        assert "`distributed_weak_scaling`" in md and "`fig10_measured`" in md
