@@ -10,34 +10,38 @@ HSS form must keep all of that span, so its ranks are the sums of the
 ancestor ranks and grow with depth.  :func:`hodlr_to_hss` instead keeps only
 the part of it above the HODLR's own error level, level by level:
 
-* every ancestor factor ``F_g`` carries the weight ``R_g``, the triangular
-  factor of the *far* side of ``g``'s block (``F_g W_g^T = F_g R_g^T Q_g^T``
-  with ``Q_g`` orthonormal), so ``F_g R_g^T`` has the singular values of the
-  block row it stands for.  ``R_g`` is the ``R`` of a QR of the far factor
-  (``diag(+-s)`` for a block in SVD form, ``U = u diag(s)`` with ``V``
-  orthonormal, as ``"svd"`` and ``"rsvd"`` build it);
+* every off-diagonal block is in SVD form, ``U = u diag(s)`` with ``V``
+  orthonormal (:func:`~repro.formats.hodlr.compress_offdiagonal` builds
+  every block so).  The ancestor factor ``F_g`` of a cluster under
+  ``g.left`` is ``U``, and ``U V^T = U Q^T`` with ``Q`` orthonormal; under
+  ``g.right`` it is ``V``, and ``V U^T = V diag(s) u^T``.  So ``F_g`` gets
+  the column weights ``w_g = 1`` or ``w_g = ||U_j|| = s``, and
+  ``F_g diag(w_g)`` has the singular values of the block row it stands
+  for, without a QR;
 * leaf ``i``: ``B_i`` = the leading columns of the column-pivoted QR of the
-  weighted stack ``[F_g R_g^T]`` (nearest ancestor first) whose ``|R_kk|``
-  exceed ``tau``; the coordinates are ``P_i[g] = B_i^T F_g|_i``, from the
-  *unweighted* factors;
+  weighted stack ``[F_g diag(w_g)]`` (nearest ancestor first) whose
+  ``|R_kk|`` exceed ``tau`` (:func:`~repro.lowrank.qr.truncated_pivoted_qr`,
+  which stops factoring there); the coordinates are
+  ``P_i[g] = B_i^T F_g|_i``, from the *unweighted* factors;
 * interior ``c`` with children ``a``, ``b``: transfer ``E_c`` from the same
-  truncated pivoted QR of ``[P_a[g]; P_b[g]] R_g^T`` stacked over the
+  truncated pivoted QR of ``[P_a[g]; P_b[g]] diag(w_g)`` stacked over the
   ancestors ``g`` of ``c``, and ``P_c[g] = E_c^T [P_a[g]; P_b[g]]``;
 * sibling coupling under ``p``: ``S_{2k+1,2k} = P_b[p] P_a[p]^T``.
 
 ``tau`` is :data:`TRUNCATION_FACTOR` times the largest, over the HODLR's
 truncated blocks (those below full rank), of the smallest singular value
-each block kept (``0`` when no block was truncated): a fixed fraction of
-the HODLR's own truncation level, so the HSS form adds an error well below
-the HODLR's and its ranks stay near the block ranks instead of their sums.
+each block kept, its smallest ``||U_j||`` (``0`` when no block was
+truncated): a fixed fraction of the HODLR's own truncation level, so the
+HSS form adds an error well below the HODLR's and its ranks stay near the
+block ranks instead of their sums.
 No kernel entry is evaluated again.  A HODLR matrix then factorizes and
 solves with the HSS-ULV code (:func:`~repro.core.hss_ulv.hss_ulv_factorize`
 and the HSS graph builders): every dense step is one tree node's block, and
 no step factors a merged skeleton system of all the leaves.
 
 Requires a *symmetric* HODLR matrix (``lower == (upper.V, upper.U)`` per
-node, as :func:`repro.formats.hodlr.build_hodlr` constructs) whose
-approximation is positive definite.
+node) with its blocks in SVD form, as :func:`repro.formats.hodlr.build_hodlr`
+constructs it, whose approximation is positive definite.
 """
 
 from __future__ import annotations
@@ -45,11 +49,11 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dorgqr
 
 from repro.core.hss_ulv import HSSULVFactor, hss_ulv_factorize
 from repro.formats.hodlr import HODLRMatrix, HODLRNode
 from repro.formats.hss import HSSMatrix, HSSNode
+from repro.lowrank.qr import truncated_pivoted_qr
 
 __all__ = ["TRUNCATION_FACTOR", "hodlr_to_hss", "hodlr_ulv_factorize"]
 
@@ -60,45 +64,29 @@ __all__ = ["TRUNCATION_FACTOR", "hodlr_to_hss", "hodlr_ulv_factorize"]
 #: matern.
 TRUNCATION_FACTOR = 0.1
 
-#: A weighted factor: ``F`` and the upper-triangular weight ``R_g`` of its
-#: ancestor's far side.
+#: A weighted factor: ``F`` and the column weights of its ancestor block.
 Weighted = Tuple[np.ndarray, np.ndarray]
 
-
-def _smallest_singular_value(r_u: np.ndarray, r_v: np.ndarray) -> float:
-    """Smallest singular value of ``U V^T`` from the triangular factors of ``U`` and ``V``."""
-    return float(np.linalg.svd(r_u @ r_v.T, compute_uv=False)[-1])
+#: Column norms of ``V`` further than this from 1 mean a block is not in SVD form.
+_SVD_FORM_TOLERANCE = 1e-8
 
 
 def _truncate(
     factors: List[Weighted], rows: int, tau: float
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Truncated basis of the weighted stack ``[F R^T, ...]`` and each ``F``'s coordinates."""
+    """Truncated basis of the weighted stack ``[F diag(w), ...]`` and each ``F``'s coordinates."""
     widths = [f.shape[1] for f, _ in factors]
     stack = np.empty((rows, sum(widths)), order="F")
     col = 0
     for (f, weight), width in zip(factors, widths):
-        stack[:, col : col + width] = f @ weight.T
+        np.multiply(f, weight, out=stack[:, col : col + width])
         col += width
-    k = 0
-    if stack.shape[1]:
-        # scipy's default workspace selects LAPACK's unblocked path: query the
-        # blocked path's workspace instead.
-        lwork = int(dgeqp3(stack, lwork=-1, overwrite_a=True)[3][0])
-        qr, _, taus, _, info = dgeqp3(stack, lwork=lwork, overwrite_a=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgeqp3 failed with info={info}")
-        k = int(np.count_nonzero(np.abs(np.diag(qr)) > tau))
-    if k == 0:
-        return np.zeros((rows, 0)), [np.zeros((0, width)) for width in widths]
-    q, _, info = dorgqr(qr[:, :k], taus[:k], overwrite_a=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dorgqr failed with info={info}")
+    q, _ = truncated_pivoted_qr(stack, tau)
     basis = np.ascontiguousarray(q)
     return basis, [basis.T @ f for f, _ in factors]
 
 
-def _check_symmetric(node: HODLRNode) -> None:
+def _check_block(node: HODLRNode) -> None:
     if not (
         np.array_equal(node.lower.U, node.upper.V) and np.array_equal(node.lower.V, node.upper.U)
     ):
@@ -106,23 +94,27 @@ def _check_symmetric(node: HODLRNode) -> None:
             f"HODLR node [{node.start}, {node.stop}) is not symmetric: its lower "
             "factors are not its upper factors swapped"
         )
+    if np.any(np.abs(np.linalg.norm(node.upper.V, axis=0) - 1.0) > _SVD_FORM_TOLERANCE):
+        raise ValueError(
+            f"HODLR node [{node.start}, {node.stop}) is not in SVD form: the "
+            "columns of its upper block's V are not unit vectors"
+        )
 
 
-def _block_weights(root: HODLRNode) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], float]:
-    """``id(node) -> (R of upper.U, R of upper.V)`` per interior node, and ``tau``."""
-    weights: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+def _block_weights(root: HODLRNode) -> Tuple[Dict[int, np.ndarray], float]:
+    """``id(node) -> ||U_j||`` of the upper block per interior node, and ``tau``."""
+    weights: Dict[int, np.ndarray] = {}
     level = 0.0
     stack = [root]
     while stack:
         node = stack.pop()
         if node.is_leaf:
             continue
-        _check_symmetric(node)
+        _check_block(node)
         block = node.upper
-        r_u, r_v = np.linalg.qr(block.U, mode="r"), np.linalg.qr(block.V, mode="r")
-        weights[id(node)] = (r_u, r_v)
+        weights[id(node)] = s = np.linalg.norm(block.U, axis=0)
         if 0 < block.rank < min(block.shape):  # a full-rank block was not truncated
-            level = max(level, _smallest_singular_value(r_u, r_v))
+            level = max(level, float(s.min()))
         stack += [node.left, node.right]
     return weights, TRUNCATION_FACTOR * level
 
@@ -136,7 +128,9 @@ def hodlr_to_hss(hodlr: HODLRMatrix) -> HSSMatrix:
     Raises
     ------
     ValueError
-        If a node's lower factors are not its upper factors swapped.
+        If a node's lower factors are not its upper factors swapped, or its
+        upper block's ``V`` has columns that are not unit vectors (the block
+        is not in SVD form).
     """
     weights, tau = _block_weights(hodlr.root)
     nodes: Dict[Tuple[int, int], HSSNode] = {}
@@ -151,14 +145,14 @@ def hodlr_to_hss(hodlr: HODLRMatrix) -> HSSMatrix:
             hss_node.U, coords = _truncate(factors, node.size, tau)
         else:
             split = node.left.size
-            r_u, r_v = weights[id(node)]
+            s = weights[id(node)]
             left = convert(
                 node.left, level + 1, 2 * index,
-                [(node.upper.U, r_v)] + [(f[:split], w) for f, w in factors],
+                [(node.upper.U, np.ones_like(s))] + [(f[:split], w) for f, w in factors],
             )
             right = convert(
                 node.right, level + 1, 2 * index + 1,
-                [(node.lower.U, r_u)] + [(f[split:], w) for f, w in factors],
+                [(node.lower.U, s)] + [(f[split:], w) for f, w in factors],
             )
             couplings[(level + 1, 2 * index + 1, 2 * index)] = right[0] @ left[0].T
             if level == 0:

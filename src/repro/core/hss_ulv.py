@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from repro.core.level_ulv import LevelFactors, check_finite, square_basis, ulv_solve
-from repro.core.partial_cholesky import PartialCholeskyResult, cholesky, partial_cholesky
+from repro.core.partial_cholesky import PartialCholeskyResult, cholesky
 from repro.core.rhs import validate_rhs
 from repro.formats.hss import HSSStructure
 from repro.runtime.flops import flops_diag_product, flops_partial_factor, flops_potrf
@@ -236,13 +236,8 @@ def hss_ulv_factorize(matrix) -> HSSULVFactor:
         lf = factor.levels[level]
         schur: Dict[int, np.ndarray] = {}
         for i in range(2**level):
-            part = partial_cholesky(
-                lf.set_basis(i, matrix.node_basis(level, i), diag[(level, i)]),
-                st.rank(level, i),
-                level=level,
-                node=i,
-            )
-            schur[i] = lf.set_partial(i, part)
+            rotated = lf.set_basis(i, matrix.node_basis(level, i), diag[(level, i)])
+            schur[i] = lf.set_partial(i, rotated, level=level)
         for parent, k, nodes in st.merges(level):
             diag[(parent, k)] = merge_children(
                 [schur[i] for i in nodes],

@@ -46,7 +46,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg.lapack import dgeqrt, dtrtrs
 
-from repro.core.partial_cholesky import PartialCholeskyResult
+from repro.core.partial_cholesky import PartialCholeskyResult, partial_cholesky
+from repro.lowrank.lapack import dsyr2k
 
 __all__ = [
     "NodeGroup",
@@ -178,37 +179,43 @@ class LevelFactors:
 
     # -- factorization writes ------------------------------------------------
     def set_basis(self, i: int, skeleton: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Write ``U^S = Q_S R`` of node ``i`` (``dgeqrt``); return ``[Q_R U^S]^T D [Q_R U^S]``.
+        """Write ``U^S = Q_S R`` of node ``i`` (``dgeqrt``); return the rotated block ``Q^T D Q``.
 
-        The diagonal product (Eq. 3-4) of the working block ``d``, ordered
-        redundant-first, from the symmetric two-sided update
-        ``Q^T D Q = D - (Z V^T + V Z^T)`` with ``Y = D V T`` and
-        ``Z = Y - V (T^T V^T Y) / 2``: ``O(m^2 r)`` flops, not two ``m^3`` GEMMs.
+        The diagonal product (Eq. 3-4) of the symmetric working block ``d``
+        in the Householder basis, skeleton rows and columns first, as a copy
+        of ``d`` of which only the lower triangle is updated: the two-sided
+        update ``Q^T D Q = D - (Z V^T + V Z^T)`` with ``Y = D V T`` and
+        ``Z = Y - V (T^T V^T Y) / 2`` is one ``dsyr2k``, ``O(m^2 r)`` flops.
+        :meth:`set_partial` eliminates it.
         """
         group, pos = self._slot[i]
-        r, nr = group.rank, group.size - group.rank
+        r = group.rank
         v, t, rr = group.V[pos], group.T[pos], group.R[pos]
-        if r:
-            qr, t[...], info = dgeqrt(r, skeleton)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"basis QR failed (geqrt info={info})")
-            rr[...] = np.triu(qr[:r])
-            v[...] = np.tril(qr, -1)
-            v[np.diag_indices(r)] = 1.0
+        rotated = np.array(d, dtype=np.float64, order="C")
+        if not r:
+            return rotated
+        qr, t[...], info = dgeqrt(r, skeleton)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"basis QR failed (geqrt info={info})")
+        rr[...] = np.triu(qr[:r])
+        v[...] = np.tril(qr, -1)
+        v[np.diag_indices(r)] = 1.0
         y = d @ v @ t
         z = y - 0.5 * (v @ (t.T @ (v.T @ y)))
-        w = z @ v.T
-        b = d - (w + w.T)  # Q^T D Q, skeleton rows/columns first
-        a_hat = np.empty_like(b)
-        a_hat[:nr, :nr] = b[r:, r:]
-        a_hat[nr:, :nr] = rr.T @ b[:r, r:]
-        a_hat[:nr, nr:] = a_hat[nr:, :nr].T
-        a_hat[nr:, nr:] = rr.T @ b[:r, :r] @ rr
-        return a_hat
+        # Column-major, the C-ordered copy is D^T, and its lower triangle is
+        # the upper triangle of that.
+        dsyr2k("U", "T", -1.0, z.T, v.T, 1.0, rotated.T)
+        return rotated
 
-    def set_partial(self, i: int, part: PartialCholeskyResult) -> np.ndarray:
-        """Write node ``i``'s partial Cholesky factors; returns the Schur complement slot."""
+    def set_partial(self, i: int, rotated: np.ndarray, *, level: Optional[int] = None) -> np.ndarray:
+        """Eliminate node ``i``'s rotated block and write its factors; returns the Schur complement slot.
+
+        :func:`~repro.core.partial_cholesky.partial_cholesky` of
+        :meth:`set_basis`'s output with the node's ``R``; ``level`` names the
+        tree level in a :class:`~repro.core.partial_cholesky.NotPositiveDefinite`.
+        """
         group, pos = self._slot[i]
+        part = partial_cholesky(rotated, group.rank, group.R[pos], level=level, node=i)
         group.L_rr[pos] = part.L_rr
         group.L_sr[pos] = part.L_sr
         group.schur[pos] = part.schur_ss

@@ -10,17 +10,25 @@ block, because the rotated off-diagonal blocks are zero in those rows/columns
     L^SR          = A_hat^SR (L^RR)^{-T}          (Eq. 11, triangular solve)
     A_hat^SS     <- A_hat^SS - L^SR (L^SR)^T      (Eq. 12, Schur complement)
 
+:func:`partial_cholesky` takes the block as the diagonal product leaves it
+-- rotated by the node's Householder ``Q``, skeleton first, lower triangle
+only -- together with the ``R`` that turns its skeleton part into
+``A_hat``'s, and runs one ``dpotrf``, one ``dtrsm`` and one ``dsyrk``.
+
 A block that is not positive definite raises :class:`NotPositiveDefinite`,
 naming the tree node and the pivot where the elimination broke down.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+
+from repro.lowrank.lapack import dpotrf, dsyrk, dtrsm
 
 __all__ = ["NotPositiveDefinite", "PartialCholeskyResult", "cholesky", "partial_cholesky"]
 
@@ -113,62 +121,92 @@ class PartialCholeskyResult:
         return self.schur_ss.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _lower_mask(n: int) -> np.ndarray:
+    """``np.tri(n, dtype=bool)``, built once per size."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower triangle is ``a``'s."""
+    return np.where(_lower_mask(a.shape[0]), a, a.T)
+
+
 def partial_cholesky(
-    a_hat: np.ndarray,
+    rotated: np.ndarray,
     rank: int,
+    r_factor: np.ndarray,
     *,
     level: Optional[int] = None,
     node: Optional[int] = None,
 ) -> PartialCholeskyResult:
-    """Eliminate the leading ``n - rank`` (redundant) rows/columns of ``a_hat``.
+    """Eliminate the redundant unknowns of a rotated diagonal block.
 
     Parameters
     ----------
-    a_hat:
-        The rotated diagonal block ``U^T A_{i,i} U`` (symmetric positive
-        definite), ordered redundant-first as in Eq. 3-4.
+    rotated:
+        ``B = Q^T D Q``, the diagonal block rotated by the node's Householder
+        ``Q`` (:meth:`~repro.core.level_ulv.LevelFactors.set_basis`), with
+        the ``rank`` skeleton rows and columns *first*.  Only its lower
+        triangle is read.
     rank:
-        The skeleton rank ``r`` of the block's cluster; the trailing ``r``
-        rows/columns are left un-eliminated.
+        The skeleton rank ``r`` of the block's cluster; the trailing
+        ``n - r`` rows/columns are eliminated.
+    r_factor:
+        The ``R`` of the node's basis ``U^S = Q_S R``, ``rank x rank``.
+        The skeleton unknowns are kept in the ``U^S`` basis, so the block
+        eliminated is ``A_hat = [[B_rr, B_rs R], [R^T B_sr, R^T B_ss R]]``
+        in the redundant-first order of Eq. 3-4.
     level, node:
         The block's cluster-tree node, named by the error on failure.
 
     Returns
     -------
     PartialCholeskyResult
+        ``L_rr`` from ``dpotrf`` of ``B_rr``, ``L_sr^T = L_rr^{-1} (B_rs R)``
+        from ``dtrsm`` and the Schur complement
+        ``R^T B_ss R - L_sr L_sr^T`` from ``dsyrk``, mirrored to a
+        symmetric matrix.
 
     Raises
     ------
     NotPositiveDefinite
         If the redundant-redundant block is not positive definite.
     """
-    a_hat = np.asarray(a_hat, dtype=np.float64)
-    n = a_hat.shape[0]
-    if a_hat.shape != (n, n):
-        raise ValueError("a_hat must be square")
+    b = np.asarray(rotated, dtype=np.float64)
+    n = b.shape[0]
+    if b.shape != (n, n):
+        raise ValueError("the rotated block must be square")
     if rank < 0 or rank > n:
         raise ValueError(f"rank must be in [0, {n}], got {rank}")
+    if r_factor.shape != (rank, rank):
+        raise ValueError(f"r_factor must be {rank} x {rank}, got {r_factor.shape}")
     nr = n - rank
-
+    b_ss = r_factor.T @ _symmetric(b[:rank, :rank]) @ r_factor
+    b_rs = b[rank:, :rank] @ r_factor
     if nr == 0:
         # Fully skeleton block: nothing to eliminate at this level.
         return PartialCholeskyResult(
-            L_rr=np.zeros((0, 0)),
-            L_sr=np.zeros((rank, 0)),
-            schur_ss=a_hat.copy(),
+            L_rr=np.zeros((0, 0)), L_sr=np.zeros((rank, 0)), schur_ss=_symmetric(b_ss)
         )
 
-    a_rr = a_hat[:nr, :nr]
-    a_sr = a_hat[nr:, :nr]
-    a_ss = a_hat[nr:, nr:]
-
-    l_rr = cholesky(a_rr, level=level, node=node)
-    if rank > 0:
-        # L^SR = A^SR (L^RR)^{-T}  computed as a triangular solve.
-        l_sr = scipy.linalg.solve_triangular(l_rr, a_sr.T, lower=True).T
-        schur = a_ss - l_sr @ l_sr.T
-    else:
-        l_sr = np.zeros((0, nr))
-        schur = np.zeros((0, 0))
-
-    return PartialCholeskyResult(L_rr=l_rr, L_sr=l_sr, schur_ss=schur)
+    # Each C-ordered block below is the column-major transpose of itself to
+    # LAPACK, with its lower triangle as that transpose's upper one.
+    l_rr = np.where(_lower_mask(nr), b[rank:, rank:], 0.0)
+    info = dpotrf("U", l_rr.T)
+    if info > 0:
+        index, pivot = _failing_pivot(_symmetric(b[rank:, rank:]))
+        raise NotPositiveDefinite(index, pivot, level, node)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info={info}")
+    if rank == 0:
+        return PartialCholeskyResult(L_rr=l_rr, L_sr=np.zeros((0, nr)), schur_ss=np.zeros((0, 0)))
+    # L_sr L_rr^T = (B_rs R)^T, solved from the right with L_rr^T; then
+    # schur = R^T B_ss R - L_sr L_sr^T on the lower triangle.
+    l_sr_t = np.array(b_rs, order="C")
+    dtrsm("R", "U", "N", l_rr.T, l_sr_t.T)
+    schur = np.array(b_ss, order="C")
+    dsyrk("U", -1.0, l_sr_t.T, 1.0, schur.T)
+    return PartialCholeskyResult(L_rr=l_rr, L_sr=l_sr_t.T, schur_ss=_symmetric(schur))

@@ -7,9 +7,11 @@ with HODLR: both are weak-admissibility hierarchical formats, but HODLR does
 for completeness (and for the memory/complexity comparisons in the examples);
 its recursive structure makes the contrast with the HSS nested bases explicit.
 
-Each off-diagonal block is factored on its own.  By default that is a seeded
+Each off-diagonal block is factored on its own, and stored in SVD form
+(``U = u diag(s)``, ``V`` orthonormal).  By default that is a seeded
 randomized SVD (``"rsvd"``); ``"svd"`` (the optimal truncation, the
-verification path) and ``"aca"`` are the alternatives.
+verification path) and ``"aca"`` (recompressed into SVD form) are the
+alternatives.
 """
 
 from __future__ import annotations
@@ -50,17 +52,21 @@ def compress_offdiagonal(
     seed: int,
     sketches: Optional[GaussianSketches] = None,
 ) -> LowRankBlock:
-    """Low-rank factorisation of one off-diagonal block with ``method``.
+    """Low-rank factorisation of one off-diagonal block with ``method``, in SVD form.
 
     Shared by :func:`build_hodlr` and the task-graph construction, so both
     factor every block identically (randomized methods seeded per call; the
     randomized SVD takes its test matrix from the build's ``sketches``).
+    Every method returns ``U = u diag(s)`` with ``V`` orthonormal: the SVDs
+    build it so, and the crosses of ACA are recompressed into it.  The
+    HODLR to HSS conversion reads its weights off that form
+    (:mod:`repro.core.hodlr_ulv`).
     """
     if method == "svd":
         return compress_svd(block, rank=max_rank, tol=tol)
     if method == "aca":
         aca_tol = tol if tol is not None else 1e-10
-        return compress_aca(block, tol=aca_tol, max_rank=max_rank, seed=seed)
+        return compress_aca(block, tol=aca_tol, max_rank=max_rank, seed=seed).recompress()
     return compress_rsvd(
         block, max_rank or min(block.shape), tol=tol, seed=seed, sketches=sketches
     )

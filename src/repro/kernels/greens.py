@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import kv as bessel_kv
 
 from repro.kernels.base import RadialKernel
 
@@ -78,12 +76,14 @@ class Matern(RadialKernel):
     name: str = "matern"
 
     def evaluate(self, dist: np.ndarray) -> np.ndarray:
+        import scipy.special  # imported here: no other kernel needs it
+
         out = np.divide(np.asarray(dist, dtype=np.float64), self.mu)
         # Below this threshold x^rho * K_rho(x) is numerically unstable (K_rho
         # overflows); the analytic limit for x -> 0 is sigma^2, set last.
         small = out <= 1e-10
-        coef = self.sigma**2 / (2.0 ** (self.rho - 1.0) * gamma_fn(self.rho))
-        k = bessel_kv(self.rho, out)
+        coef = self.sigma**2 / (2.0 ** (self.rho - 1.0) * scipy.special.gamma(self.rho))
+        k = scipy.special.kv(self.rho, out)
         np.power(out, self.rho, out=out)
         np.multiply(coef, out, out=out)
         with np.errstate(invalid="ignore"):

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.hss_ulv import HSSULVFactor, merge_children
-from repro.core.partial_cholesky import cholesky, partial_cholesky
+from repro.core.partial_cholesky import cholesky
 from repro.formats.hss import HSSStructure
 from repro.pipeline.builder import GraphBuilder
 from repro.runtime.dtd import DTDRuntime
@@ -133,9 +133,10 @@ class HSSULVFactorizeBuilder(GraphBuilder):
                     flops=flops_diag_product(m, r),
                 )
 
-                def partial_factor(level=level, i=i, r=r) -> None:
-                    part = partial_cholesky(diag[(level, i)], r, level=level, node=i)
-                    schur[(level, i)] = factor.levels[level].set_partial(i, part)
+                def partial_factor(level=level, i=i) -> None:
+                    schur[(level, i)] = factor.levels[level].set_partial(
+                        i, diag[(level, i)], level=level
+                    )
                     done.add((level, i))
 
                 self.insert(

@@ -55,21 +55,31 @@ def flops_svd(m: int, n: int) -> float:
 def flops_diag_product(m: int, rank: int) -> float:
     """The ULV diagonal product of an ``m x m`` block with a rank-``rank`` basis.
 
-    ``geqrt`` of the basis (reflectors and ``T``), the two-sided update
-    ``D - (Z V^T + V Z^T)`` and the ``R`` rotation of the skeleton part
+    ``geqrt`` of the basis (reflectors and ``T``), ``Y = D V T``,
+    ``Z = Y - V (T^T V^T Y) / 2`` and the two-sided update
+    ``D - (Z V^T + V Z^T)`` as one ``syr2k``
     (:meth:`repro.core.level_ulv.LevelFactors.set_basis`).
     """
     r = rank
     return (
         flops_qr(m, r) + m * r * r + 2 * flops_gemm(m, m, r) + 3 * flops_gemm(m, r, r)
-        + flops_gemm(r, m - r, r) + 3 * flops_gemm(r, r, r)
+        + flops_gemm(r, r, r)
     )
 
 
 def flops_partial_factor(n: int, rank: int) -> float:
-    """Partial Cholesky of an ``n x n`` block leaving ``rank`` skeleton rows."""
-    nr = max(n - rank, 0)
-    return flops_potrf(nr) + flops_trsm(nr, rank) + flops_syrk(rank, nr)
+    """Partial Cholesky of a rotated ``n x n`` block leaving ``rank`` skeleton rows.
+
+    ``potrf`` of the redundant block, the ``R`` rotation of the skeleton
+    rows and columns (``B_rs R`` and ``R^T B_ss R``), ``trsm`` for ``L_sr``
+    and ``syrk`` for the Schur complement
+    (:func:`repro.core.partial_cholesky.partial_cholesky`).
+    """
+    r, nr = rank, max(n - rank, 0)
+    return (
+        flops_potrf(nr) + flops_gemm(nr, r, r) + 2 * flops_gemm(r, r, r)
+        + flops_trsm(nr, r) + flops_syrk(r, nr)
+    )
 
 
 def _flops_rotation(n: int, rank: int, k: int) -> float:

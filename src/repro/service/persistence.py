@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["save_cache", "load_cache", "MAGIC"]
 
 #: File magic + layout version.  Bump the last byte on layout changes.
-MAGIC = b"RPSC\x08"
+MAGIC = b"RPSC\x09"
 
 _SHA256_LEN = 32
 

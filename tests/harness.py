@@ -25,11 +25,13 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dgeqrt
 
 from repro.api import StructuredSolver
 from repro.compress.verify import assert_compressed_identical
 from repro.core.hss_ulv import HSSULVFactor
-from repro.core.partial_cholesky import partial_cholesky
+from repro.core.partial_cholesky import cholesky
 from repro.formats.hss import HSSMatrix, HSSNode
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
@@ -62,6 +64,7 @@ __all__ = [
     "graph_census",
     "solve_graph",
     "alg1_reference",
+    "reference_node_step",
 ]
 
 #: Seed of the case generator; override with REPRO_HARNESS_SEED to explore
@@ -402,8 +405,7 @@ def alg1_reference(blr2):
     level = factor.levels[blr2.max_level]
     schur = {}
     for i in range(blr2.nblocks):
-        part = partial_cholesky(level.set_basis(i, blr2.bases[i], blr2.diag[i]), blr2.rank(i))
-        schur[i] = level.set_partial(i, part)
+        schur[i] = level.set_partial(i, level.set_basis(i, blr2.bases[i], blr2.diag[i]))
     offsets = level.skeleton_offsets
     merged = np.zeros((offsets[-1], offsets[-1]))
     for i in range(blr2.nblocks):
@@ -414,6 +416,41 @@ def alg1_reference(blr2):
                 merged[rows, offsets[j] : offsets[j + 1]] = blr2.coupling(i, j)
     factor.root_chol = np.linalg.cholesky(merged)
     return factor
+
+
+def reference_node_step(skeleton, d, *, level=None, node=None):
+    """One ULV node step as GEMMs and copies, kept as the reference for the BLAS-3 pass of
+    :meth:`~repro.core.level_ulv.LevelFactors.set_basis` and
+    :meth:`~repro.core.level_ulv.LevelFactors.set_partial`.
+
+    ``dgeqrt`` of the skeleton basis, the full two-sided update
+    ``B = D - (W + W^T)`` with ``W = Z V^T``, the redundant-first
+    ``A_hat = [Q_R U^S]^T D [Q_R U^S]`` copied block by block, then
+    ``np.linalg.cholesky``, ``scipy.linalg.solve_triangular`` and
+    ``A_hat^SS - L_sr L_sr^T``.  Returns ``(V, T, R, L_rr, L_sr, schur)``.
+    """
+    m, r = skeleton.shape
+    nr = m - r
+    v, t, rr = np.zeros((m, r)), np.zeros((r, r)), np.zeros((r, r))
+    if r:
+        qr, t, _ = dgeqrt(r, skeleton)
+        rr = np.triu(qr[:r])
+        v = np.tril(qr, -1)
+        v[np.diag_indices(r)] = 1.0
+    y = d @ v @ t
+    z = y - 0.5 * (v @ (t.T @ (v.T @ y)))
+    w = z @ v.T
+    b = d - (w + w.T)
+    a_hat = np.empty_like(b)
+    a_hat[:nr, :nr] = b[r:, r:]
+    a_hat[nr:, :nr] = rr.T @ b[:r, r:]
+    a_hat[:nr, nr:] = a_hat[nr:, :nr].T
+    a_hat[nr:, nr:] = rr.T @ b[:r, :r] @ rr
+    if nr == 0:
+        return v, t, rr, np.zeros((0, 0)), np.zeros((r, 0)), a_hat
+    l_rr = cholesky(a_hat[:nr, :nr], level=level, node=node)
+    l_sr = scipy.linalg.solve_triangular(l_rr, a_hat[nr:, :nr].T, lower=True).T
+    return v, t, rr, l_rr, l_sr, a_hat[nr:, nr:] - l_sr @ l_sr.T
 
 
 def _orthonormalise(stacked, rows):

@@ -331,7 +331,7 @@ def _synthetic_hodlr(n, leaf_size, rank, seed=0):
         upper = LowRankBlock(
             scale * rng.standard_normal((left.size, rank)),
             scale * rng.standard_normal((right.size, rank)),
-        )
+        ).recompress()  # the SVD form every HODLR block is stored in
         return HODLRNode(
             cnode.start, cnode.stop, upper=upper,
             lower=LowRankBlock(upper.V.copy(), upper.U.copy()),

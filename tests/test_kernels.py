@@ -1,5 +1,9 @@
 """Tests for the Green's-function kernels (paper Table 3)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,3 +192,21 @@ class TestBitsMatchTheTextbookExpression:
     def test_pairwise_distance(self, coords):
         x = coords[100:356]
         assert np.array_equal(pairwise_distance(x, coords), _textbook_distance(x, coords))
+
+
+def test_import_repro_api_leaves_scipy_special_unloaded():
+    """Only ``Matern`` needs ``scipy.special``: its first evaluation loads it, not ``import repro.api``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro.api\n"
+        "print('scipy.special' in sys.modules)\n"
+        "from repro.kernels.greens import Matern\n"
+        "Matern().evaluate([0.0, 0.1])\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False", "True"]

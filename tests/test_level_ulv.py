@@ -16,13 +16,17 @@ import pickle
 import numpy as np
 import pytest
 import scipy.linalg
-from harness import exact_hodlr_to_hss
+from harness import exact_hodlr_to_hss, reference_node_step
 
 from repro.api import StructuredSolver
 from repro.formats.blr2 import BLR2Matrix
 from repro.geometry.cluster_tree import ClusterNode, ClusterTree
 from repro.core.blr2_ulv import blr2_ulv_factorize
-from repro.core.hss_ulv import hss_ulv_factorize
+from repro.core.hss_ulv import hss_ulv_factorize, merge_children
+from repro.core.partial_cholesky import NotPositiveDefinite, cholesky
+from repro.formats.hss import HSSStructure
+from repro.pipeline.policy import ExecutionPolicy
+from repro.pipeline.registry import get_format
 from repro.core.level_ulv import (
     LevelFactors,
     backward_level,
@@ -358,7 +362,10 @@ class TestEdgeRanks:
         v, t, rr, part = factor.levels[2].node_views()[0]
         assert v.shape == (9, 0) and t.shape == rr.shape == (0, 0)
         assert np.array_equal(factor.node_factors[(2, 0)].U, np.eye(9))
-        np.testing.assert_array_equal(part.L_rr, np.linalg.cholesky(system.diag[0]))
+        # The plain Cholesky of the block's lower triangle, as the node step
+        # runs it: LAPACK's upper potrf of the column-major transpose.
+        d = system.diag[0]
+        np.testing.assert_array_equal(part.L_rr, scipy.linalg.cholesky(d.T).T)
 
     def test_full_rank_row_has_no_redundant_part(self, edge):
         system, factor = edge
@@ -370,16 +377,122 @@ class TestEdgeRanks:
 
     @pytest.mark.parametrize("m, r", [(256, 60), (120, 60), (9, 0), (9, 8), (9, 9)])
     def test_set_basis_is_the_square_basis_congruence(self, m, r):
-        """The returned block is ``[Q_R U^S]^T D [Q_R U^S]``, redundant first,
+        """The returned block's lower triangle is ``Q^T D Q``, skeleton first;
+        with ``R`` on its skeleton part it is ``[Q_R U^S]^T D [Q_R U^S]``,
         including the edge ranks r = 0, r = m - 1 and r = m."""
         rng = np.random.default_rng(m + r)
         skeleton = np.linalg.qr(rng.standard_normal((m, r)))[0] if r else np.zeros((m, 0))
         g = rng.standard_normal((m, m))
         d = g @ g.T / m + np.eye(m)
         level = LevelFactors([m], [r])
-        a_hat = level.set_basis(0, skeleton, d)
-        v, t, _, _ = level.node_views()[0]
+        rotated = level.set_basis(0, skeleton, d)
+        v, t, rr, _ = level.node_views()[0]
+        q = np.eye(m) - v @ t @ v.T
+        np.testing.assert_allclose(np.tril(rotated), np.tril(q.T @ d @ q), atol=1e-13)
         u = square_basis(v, t, skeleton)
         assert np.abs(u.T @ u - np.eye(m)).max() <= 1e-13
+        order = np.r_[r:m, :r]
+        a_hat = (np.tril(rotated) + np.tril(rotated, -1).T)[np.ix_(order, order)]
+        a_hat[:, m - r :] = a_hat[:, m - r :] @ rr
+        a_hat[m - r :] = rr.T @ a_hat[m - r :]
         np.testing.assert_allclose(a_hat, u.T @ d @ u, atol=1e-13)
-        assert np.array_equal(a_hat[m - r :, : m - r], a_hat[: m - r, m - r :].T)
+
+
+def _reference_factorize(matrix):
+    """Every node's ``(V, T, R, L_rr, L_sr, schur)`` and the root Cholesky, from
+    ``harness.reference_node_step`` walked in ``hss_ulv_factorize``'s order."""
+    st = HSSStructure.from_matrix(matrix)
+    diag = {(st.max_level, i): matrix.leaf_block(i) for i in range(2**st.max_level)}
+    nodes = {}
+    for level in st.levels:
+        for i in range(2**level):
+            nodes[(level, i)] = reference_node_step(
+                matrix.node_basis(level, i), diag[(level, i)], level=level, node=i
+            )
+        for parent, k, children in st.merges(level):
+            diag[(parent, k)] = merge_children(
+                [nodes[(level, i)][5] for i in children],
+                children,
+                lambda i, j, level=level: matrix.node_coupling(level, i, j),
+            )
+    return nodes, cholesky(diag[(0, 0)], level=0, node=0)
+
+
+def _factored_block(l_rr, l_sr, schur):
+    """``[L_rr 0; L_sr I] diag(I, S) [L_rr 0; L_sr I]^T``: the redundant-first block a node's factors stand for."""
+    nr, r = l_rr.shape[0], schur.shape[0]
+    lower, middle = np.eye(nr + r), np.eye(nr + r)
+    lower[:nr, :nr], lower[nr:, :nr] = l_rr, l_sr
+    middle[nr:, nr:] = schur
+    return lower @ middle @ lower.T
+
+
+def _one_indefinite_row(row):
+    """``_projected_blr2``'s edge-rank system with block row ``row`` shifted indefinite."""
+    system = _projected_blr2([9, 8, 10, 7], [0, 8, 3, 7], seed=4)
+    system.diag[row] = system.diag[row] - 1.1 * np.eye(system.diag[row].shape[0])
+    return system
+
+
+class TestNodeStep:
+    """The one-BLAS-3-pass node step against the GEMM-and-copy reference."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            ("uniform", dict(kernel_name="yukawa", n=1024, leaf_size=128, max_rank=40)),
+            ("ragged", dict(kernel_name="yukawa", n=1000, leaf_size=64, max_rank=30)),
+            ("tol", dict(kernel_name="laplace", n=1024, leaf_size=128, max_rank=100, tol=1e-8)),
+            ("blr2", dict(kernel_name="yukawa", n=1000, leaf_size=64, max_rank=30, format="blr2")),
+        ],
+        ids=lambda p: p[0],
+    )
+    def case(self, request):
+        return StructuredSolver.from_kernel(**request.param[1]).matrix
+
+    @staticmethod
+    def _assert_factors_match(matrix, factor):
+        """``V``, ``T``, ``R`` equal; ``L_rr``, the Schur complement and the block
+        the node's factors stand for within 1e-13 of the reference, relative.
+
+        ``L_sr`` alone is not compared entrywise: it is ``A_hat^SR L_rr^{-T}``,
+        and ``A_hat^SR`` can be ~1e-7 of ``||A_hat||`` (a yukawa leaf), so both
+        kernels carry the same rounding of ``||A_hat||`` at a larger relative size.
+        """
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-13 * max(np.linalg.norm(want), 1e-300)
+
+        nodes, root = _reference_factorize(matrix)
+        for (level, i), ref in nodes.items():
+            got = factor.levels[level].node_arrays(i)
+            assert [a.shape for a in got] == [a.shape for a in ref]
+            assert all(np.array_equal(a, b) for a, b in zip(got[:3], ref[:3]))
+            assert close(got[3], ref[3]) and close(got[5], ref[5])
+            assert close(_factored_block(*got[3:]), _factored_block(*ref[3:]))
+        assert close(factor.root_chol, root)
+
+    def test_factors_match_the_reference(self, case):
+        self._assert_factors_match(case, hss_ulv_factorize(case))
+
+    def test_edge_ranks_match_the_reference(self):
+        system = _projected_blr2([9, 8, 10, 7], [0, 8, 3, 7], seed=4)
+        ranks = set(HSSStructure.from_matrix(system).rank(2, i) for i in range(4))
+        assert {0, 8, 7} <= ranks  # r = 0 and r = m (rows 1 and 3)
+        self._assert_factors_match(system, blr2_ulv_factorize(system))
+
+    @pytest.mark.parametrize("backend", ["off", "deferred", "parallel"])
+    def test_indefinite_leaf_names_the_reference_pivot(self, backend):
+        system = _one_indefinite_row(2)
+        with pytest.raises(NotPositiveDefinite) as ref:
+            _reference_factorize(system)
+        assert (ref.value.level, ref.value.node) == (2, 2) and ref.value.index > 0
+        spec = get_format("blr2")
+        with pytest.raises(NotPositiveDefinite) as err:
+            if backend == "off":
+                spec.factorize(system)
+            else:
+                spec.factorize_dtd(system, policy=ExecutionPolicy(backend=backend, n_workers=2))
+        got = err.value
+        assert (got.level, got.node, got.index) == (ref.value.level, ref.value.node, ref.value.index)
+        assert got.pivot == pytest.approx(ref.value.pivot, rel=1e-10)

@@ -8,12 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NotPositiveDefinite
-from repro.core.partial_cholesky import cholesky, partial_cholesky
+from repro.core.partial_cholesky import cholesky
+from repro.core.partial_cholesky import partial_cholesky as eliminate
 from repro.geometry.points import uniform_grid_2d
 from repro.kernels.assembly import KernelMatrix
 from repro.kernels.greens import kernel_by_name
 from repro.pipeline.policy import ExecutionPolicy
 from repro.pipeline.registry import get_format
+
+
+def partial_cholesky(a, rank, **kwargs):
+    """Eliminate the leading ``n - rank`` rows of the redundant-first block ``a``.
+
+    :func:`repro.core.partial_cholesky.partial_cholesky` takes the rotated
+    block skeleton first, so a valid ``a`` is permuted into that order (with
+    ``R = I`` it is the same block); an invalid one goes in as it is.
+    """
+    n = a.shape[0]
+    if a.shape == (n, n) and 0 <= rank <= n:
+        order = np.r_[n - rank : n, : n - rank]
+        a = a[np.ix_(order, order)]
+    return eliminate(a, rank, np.eye(max(rank, 0)), **kwargs)
 
 
 def spd(n, seed=0, shift=None):

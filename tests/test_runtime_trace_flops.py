@@ -39,14 +39,14 @@ class TestFlopModels:
         assert flops_svd(20, 50) == flops_svd(50, 20)
 
     def test_diag_product_counts_the_compact_wy_kernel(self):
-        """QR of the m x r basis, the O(m^2 r) two-sided update, the R rotation."""
+        """QR of the m x r basis and the O(m^2 r) two-sided update (its syr2k
+        counted as the one m x m x r GEMM it replaces)."""
         m, r = 256, 60
         update = (
             flops_gemm(m, r, m) + flops_gemm(m, m, r) + 2 * flops_gemm(m, r, r)
             + flops_gemm(r, r, m) + flops_gemm(r, r, r)
         )
-        rotate = flops_gemm(r, m - r, r) + 2 * flops_gemm(r, r, r)
-        expected = flops_qr(m, r) + m * r * r + update + rotate
+        expected = flops_qr(m, r) + m * r * r + update
         assert flops_diag_product(m, r) == pytest.approx(expected)
         # well under the two square GEMMs of an explicit U^T A U at leaf ranks
         assert flops_diag_product(m, r) < 0.5 * 2 * flops_gemm(m, m, m)
@@ -61,8 +61,8 @@ class TestFlopModels:
         assert 0 <= flops_diag_product(m, r) < flops_diag_product(m, r + 1)
 
     def test_partial_factor_degenerate_cases(self):
-        # rank == n: nothing to eliminate.
-        assert flops_partial_factor(16, 16) == 0
+        # rank == n: nothing to eliminate; only the skeleton block's R^T B R.
+        assert flops_partial_factor(16, 16) == pytest.approx(2 * flops_gemm(16, 16, 16))
         # rank == 0: a full Cholesky.
         assert flops_partial_factor(16, 0) == pytest.approx(flops_potrf(16))
 
@@ -74,8 +74,22 @@ class TestFlopModels:
     def test_partial_factor_less_than_full_cholesky_plus_updates(self):
         """Eliminating only part of a block never costs more than the pieces imply."""
         n, r = 128, 32
-        total = flops_potrf(n - r) + flops_trsm(n - r, r) + flops_syrk(r, n - r)
+        rotate = flops_gemm(n - r, r, r) + 2 * flops_gemm(r, r, r)
+        total = flops_potrf(n - r) + rotate + flops_trsm(n - r, r) + flops_syrk(r, n - r)
         assert flops_partial_factor(n, r) == pytest.approx(total)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 256), r=st.integers(0, 256))
+    def test_node_total_counts_the_rotation_once(self, m, r):
+        """The R rotation moved from the diagonal product to the partial
+        factor: a node's two tasks together count what they did before."""
+        r = min(r, m)
+        before = (
+            flops_qr(m, r) + m * r * r + 2 * flops_gemm(m, m, r) + 3 * flops_gemm(m, r, r)
+            + flops_gemm(r, m - r, r) + 3 * flops_gemm(r, r, r)
+            + flops_potrf(m - r) + flops_trsm(m - r, r) + flops_syrk(r, m - r)
+        )
+        assert flops_diag_product(m, r) + flops_partial_factor(m, r) == pytest.approx(before)
 
 
 class TestSimulationResult:

@@ -533,7 +533,7 @@ class TestPersistence:
         """
         from repro.service import persistence
 
-        assert persistence.MAGIC == b"RPSC\x08"
+        assert persistence.MAGIC == b"RPSC\x09"
         path = tmp_path / "factors.bin"
         service = SolverService(backend="reference")
         service.solve(_rhs(1), **KEY)
@@ -570,6 +570,10 @@ class TestPersistence:
     def test_layout_7_refused_before_unpickling(self, tmp_path, monkeypatch):
         """A layout-7 snapshot (BLR2 couplings from a second kernel evaluation) is refused."""
         self._refused_before_unpickling(tmp_path, monkeypatch, b"RPSC\x07")
+
+    def test_layout_8_refused_before_unpickling(self, tmp_path, monkeypatch):
+        """A layout-8 snapshot (factors of the GEMM-and-copy node step) is refused."""
+        self._refused_before_unpickling(tmp_path, monkeypatch, b"RPSC\x08")
 
     def test_hodlr_snapshot_stores_leaf_blocks_once(self, tmp_path):
         """A HODLR factor's leaf blocks are the HODLR's own, before and after a reload."""
